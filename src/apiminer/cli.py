@@ -8,10 +8,10 @@ import sys
 from pathlib import Path
 
 from .records import Dataset, IngestError, parse_har, parse_jsonl, write_dataset
-from .normalize import normalize, canonical_path
-from .denoise import FilterConfig, filter_traffic
+from .normalize import canonical_path
+from .denoise import FilterConfig
 from .templates import MinerConfig
-from .refine import EndpointCluster, RefinerConfig, discover
+from .refine import EndpointCluster, RefinerConfig, discover, prepare_traffic
 from .corpus import CorpusSpec, synth_corpus
 from .noise import INTERFERE, LEXIFY, inject
 from .metrics import CSV_HEADER, NoLabeledDataError, report
@@ -112,30 +112,21 @@ def cmd_ingest(args, file_config) -> int:
 def cmd_discover(args, file_config) -> int:
     dataset = _read_dataset(args.input, args.format)
     filter_config, miner_config, refiner_config = _pipeline_configs(args, file_config)
-    clusters = discover(
-        dataset,
-        filter_config=filter_config,
-        miner_config=miner_config,
-        refiner_config=refiner_config,
-        disable_noise_filter=args.disable_nf,
-        disable_template_mining=args.disable_templates,
-    )
+    traffic = prepare_traffic(dataset, filter_config, args.disable_nf)
     if args.emit_dropped:
-        outcome = filter_traffic(dataset, filter_config)
-        lines = [f"{rid}\t{reason}" for rid, reason in outcome.dropped]
+        lines = [f"{rid}\t{reason}" for rid, reason in traffic.dropped]
         _write_text(args.emit_dropped, "\n".join(lines) + ("\n" if lines else ""))
     if args.dump_normalized:
-        records = {r.id: r for r in dataset.records}
-        kept = (
-            [r.id for r in dataset.records]
-            if args.disable_nf
-            else filter_traffic(dataset, filter_config).kept
-        )
-        lines = []
-        for rid in kept:
-            nr = normalize(records[rid])
-            lines.append(f"{nr.method}\t{canonical_path(nr)}")
+        lines = [f"{nr.method}\t{canonical_path(nr)}" for nr in traffic.normalized]
         _write_text(args.dump_normalized, "\n".join(lines) + ("\n" if lines else ""))
+    clusters = discover(
+        traffic,
+        miner_config=miner_config,
+        refiner_config=refiner_config,
+        disable_template_mining=args.disable_templates,
+    )
+    # free the normalized requests before the cluster document is encoded
+    del traffic
     if args.dump_templates:
         seen = []
         for c in clusters:

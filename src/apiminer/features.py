@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,20 +59,55 @@ def scale_features(matrix: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SimilarityGraph:
+    """Thresholded similarity graph over the distinct feature rows of a group.
+
+    Node ``a`` stands for ``counts[a]`` requests with identical feature rows.
+    ``A`` holds the similarity between distinct rows and has a zero diagonal;
+    ``self_sim[a]`` is the similarity between two copies of row ``a`` (1 for
+    a non-zero row, 0 for a zero row, whose copies stay isolated).  The graph
+    is the n-request graph with every copy of a row expanded to its own node,
+    and ``n`` is that request count.  Without ``node_of`` each row is one
+    request.
+    """
+
     n: int
     A: np.ndarray
     edge_threshold: float
+    # node of each of the n requests
+    node_of: np.ndarray | None = None
+    self_sim: np.ndarray | None = None
+    # requests per node
+    counts: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        rows = self.A.shape[0]
+        if self.node_of is None:
+            self.node_of = np.arange(rows)
+        if self.self_sim is None:
+            self.self_sim = np.zeros(rows)
+        self.counts = np.bincount(self.node_of, minlength=rows).astype(float)
+
+    def degree(self) -> np.ndarray:
+        """Edges at one request of each node, counting the copies of every row."""
+        m = self.counts
+        return (self.A > 0) @ m + (m - 1) * (self.self_sim > 0)
+
+    def mean_degree(self) -> float:
+        """Mean edge count over the n requests."""
+        return float(self.counts @ self.degree()) / self.n
 
 
-def build_graph(features: np.ndarray, theta: float) -> SimilarityGraph:
+def build_graph(
+    features: np.ndarray, theta: float, node_of: np.ndarray | None = None
+) -> SimilarityGraph:
     """Thresholded cosine-derived similarity graph on scaled feature rows.
 
     s(i, j) = (1 + cos(x_i, x_j)) / 2; pairs involving a zero vector get
-    s = 0.  Entries below theta are cut; the diagonal is zero.
+    s = 0.  Entries below theta are cut; the diagonal is zero.  ``node_of``
+    gives the row of each request when ``features`` holds distinct rows.
     """
     if not (0.0 < theta < 1.0):
         raise ValueError("theta must be in (0,1)")
-    n = features.shape[0]
     norms = np.linalg.norm(features, axis=1)
     safe = norms.copy()
     safe[safe == 0] = 1.0
@@ -85,7 +120,10 @@ def build_graph(features: np.ndarray, theta: float) -> SimilarityGraph:
     sim[sim < theta] = 0.0
     np.fill_diagonal(sim, 0.0)
     sim = (sim + sim.T) / 2.0
-    return SimilarityGraph(n=n, A=sim, edge_threshold=theta)
+    n = features.shape[0] if node_of is None else len(node_of)
+    return SimilarityGraph(
+        n=n, A=sim, edge_threshold=theta, node_of=node_of, self_sim=(~zero_mask).astype(float)
+    )
 
 
 def connected_components(A: np.ndarray) -> np.ndarray:
@@ -113,8 +151,12 @@ def connected_components(A: np.ndarray) -> np.ndarray:
 
 
 def select_k(graph: SimilarityGraph) -> int:
-    """Cluster count: connected components, clamped to [1, min(8, n)]."""
+    """Cluster count: connected components, clamped to [1, min(8, n)].
+
+    Each copy of a zero row is a component of its own.
+    """
     if graph.n < 1:
         raise ValueError("graph must have at least one node")
-    count = int(connected_components(graph.A).max()) + 1
+    isolated_copies = (graph.counts - 1) @ (graph.self_sim == 0)
+    count = int(connected_components(graph.A).max()) + 1 + int(isolated_copies)
     return max(1, min(count, min(8, graph.n)))

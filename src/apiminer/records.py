@@ -70,11 +70,11 @@ class Dataset:
     skipped: int = 0
 
     def __post_init__(self):
-        ids = [r.id for r in self.records]
-        if len(set(ids)) != len(ids):
+        ids = {r.id for r in self.records}
+        if len(ids) != len(self.records):
             raise IngestError("duplicate record ids in dataset")
         for rid in self.ground_truth:
-            if rid not in set(ids):
+            if rid not in ids:
                 raise IngestError(f"ground_truth refers to unknown record id {rid}")
 
     def __len__(self) -> int:

@@ -3,6 +3,8 @@
 Large groups with a dense similarity graph are refined by training request
 embeddings against the graph (adjacency-reconstruction loss plus a KL
 self-training regularizer); sparse or small groups fall back to K-means.
+Graph training runs on a group's distinct feature rows, each weighted by the
+number of requests that share it, so identical requests are never split.
 """
 
 from __future__ import annotations
@@ -63,20 +65,43 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(x, -60, 60)))
 
 
-def consistency_loss(A: np.ndarray, Z: np.ndarray) -> tuple[float, np.ndarray]:
+def _unit_counts(counts: np.ndarray | None, rows: int) -> np.ndarray:
+    return np.ones(rows) if counts is None else counts
+
+
+def consistency_loss(
+    A: np.ndarray,
+    Z: np.ndarray,
+    counts: np.ndarray | None = None,
+    self_sim: np.ndarray | None = None,
+) -> tuple[float, np.ndarray]:
     """Squared Frobenius distance between A and sigma(Z Z^T), with gradient.
 
-    The residual matrix R = (sigma(ZZ^T) - A) * sigma'(ZZ^T) is symmetric,
-    so the gradient is 4 R Z (the factor 2 from the square times 2 from the
-    symmetric pairing of Z in the Gram matrix).
+    Row ``a`` of Z stands for ``counts[a]`` requests (default 1), any two of
+    which are linked by ``self_sim[a]`` (default 0); A's diagonal is each
+    request's pair with itself.  The loss is that of the expanded n-request
+    problem: with T = A whose diagonal is replaced by self_sim,
+    sum_ab m_a m_b (S-T)_ab^2 - sum_a m_a (S-T)_aa^2 + sum_a m_a (S-A)_aa^2.
+
+    The gradient is that of one request of each row (the gradient with
+    respect to the shared row is ``counts[a]`` times it).  In the expanded
+    problem the residual matrix R = (sigma(ZZ^T) - A) * sigma'(ZZ^T) is
+    symmetric, so a request's gradient is 4 R Z (the factor 2 from the square
+    times 2 from the symmetric pairing of Z in the Gram matrix).
     """
     if A.shape[0] != A.shape[1] or A.shape[0] != Z.shape[0]:
         raise ValueError("A must be n x n and Z must be n x d")
+    m = _unit_counts(counts, A.shape[0])
     S = _sigmoid(Z @ Z.T)
     diff = S - A
-    loss = float(np.sum(diff * diff))
+    own = np.diagonal(diff).copy()
+    s_diag = np.diagonal(S)
+    copies = s_diag - (0.0 if self_sim is None else self_sim)
+    np.fill_diagonal(diff, copies)
+    loss = float(m @ (diff * diff) @ m - m @ (copies * copies) + m @ (own * own))
     R = diff * S * (1.0 - S)
-    grad = 4.0 * (R @ Z)
+    slope = s_diag * (1.0 - s_diag)
+    grad = 4.0 * (R @ (m[:, None] * Z) + ((own - copies) * slope)[:, None] * Z)
     return loss, grad
 
 
@@ -88,35 +113,53 @@ def _soft_assign(Z: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.n
     return Q, T
 
 
-def sharpen_target(Q: np.ndarray) -> np.ndarray:
-    """Self-training target P = Q^2 / f, row-normalized."""
-    weight = Q**2 / Q.sum(axis=0, keepdims=True)
+def sharpen_target(Q: np.ndarray, counts: np.ndarray | None = None) -> np.ndarray:
+    """Self-training target P = Q^2 / f, row-normalized.
+
+    f is the cluster frequency over the requests: row ``a`` of Q stands for
+    ``counts[a]`` of them (default 1).
+    """
+    weight = Q**2 / (_unit_counts(counts, Q.shape[0]) @ Q)
     return weight / weight.sum(axis=1, keepdims=True)
 
 
 def clustering_regularizer(
-    Z: np.ndarray, centroids: np.ndarray, P: np.ndarray
+    Z: np.ndarray,
+    centroids: np.ndarray,
+    P: np.ndarray,
+    counts: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """KL(P || Q) of the Student-t soft assignment, with gradients.
 
     P is held constant; gradients are with respect to Z and the centroids.
+    Row ``a`` stands for ``counts[a]`` requests (default 1): the loss and the
+    centroid gradient sum over requests, and the Z gradient is that of one
+    request of each row.
     """
     if centroids.shape[0] < 1:
         raise ValueError("need at least one centroid")
+    m = _unit_counts(counts, Z.shape[0])
     Q, T = _soft_assign(Z, centroids)
     eps = 1e-12
-    loss = float(np.sum(P * (np.log(P + eps) - np.log(Q + eps))))
+    loss = float(m @ np.sum(P * (np.log(P + eps) - np.log(Q + eps)), axis=1))
     coeff = T * (P - Q)  # n x k
     delta = Z[:, None, :] - centroids[None, :, :]  # n x k x d
     grad_z = 2.0 * np.sum(coeff[:, :, None] * delta, axis=1)
-    grad_mu = -2.0 * np.sum(coeff[:, :, None] * delta, axis=0)
+    grad_mu = -2.0 * np.sum((m[:, None] * coeff)[:, :, None] * delta, axis=0)
     return loss, grad_z, grad_mu
 
 
-def farthest_point_indices(X: np.ndarray, k: int, rng: np.random.Generator) -> list[int]:
-    """Deterministic farthest-point seeding; first pick comes from the rng."""
-    n = X.shape[0]
-    first = int(rng.integers(n))
+def farthest_point_indices(
+    X: np.ndarray, k: int, rng: np.random.Generator, node_of: np.ndarray | None = None
+) -> list[int]:
+    """Deterministic farthest-point seeding; first pick comes from the rng.
+
+    With ``node_of`` the rows of X are distinct rows ordered by first
+    occurrence, and the first pick is drawn over the requests they stand for.
+    """
+    first = int(rng.integers(X.shape[0] if node_of is None else len(node_of)))
+    if node_of is not None:
+        first = int(node_of[first])
     chosen = [first]
     dist = np.linalg.norm(X - X[first], axis=1)
     while len(chosen) < k:
@@ -148,22 +191,34 @@ def kmeans_assign(
 def spectral_init(graph: SimilarityGraph, dim: int, rng: np.random.Generator) -> np.ndarray:
     """Top-d eigenvectors of the symmetrically normalized adjacency.
 
+    The eigenvectors are those of the expanded n-request graph that take one
+    value on all copies of a row, computed from a matrix over the distinct
+    rows: D^-1/2 (sqrt(m) A sqrt(m) + diag((m-1) s)) D^-1/2, with degree
+    D = A m + (m-1) s.  Scaling each row by 1/sqrt(m) gives the value on one
+    copy.  The expanded graph's other eigenvectors differ between copies of
+    a row and have eigenvalues <= 0, which get weight 0 below, so they are
+    the zero columns that pad Z to d columns.
+
     Degenerate eigensolves (isolated graph, numerical failure) fall back to
     unit-variance random coordinates from the supplied rng.
     """
     n = graph.n
+    rows = graph.A.shape[0]
     dim = min(dim, n)
-    A = graph.A
-    degree = A.sum(axis=1)
+    m = graph.counts
+    root = np.sqrt(m)
+    copies = (m - 1) * graph.self_sim
+    degree = graph.A @ m + copies
     if not np.any(degree > 0):
-        return rng.standard_normal((n, dim))
-    d_inv_sqrt = np.zeros(n)
+        return rng.standard_normal((rows, dim))
+    d_inv_sqrt = np.zeros(rows)
     d_inv_sqrt[degree > 0] = 1.0 / np.sqrt(degree[degree > 0])
-    norm_adj = d_inv_sqrt[:, None] * A * d_inv_sqrt[None, :]
+    weighted = root[:, None] * graph.A * root[None, :] + np.diag(copies)
+    norm_adj = d_inv_sqrt[:, None] * weighted * d_inv_sqrt[None, :]
     try:
         eigvals, eigvecs = np.linalg.eigh(norm_adj)
     except np.linalg.LinAlgError:
-        return rng.standard_normal((n, dim))
+        return rng.standard_normal((rows, dim))
     # eigenvectors are unit-norm over n entries; weight each coordinate by the
     # (non-negative part of the) eigenvalue it belongs to, then rescale so rows
     # sit at O(1) magnitude — the scale the losses and centroid seeding expect.
@@ -171,11 +226,11 @@ def spectral_init(graph: SimilarityGraph, dim: int, rng: np.random.Generator) ->
     # otherwise contribute spiky coordinates that hijack farthest-point seeding.
     order = np.argsort(eigvals)[::-1][:dim]
     weights = np.sqrt(np.clip(eigvals[order], 0.0, None))
-    Z = eigvecs[:, order] * weights[None, :] * np.sqrt(n)
+    Z = eigvecs[:, order] / root[:, None] * weights[None, :] * np.sqrt(n)
     if not np.all(np.isfinite(Z)):
-        return rng.standard_normal((n, dim))
+        return rng.standard_normal((rows, dim))
     if Z.shape[1] < dim:
-        Z = np.hstack([Z, rng.standard_normal((n, dim - Z.shape[1]))])
+        Z = np.hstack([Z, np.zeros((rows, dim - Z.shape[1]))])
     return Z
 
 
@@ -192,20 +247,24 @@ def train_embeddings(
 ) -> TrainResult:
     """Minimize L_cons + lambda * KL(P || Q) by backtracking gradient descent.
 
+    One embedding row per graph node stands for all the requests of that
+    node: the losses count each request, and every request of a node takes
+    the same step, so the result is that of training the n-request graph.
     The self-training target P is refreshed every ``target_update_interval``
     iterations; a refresh is kept only if it does not increase the recorded
     loss, which keeps the loss sequence non-increasing.
     """
+    m = graph.counts
     Z = spectral_init(graph, config.embedding_dim, rng)
-    centroids = Z[farthest_point_indices(Z, k, rng)].copy()
+    centroids = Z[farthest_point_indices(Z, k, rng, graph.node_of)].copy()
     Q, _ = _soft_assign(Z, centroids)
-    P = sharpen_target(Q)
+    P = sharpen_target(Q, m)
     lr = config.learning_rate
     lam = config.lam
 
     def total(Zc, Cc, Pc):
-        lc, gz = consistency_loss(graph.A, Zc)
-        lk, gzk, gmk = clustering_regularizer(Zc, Cc, Pc)
+        lc, gz = consistency_loss(graph.A, Zc, m, graph.self_sim)
+        lk, gzk, gmk = clustering_regularizer(Zc, Cc, Pc, m)
         return lc + lam * lk, gz + lam * gzk, lam * gmk
 
     loss, grad_z, grad_mu = total(Z, centroids, P)
@@ -217,16 +276,17 @@ def train_embeddings(
             # cloud), then re-sharpen the target; kept only when the total
             # loss does not increase so the recorded sequence stays monotone
             Q, _ = _soft_assign(Z, centroids)
-            weights = Q / np.maximum(Q.sum(axis=0, keepdims=True), 1e-12)
+            mass = m[:, None] * Q
+            weights = mass / np.maximum(mass.sum(axis=0, keepdims=True), 1e-12)
             cand_C = weights.T @ Z
             cand_Q, _ = _soft_assign(Z, cand_C)
-            candidate = sharpen_target(cand_Q)
+            candidate = sharpen_target(cand_Q, m)
             cand_loss, cand_gz, cand_gmu = total(Z, cand_C, candidate)
             if cand_loss <= loss + 1e-9:
                 centroids = cand_C
                 P, loss, grad_z, grad_mu = candidate, cand_loss, cand_gz, cand_gmu
             else:
-                candidate = sharpen_target(Q)
+                candidate = sharpen_target(Q, m)
                 cand_loss, cand_gz, cand_gmu = total(Z, centroids, candidate)
                 if cand_loss <= loss + 1e-9:
                     P, loss, grad_z, grad_mu = candidate, cand_loss, cand_gz, cand_gmu
@@ -275,6 +335,15 @@ def _reabsorb_small(labels: np.ndarray, X: np.ndarray, min_size: int) -> np.ndar
         labels[labels == target_c] = dest
 
 
+def _distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of X in order of first occurrence, and the row of each request."""
+    _, first, inverse = np.unique(X, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return X[first[order]], rank[inverse.reshape(-1)]
+
+
 def refine_group(
     group: TemplateGroup,
     requests: dict[int, NormalizedRequest],
@@ -292,19 +361,19 @@ def refine_group(
 
     raw = np.vstack([extract_features(nr, records[nr.record_id]) for nr in members])
     X = scale_features(raw)
-    graph = build_graph(X, config.theta)
+    distinct, node_of = _distinct_rows(X)
+    graph = build_graph(distinct, config.theta, node_of)
     k = select_k(graph)
 
-    degree = (graph.A > 0).sum(axis=1)
     applicable = (
         not config.force_kmeans
         and n >= config.min_group_size
-        and degree.mean() >= config.min_mean_degree
+        and graph.mean_degree() >= config.min_mean_degree
     )
     rng = _group_rng(config.global_seed, group.template)
     if applicable:
         result = train_embeddings(graph, k, config, rng)
-        labels = np.argmax(result.soft_assign, axis=1)
+        labels = np.argmax(result.soft_assign, axis=1)[node_of]
         provenance = GRAPH_REFINED
     else:
         labels = kmeans_assign(X, k, rng, config.kmeans_iters)
@@ -344,22 +413,52 @@ def _cluster(
     )
 
 
-def discover(
+@dataclass
+class Traffic:
+    """A dataset as discovery sees it once filtered and normalized."""
+
+    records: dict[int, HttpRecord]
+    # the kept records, in input order
+    normalized: list[NormalizedRequest]
+    # (record id, reason) for each record the filter dropped
+    dropped: list[tuple[int, str]]
+
+
+def prepare_traffic(
     dataset: Dataset,
+    filter_config: FilterConfig | None = None,
+    disable_noise_filter: bool = False,
+) -> Traffic:
+    """The first two stages of discover: filter the traffic, normalize what it keeps."""
+    records = {r.id: r for r in dataset.records}
+    if disable_noise_filter:
+        kept_ids, dropped = list(records), []
+    else:
+        outcome = filter_traffic(dataset, filter_config)
+        kept_ids, dropped = outcome.kept, outcome.dropped
+    return Traffic(records, [normalize(records[i]) for i in kept_ids], dropped)
+
+
+def discover(
+    dataset: Dataset | Traffic,
     filter_config: FilterConfig | None = None,
     miner_config: MinerConfig | None = None,
     refiner_config: RefinerConfig | None = None,
     disable_noise_filter: bool = False,
     disable_template_mining: bool = False,
 ) -> list[EndpointCluster]:
-    """Full pipeline: filter, normalize, mine templates, refine each group."""
+    """Full pipeline: filter, normalize, mine templates, refine each group.
+
+    Given the Traffic that ``prepare_traffic`` made of a dataset, discovery
+    starts from it, and the filter settings are not used.
+    """
     refiner_config = refiner_config or RefinerConfig()
-    records = {r.id: r for r in dataset.records}
-    if disable_noise_filter:
-        kept_ids = [r.id for r in dataset.records]
-    else:
-        kept_ids = filter_traffic(dataset, filter_config).kept
-    normalized = [normalize(records[i]) for i in kept_ids]
+    traffic = (
+        dataset
+        if isinstance(dataset, Traffic)
+        else prepare_traffic(dataset, filter_config, disable_noise_filter)
+    )
+    normalized = traffic.normalized
     requests = {nr.record_id: nr for nr in normalized}
     if not normalized:
         return []
@@ -376,7 +475,7 @@ def discover(
 
     clusters: list[EndpointCluster] = []
     for group in groups:
-        clusters.extend(refine_group(group, requests, records, refiner_config))
+        clusters.extend(refine_group(group, requests, traffic.records, refiner_config))
     clusters.sort(
         key=lambda cl: (cl.method, cl.template.render(), min(cl.member_ids))
     )

@@ -4,8 +4,12 @@ import json
 
 import pytest
 
+from apiminer import refine
 from apiminer.cli import main
 from apiminer.corpus import CorpusSpec, synth_corpus
+from apiminer.denoise import filter_traffic
+from apiminer.noise import INTERFERE, inject
+from apiminer.normalize import canonical_path, normalize
 from apiminer.records import parse_jsonl, write_dataset
 
 
@@ -14,6 +18,15 @@ def corpus_file(tmp_path):
     ds = synth_corpus(CorpusSpec(endpoint_count=5, requests_per_endpoint=20))
     path = tmp_path / "corpus.jsonl"
     path.write_text(write_dataset(ds), encoding="utf-8")
+    return path
+
+
+@pytest.fixture
+def noisy_file(tmp_path):
+    """A capture with non-API traffic that the filter drops."""
+    ds = synth_corpus(CorpusSpec(endpoint_count=5, requests_per_endpoint=20))
+    path = tmp_path / "noisy.jsonl"
+    path.write_text(write_dataset(inject(ds, INTERFERE, 0.5, 1)), encoding="utf-8")
     return path
 
 
@@ -96,6 +109,43 @@ class TestDiscoverAndEvaluate:
         assert tmpl_lines and all("\t/" in line for line in tmpl_lines)
         norm_lines = normalized.read_text(encoding="utf-8").strip().splitlines()
         assert len(norm_lines) == 100
+        assert dropped.read_text(encoding="utf-8") == ""
+
+    def test_filter_and_normalize_run_once(self, tmp_path, noisy_file, monkeypatch):
+        calls = {"filter": 0, "normalize": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(refine, "filter_traffic", counted("filter", refine.filter_traffic))
+        monkeypatch.setattr(refine, "normalize", counted("normalize", refine.normalize))
+        dropped, normalized = tmp_path / "dropped.tsv", tmp_path / "norm.tsv"
+        assert main([
+            "discover", "--in", str(noisy_file), "--out", str(tmp_path / "c.json"),
+            "--emit-dropped", str(dropped), "--dump-normalized", str(normalized),
+        ]) == 0
+        ds = parse_jsonl(noisy_file.read_text(encoding="utf-8"))
+        outcome = filter_traffic(ds)
+        assert outcome.dropped
+        assert calls == {"filter": 1, "normalize": len(outcome.kept)}
+        assert dropped.read_text(encoding="utf-8") == "".join(
+            f"{rid}\t{reason}\n" for rid, reason in outcome.dropped
+        )
+        records = {r.id: r for r in ds.records}
+        kept = [normalize(records[rid]) for rid in outcome.kept]
+        assert normalized.read_text(encoding="utf-8").splitlines() == [
+            f"{nr.method}\t{canonical_path(nr)}" for nr in kept
+        ]
+
+    def test_nothing_dropped_without_filter(self, tmp_path, noisy_file):
+        dropped = tmp_path / "dropped.tsv"
+        assert main([
+            "discover", "--in", str(noisy_file), "--out", str(tmp_path / "c.json"),
+            "--disable-nf", "--emit-dropped", str(dropped),
+        ]) == 0
         assert dropped.read_text(encoding="utf-8") == ""
 
     def test_force_kmeans_keeps_templates(self, tmp_path, corpus_file):

@@ -166,3 +166,32 @@ class TestComponents:
         g.n = 0
         with pytest.raises(ValueError):
             select_k(g)
+
+
+class TestDistinctRowGraph:
+    """A graph over distinct rows stands for the graph over all their copies."""
+
+    X = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [1.0, 0.9], [0.0, 0.0], [1.0, 1.0]])
+    distinct = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 0.9]])
+    node_of = np.array([0, 1, 0, 2, 0, 1])
+
+    def test_counts_and_self_similarity(self):
+        g = build_graph(self.distinct, 0.85, self.node_of)
+        assert g.n == 6
+        assert g.counts.tolist() == [3.0, 2.0, 1.0]
+        assert g.self_sim.tolist() == [0.0, 1.0, 1.0]
+
+    def test_degree_counts_copies(self):
+        g = build_graph(self.distinct, 0.85, self.node_of)
+        full = build_graph(self.X, 0.85)
+        assert g.degree()[self.node_of].tolist() == (full.A > 0).sum(axis=1).tolist()
+        assert g.mean_degree() == pytest.approx((full.A > 0).sum(axis=1).mean())
+
+    def test_zero_row_copies_are_components(self):
+        g = build_graph(self.distinct, 0.85, self.node_of)
+        # three isolated zero-row copies plus one component of the rest
+        assert select_k(g) == select_k(build_graph(self.X, 0.85)) == 4
+
+    def test_unit_counts_without_node_of(self):
+        g = build_graph(self.X, 0.85)
+        assert g.n == 6 and g.counts.tolist() == [1.0] * 6

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from apiminer.features import SimilarityGraph, build_graph
+from apiminer.features import SimilarityGraph, build_graph, extract_features, scale_features, select_k
 from apiminer.normalize import normalize
 from apiminer.records import HttpRecord
 from apiminer.refine import (
@@ -20,6 +21,7 @@ from apiminer.refine import (
     sharpen_target,
     spectral_init,
     train_embeddings,
+    _distinct_rows,
     _soft_assign,
 )
 from apiminer.records import Dataset
@@ -184,6 +186,168 @@ class TestTraining:
         assert np.all(np.isfinite(Z))
 
 
+def random_weighted(rng, u=None):
+    """Random distinct-row problem: A (general diagonal), self_sim, counts, node_of."""
+    u = u or int(rng.integers(2, 7))
+    A = rng.random((u, u))
+    A = (A + A.T) / 2
+    s = rng.random(u)
+    counts = rng.integers(1, 5, u).astype(float)
+    node_of = np.repeat(np.arange(u), counts.astype(int))
+    return A, s, counts, node_of
+
+
+def expand(A, s, node_of):
+    """The n-request adjacency: copies of a row are linked by s, A's diagonal is the self-pair."""
+    full = A[np.ix_(node_of, node_of)]
+    same = node_of[:, None] == node_of[None, :]
+    full[same] = np.broadcast_to(s[node_of][:, None], full.shape)[same]
+    np.fill_diagonal(full, np.diagonal(A)[node_of])
+    return full
+
+
+def dense_consistency(A, Z):
+    """Reference n-row loss and gradient, on every request."""
+    S = 1 / (1 + np.exp(-(Z @ Z.T)))
+    diff = S - A
+    return np.sum(diff * diff), 4.0 * (diff * S * (1 - S)) @ Z
+
+
+def dense_regularizer(Z, C, P):
+    """Reference n-row KL value and gradients, on every request."""
+    Q, T = _soft_assign(Z, C)
+    coeff = (T * (P - Q))[:, :, None]
+    delta = Z[:, None, :] - C[None, :, :]
+    return kl_oracle(Z, C, P), 2.0 * np.sum(coeff * delta, axis=1), -2.0 * np.sum(coeff * delta, axis=0)
+
+
+def dense_target(Q):
+    weight = Q**2 / Q.sum(axis=0, keepdims=True)
+    return weight / weight.sum(axis=1, keepdims=True)
+
+
+def dense_spectral(A, dim):
+    """Reference n-row spectral init (every degree positive)."""
+    d = 1 / np.sqrt(A.sum(axis=1))
+    eigvals, eigvecs = np.linalg.eigh(d[:, None] * A * d[None, :])
+    order = np.argsort(eigvals)[::-1][:dim]
+    return eigvecs[:, order] * np.sqrt(np.clip(eigvals[order], 0, None)) * np.sqrt(len(A))
+
+
+def assert_rel(a, b, rel=1e-9):
+    assert np.max(np.abs(np.asarray(a) - np.asarray(b))) <= rel * max(1.0, np.max(np.abs(b)))
+
+
+class TestWeightedRows:
+    """Distinct rows with multiplicities give the expanded n-row computation."""
+
+    def test_consistency_loss_matches_expanded(self):
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            A, s, m, node_of = random_weighted(rng)
+            Z = rng.standard_normal((len(m), int(rng.integers(1, 4))))
+            loss, grad = consistency_loss(A, Z, m, s)
+            full_loss, full_grad = dense_consistency(expand(A, s, node_of), Z[node_of])
+            assert loss == pytest.approx(full_loss, rel=1e-9)
+            assert_rel(grad[node_of], full_grad)
+
+    def test_regularizer_and_target_match_expanded(self):
+        rng = np.random.default_rng(22)
+        for _ in range(20):
+            _, _, m, node_of = random_weighted(rng)
+            d, k = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            Z = rng.standard_normal((len(m), d))
+            C = rng.standard_normal((k, d))
+            Q, _ = _soft_assign(Z, C)
+            P = sharpen_target(Q, m)
+            assert_rel(P[node_of], dense_target(Q[node_of]))
+            loss, gz, gm = clustering_regularizer(Z, C, P, m)
+            full_loss, full_gz, full_gm = dense_regularizer(Z[node_of], C, P[node_of])
+            assert loss == pytest.approx(full_loss, rel=1e-9)
+            assert_rel(gz[node_of], full_gz)
+            assert_rel(gm, full_gm)
+
+    def test_consistency_gradient_finite_differences(self):
+        # the gradient is one request's; the shared row moves all m_a of them
+        rng = np.random.default_rng(23)
+        for _ in range(10):
+            A, s, m, _ = random_weighted(rng)
+            Z = rng.standard_normal((len(m), int(rng.integers(1, 4))))
+            _, grad = consistency_loss(A, Z, m, s)
+            num = finite_diff(lambda Zc: consistency_loss(A, Zc, m, s)[0], Z)
+            assert np.max(np.abs(m[:, None] * grad - num)) <= 1e-4 * max(1.0, np.max(np.abs(num)))
+
+    def test_regularizer_gradients_finite_differences(self):
+        rng = np.random.default_rng(24)
+        for _ in range(10):
+            _, _, m, _ = random_weighted(rng)
+            d = int(rng.integers(1, 4))
+            Z = rng.standard_normal((len(m), d))
+            C = rng.standard_normal((2, d))
+            P = sharpen_target(_soft_assign(Z, C)[0], m)
+            _, gz, gm = clustering_regularizer(Z, C, P, m)
+            num_z = finite_diff(lambda Zc: clustering_regularizer(Zc, C, P, m)[0], Z)
+            num_m = finite_diff(lambda Cc: clustering_regularizer(Z, Cc, P, m)[0], C)
+            scale = max(1.0, np.max(np.abs(num_z)), np.max(np.abs(num_m)))
+            assert np.max(np.abs(m[:, None] * gz - num_z)) <= 1e-4 * scale
+            assert np.max(np.abs(gm - num_m)) <= 1e-4 * scale
+
+    def test_spectral_init_matches_expanded(self):
+        rng = np.random.default_rng(25)
+        for _ in range(20):
+            u = int(rng.integers(2, 7))
+            A, _, m, node_of = random_weighted(rng, u)
+            np.fill_diagonal(A, 0.0)
+            s = (rng.random(u) < 0.8).astype(float)
+            graph = SimilarityGraph(n=len(node_of), A=A, edge_threshold=0.85,
+                                    node_of=node_of, self_sim=s)
+            Z = spectral_init(graph, 8, np.random.default_rng(0))[node_of]
+            Z_full = dense_spectral(expand(A, s, node_of), 8)
+            assert Z.shape == Z_full.shape
+            for j in range(Z.shape[1]):
+                # columns agree up to sign; the expanded init's zero-weight
+                # columns are zero here too
+                a, b = Z[:, j], Z_full[:, j]
+                sign = 1.0 if a @ b >= 0 else -1.0
+                assert np.allclose(a, sign * b, atol=1e-6)
+
+    def test_training_matches_expanded_rows(self):
+        rng = np.random.default_rng(26)
+        for trial in range(5):
+            u = int(rng.integers(2, 6))
+            base = rng.random((u, 4)) + 0.1 * (rng.random((u, 4)) < 0.5)
+            X = base[rng.permutation(np.repeat(np.arange(u), rng.integers(2, 20, u)))]
+            distinct, node_of = _distinct_rows(X)
+            graph = build_graph(distinct, 0.85, node_of)
+            full = build_graph(X, 0.85)
+            assert select_k(graph) == select_k(full)
+            assert graph.mean_degree() == pytest.approx((full.A > 0).sum(axis=1).mean())
+            k = select_k(graph)
+            res = train_embeddings(graph, k, RefinerConfig(), np.random.default_rng(trial))
+            ref = train_embeddings(full, k, RefinerConfig(), np.random.default_rng(trial))
+            assert len(res.losses) == len(ref.losses)
+            assert res.losses[-1] == pytest.approx(ref.losses[-1], rel=1e-9)
+            # embeddings agree up to an orthogonal map, so compare Gram matrices
+            Z = res.Z[node_of]
+            assert np.allclose(Z @ Z.T, ref.Z @ ref.Z.T, atol=1e-8)
+            hard = np.argmax(res.soft_assign, axis=1)[node_of]
+            assert np.array_equal(hard, np.argmax(ref.soft_assign, axis=1))
+
+    def test_distinct_rows_in_first_occurrence_order(self):
+        X = np.array([[2.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
+        distinct, node_of = _distinct_rows(X)
+        assert distinct.tolist() == [[2.0, 0.0], [1.0, 0.0], [0.0, 0.0]]
+        assert node_of.tolist() == [0, 1, 0, 2, 1]
+
+    def test_first_pick_drawn_over_requests(self):
+        X = np.array([[0.0], [1.0], [5.0]])
+        node_of = np.array([0, 0, 0, 1, 2, 2])
+        for seed in range(10):
+            draw = int(np.random.default_rng(seed).integers(len(node_of)))
+            chosen = farthest_point_indices(X, 2, np.random.default_rng(seed), node_of)
+            assert chosen[0] == node_of[draw]
+
+
 def group_from_urls(urls, method="GET", bodies=None):
     records = {}
     for i, u in enumerate(urls):
@@ -264,6 +428,36 @@ class TestRefineGroup:
         assert [(c.member_ids, c.provenance) for c in a] == [
             (c.member_ids, c.provenance) for c in b
         ]
+
+
+PROFILES = [
+    ("?page=1&limit=5", (0, None, None)),
+    ("", (400, 6, 3)),
+    ("?q=a", (30, 1, 1)),
+    ("", (0, None, None)),
+    ("?id=9&filter=b&sort=x", (900, 12, 4)),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    picks=st.lists(st.integers(0, len(PROFILES) - 1), min_size=3, max_size=60),
+    theta=st.sampled_from([0.6, 0.85, 0.95]),
+)
+# a trained group whose zero rows outnumber its clusters: on n rows, the
+# eigensolver's rounding noise split such copies across coincident centroids
+@example(picks=[int(c) for c in "201123312111310211413114213121133120311413023242"], theta=0.85)
+def test_identical_feature_rows_share_a_cluster(picks, theta):
+    urls = [f"/api/v1/things/{i}{PROFILES[p][0]}" for i, p in enumerate(picks)]
+    bodies = [PROFILES[p][1] for p in picks]
+    group, requests, records = group_from_urls(urls, method="POST", bodies=bodies)
+    clusters = refine_group(group, requests, records, RefinerConfig(theta=theta))
+    cluster_of = {i: c for c, cl in enumerate(clusters) for i in cl.member_ids}
+    X = scale_features(np.vstack([extract_features(requests[i], records[i]) for i in group.member_ids]))
+    for a, i in enumerate(group.member_ids):
+        for b, j in enumerate(group.member_ids):
+            if np.array_equal(X[a], X[b]):
+                assert cluster_of[i] == cluster_of[j]
 
 
 class TestDiscover:
