@@ -11,19 +11,32 @@ from .records import Dataset, IngestError, parse_har, parse_jsonl, write_dataset
 from .normalize import canonical_path
 from .denoise import FilterConfig
 from .templates import MinerConfig
-from .refine import EndpointCluster, RefinerConfig, discover, prepare_traffic
+from .refine import PASSTHROUGH, EndpointCluster, RefinerConfig, discover, prepare_traffic
 from .corpus import CorpusSpec, synth_corpus
 from .noise import INTERFERE, LEXIFY, inject
 from .metrics import CSV_HEADER, NoLabeledDataError, report
 from .templates import PathTemplate
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"{path} is not valid UTF-8 at byte {exc.start}") from exc
+
+
+def _read_json(path: str):
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise IngestError(f"malformed JSON in {path}: {exc}") from exc
+
+
 def _read_dataset(path: str, fmt: str) -> Dataset:
-    data = Path(path).read_bytes()
     if fmt == "har":
-        return parse_har(data)
+        return parse_har(Path(path).read_bytes())
     if fmt == "jsonl":
-        return parse_jsonl(data.decode("utf-8"))
+        return parse_jsonl(_read_text(path))
     raise IngestError(f"unknown input format {fmt!r}")
 
 
@@ -34,12 +47,40 @@ def _write_text(path: str | None, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
+def _in_unit_interval(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and 0 < value < 1
+
+
+# the keys a config file may set, each with the values it accepts
+_CONFIG_KEYS = {
+    "tau": ("a number in (0, 1)", _in_unit_interval),
+    "theta": ("a number in (0, 1)", _in_unit_interval),
+    "seed": ("an integer", _is_int),
+    "force_kmeans": ("true or false", lambda value: isinstance(value, bool)),
+}
+
+
 def _load_config_file(path: str | None) -> dict:
     if not path:
         return {}
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise IngestError("config file must hold a single JSON object")
+    for key, value in doc.items():
+        if key not in _CONFIG_KEYS:
+            known = ", ".join(_CONFIG_KEYS)
+            raise IngestError(f"config file: unknown key {key!r} (known keys: {known})")
+        expected, accepts = _CONFIG_KEYS[key]
+        if not accepts(value):
+            raise IngestError(f"config file: {key} must be {expected}, got {value!r}")
     return doc
 
 
@@ -58,9 +99,8 @@ def _pipeline_configs(args, file_config) -> tuple[FilterConfig, MinerConfig, Ref
     miner_config = MinerConfig()
     refiner_config = RefinerConfig(
         theta=_setting(args, file_config, "theta", 0.85),
-        lam=_setting(args, file_config, "lam", 0.1),
-        force_kmeans=bool(_setting(args, file_config, "force_kmeans", False)),
-        global_seed=int(_setting(args, file_config, "seed", 0)),
+        force_kmeans=_setting(args, file_config, "force_kmeans", False),
+        global_seed=_setting(args, file_config, "seed", 0),
     )
     return filter_config, miner_config, refiner_config
 
@@ -80,22 +120,49 @@ def _cluster_document(clusters: list[EndpointCluster]) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _cluster_field(entry: dict, index: int, name: str, expected: str, accepts, default=None):
+    """``entry[name]`` if it holds ``expected``; ``default`` if absent and one is given."""
+    if name not in entry:
+        if default is None:
+            raise IngestError(f"cluster entry {index}: missing {name}")
+        return default
+    if not accepts(entry[name]):
+        raise IngestError(f"cluster entry {index}: {name} must be {expected}, got {entry[name]!r}")
+    return entry[name]
+
+
 def _load_clusters(path: str) -> list[EndpointCluster]:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc = _read_json(path)
+    if not isinstance(doc, list):
+        raise IngestError("cluster document must hold a JSON list")
     clusters = []
-    for entry in doc:
-        rendered = entry["template"]
+    for index, entry in enumerate(doc):
+        if not isinstance(entry, dict):
+            raise IngestError(f"cluster entry {index}: not an object")
+        rendered = _cluster_field(entry, index, "template", "a string", _is_str)
+        method = _cluster_field(entry, index, "method", "a string", _is_str)
+        member_ids = _cluster_field(
+            entry, index, "member_ids", "a list of integers",
+            lambda v: isinstance(v, list) and all(_is_int(i) for i in v),
+        )
+        paths = _cluster_field(
+            entry, index, "representative_paths", "a list of strings",
+            lambda v: isinstance(v, list) and all(_is_str(p) for p in v), default=[],
+        )
+        provenance = _cluster_field(
+            entry, index, "provenance", "a string", _is_str, default=PASSTHROUGH
+        )
         tokens = tuple(
             None if t == "{*}" else t
             for t in (rendered.strip("/").split("/") if rendered != "/" else [])
         )
         clusters.append(
             EndpointCluster(
-                template=PathTemplate(method=entry["method"], pattern=tokens),
-                method=entry["method"],
-                member_ids=list(entry["member_ids"]),
-                representative_paths=list(entry.get("representative_paths", [])),
-                provenance=entry.get("provenance", "Passthrough"),
+                template=PathTemplate(method=method, pattern=tokens),
+                method=method,
+                member_ids=member_ids,
+                representative_paths=paths,
+                provenance=provenance,
             )
         )
     return clusters
@@ -169,26 +236,34 @@ def cmd_evaluate(args, file_config) -> int:
     return 0
 
 
-def _parse_float_list(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip() != ""]
-
-
-def _parse_int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip() != ""]
+def _parse_list(flag: str, text: str, kind) -> list:
+    try:
+        return [kind(x) for x in text.split(",") if x.strip() != ""]
+    except ValueError:
+        raise IngestError(
+            f"bench {flag} must be a comma-separated list of {kind.__name__}s, got {text!r}"
+        ) from None
 
 
 def cmd_bench(args, file_config) -> int:
-    spec = CorpusSpec(
-        endpoint_count=args.endpoints,
-        requests_per_endpoint=args.requests,
-        seed=args.seed if args.seed is not None else 42,
-    )
-    dataset = synth_corpus(spec)
+    ratios = _parse_list("--ratios", args.ratios, float)
+    if not all(0.0 <= r <= 1.0 for r in ratios):
+        raise IngestError(f"bench --ratios must lie in [0, 1], got {args.ratios!r}")
+    seeds = _parse_list("--seeds", args.seeds, int)
+    try:
+        spec = CorpusSpec(
+            endpoint_count=args.endpoints,
+            requests_per_endpoint=args.requests,
+            seed=args.seed if args.seed is not None else 42,
+        )
+        dataset = synth_corpus(spec)
+    except ValueError as exc:
+        raise IngestError(
+            f"bench --endpoints {args.endpoints} --requests {args.requests}: {exc}"
+        ) from exc
     kinds = [LEXIFY, INTERFERE] if args.kind == "both" else [
         {"lexify": LEXIFY, "interfere": INTERFERE}[args.kind]
     ]
-    ratios = _parse_float_list(args.ratios)
-    seeds = _parse_int_list(args.seeds)
     filter_config, miner_config, refiner_config = _pipeline_configs(args, file_config)
     rows = []
     for kind in sorted(kinds):
@@ -220,15 +295,24 @@ def _add_io_flags(p: argparse.ArgumentParser, output_default: str | None = "-") 
     p.add_argument("--out", default=output_default, help="output path ('-' = stdout)")
 
 
+def _unit_interval(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = None
+    if not _in_unit_interval(value):
+        raise argparse.ArgumentTypeError(f"must be a number in (0, 1), got {text!r}")
+    return value
+
+
 def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None, help="global seed")
-    p.add_argument("--theta", type=float, default=None, help="similarity edge threshold")
-    p.add_argument("--lambda", dest="lam", type=float, default=None, help="regularizer weight")
-    p.add_argument("--tau", type=float, default=None, help="sanity-gate threshold")
+    p.add_argument("--theta", type=_unit_interval, default=None, help="similarity edge threshold")
+    p.add_argument("--tau", type=_unit_interval, default=None, help="sanity-gate threshold")
     p.add_argument("--disable-nf", action="store_true", help="skip the traffic filter")
     p.add_argument("--disable-templates", action="store_true", help="one degenerate template group")
     p.add_argument("--force-kmeans", dest="force_kmeans", action="store_const", const=True,
-                   default=None, help="bypass graph training in refinement")
+                   default=None, help="bypass graph clustering in refinement")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -284,7 +368,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         file_config = _load_config_file(args.config)
         return args.func(args, file_config)
-    except (IngestError, NoLabeledDataError, OSError, json.JSONDecodeError) as exc:
+    except (IngestError, NoLabeledDataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -153,10 +153,10 @@ def connected_components(A: np.ndarray) -> np.ndarray:
 def select_k(graph: SimilarityGraph) -> int:
     """Cluster count: connected components, clamped to [1, min(8, n)].
 
-    Each copy of a zero row is a component of its own.
+    Components are those of the graph over distinct rows: the copies of a row
+    share one embedding, so they can never fill more than one cluster.
     """
     if graph.n < 1:
         raise ValueError("graph must have at least one node")
-    isolated_copies = (graph.counts - 1) @ (graph.self_sim == 0)
-    count = int(connected_components(graph.A).max()) + 1 + int(isolated_copies)
+    count = int(connected_components(graph.A).max()) + 1
     return max(1, min(count, min(8, graph.n)))

@@ -167,6 +167,12 @@ def parse_har(data: bytes) -> Dataset:
     return Dataset(records=records, source="har", ground_truth=ground_truth, skipped=skipped)
 
 
+def _field_error(lineno: int, name: str, expected: str, value) -> IngestError:
+    return IngestError(
+        f"malformed JSONL object at line {lineno}: {name} must be {expected}, got {value!r}"
+    )
+
+
 def parse_jsonl(text: str) -> Dataset:
     """Parse JSONL capture text, one request object per non-empty line."""
     records: list[HttpRecord] = []
@@ -182,17 +188,33 @@ def parse_jsonl(text: str) -> Dataset:
             raise IngestError(f"malformed JSONL object at line {lineno}: not an object")
         if "method" not in obj or "url" not in obj:
             raise IngestError(f"malformed JSONL object at line {lineno}: missing method/url")
-        headers = [tuple(h) for h in obj.get("headers", [])]
+        headers = obj.get("headers", [])
+        if not isinstance(headers, list) or not all(
+            isinstance(h, list) and len(h) == 2 and all(isinstance(x, str) for x in h)
+            for h in headers
+        ):
+            raise _field_error(lineno, "headers", "a list of [name, value] string pairs", headers)
+        for name in ("content_type", "label"):
+            if obj.get(name) is not None and not isinstance(obj[name], str):
+                raise _field_error(lineno, name, "a string", obj[name])
+        counts = {}
+        for name in ("body_size", "body_field_count", "body_nesting_depth"):
+            if obj.get(name) is None:
+                continue
+            try:
+                counts[name] = int(obj[name])
+            except (TypeError, ValueError, OverflowError):
+                raise _field_error(lineno, name, "an integer", obj[name]) from None
         rid = len(records)
         record = HttpRecord(
             id=rid,
             method=str(obj["method"]),
             url=str(obj["url"]),
-            headers=headers,
+            headers=[tuple(h) for h in headers],
             content_type=obj.get("content_type"),
-            body_size=int(obj.get("body_size", 0)),
-            body_field_count=obj.get("body_field_count"),
-            body_nesting_depth=obj.get("body_nesting_depth"),
+            body_size=counts.get("body_size", 0),
+            body_field_count=counts.get("body_field_count"),
+            body_nesting_depth=counts.get("body_nesting_depth"),
             label=obj.get("label"),
         )
         records.append(record)

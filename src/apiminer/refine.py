@@ -1,10 +1,13 @@
 """Stage-2 refinement: split template groups into behavioral endpoint clusters.
 
-Large groups with a dense similarity graph are refined by training request
-embeddings against the graph (adjacency-reconstruction loss plus a KL
-self-training regularizer); sparse or small groups fall back to K-means.
-Graph training runs on a group's distinct feature rows, each weighted by the
-number of requests that share it, so identical requests are never split.
+Large groups with a dense similarity graph are refined by spectral
+clustering: seeded k-means on the top eigenvectors of the graph's normalized
+adjacency (Ng, Jordan & Weiss, NIPS 2001), with the connected components
+giving the cluster count; sparse or small groups fall back to k-means on the
+scaled features.  The graph and its eigenvectors are computed over a group's
+distinct feature rows, each weighted by the number of requests that share it;
+the requests of one row share one embedding, so identical requests are never
+split.
 """
 
 from __future__ import annotations
@@ -35,12 +38,7 @@ KMEANS_FALLBACK = "KMeansFallback"
 @dataclass
 class RefinerConfig:
     embedding_dim: int = 8
-    lam: float = 0.1
     theta: float = 0.85
-    learning_rate: float = 0.05
-    max_iters: int = 300
-    convergence_tol: float = 1e-5
-    target_update_interval: int = 20
     min_group_size: int = 10
     min_mean_degree: float = 2.0
     # clusters smaller than this fraction of a refined group are reabsorbed
@@ -61,107 +59,10 @@ class EndpointCluster:
     provenance: str = PASSTHROUGH
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -60, 60)))
-
-
-def _unit_counts(counts: np.ndarray | None, rows: int) -> np.ndarray:
-    return np.ones(rows) if counts is None else counts
-
-
-def consistency_loss(
-    A: np.ndarray,
-    Z: np.ndarray,
-    counts: np.ndarray | None = None,
-    self_sim: np.ndarray | None = None,
-) -> tuple[float, np.ndarray]:
-    """Squared Frobenius distance between A and sigma(Z Z^T), with gradient.
-
-    Row ``a`` of Z stands for ``counts[a]`` requests (default 1), any two of
-    which are linked by ``self_sim[a]`` (default 0); A's diagonal is each
-    request's pair with itself.  The loss is that of the expanded n-request
-    problem: with T = A whose diagonal is replaced by self_sim,
-    sum_ab m_a m_b (S-T)_ab^2 - sum_a m_a (S-T)_aa^2 + sum_a m_a (S-A)_aa^2.
-
-    The gradient is that of one request of each row (the gradient with
-    respect to the shared row is ``counts[a]`` times it).  In the expanded
-    problem the residual matrix R = (sigma(ZZ^T) - A) * sigma'(ZZ^T) is
-    symmetric, so a request's gradient is 4 R Z (the factor 2 from the square
-    times 2 from the symmetric pairing of Z in the Gram matrix).
-    """
-    if A.shape[0] != A.shape[1] or A.shape[0] != Z.shape[0]:
-        raise ValueError("A must be n x n and Z must be n x d")
-    m = _unit_counts(counts, A.shape[0])
-    S = _sigmoid(Z @ Z.T)
-    diff = S - A
-    own = np.diagonal(diff).copy()
-    s_diag = np.diagonal(S)
-    copies = s_diag - (0.0 if self_sim is None else self_sim)
-    np.fill_diagonal(diff, copies)
-    loss = float(m @ (diff * diff) @ m - m @ (copies * copies) + m @ (own * own))
-    R = diff * S * (1.0 - S)
-    slope = s_diag * (1.0 - s_diag)
-    grad = 4.0 * (R @ (m[:, None] * Z) + ((own - copies) * slope)[:, None] * Z)
-    return loss, grad
-
-
-def _soft_assign(Z: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Student-t (one dof) soft assignment Q and the raw kernel T."""
-    d2 = np.sum((Z[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
-    T = 1.0 / (1.0 + d2)
-    Q = T / T.sum(axis=1, keepdims=True)
-    return Q, T
-
-
-def sharpen_target(Q: np.ndarray, counts: np.ndarray | None = None) -> np.ndarray:
-    """Self-training target P = Q^2 / f, row-normalized.
-
-    f is the cluster frequency over the requests: row ``a`` of Q stands for
-    ``counts[a]`` of them (default 1).
-    """
-    weight = Q**2 / (_unit_counts(counts, Q.shape[0]) @ Q)
-    return weight / weight.sum(axis=1, keepdims=True)
-
-
-def clustering_regularizer(
-    Z: np.ndarray,
-    centroids: np.ndarray,
-    P: np.ndarray,
-    counts: np.ndarray | None = None,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """KL(P || Q) of the Student-t soft assignment, with gradients.
-
-    P is held constant; gradients are with respect to Z and the centroids.
-    Row ``a`` stands for ``counts[a]`` requests (default 1): the loss and the
-    centroid gradient sum over requests, and the Z gradient is that of one
-    request of each row.
-    """
-    if centroids.shape[0] < 1:
-        raise ValueError("need at least one centroid")
-    m = _unit_counts(counts, Z.shape[0])
-    Q, T = _soft_assign(Z, centroids)
-    eps = 1e-12
-    loss = float(m @ np.sum(P * (np.log(P + eps) - np.log(Q + eps)), axis=1))
-    coeff = T * (P - Q)  # n x k
-    delta = Z[:, None, :] - centroids[None, :, :]  # n x k x d
-    grad_z = 2.0 * np.sum(coeff[:, :, None] * delta, axis=1)
-    grad_mu = -2.0 * np.sum((m[:, None] * coeff)[:, :, None] * delta, axis=0)
-    return loss, grad_z, grad_mu
-
-
-def farthest_point_indices(
-    X: np.ndarray, k: int, rng: np.random.Generator, node_of: np.ndarray | None = None
-) -> list[int]:
-    """Deterministic farthest-point seeding; first pick comes from the rng.
-
-    With ``node_of`` the rows of X are distinct rows ordered by first
-    occurrence, and the first pick is drawn over the requests they stand for.
-    """
-    first = int(rng.integers(X.shape[0] if node_of is None else len(node_of)))
-    if node_of is not None:
-        first = int(node_of[first])
-    chosen = [first]
-    dist = np.linalg.norm(X - X[first], axis=1)
+def farthest_point_indices(X: np.ndarray, k: int, rng: np.random.Generator) -> list[int]:
+    """Deterministic farthest-point seeding; first pick comes from the rng."""
+    chosen = [int(rng.integers(X.shape[0]))]
+    dist = np.linalg.norm(X - X[chosen[0]], axis=1)
     while len(chosen) < k:
         nxt = int(np.argmax(dist))
         chosen.append(nxt)
@@ -221,9 +122,9 @@ def spectral_init(graph: SimilarityGraph, dim: int, rng: np.random.Generator) ->
         return rng.standard_normal((rows, dim))
     # eigenvectors are unit-norm over n entries; weight each coordinate by the
     # (non-negative part of the) eigenvalue it belongs to, then rescale so rows
-    # sit at O(1) magnitude — the scale the losses and centroid seeding expect.
-    # Negative-eigenvalue directions carry no cluster structure and would
-    # otherwise contribute spiky coordinates that hijack farthest-point seeding.
+    # sit at O(1) magnitude.  Negative-eigenvalue directions carry no cluster
+    # structure and would otherwise contribute spiky coordinates that hijack
+    # farthest-point seeding.
     order = np.argsort(eigvals)[::-1][:dim]
     weights = np.sqrt(np.clip(eigvals[order], 0.0, None))
     Z = eigvecs[:, order] / root[:, None] * weights[None, :] * np.sqrt(n)
@@ -232,85 +133,6 @@ def spectral_init(graph: SimilarityGraph, dim: int, rng: np.random.Generator) ->
     if Z.shape[1] < dim:
         Z = np.hstack([Z, np.zeros((rows, dim - Z.shape[1]))])
     return Z
-
-
-@dataclass
-class TrainResult:
-    Z: np.ndarray
-    centroids: np.ndarray
-    soft_assign: np.ndarray
-    losses: list[float]
-
-
-def train_embeddings(
-    graph: SimilarityGraph, k: int, config: RefinerConfig, rng: np.random.Generator
-) -> TrainResult:
-    """Minimize L_cons + lambda * KL(P || Q) by backtracking gradient descent.
-
-    One embedding row per graph node stands for all the requests of that
-    node: the losses count each request, and every request of a node takes
-    the same step, so the result is that of training the n-request graph.
-    The self-training target P is refreshed every ``target_update_interval``
-    iterations; a refresh is kept only if it does not increase the recorded
-    loss, which keeps the loss sequence non-increasing.
-    """
-    m = graph.counts
-    Z = spectral_init(graph, config.embedding_dim, rng)
-    centroids = Z[farthest_point_indices(Z, k, rng, graph.node_of)].copy()
-    Q, _ = _soft_assign(Z, centroids)
-    P = sharpen_target(Q, m)
-    lr = config.learning_rate
-    lam = config.lam
-
-    def total(Zc, Cc, Pc):
-        lc, gz = consistency_loss(graph.A, Zc, m, graph.self_sim)
-        lk, gzk, gmk = clustering_regularizer(Zc, Cc, Pc, m)
-        return lc + lam * lk, gz + lam * gzk, lam * gmk
-
-    loss, grad_z, grad_mu = total(Z, centroids, P)
-    losses = [loss]
-    for iteration in range(config.max_iters):
-        if iteration > 0 and iteration % config.target_update_interval == 0:
-            # refresh step: re-center each centroid on its soft-assignment
-            # weighted mean (keeps centroids inside the moving embedding
-            # cloud), then re-sharpen the target; kept only when the total
-            # loss does not increase so the recorded sequence stays monotone
-            Q, _ = _soft_assign(Z, centroids)
-            mass = m[:, None] * Q
-            weights = mass / np.maximum(mass.sum(axis=0, keepdims=True), 1e-12)
-            cand_C = weights.T @ Z
-            cand_Q, _ = _soft_assign(Z, cand_C)
-            candidate = sharpen_target(cand_Q, m)
-            cand_loss, cand_gz, cand_gmu = total(Z, cand_C, candidate)
-            if cand_loss <= loss + 1e-9:
-                centroids = cand_C
-                P, loss, grad_z, grad_mu = candidate, cand_loss, cand_gz, cand_gmu
-            else:
-                candidate = sharpen_target(Q, m)
-                cand_loss, cand_gz, cand_gmu = total(Z, centroids, candidate)
-                if cand_loss <= loss + 1e-9:
-                    P, loss, grad_z, grad_mu = candidate, cand_loss, cand_gz, cand_gmu
-        stepped = False
-        for _ in range(30):
-            Z_new = Z - lr * grad_z
-            C_new = centroids - lr * grad_mu
-            new_loss, new_gz, new_gmu = total(Z_new, C_new, P)
-            if new_loss <= loss + 1e-9:
-                Z, centroids = Z_new, C_new
-                loss, grad_z, grad_mu = new_loss, new_gz, new_gmu
-                stepped = True
-                lr = min(lr * 1.1, config.learning_rate)
-                break
-            lr *= 0.5
-        losses.append(loss)
-        if not stepped:
-            break
-        if len(losses) > 10:
-            prev = losses[-11]
-            if prev > 0 and (prev - loss) / prev < config.convergence_tol:
-                break
-    Q, _ = _soft_assign(Z, centroids)
-    return TrainResult(Z=Z, centroids=centroids, soft_assign=Q, losses=losses)
 
 
 def _group_rng(global_seed: int, template: PathTemplate) -> np.random.Generator:
@@ -372,8 +194,8 @@ def refine_group(
     )
     rng = _group_rng(config.global_seed, group.template)
     if applicable:
-        result = train_embeddings(graph, k, config, rng)
-        labels = np.argmax(result.soft_assign, axis=1)[node_of]
+        Z = spectral_init(graph, config.embedding_dim, rng)
+        labels = kmeans_assign(Z[node_of], k, rng, config.kmeans_iters)
         provenance = GRAPH_REFINED
     else:
         labels = kmeans_assign(X, k, rng, config.kmeans_iters)

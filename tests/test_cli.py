@@ -1,16 +1,18 @@
 """Command-line surface: subcommand round-trips, exit codes, determinism."""
 
+import argparse
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from apiminer import refine
-from apiminer.cli import main
+from apiminer.cli import _load_clusters, _load_config_file, _pipeline_configs, main
 from apiminer.corpus import CorpusSpec, synth_corpus
 from apiminer.denoise import filter_traffic
 from apiminer.noise import INTERFERE, inject
 from apiminer.normalize import canonical_path, normalize
-from apiminer.records import parse_jsonl, write_dataset
+from apiminer.records import IngestError, parse_jsonl, write_dataset
 
 
 @pytest.fixture
@@ -234,3 +236,144 @@ class TestConfigPrecedence:
         ])
         assert rc == 0
         assert len(json.loads(out_flag.read_text(encoding="utf-8"))) == 5
+
+
+class TestMalformedInput:
+    """Malformed configs, cluster documents, captures and flags: one line, exit 2."""
+
+    def assert_rejected(self, argv, message, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert message in err, err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"tau": "0.5"}, "tau must be a number in (0, 1), got '0.5'"),
+        ({"tau": 2}, "tau must be a number in (0, 1)"),
+        ({"theta": True}, "theta must be a number in (0, 1)"),
+        ({"seed": 1.5}, "seed must be an integer"),
+        ({"force_kmeans": "yes"}, "force_kmeans must be true or false"),
+        ({"lam": 0.1}, "unknown key 'lam'"),
+        ([1], "config file must hold a single JSON object"),
+    ])
+    def test_config_file(self, tmp_path, corpus_file, capsys, doc, message):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["--config", str(config), "discover", "--in", str(corpus_file)]
+        self.assert_rejected(argv, message, capsys)
+
+    @pytest.mark.parametrize("field", ["template", "method", "member_ids"])
+    def test_cluster_entry_missing_field(self, tmp_path, corpus_file, capsys, field):
+        entry = {"template": "/api/x", "method": "GET", "member_ids": [0]}
+        broken = {k: v for k, v in entry.items() if k != field}
+        clusters = tmp_path / "clusters.json"
+        clusters.write_text(json.dumps([entry, broken]), encoding="utf-8")
+        argv = ["evaluate", "--in", str(corpus_file), "--clusters", str(clusters)]
+        self.assert_rejected(argv, f"cluster entry 1: missing {field}", capsys)
+
+    def test_cluster_member_ids_type(self, tmp_path, corpus_file, capsys):
+        clusters = tmp_path / "clusters.json"
+        clusters.write_text(
+            json.dumps([{"template": "/a", "method": "GET", "member_ids": ["0"]}]),
+            encoding="utf-8",
+        )
+        argv = ["evaluate", "--in", str(corpus_file), "--clusters", str(clusters)]
+        self.assert_rejected(argv, "cluster entry 0: member_ids must be a list of integers", capsys)
+
+    def test_jsonl_field(self, tmp_path, capsys):
+        src = tmp_path / "bad.jsonl"
+        src.write_text('{"method": "GET", "url": "/x", "body_size": "abc"}\n', encoding="utf-8")
+        self.assert_rejected(
+            ["discover", "--in", str(src)], "line 1: body_size must be an integer", capsys
+        )
+
+    def test_capture_not_utf8(self, tmp_path, capsys):
+        src = tmp_path / "bad.jsonl"
+        src.write_bytes(b'{"method": "GET", "url": "/\xff"}\n')
+        self.assert_rejected(["ingest", "--in", str(src)], "not valid UTF-8 at byte 27", capsys)
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--endpoints", "0"], "--endpoints 0 --requests 50"),
+        (["--requests", "0"], "--endpoints 20 --requests 0"),
+        (["--ratios", "0.5,x"], "--ratios must be a comma-separated list of floats"),
+        (["--ratios", "1.5"], "--ratios must lie in [0, 1]"),
+        (["--seeds", "a"], "--seeds must be a comma-separated list of ints"),
+    ])
+    def test_bench_flags(self, capsys, flags, message):
+        self.assert_rejected(["bench", *flags], message, capsys)
+
+    @pytest.mark.parametrize("flags", [["--lambda", "0.1"], ["--theta", "2"], ["--tau", "x"]])
+    def test_pipeline_flags(self, corpus_file, capsys, flags):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["discover", "--in", str(corpus_file), *flags])
+        assert exit_info.value.code == 2
+        assert "error: " in capsys.readouterr().err.splitlines()[-1]
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+RECORD_FIELDS = ("id", "headers", "content_type", "body_size", "body_field_count",
+                 "body_nesting_depth", "label")
+CAPTURE_LINES = st.one_of(
+    st.text(max_size=20),
+    JSON_VALUES.map(json.dumps),
+    st.fixed_dictionaries(
+        {"method": JSON_VALUES, "url": JSON_VALUES},
+        optional={name: JSON_VALUES for name in RECORD_FIELDS},
+    ).map(json.dumps),
+)
+CLUSTER_ENTRIES = st.fixed_dictionaries({}, optional={
+    "template": JSON_VALUES,
+    "method": JSON_VALUES,
+    "member_ids": JSON_VALUES | st.lists(st.integers(), max_size=3),
+    "representative_paths": JSON_VALUES | st.lists(st.text(max_size=4), max_size=2),
+    "provenance": JSON_VALUES,
+})
+CONFIG_DOCS = st.dictionaries(
+    st.sampled_from(["tau", "theta", "seed", "force_kmeans", "lam"]) | st.text(max_size=4),
+    JSON_VALUES | st.floats(0, 1),
+    max_size=3,
+)
+FUZZ = settings(max_examples=150, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def as_file(tmp_path, doc) -> str:
+    """Write a document (bytes as they are, anything else as JSON) to a file."""
+    path = tmp_path / "doc"
+    path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
+    return str(path)
+
+
+class TestInputFuzz:
+    """Each input surface returns a value or raises IngestError, and nothing else."""
+
+    @FUZZ
+    @given(lines=st.lists(CAPTURE_LINES, max_size=5))
+    def test_parse_jsonl(self, lines):
+        try:
+            parse_jsonl("\n".join(lines))
+        except IngestError:
+            pass
+
+    @FUZZ
+    @given(doc=st.binary(max_size=30) | JSON_VALUES | st.lists(CLUSTER_ENTRIES | JSON_VALUES, max_size=3))
+    def test_load_clusters(self, tmp_path, doc):
+        try:
+            clusters = _load_clusters(as_file(tmp_path, doc))
+        except IngestError:
+            return
+        assert all(isinstance(c, refine.EndpointCluster) for c in clusters)
+
+    @FUZZ
+    @given(doc=st.binary(max_size=30) | JSON_VALUES | CONFIG_DOCS)
+    def test_load_config_file(self, tmp_path, doc):
+        try:
+            file_config = _load_config_file(as_file(tmp_path, doc))
+        except IngestError:
+            return
+        # what a config file may hold builds the pipeline's configs
+        _pipeline_configs(argparse.Namespace(), file_config)

@@ -114,6 +114,21 @@ class TestParseJsonl:
         with pytest.raises(IngestError, match="line 1"):
             parse_jsonl('{"url": "/x"}\n')
 
+    @pytest.mark.parametrize("field, value", [
+        ("body_size", '"abc"'),
+        ("body_size", "[1]"),
+        ("body_field_count", '"x"'),
+        ("body_nesting_depth", "{}"),
+        ("headers", '["oops"]'),
+        ("headers", "[[\"a\", 1]]"),
+        ("content_type", "3"),
+        ("label", "[]"),
+    ])
+    def test_malformed_field_names_line_and_field(self, field, value):
+        text = '{"method": "GET", "url": "/x"}\n' f'{{"method": "GET", "url": "/y", "{field}": {value}}}\n'
+        with pytest.raises(IngestError, match=f"line 2: {field} must be"):
+            parse_jsonl(text)
+
 
 class TestRecordInvariants:
     def test_method_uppercased(self):
