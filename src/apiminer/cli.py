@@ -30,6 +30,8 @@ def _read_json(path: str):
         return json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise IngestError(f"malformed JSON in {path}: {exc}") from exc
+    except RecursionError:
+        raise IngestError(f"malformed JSON in {path}: nested too deeply") from None
 
 
 def _read_dataset(path: str, fmt: str) -> Dataset:

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .records import Dataset, HttpRecord, STRUCTURED_CONTENT_PREFIXES
-from .normalize import normalize
+from .normalize import split_url
 from .templates import is_variable_segment
 
 READ_VERBS = {"GET", "HEAD", "OPTIONS"}
@@ -61,16 +62,9 @@ class FilterOutcome:
     dropped: list[tuple[int, str]] = field(default_factory=list)
 
 
-def _path_and_query(url: str) -> tuple[str, str]:
-    from urllib.parse import urlsplit
-
-    parts = urlsplit(url)
-    return parts.path, parts.query
-
-
-def rule_signal(record: HttpRecord, config: FilterConfig) -> str | None:
-    """First matching drop reason in cascade order, or None."""
-    path, _query = _path_and_query(record.url)
+def rule_signal(record: HttpRecord, path: str, config: FilterConfig) -> str | None:
+    """First matching drop reason in cascade order, or None; ``path`` is the
+    record's URL path as ``split_url`` gives it."""
     last_segment = path.rsplit("/", 1)[-1]
     if "." in last_segment:
         ext = last_segment.rsplit(".", 1)[-1].lower()
@@ -91,9 +85,8 @@ def rule_signal(record: HttpRecord, config: FilterConfig) -> str | None:
     return None
 
 
-def gate_features(record: HttpRecord) -> tuple[float, ...]:
+def gate_features(record: HttpRecord, path: str, query: str) -> tuple[float, ...]:
     """Structural feature vector x for the logistic gate."""
-    path, query = _path_and_query(record.url)
     segments = [s for s in path.split("/") if s]
     has_placeholder = any(is_variable_segment(s) for s in segments)
     ct = (record.content_type or "").lower()
@@ -108,22 +101,34 @@ def gate_features(record: HttpRecord) -> tuple[float, ...]:
     )
 
 
-def sanity_score(record: HttpRecord, config: FilterConfig) -> float:
+def sanity_score(record: HttpRecord, path: str, query: str, config: FilterConfig) -> float:
     """sigma(w . x), strictly inside (0, 1)."""
-    z = sum(w * x for w, x in zip(config.logistic_weights, gate_features(record)))
+    z = sum(w * x for w, x in zip(config.logistic_weights, gate_features(record, path, query)))
     return 1.0 / (1.0 + math.exp(-z))
 
 
-def filter_traffic(dataset: Dataset, config: FilterConfig | None = None) -> FilterOutcome:
-    """Partition records into kept / dropped-with-reason, preserving input order."""
+def filter_traffic(
+    dataset: Dataset,
+    config: FilterConfig | None = None,
+    on_kept: Callable[[HttpRecord, tuple[str, str]], None] | None = None,
+) -> FilterOutcome:
+    """Partition records into kept / dropped-with-reason, preserving input order.
+
+    ``on_kept(record, split)`` is called on each kept record, in input order,
+    with the ``split_url`` the filter read, so a caller can normalize the
+    record without splitting its URL again.
+    """
     config = config or FilterConfig()
     outcome = FilterOutcome()
     for record in dataset.records:
-        reason = rule_signal(record, config)
-        if reason is None and sanity_score(record, config) < config.tau:
+        path, query = split_url(record)
+        reason = rule_signal(record, path, config)
+        if reason is None and sanity_score(record, path, query, config) < config.tau:
             reason = LOGISTIC_GATE
         if reason is None:
             outcome.kept.append(record.id)
+            if on_kept is not None:
+                on_kept(record, (path, query))
         else:
             outcome.dropped.append((record.id, reason))
     return outcome

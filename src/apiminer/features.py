@@ -72,7 +72,6 @@ class SimilarityGraph:
 
     n: int
     A: np.ndarray
-    edge_threshold: float
     # node of each of the n requests
     node_of: np.ndarray | None = None
     self_sim: np.ndarray | None = None
@@ -121,9 +120,7 @@ def build_graph(
     np.fill_diagonal(sim, 0.0)
     sim = (sim + sim.T) / 2.0
     n = features.shape[0] if node_of is None else len(node_of)
-    return SimilarityGraph(
-        n=n, A=sim, edge_threshold=theta, node_of=node_of, self_sim=(~zero_mask).astype(float)
-    )
+    return SimilarityGraph(n=n, A=sim, node_of=node_of, self_sim=(~zero_mask).astype(float))
 
 
 def connected_components(A: np.ndarray) -> np.ndarray:

@@ -301,17 +301,15 @@ def inject(dataset: Dataset, kind: str, ratio: float, seed: int) -> Dataset:
         chosen = sorted(rng.choice(n, size=count, replace=False).tolist())
         by_index = {idx: True for idx in chosen}
         rules = [NoiseRule(name, LEXIFY) for name in LEXIFY_RULES]
+        # whether a rule applies never depends on the generator, so one probe
+        # generator serves every applicability check
+        probe = np.random.default_rng(0)
         new_records = []
         for idx, record in enumerate(dataset.records):
             if idx not in by_index:
                 new_records.append(record)
                 continue
-            applicable = []
-            for rule in rules:
-                probe = np.random.default_rng(0)  # applicability probe only
-                _, ok = lexify(record, rule, probe)
-                if ok:
-                    applicable.append(rule)
+            applicable = [rule for rule in rules if lexify(record, rule, probe)[1]]
             if not applicable:
                 new_records.append(record)
                 continue

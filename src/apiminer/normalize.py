@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from urllib.parse import urlsplit
 
-from .records import HttpRecord
+from .records import HttpRecord, IngestError
 
 _UNRESERVED = set(
     "abcdefghijklmnopqrstuvwxyz"
@@ -25,7 +25,6 @@ class NormalizedRequest:
     method: str
     segments: list[str]
     raw_query_keys: list[str] = field(default_factory=list)
-    feature_cache: object | None = None
 
 
 def _decode_unreserved(path: str) -> str:
@@ -34,6 +33,8 @@ def _decode_unreserved(path: str) -> str:
     Reserved escapes (e.g. %2F) are preserved so decoding can never create
     a new segment boundary.
     """
+    if "%" not in path:
+        return path
     out = []
     i = 0
     while i < len(path):
@@ -65,16 +66,28 @@ def _query_keys(query: str) -> list[str]:
     return keys
 
 
-def normalize(record: HttpRecord) -> NormalizedRequest:
-    """Canonicalize a record's URL into (method, path segments)."""
-    if record.url.startswith("//") and "://" not in record.url.split("?", 1)[0]:
+def split_url(record: HttpRecord) -> tuple[str, str]:
+    """The (path, query) of a record's URL, the one split the filter and
+    ``normalize`` both read."""
+    url = record.url
+    if url.startswith("//") and "://" not in url.split("?", 1)[0]:
         # schemeless '//…' is leading slash noise on a relative path, not a
         # network-path reference with an authority component
-        raw = record.url.partition("#")[0]
-        path, _, query = raw.partition("?")
-    else:
-        parts = urlsplit(record.url)
-        path, query = parts.path, parts.query
+        path, _, query = url.partition("#")[0].partition("?")
+        return path, query
+    try:
+        parts = urlsplit(url)
+    except ValueError as exc:
+        raise IngestError(f"record {record.id}: malformed url {url!r}: {exc}") from None
+    return parts.path, parts.query
+
+
+def normalize(record: HttpRecord, split: tuple[str, str] | None = None) -> NormalizedRequest:
+    """Canonicalize a record's URL into (method, path segments).
+
+    ``split`` is the record's ``split_url``, when the caller has made it.
+    """
+    path, query = split if split is not None else split_url(record)
     raw_query_keys = _query_keys(query)
     path = _decode_unreserved(path)
     segments = [seg.lower() for seg in path.split("/") if seg]

@@ -92,10 +92,6 @@ def _header_lookup(headers: list[tuple[str, str]], name: str) -> str | None:
 
 def _json_structure(text: str) -> tuple[int, int]:
     """Top-level field count and nesting depth of a JSON body, (0, 0) if opaque."""
-    try:
-        obj = json.loads(text)
-    except (ValueError, TypeError):
-        return 0, 0
 
     def depth(node) -> int:
         if isinstance(node, dict):
@@ -104,11 +100,29 @@ def _json_structure(text: str) -> tuple[int, int]:
             return 1 + max((depth(v) for v in node), default=0)
         return 0
 
-    if isinstance(obj, dict):
-        return len(obj), depth(obj)
-    if isinstance(obj, list):
-        return len(obj), depth(obj)
-    return 0, depth(obj)
+    try:
+        obj = json.loads(text)
+        return (len(obj), depth(obj)) if isinstance(obj, (dict, list)) else (0, 0)
+    except (ValueError, TypeError, RecursionError):
+        # not JSON, or nested too deeply to walk
+        return 0, 0
+
+
+def _har_error(index: int, name: str, expected: str, value) -> IngestError:
+    return IngestError(
+        f"malformed HAR entry at index {index}: {name} must be {expected}, got {value!r}"
+    )
+
+
+def _har_headers(index: int, headers) -> list[tuple[str, str]]:
+    if isinstance(headers, list) and all(
+        isinstance(h, dict)
+        and isinstance(h.get("name", ""), str)
+        and isinstance(h.get("value", ""), str)
+        for h in headers
+    ):
+        return [(h.get("name", ""), h.get("value", "")) for h in headers]
+    raise _har_error(index, "headers", "a list of {name, value} string objects", headers)
 
 
 def parse_har(data: bytes) -> Dataset:
@@ -123,8 +137,12 @@ def parse_har(data: bytes) -> Dataset:
         raise IngestError(f"HAR is not valid UTF-8 at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise IngestError(f"malformed HAR document at byte offset {exc.pos}") from exc
+    except RecursionError:
+        raise IngestError("malformed HAR document: nested too deeply") from None
     if not isinstance(doc, dict) or "log" not in doc:
         raise IngestError("malformed HAR document: missing top-level 'log'")
+    if not isinstance(doc["log"], dict):
+        raise IngestError("malformed HAR document: log is not an object")
     entries = doc["log"].get("entries", [])
     if not isinstance(entries, list):
         raise IngestError("malformed HAR document: log.entries is not a list")
@@ -136,20 +154,26 @@ def parse_har(data: bytes) -> Dataset:
         if not isinstance(entry, dict) or "request" not in entry:
             raise IngestError(f"malformed HAR entry at index {index}: missing request")
         request = entry["request"]
+        if not isinstance(request, dict):
+            raise _har_error(index, "request", "an object", request)
         url = request.get("url")
         if not url:
             skipped += 1
             continue
-        headers = [
-            (h.get("name", ""), h.get("value", ""))
-            for h in request.get("headers", [])
-        ]
+        if not isinstance(url, str):
+            raise _har_error(index, "url", "a string", url)
+        headers = _har_headers(index, request.get("headers", []))
         content_type = _header_lookup(headers, "Content-Type")
-        body_size = max(0, int(request.get("bodySize") or 0))
+        try:
+            body_size = max(0, int(request.get("bodySize") or 0))
+        except (TypeError, ValueError, OverflowError):
+            raise _har_error(index, "bodySize", "an integer", request["bodySize"]) from None
         field_count = None
         nesting = None
         post_data = request.get("postData")
         if body_size > 0 and post_data and content_type:
+            if not isinstance(post_data, dict):
+                raise _har_error(index, "postData", "an object", post_data)
             if content_type.lower().startswith(STRUCTURED_CONTENT_PREFIXES[0]):
                 field_count, nesting = _json_structure(post_data.get("text", ""))
         rid = len(records)
@@ -167,10 +191,23 @@ def parse_har(data: bytes) -> Dataset:
     return Dataset(records=records, source="har", ground_truth=ground_truth, skipped=skipped)
 
 
+_HEADER_PAIRS = "a list of [name, value] string pairs"
+
+
 def _field_error(lineno: int, name: str, expected: str, value) -> IngestError:
     return IngestError(
         f"malformed JSONL object at line {lineno}: {name} must be {expected}, got {value!r}"
     )
+
+
+def _as_int(lineno: int, name: str, value) -> int | None:
+    """A JSONL count field that is not a plain int: None, a convertible value, or an error."""
+    if value is None:
+        return None
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise _field_error(lineno, name, "an integer", value) from None
 
 
 def parse_jsonl(text: str) -> Dataset:
@@ -184,42 +221,49 @@ def parse_jsonl(text: str) -> Dataset:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise IngestError(f"malformed JSONL object at line {lineno}: {exc.msg}") from exc
-        if not isinstance(obj, dict):
+        except RecursionError:
+            raise IngestError(f"malformed JSONL object at line {lineno}: nested too deeply") from None
+        if type(obj) is not dict:
             raise IngestError(f"malformed JSONL object at line {lineno}: not an object")
         if "method" not in obj or "url" not in obj:
             raise IngestError(f"malformed JSONL object at line {lineno}: missing method/url")
         headers = obj.get("headers", [])
-        if not isinstance(headers, list) or not all(
-            isinstance(h, list) and len(h) == 2 and all(isinstance(x, str) for x in h)
-            for h in headers
-        ):
-            raise _field_error(lineno, "headers", "a list of [name, value] string pairs", headers)
-        for name in ("content_type", "label"):
-            if obj.get(name) is not None and not isinstance(obj[name], str):
-                raise _field_error(lineno, name, "a string", obj[name])
-        counts = {}
-        for name in ("body_size", "body_field_count", "body_nesting_depth"):
-            if obj.get(name) is None:
-                continue
-            try:
-                counts[name] = int(obj[name])
-            except (TypeError, ValueError, OverflowError):
-                raise _field_error(lineno, name, "an integer", obj[name]) from None
+        if type(headers) is not list:
+            raise _field_error(lineno, "headers", _HEADER_PAIRS, headers)
+        for h in headers:
+            if type(h) is not list or len(h) != 2 or type(h[0]) is not str or type(h[1]) is not str:
+                raise _field_error(lineno, "headers", _HEADER_PAIRS, headers)
+        content_type = obj.get("content_type")
+        if content_type is not None and type(content_type) is not str:
+            raise _field_error(lineno, "content_type", "a string", content_type)
+        label = obj.get("label")
+        if label is not None and type(label) is not str:
+            raise _field_error(lineno, "label", "a string", label)
+        body_size = obj.get("body_size")
+        if type(body_size) is not int:
+            body_size = _as_int(lineno, "body_size", body_size) or 0
+        field_count = obj.get("body_field_count")
+        if type(field_count) is not int:
+            field_count = _as_int(lineno, "body_field_count", field_count)
+        nesting = obj.get("body_nesting_depth")
+        if type(nesting) is not int:
+            nesting = _as_int(lineno, "body_nesting_depth", nesting)
         rid = len(records)
-        record = HttpRecord(
-            id=rid,
-            method=str(obj["method"]),
-            url=str(obj["url"]),
-            headers=[tuple(h) for h in headers],
-            content_type=obj.get("content_type"),
-            body_size=counts.get("body_size", 0),
-            body_field_count=counts.get("body_field_count"),
-            body_nesting_depth=counts.get("body_nesting_depth"),
-            label=obj.get("label"),
+        records.append(
+            HttpRecord(
+                rid,
+                str(obj["method"]),
+                str(obj["url"]),
+                [(name, value) for name, value in headers],
+                content_type,
+                body_size,
+                field_count,
+                nesting,
+                label,
+            )
         )
-        records.append(record)
-        if record.label is not None:
-            ground_truth[rid] = record.label
+        if label is not None:
+            ground_truth[rid] = label
     return Dataset(records=records, source="jsonl", ground_truth=ground_truth)
 
 

@@ -254,11 +254,13 @@ def prepare_traffic(
     """The first two stages of discover: filter the traffic, normalize what it keeps."""
     records = {r.id: r for r in dataset.records}
     if disable_noise_filter:
-        kept_ids, dropped = list(records), []
-    else:
-        outcome = filter_traffic(dataset, filter_config)
-        kept_ids, dropped = outcome.kept, outcome.dropped
-    return Traffic(records, [normalize(records[i]) for i in kept_ids], dropped)
+        return Traffic(records, [normalize(r) for r in dataset.records], [])
+    normalized: list[NormalizedRequest] = []
+    # the filter hands each kept record over with the URL split it read
+    outcome = filter_traffic(
+        dataset, filter_config, lambda record, split: normalized.append(normalize(record, split))
+    )
+    return Traffic(records, normalized, outcome.dropped)
 
 
 def discover(
@@ -289,7 +291,6 @@ def discover(
         degenerate = TemplateGroup(
             template=PathTemplate(method="*", pattern=()),
             member_ids=[nr.record_id for nr in normalized],
-            distinct_paths=len({canonical_path(nr) for nr in normalized}),
         )
         groups = [degenerate]
     else:

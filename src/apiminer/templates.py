@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .normalize import NormalizedRequest
 
@@ -25,6 +26,12 @@ _DIGIT_RUN_RE = re.compile(r"\d+")
 _PUNCT_STRIP_RE = re.compile(r"[^0-9a-zA-Z]")
 
 
+# Fixed tokens recur every few records while ids rarely repeat, so a few
+# hundred entries hold the tokens without keeping many ids alive.
+_SEGMENT_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=_SEGMENT_CACHE_SIZE)
 def is_variable_segment(segment: str) -> bool:
     """True if the segment looks like a dynamic identifier, not a fixed token."""
     if segment.isdigit():
@@ -42,6 +49,7 @@ def is_variable_segment(segment: str) -> bool:
     return False
 
 
+@lru_cache(maxsize=_SEGMENT_CACHE_SIZE)
 def _looks_variable_loosely(segment: str) -> bool:
     """Variable check tolerant of injected punctuation (e.g. '12.3', '123_')."""
     if is_variable_segment(segment):
@@ -102,7 +110,6 @@ class PathTemplate:
 class TemplateGroup:
     template: PathTemplate
     member_ids: list[int] = field(default_factory=list)
-    distinct_paths: int = 0
 
 
 @dataclass
@@ -234,14 +241,7 @@ def mine(requests: list[NormalizedRequest], config: MinerConfig | None = None) -
         for leaf in leaves:
             for pattern, leaf_members in leaf.templates:
                 template = PathTemplate(method=method, pattern=tuple(pattern))
-                paths = {"/" + "/".join(m.segments) for m in leaf_members}
-                groups.append(
-                    TemplateGroup(
-                        template=template,
-                        member_ids=[m.record_id for m in leaf_members],
-                        distinct_paths=len(paths),
-                    )
-                )
+                groups.append(TemplateGroup(template, [m.record_id for m in leaf_members]))
     groups.sort(key=lambda g: (g.template.method, g.template.render(), min(g.member_ids)))
     return groups
 

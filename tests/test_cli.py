@@ -6,13 +6,14 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from apiminer import refine
+from apiminer import denoise, refine
+from apiminer import normalize as normalize_module
 from apiminer.cli import _load_clusters, _load_config_file, _pipeline_configs, main
 from apiminer.corpus import CorpusSpec, synth_corpus
 from apiminer.denoise import filter_traffic
 from apiminer.noise import INTERFERE, inject
 from apiminer.normalize import canonical_path, normalize
-from apiminer.records import IngestError, parse_jsonl, write_dataset
+from apiminer.records import Dataset, HttpRecord, IngestError, parse_har, parse_jsonl, write_dataset
 
 
 @pytest.fixture
@@ -114,7 +115,8 @@ class TestDiscoverAndEvaluate:
         assert dropped.read_text(encoding="utf-8") == ""
 
     def test_filter_and_normalize_run_once(self, tmp_path, noisy_file, monkeypatch):
-        calls = {"filter": 0, "normalize": 0}
+        ds = parse_jsonl(noisy_file.read_text(encoding="utf-8"))
+        calls = {"filter": 0, "split": 0, "normalize": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -124,20 +126,29 @@ class TestDiscoverAndEvaluate:
 
         monkeypatch.setattr(refine, "filter_traffic", counted("filter", refine.filter_traffic))
         monkeypatch.setattr(refine, "normalize", counted("normalize", refine.normalize))
+        split_url = counted("split", normalize_module.split_url)
+        # every module that splits a URL
+        monkeypatch.setattr(denoise, "split_url", split_url)
+        monkeypatch.setattr(normalize_module, "split_url", split_url)
         dropped, normalized = tmp_path / "dropped.tsv", tmp_path / "norm.tsv"
         assert main([
             "discover", "--in", str(noisy_file), "--out", str(tmp_path / "c.json"),
             "--emit-dropped", str(dropped), "--dump-normalized", str(normalized),
         ]) == 0
-        ds = parse_jsonl(noisy_file.read_text(encoding="utf-8"))
+        monkeypatch.undo()
         outcome = filter_traffic(ds)
         assert outcome.dropped
-        assert calls == {"filter": 1, "normalize": len(outcome.kept)}
+        # one split per record, one normalize per kept record
+        assert calls == {"filter": 1, "split": len(ds.records), "normalize": len(outcome.kept)}
+        traffic = refine.prepare_traffic(ds)
+        assert [nr.record_id for nr in traffic.normalized] == outcome.kept
+        assert traffic.dropped == outcome.dropped
         assert dropped.read_text(encoding="utf-8") == "".join(
             f"{rid}\t{reason}\n" for rid, reason in outcome.dropped
         )
         records = {r.id: r for r in ds.records}
         kept = [normalize(records[rid]) for rid in outcome.kept]
+        assert traffic.normalized == kept
         assert normalized.read_text(encoding="utf-8").splitlines() == [
             f"{nr.method}\t{canonical_path(nr)}" for nr in kept
         ]
@@ -287,6 +298,32 @@ class TestMalformedInput:
             ["discover", "--in", str(src)], "line 1: body_size must be an integer", capsys
         )
 
+    @pytest.mark.parametrize("url", ["http://[::1/api/x", "http://a]b/x"])
+    def test_jsonl_malformed_url(self, tmp_path, capsys, url):
+        src = tmp_path / "bad.jsonl"
+        lines = [{"method": "GET", "url": "/api/x", "content_type": "application/json"},
+                 {"method": "GET", "url": url, "content_type": "application/json"}]
+        src.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+        self.assert_rejected(
+            ["discover", "--in", str(src)], f"record 1: malformed url {url!r}", capsys
+        )
+
+    @pytest.mark.parametrize("field, value", [("headers", ["oops"]), ("bodySize", "x")])
+    def test_har_field(self, tmp_path, capsys, field, value):
+        request = {"method": "GET", "url": "http://h/api/x", "headers": [], field: value}
+        src = tmp_path / "bad.har"
+        src.write_text(json.dumps({"log": {"entries": [{"request": request}]}}), encoding="utf-8")
+        for command in ("ingest", "discover"):
+            self.assert_rejected(
+                [command, "--format", "har", "--in", str(src)],
+                f"entry at index 0: {field} must be", capsys,
+            )
+
+    def test_deeply_nested_capture(self, tmp_path, capsys):
+        src = tmp_path / "deep.jsonl"
+        src.write_text("[" * 100_000 + "\n", encoding="utf-8")
+        self.assert_rejected(["ingest", "--in", str(src)], "line 1: nested too deeply", capsys)
+
     def test_capture_not_utf8(self, tmp_path, capsys):
         src = tmp_path / "bad.jsonl"
         src.write_bytes(b'{"method": "GET", "url": "/\xff"}\n')
@@ -337,6 +374,32 @@ CONFIG_DOCS = st.dictionaries(
     JSON_VALUES | st.floats(0, 1),
     max_size=3,
 )
+HAR_REQUESTS = st.fixed_dictionaries({}, optional={
+    "method": JSON_VALUES,
+    "url": JSON_VALUES | st.text(max_size=12),
+    "headers": JSON_VALUES | st.lists(
+        st.fixed_dictionaries({}, optional={"name": JSON_VALUES, "value": JSON_VALUES}), max_size=2
+    ),
+    "bodySize": JSON_VALUES,
+    "postData": JSON_VALUES | st.fixed_dictionaries({}, optional={"text": JSON_VALUES}),
+})
+HAR_DOCS = st.one_of(
+    st.binary(max_size=30),
+    JSON_VALUES,
+    st.fixed_dictionaries({"log": JSON_VALUES | st.fixed_dictionaries({}, optional={
+        "entries": JSON_VALUES | st.lists(
+            JSON_VALUES | st.fixed_dictionaries({"request": HAR_REQUESTS | JSON_VALUES}), max_size=3
+        ),
+    })}),
+)
+# URL and method text, from pieces that reach every branch of the URL split
+URL_PIECES = st.sampled_from([
+    "http://", "https://", "//", "/", "[", "]", "::1", "h", ":8080", "@", "%", "%2F", "%7e",
+    "%zz", "?", "&", "=", "#", ".", "..", "api", "v1", "12", "ab12cd34ef", "app.js",
+    "static", "é", "\uff03", " ", "\t", "\n",
+])
+URLS = st.text(max_size=20) | st.lists(URL_PIECES, max_size=10).map("".join)
+METHODS = st.text(max_size=6) | st.sampled_from(["GET", "post", "BREW", "ß"])
 FUZZ = settings(max_examples=150, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
 
@@ -377,3 +440,28 @@ class TestInputFuzz:
             return
         # what a config file may hold builds the pipeline's configs
         _pipeline_configs(argparse.Namespace(), file_config)
+
+    @FUZZ
+    @given(doc=HAR_DOCS)
+    def test_parse_har(self, doc):
+        data = doc if isinstance(doc, bytes) else json.dumps(doc).encode()
+        try:
+            dataset = parse_har(data)
+        except IngestError:
+            return
+        # what ingest reads, it writes back as canonical JSONL
+        assert parse_jsonl(write_dataset(dataset)).records == dataset.records
+
+    @FUZZ
+    @given(requests=st.lists(st.tuples(METHODS, URLS), min_size=1, max_size=12))
+    def test_discover(self, requests):
+        dataset = Dataset(records=[
+            HttpRecord(id=i, method=method, url=url, content_type="application/json")
+            for i, (method, url) in enumerate(requests)
+        ])
+        try:
+            clusters = refine.discover(dataset)
+        except IngestError:
+            return
+        members = [i for c in clusters for i in c.member_ids]
+        assert sorted(members) == filter_traffic(dataset).kept

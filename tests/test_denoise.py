@@ -17,6 +17,7 @@ from apiminer.denoise import (
     rule_signal,
     sanity_score,
 )
+from apiminer.normalize import normalize, split_url
 from apiminer.records import Dataset, HttpRecord
 
 
@@ -30,53 +31,62 @@ def rec(rid=0, method="GET", url="/api/v1/items", content_type="application/json
 CFG = FilterConfig()
 
 
+def rule(record):
+    return rule_signal(record, split_url(record)[0], CFG)
+
+
+def score(record):
+    return sanity_score(record, *split_url(record), CFG)
+
+
 class TestRuleCascade:
     def test_static_extension(self):
-        assert rule_signal(rec(url="/app/main.js"), CFG) == STATIC_EXTENSION
+        assert rule(rec(url="/app/main.js")) == STATIC_EXTENSION
 
     def test_extension_only_on_last_segment(self):
-        assert rule_signal(rec(url="/v1.js/items"), CFG) is None
+        assert rule(rec(url="/v1.js/items")) is None
 
     def test_static_path_marker(self):
-        assert rule_signal(rec(url="/static/app"), CFG) == STATIC_PATH_PATTERN
+        assert rule(rec(url="/static/app")) == STATIC_PATH_PATTERN
 
     def test_marker_matches_final_directory(self):
-        assert rule_signal(rec(url="/cdn-cgi/trace", content_type=None), CFG) == STATIC_PATH_PATTERN
+        assert rule(rec(url="/cdn-cgi/trace", content_type=None)) == STATIC_PATH_PATTERN
 
     def test_missing_content_type(self):
-        assert rule_signal(rec(content_type=None), CFG) == MISSING_CONTENT_TYPE
+        assert rule(rec(content_type=None)) == MISSING_CONTENT_TYPE
 
     def test_non_api_content_type(self):
-        assert rule_signal(rec(content_type="text/html; charset=utf-8"), CFG) == NON_API_CONTENT_TYPE
+        assert rule(rec(content_type="text/html; charset=utf-8")) == NON_API_CONTENT_TYPE
 
     def test_extension_beats_content_type(self):
         # cascade order: the extension rule fires even with an API content type
-        assert rule_signal(rec(url="/files/x.png"), CFG) == STATIC_EXTENSION
+        assert rule(rec(url="/files/x.png")) == STATIC_EXTENSION
 
     def test_clean_api_call_passes_rules(self):
-        assert rule_signal(rec(), CFG) is None
+        assert rule(rec()) is None
 
 
 class TestGate:
     def test_feature_vector(self):
-        x = gate_features(rec(method="GET", url="/api/v1/items/42?page=1"))
+        record = rec(method="GET", url="/api/v1/items/42?page=1")
+        x = gate_features(record, *split_url(record))
         assert x == (1.0, 1.0, 4.0, 1.0, 1.0, 1.0)
 
     def test_json_post_scores_above_point_nine(self):
         # z = -5 + 0 + 1.5*3 + 0 + 0 + 3 = 2.5
         record = rec(method="POST", url="/api/v1/items", body_size=10)
         z = 2.5
-        assert sanity_score(record, CFG) == pytest.approx(1 / (1 + math.exp(-z)))
-        assert sanity_score(record, CFG) > 0.9
+        assert score(record) == pytest.approx(1 / (1 + math.exp(-z)))
+        assert score(record) > 0.9
 
     def test_pathological_record_scores_below_tau(self):
         # unknown verb, zero depth, no query, unstructured: z = -5
         record = rec(method="BREW", url="/", content_type="application/octet-stream")
-        assert sanity_score(record, CFG) == pytest.approx(1 / (1 + math.exp(5)))
-        assert sanity_score(record, CFG) < CFG.tau
+        assert score(record) == pytest.approx(1 / (1 + math.exp(5)))
+        assert score(record) < CFG.tau
 
     def test_score_strictly_inside_unit_interval(self):
-        s = sanity_score(rec(), CFG)
+        s = score(rec())
         assert 0.0 < s < 1.0
 
 
@@ -103,6 +113,32 @@ class TestFilterTraffic:
         strict = FilterConfig(tau=0.999999)
         ds = Dataset(records=[rec(rid=0)])
         assert filter_traffic(ds, strict).kept == []
+
+
+class TestSharedSplit:
+    """The filter decides on the URL split that normalize reads."""
+
+    def test_schemeless_path_gated_on_normalized_segments(self):
+        # '//' is slash noise here, not a host: all four segments count
+        record = rec(url="//api/v1/users/12")
+        path, query = split_url(record)
+        assert (path, query) == ("//api/v1/users/12", "")
+        assert gate_features(record, path, query)[2] == len(normalize(record).segments) == 4
+
+    def test_schemeless_static_asset_still_dropped(self):
+        ds = Dataset(records=[rec(url="//static/app.js")])
+        assert filter_traffic(ds, CFG).dropped == [(0, STATIC_EXTENSION)]
+
+    def test_kept_records_handed_over_with_their_split(self):
+        ds = Dataset(records=[
+            rec(rid=0, url="http://h/api/v1/items?page=2#top"),
+            rec(rid=1, url="/app.js"),
+            rec(rid=2),
+        ])
+        handed = []
+        outcome = filter_traffic(ds, CFG, lambda record, split: handed.append((record.id, split)))
+        assert outcome.kept == [0, 2]
+        assert handed == [(0, ("/api/v1/items", "page=2")), (2, ("/api/v1/items", ""))]
 
 
 class TestConfigValidation:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from apiminer.noise import (
     INTERFERE,
@@ -172,6 +173,24 @@ def small_dataset(n=10):
         for i in range(n)
     ]
     return Dataset(records=records, source="t", ground_truth={r.id: r.label for r in records})
+
+
+URL_PIECES = st.sampled_from(
+    ["/", "//", "api", "v1", "audit-logs", "Items", "ORDERS", "12", "a", "?", "&", "=",
+     "q=a b", "page=2", "k=", "tmp=0", "#f", ".", "_", "-"]
+)
+
+
+class TestApplicability:
+    @given(
+        url=st.lists(URL_PIECES, max_size=12).map("".join),
+        name=st.sampled_from(LEXIFY_RULES),
+        seeds=st.tuples(st.integers(0, 2**32), st.integers(0, 2**32)),
+    )
+    def test_applied_flag_does_not_depend_on_the_generator(self, url, name, seeds):
+        record = rec(url=url)
+        a, b = (lexify(record, rule(name), rng(seed))[1] for seed in seeds)
+        assert a == b
 
 
 class TestInject:

@@ -1,9 +1,12 @@
 """Path canonicalization."""
 
+import re
+
+import pytest
 from hypothesis import given, strategies as st
 
-from apiminer.normalize import canonical_path, normalize
-from apiminer.records import HttpRecord
+from apiminer.normalize import _decode_unreserved, canonical_path, normalize, split_url
+from apiminer.records import HttpRecord, IngestError
 
 
 def rec(url, method="GET"):
@@ -55,6 +58,31 @@ class TestNormalize:
 
     def test_method_carried_over(self):
         assert normalize(rec("/x", method="post")).method == "POST"
+
+
+class TestSplitUrl:
+    def test_path_and_query(self):
+        assert split_url(rec("https://h:1/api/x?a=1&b=2#frag")) == ("/api/x", "a=1&b=2")
+
+    def test_schemeless_double_slash_is_a_path(self):
+        assert split_url(rec("//api/v1/users/12?x=1#f")) == ("//api/v1/users/12", "x=1")
+        assert split_url(rec("//h/p?next=http://x")) == ("//h/p", "next=http://x")
+
+    def test_normalize_reads_a_given_split(self):
+        record = rec("http://h/api/Users/12?id=1")
+        assert normalize(record, split_url(record)) == normalize(record)
+
+    @pytest.mark.parametrize("url", ["http://[::1/api/x", "http://a]b/x"])
+    def test_malformed_url_names_record_and_url(self, url):
+        record = HttpRecord(id=7, method="GET", url=url)
+        with pytest.raises(IngestError, match=re.escape(f"record 7: malformed url {url!r}")):
+            split_url(record)
+        with pytest.raises(IngestError, match="record 7"):
+            normalize(record)
+
+    def test_path_without_escapes_is_returned_as_is(self):
+        path = "/api/a+b/c"
+        assert _decode_unreserved(path) is path
 
 
 class TestCanonicalPath:

@@ -91,6 +91,43 @@ class TestParseHar:
         with pytest.raises(IngestError, match="index 0"):
             parse_har(har_doc([{"response": {}}]))
 
+    @pytest.mark.parametrize("field, value", [
+        ("headers", ["oops"]),
+        ("headers", [{"name": 1, "value": "x"}]),
+        ("headers", {"name": "a"}),
+        ("bodySize", "x"),
+        ("bodySize", [1]),
+        ("url", 5),
+        ("postData", "raw"),
+    ])
+    def test_malformed_field_names_entry_and_field(self, field, value):
+        bad = entry(headers=[("Content-Type", "application/json")], body="{}", body_size=2)
+        bad["request"][field] = value
+        with pytest.raises(IngestError, match=f"entry at index 1: {field} must be"):
+            parse_har(har_doc([entry(), bad]))
+
+    def test_request_and_log_must_be_objects(self):
+        with pytest.raises(IngestError, match="index 0: request must be an object"):
+            parse_har(har_doc([{"request": []}]))
+        with pytest.raises(IngestError, match="log is not an object"):
+            parse_har(b'{"log": []}')
+
+    def test_numeric_body_size_text_still_read(self):
+        ds = parse_har(har_doc([entry(body_size="12")]))
+        assert ds.records[0].body_size == 12
+
+    @pytest.mark.parametrize("levels", [600, 100_000])
+    def test_deeply_nested_body_is_opaque(self, levels):
+        # json.loads gives up on the deeper body, the depth walk on the other
+        body = "[" * levels + "]" * levels
+        bad = entry(headers=[("Content-Type", "application/json")], body=body, body_size=len(body))
+        record = parse_har(har_doc([bad])).records[0]
+        assert (record.body_field_count, record.body_nesting_depth) == (0, 0)
+
+    def test_deeply_nested_document(self):
+        with pytest.raises(IngestError, match="nested too deeply"):
+            parse_har(b"[" * 100_000)
+
 
 class TestParseJsonl:
     def test_basic_fields_and_labels(self):
@@ -128,6 +165,19 @@ class TestParseJsonl:
         text = '{"method": "GET", "url": "/x"}\n' f'{{"method": "GET", "url": "/y", "{field}": {value}}}\n'
         with pytest.raises(IngestError, match=f"line 2: {field} must be"):
             parse_jsonl(text)
+
+    def test_convertible_counts_still_read(self):
+        line = '{"method": "GET", "url": "/x", "body_size": "12", "body_field_count": 2.0, "body_nesting_depth": true}'
+        record = parse_jsonl(line).records[0]
+        assert (record.body_size, record.body_field_count, record.body_nesting_depth) == (12, 2, 1)
+
+    def test_padded_lines_parse_as_json_loads_does(self):
+        ds = parse_jsonl('  {"method": "GET", "url": "/x"}  \n\t{"method": "GET", "url": "/y"}')
+        assert [r.url for r in ds.records] == ["/x", "/y"]
+
+    def test_deeply_nested_line(self):
+        with pytest.raises(IngestError, match="line 2: nested too deeply"):
+            parse_jsonl('{"method": "GET", "url": "/x"}\n' + "[" * 100_000)
 
 
 class TestRecordInvariants:

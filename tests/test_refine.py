@@ -65,7 +65,7 @@ class TestTraining:
         assert np.array_equal(Z1, Z2)
 
     def test_spectral_init_isolated_graph_falls_back(self):
-        graph = SimilarityGraph(n=5, A=np.zeros((5, 5)), edge_threshold=0.85)
+        graph = SimilarityGraph(n=5, A=np.zeros((5, 5)))
         Z = spectral_init(graph, 3, np.random.default_rng(0))
         assert Z.shape == (5, 3)
         assert np.all(np.isfinite(Z))
@@ -115,8 +115,7 @@ class TestWeightedRows:
             A, _, m, node_of = random_weighted(rng, u)
             np.fill_diagonal(A, 0.0)
             s = (rng.random(u) < 0.8).astype(float)
-            graph = SimilarityGraph(n=len(node_of), A=A, edge_threshold=0.85,
-                                    node_of=node_of, self_sim=s)
+            graph = SimilarityGraph(n=len(node_of), A=A, node_of=node_of, self_sim=s)
             Z = spectral_init(graph, 8, np.random.default_rng(0))[node_of]
             Z_full = dense_spectral(expand(A, s, node_of), 8)
             assert Z.shape == Z_full.shape

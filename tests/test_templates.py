@@ -3,6 +3,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, strategies as st
 
 from apiminer.normalize import normalize
 from apiminer.records import HttpRecord
@@ -13,6 +14,7 @@ from apiminer.templates import (
     match,
     mine,
     _edit_distance_at_most_one,
+    _looks_variable_loosely,
 )
 
 
@@ -23,6 +25,23 @@ def nr(url, method="GET", rid=0):
 def mine_urls(urls, method="GET", config=None):
     requests = [nr(u, method=method, rid=i) for i, u in enumerate(urls)]
     return mine(requests, config)
+
+
+# ids, hashes and fixed tokens, and their punctuated variants
+SEGMENTS = st.text(max_size=24) | st.text(alphabet="0123456789abcdef-_.xyz", max_size=40)
+
+
+class TestSegmentCache:
+    @given(SEGMENTS)
+    def test_cached_classifiers_match_uncached(self, segment):
+        for classify in (is_variable_segment, _looks_variable_loosely):
+            assert classify(segment) == classify.__wrapped__(segment)
+            # asked again, the answer comes from the cache
+            assert classify(segment) == classify.__wrapped__(segment)
+
+    def test_cache_is_bounded(self):
+        for classify in (is_variable_segment, _looks_variable_loosely):
+            assert 0 < classify.cache_info().maxsize <= 1024
 
 
 class TestVariableDetection:
@@ -111,10 +130,6 @@ class TestGrouping:
         )
         assert len(groups) == 1
         assert groups[0].template.render() == "/api/v1/items/bulk/{*}"
-
-    def test_distinct_paths_counted(self):
-        groups = mine_urls(["/api/items/1", "/api/items/2", "/api/items/1"])
-        assert groups[0].distinct_paths == 2
 
     def test_members_always_match_template(self):
         urls = [f"/api/v1/things/{i}" for i in range(5)] + ["/api/v1/other/name"]
