@@ -85,26 +85,67 @@ def rule_signal(record: HttpRecord, path: str, config: FilterConfig) -> str | No
     return None
 
 
-def gate_features(record: HttpRecord, path: str, query: str) -> tuple[float, ...]:
-    """Structural feature vector x for the logistic gate."""
-    segments = [s for s in path.split("/") if s]
-    has_placeholder = any(is_variable_segment(s) for s in segments)
+def _gate_vector(
+    record: HttpRecord, depth: int, query: str, placeholder: float
+) -> tuple[float, ...]:
+    """The gate's feature vector, with the ID-segment bit given."""
     ct = (record.content_type or "").lower()
     structured = ct.startswith(STRUCTURED_CONTENT_PREFIXES)
     return (
         1.0,
         1.0 if record.method in READ_VERBS else 0.0,
-        float(len(segments)),
-        1.0 if has_placeholder else 0.0,
+        float(depth),
+        placeholder,
         1.0 if query else 0.0,
         1.0 if structured else 0.0,
     )
 
 
+def gate_features(record: HttpRecord, path: str, query: str) -> tuple[float, ...]:
+    """Structural feature vector x for the logistic gate."""
+    segments = [s for s in path.split("/") if s]
+    has_placeholder = any(is_variable_segment(s) for s in segments)
+    return _gate_vector(record, len(segments), query, 1.0 if has_placeholder else 0.0)
+
+
+def _sigmoid_score(weights: tuple[float, ...], x: tuple[float, ...]) -> float:
+    z = sum(w * v for w, v in zip(weights, x))
+    return 1.0 / (1.0 + math.exp(-z))
+
+
 def sanity_score(record: HttpRecord, path: str, query: str, config: FilterConfig) -> float:
     """sigma(w . x), strictly inside (0, 1)."""
-    z = sum(w * x for w, x in zip(config.logistic_weights, gate_features(record, path, query)))
-    return 1.0 / (1.0 + math.exp(-z))
+    return _sigmoid_score(config.logistic_weights, gate_features(record, path, query))
+
+
+def _gate_drops(
+    record: HttpRecord,
+    path: str,
+    query: str,
+    config: FilterConfig,
+    decisions: dict[tuple[float, ...], tuple[bool, bool]],
+) -> bool:
+    """``sanity_score(record, path, query, config) < config.tau``, with the
+    ID-segment scan only when its bit can change that answer.
+
+    ``decisions`` maps a gate vector with the bit at 0 to the answer with
+    the bit at 0 and at 1; both scores are summed as ``sanity_score`` sums
+    them, so the real score is bit-identical to one of the two.
+    """
+    parts = path.split("/")
+    x = _gate_vector(record, len(parts) - parts.count(""), query, 0.0)
+    pair = decisions.get(x)
+    if pair is None:
+        weights, tau = config.logistic_weights, config.tau
+        with_bit = x[:3] + (1.0,) + x[4:]
+        pair = decisions[x] = (
+            _sigmoid_score(weights, x) < tau,
+            _sigmoid_score(weights, with_bit) < tau,
+        )
+    drop_without, drop_with = pair
+    if drop_with != drop_without and any(is_variable_segment(s) for s in parts if s):
+        return drop_with
+    return drop_without
 
 
 def filter_traffic(
@@ -120,10 +161,11 @@ def filter_traffic(
     """
     config = config or FilterConfig()
     outcome = FilterOutcome()
+    decisions: dict[tuple[float, ...], tuple[bool, bool]] = {}
     for record in dataset.records:
         path, query = split_url(record)
         reason = rule_signal(record, path, config)
-        if reason is None and sanity_score(record, path, query, config) < config.tau:
+        if reason is None and _gate_drops(record, path, query, config, decisions):
             reason = LOGISTIC_GATE
         if reason is None:
             outcome.kept.append(record.id)

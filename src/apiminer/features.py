@@ -28,23 +28,21 @@ FEATURE_NAMES = (
 )
 
 
-def extract_features(nr: NormalizedRequest, record: HttpRecord) -> np.ndarray:
+def extract_features(nr: NormalizedRequest, record: HttpRecord) -> tuple[float, ...]:
     """Raw (pre-scaling) 10-component feature vector for one request."""
     ct = (record.content_type or "").lower()
     distinct_keys = list(dict.fromkeys(nr.raw_query_keys))
-    return np.array(
-        [
-            float(len(nr.segments)),
-            float(sum(1 for s in nr.segments if s in API_KEYWORDS)),
-            float(len(distinct_keys)),
-            float(sum(1 for k in distinct_keys if k in COMMON_QUERY_KEYS)),
-            1.0 if nr.raw_query_keys else 0.0,
-            math.log1p(max(0, record.body_size)),
-            float(record.body_field_count or 0),
-            float(record.body_nesting_depth or 0),
-            1.0 if record.method in WRITE_VERBS else 0.0,
-            1.0 if ct.startswith(STRUCTURED_CONTENT_PREFIXES) else 0.0,
-        ]
+    return (
+        float(len(nr.segments)),
+        float(sum(1 for s in nr.segments if s in API_KEYWORDS)),
+        float(len(distinct_keys)),
+        float(sum(1 for k in distinct_keys if k in COMMON_QUERY_KEYS)),
+        1.0 if nr.raw_query_keys else 0.0,
+        math.log1p(max(0, record.body_size)),
+        float(record.body_field_count or 0),
+        float(record.body_nesting_depth or 0),
+        1.0 if record.method in WRITE_VERBS else 0.0,
+        1.0 if ct.startswith(STRUCTURED_CONTENT_PREFIXES) else 0.0,
     )
 
 

@@ -7,6 +7,7 @@ same interface compare equal.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from urllib.parse import urlsplit
 
@@ -66,14 +67,42 @@ def _query_keys(query: str) -> list[str]:
     return keys
 
 
+# An http(s) scheme and a host that urlsplit passes through unchecked:
+# ASCII, no IPv6 brackets, ended by the path, query, fragment or the URL's end.
+_PLAIN_ORIGIN = re.compile(r"https?://[^/?#\[\]\x80-\U0010ffff]*(?![^/?#])")
+
+
+def _plain_path_start(url: str) -> int | None:
+    """Where the path begins in a URL that ``urlsplit`` would only cut at its
+    first '#' and '?', else None.
+
+    Those are a relative path ('/', not '//') and an ``_PLAIN_ORIGIN`` URL,
+    both without the tab, CR and LF that ``urlsplit`` deletes: it strips,
+    removes and checks nothing else in them.
+    """
+    if "\t" in url or "\r" in url or "\n" in url:
+        return None
+    if url[:1] == "/" and url[1:2] != "/":
+        return 0
+    origin = _PLAIN_ORIGIN.match(url)
+    return origin.end() if origin else None
+
+
 def split_url(record: HttpRecord) -> tuple[str, str]:
     """The (path, query) of a record's URL, the one split the filter and
-    ``normalize`` both read."""
+    ``normalize`` both read.
+
+    Plain relative and http(s) URLs are split here, with the result
+    ``urlsplit`` gives; every other URL goes through ``urlsplit``.
+    """
     url = record.url
-    if url.startswith("//") and "://" not in url.split("?", 1)[0]:
+    start = _plain_path_start(url)
+    if start is None and url.startswith("//") and "://" not in url.split("?", 1)[0]:
         # schemeless '//…' is leading slash noise on a relative path, not a
         # network-path reference with an authority component
-        path, _, query = url.partition("#")[0].partition("?")
+        start = 0
+    if start is not None:
+        path, _, query = url[start:].partition("#")[0].partition("?")
         return path, query
     try:
         parts = urlsplit(url)

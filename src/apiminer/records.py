@@ -162,6 +162,9 @@ def parse_har(data: bytes) -> Dataset:
             continue
         if not isinstance(url, str):
             raise _har_error(index, "url", "a string", url)
+        method = request.get("method", "GET")
+        if not isinstance(method, str):
+            raise _har_error(index, "method", "a string", method)
         headers = _har_headers(index, request.get("headers", []))
         content_type = _header_lookup(headers, "Content-Type")
         try:
@@ -179,7 +182,7 @@ def parse_har(data: bytes) -> Dataset:
         rid = len(records)
         record = HttpRecord(
             id=rid,
-            method=str(request.get("method", "GET")),
+            method=method,
             url=url,
             headers=headers,
             content_type=content_type,
@@ -227,6 +230,12 @@ def parse_jsonl(text: str) -> Dataset:
             raise IngestError(f"malformed JSONL object at line {lineno}: not an object")
         if "method" not in obj or "url" not in obj:
             raise IngestError(f"malformed JSONL object at line {lineno}: missing method/url")
+        method = obj["method"]
+        if type(method) is not str:
+            raise _field_error(lineno, "method", "a string", method)
+        url = obj["url"]
+        if type(url) is not str:
+            raise _field_error(lineno, "url", "a string", url)
         headers = obj.get("headers", [])
         if type(headers) is not list:
             raise _field_error(lineno, "headers", _HEADER_PAIRS, headers)
@@ -252,8 +261,8 @@ def parse_jsonl(text: str) -> Dataset:
         records.append(
             HttpRecord(
                 rid,
-                str(obj["method"]),
-                str(obj["url"]),
+                method,
+                url,
                 [(name, value) for name, value in headers],
                 content_type,
                 body_size,

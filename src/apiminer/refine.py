@@ -157,13 +157,12 @@ def _reabsorb_small(labels: np.ndarray, X: np.ndarray, min_size: int) -> np.ndar
         labels[labels == target_c] = dest
 
 
-def _distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of X in order of first occurrence, and the row of each request."""
-    _, first, inverse = np.unique(X, axis=0, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return X[first[order]], rank[inverse.reshape(-1)]
+def _distinct_rows(rows: list[tuple[float, ...]]) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows in order of first occurrence, as one array, and the row
+    of each request."""
+    node: dict[tuple[float, ...], int] = {}
+    node_of = [node.setdefault(row, len(node)) for row in rows]
+    return np.array(list(node)), np.array(node_of)
 
 
 def refine_group(
@@ -181,9 +180,13 @@ def refine_group(
     if n < 3:
         return [_cluster(group, group.member_ids, members, PASSTHROUGH)]
 
-    raw = np.vstack([extract_features(nr, records[nr.record_id]) for nr in members])
-    X = scale_features(raw)
-    distinct, node_of = _distinct_rows(X)
+    distinct_raw, node_of = _distinct_rows(
+        [extract_features(nr, records[nr.record_id]) for nr in members]
+    )
+    # min-max scaling over every request gives each distinct raw row one
+    # scaled row; take it where the row first occurs
+    X = scale_features(distinct_raw[node_of])
+    distinct = X[np.unique(node_of, return_index=True)[1]]
     graph = build_graph(distinct, config.theta, node_of)
     k = select_k(graph)
 

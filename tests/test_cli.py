@@ -298,6 +298,16 @@ class TestMalformedInput:
             ["discover", "--in", str(src)], "line 1: body_size must be an integer", capsys
         )
 
+    @pytest.mark.parametrize("line, message", [
+        ('{"method": "GET", "url": null}', "line 1: url must be a string, got None"),
+        ('{"method": ["x"], "url": "/x"}', "line 1: method must be a string, got ['x']"),
+    ])
+    def test_jsonl_method_and_url_must_be_strings(self, tmp_path, capsys, line, message):
+        # neither is read as its text form ('GET /none', method "['X']")
+        src = tmp_path / "bad.jsonl"
+        src.write_text(line + "\n", encoding="utf-8")
+        self.assert_rejected(["discover", "--in", str(src)], message, capsys)
+
     @pytest.mark.parametrize("url", ["http://[::1/api/x", "http://a]b/x"])
     def test_jsonl_malformed_url(self, tmp_path, capsys, url):
         src = tmp_path / "bad.jsonl"

@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from apiminer.denoise import (
     DEFAULT_LOGISTIC_WEIGHTS,
@@ -18,7 +19,7 @@ from apiminer.denoise import (
     sanity_score,
 )
 from apiminer.normalize import normalize, split_url
-from apiminer.records import Dataset, HttpRecord
+from apiminer.records import Dataset, HttpRecord, IngestError
 
 
 def rec(rid=0, method="GET", url="/api/v1/items", content_type="application/json",
@@ -139,6 +140,67 @@ class TestSharedSplit:
         outcome = filter_traffic(ds, CFG, lambda record, split: handed.append((record.id, split)))
         assert outcome.kept == [0, 2]
         assert handed == [(0, ("/api/v1/items", "page=2")), (2, ("/api/v1/items", ""))]
+
+
+# path pieces with and without ID-like segments, static markers and queries
+PATH_PIECES = ["api", "v1", "12", "x", "deadbeef99", "static", "app.js", "?q=1", "", "Users"]
+WEIGHT = st.floats(-20.0, 20.0)
+REQUEST = st.tuples(
+    st.sampled_from(["GET", "POST", "HEAD"]) | st.text(max_size=6),
+    st.lists(st.sampled_from(PATH_PIECES) | st.text(max_size=4), max_size=8).map(
+        lambda pieces: "/" + "/".join(pieces)
+    ),
+    st.sampled_from([None, "application/json", "text/plain"]) | st.text(max_size=20),
+)
+
+
+class TestGateShortcut:
+    """filter_traffic skips the ID-segment scan only where it cannot change the gate."""
+
+    def test_id_segment_bit_decides_when_it_can(self):
+        # z = -1 + 2 * has_placeholder: 0.73 with an ID segment, 0.27 without
+        config = FilterConfig(logistic_weights=(-1.0, 0.0, 0.0, 2.0, 0.0, 0.0), tau=0.5)
+        ds = Dataset(records=[rec(rid=0, url="/api/12"), rec(rid=1, url="/api/x")])
+        outcome = filter_traffic(ds, config)
+        assert outcome.kept == [0]
+        assert outcome.dropped == [(1, LOGISTIC_GATE)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        weights=st.tuples(*[WEIGHT] * 6),
+        tau=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        requests=st.lists(REQUEST, min_size=1, max_size=6),
+    )
+    @example(weights=(-1.0, 0.0, 0.0, 2.0, 0.0, 0.0), tau=0.5,
+             requests=[("GET", "/api/12", "application/json"), ("GET", "/api/x", "application/json")])
+    # kept only with the bit at exactly 1: the score at 0.5 is 0.5
+    @example(weights=(-1.0, 0.0, 0.0, 2.0, 0.0, 0.0), tau=0.6,
+             requests=[("GET", "/api/12", "application/json")])
+    def test_decisions_match_rules_then_score(self, weights, tau, requests):
+        # several records per dataset, so one filter call decides records that
+        # share a gate vector and differ in the ID-segment bit
+        config = FilterConfig(logistic_weights=weights, tau=tau)
+        records = [
+            HttpRecord(id=i, method=method, url=url, content_type=content_type)
+            for i, (method, url, content_type) in enumerate(requests)
+        ]
+        kept, dropped = [], []
+        for record in records:
+            try:
+                path, query = split_url(record)
+            except IngestError:
+                with pytest.raises(IngestError):
+                    filter_traffic(Dataset(records=records), config)
+                return
+            reason = rule_signal(record, path, config)
+            if reason is None and sanity_score(record, path, query, config) < tau:
+                reason = LOGISTIC_GATE
+            if reason is None:
+                kept.append(record.id)
+            else:
+                dropped.append((record.id, reason))
+        outcome = filter_traffic(Dataset(records=records), config)
+        assert (outcome.kept, outcome.dropped) == (kept, dropped)
 
 
 class TestConfigValidation:

@@ -1,9 +1,10 @@
 """Path canonicalization."""
 
 import re
+from urllib.parse import urlsplit
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from apiminer.normalize import _decode_unreserved, canonical_path, normalize, split_url
 from apiminer.records import HttpRecord, IngestError
@@ -60,6 +61,15 @@ class TestNormalize:
         assert normalize(rec("/x", method="post")).method == "POST"
 
 
+# pieces that reach each branch of split_url: plain relative and http(s)
+# URLs, hosts urlsplit checks, and what urlsplit strips or deletes
+URL_PIECES = [
+    "http://", "https://", "HTTP://", "ftp:", "//", "/", "[", "]", "é",
+    # U+2100 turns into 'a/c' under NFKC, which urlsplit rejects in a host
+    "\u2100", "?", "#", "\t", "\r", "\n", "\x00", " ", "h", "api", ":",
+]
+
+
 class TestSplitUrl:
     def test_path_and_query(self):
         assert split_url(rec("https://h:1/api/x?a=1&b=2#frag")) == ("/api/x", "a=1&b=2")
@@ -79,6 +89,20 @@ class TestSplitUrl:
             split_url(record)
         with pytest.raises(IngestError, match="record 7"):
             normalize(record)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.text() | st.lists(st.sampled_from(URL_PIECES) | st.text(max_size=3), max_size=12).map("".join))
+    # '//' then a scheme: not the schemeless branch, and not a relative path
+    @example("//http://")
+    def test_split_is_urlsplits(self, url):
+        assume(not (url.startswith("//") and "://" not in url.split("?", 1)[0]))
+        try:
+            parts = urlsplit(url)
+        except ValueError:
+            with pytest.raises(IngestError):
+                split_url(rec(url))
+            return
+        assert split_url(rec(url)) == (parts.path, parts.query)
 
     def test_path_without_escapes_is_returned_as_is(self):
         path = "/api/a+b/c"

@@ -99,6 +99,9 @@ class TestParseHar:
         ("bodySize", [1]),
         ("url", 5),
         ("postData", "raw"),
+        ("method", 5),
+        ("method", None),
+        ("method", ["GET"]),
     ])
     def test_malformed_field_names_entry_and_field(self, field, value):
         bad = entry(headers=[("Content-Type", "application/json")], body="{}", body_size=2)
@@ -160,6 +163,11 @@ class TestParseJsonl:
         ("headers", "[[\"a\", 1]]"),
         ("content_type", "3"),
         ("label", "[]"),
+        ("method", "null"),
+        ("method", '["x"]'),
+        ("url", "null"),
+        ("url", "7"),
+        ("url", '{"path": "/y"}'),
     ])
     def test_malformed_field_names_line_and_field(self, field, value):
         text = '{"method": "GET", "url": "/x"}\n' f'{{"method": "GET", "url": "/y", "{field}": {value}}}\n'

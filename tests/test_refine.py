@@ -134,7 +134,7 @@ class TestWeightedRows:
             u = int(rng.integers(2, 6))
             base = rng.random((u, 4)) + 0.1 * (rng.random((u, 4)) < 0.5)
             X = base[rng.permutation(np.repeat(np.arange(u), rng.integers(2, 20, u)))]
-            distinct, node_of = _distinct_rows(X)
+            distinct, node_of = _distinct_rows([tuple(row) for row in X])
             graph = build_graph(distinct, 0.85, node_of)
             full = build_graph(X, 0.85)
             assert select_k(graph) == select_k(full)
@@ -149,10 +149,39 @@ class TestWeightedRows:
             assert same_partition(labels, kmeans_assign(Z_full, k, full_rng))
 
     def test_distinct_rows_in_first_occurrence_order(self):
-        X = np.array([[2.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
-        distinct, node_of = _distinct_rows(X)
+        rows = [(2.0, 0.0), (1.0, 0.0), (2.0, 0.0), (0.0, 0.0), (1.0, 0.0)]
+        distinct, node_of = _distinct_rows(rows)
         assert distinct.tolist() == [[2.0, 0.0], [1.0, 0.0], [0.0, 0.0]]
         assert node_of.tolist() == [0, 1, 0, 2, 1]
+
+
+def unique_scaled_rows(X):
+    """Reference: distinct rows of the scaled matrix X by np.unique, in order
+    of first occurrence, and the row of each request."""
+    _, first, inverse = np.unique(X, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return X[first[order]], rank[inverse.reshape(-1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(picks=st.lists(st.integers(0, 4), min_size=1, max_size=60), seed=st.integers(0, 2**16))
+def test_distinct_rows_match_unique_on_scaled_rows(picks, seed):
+    # feature rows of a mined group, deduplicated as tuples before scaling,
+    # against np.unique over the scaled n-row matrix
+    rng = np.random.default_rng(seed)
+    bodies = [(int(b), int(f), int(d)) for b, f, d in rng.integers(0, 3, (5, 3))]
+    urls = [f"/api/v1/things/{i}{PROFILES[p][0]}" for i, p in enumerate(picks)]
+    group, requests, records = group_from_urls(urls, bodies=[bodies[p] for p in picks])
+    rows = [extract_features(requests[i], records[i]) for i in group.member_ids]
+    distinct_raw, node_of = _distinct_rows(rows)
+    X = scale_features(distinct_raw[node_of])
+    assert np.array_equal(X, scale_features(np.array(rows)))
+    expected, expected_node_of = unique_scaled_rows(X)
+    assert np.array_equal(X[np.unique(node_of, return_index=True)[1]], expected)
+    assert node_of.tolist() == expected_node_of.tolist()
+
 
 def group_from_urls(urls, method="GET", bodies=None):
     records = {}
