@@ -10,7 +10,6 @@ from pathlib import Path
 from .records import Dataset, IngestError, parse_har, parse_jsonl, write_dataset
 from .normalize import canonical_path
 from .denoise import FilterConfig
-from .templates import MinerConfig
 from .refine import PASSTHROUGH, EndpointCluster, RefinerConfig, discover, prepare_traffic
 from .corpus import CorpusSpec, synth_corpus
 from .noise import INTERFERE, LEXIFY, inject
@@ -26,9 +25,11 @@ def _read_text(path: str) -> str:
 
 
 def _read_json(path: str):
+    text = _read_text(path)
     try:
-        return json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
+        return json.loads(text)
+    except ValueError as exc:
+        # a JSONDecodeError, or an integer literal past CPython's digit limit
         raise IngestError(f"malformed JSON in {path}: {exc}") from exc
     except RecursionError:
         raise IngestError(f"malformed JSON in {path}: nested too deeply") from None
@@ -96,15 +97,14 @@ def _setting(args: argparse.Namespace, file_config: dict, name: str, default):
     return default
 
 
-def _pipeline_configs(args, file_config) -> tuple[FilterConfig, MinerConfig, RefinerConfig]:
-    filter_config = FilterConfig(tau=_setting(args, file_config, "tau", 0.01))
-    miner_config = MinerConfig()
+def _pipeline_configs(args, file_config) -> tuple[FilterConfig, RefinerConfig]:
+    filter_config = FilterConfig(tau=_setting(args, file_config, "tau", FilterConfig.tau))
     refiner_config = RefinerConfig(
-        theta=_setting(args, file_config, "theta", 0.85),
-        force_kmeans=_setting(args, file_config, "force_kmeans", False),
-        global_seed=_setting(args, file_config, "seed", 0),
+        theta=_setting(args, file_config, "theta", RefinerConfig.theta),
+        force_kmeans=_setting(args, file_config, "force_kmeans", RefinerConfig.force_kmeans),
+        global_seed=_setting(args, file_config, "seed", RefinerConfig.global_seed),
     )
-    return filter_config, miner_config, refiner_config
+    return filter_config, refiner_config
 
 
 def _cluster_document(clusters: list[EndpointCluster]) -> str:
@@ -180,7 +180,7 @@ def cmd_ingest(args, file_config) -> int:
 
 def cmd_discover(args, file_config) -> int:
     dataset = _read_dataset(args.input, args.format)
-    filter_config, miner_config, refiner_config = _pipeline_configs(args, file_config)
+    filter_config, refiner_config = _pipeline_configs(args, file_config)
     traffic = prepare_traffic(dataset, filter_config, args.disable_nf)
     if args.emit_dropped:
         lines = [f"{rid}\t{reason}" for rid, reason in traffic.dropped]
@@ -190,7 +190,6 @@ def cmd_discover(args, file_config) -> int:
         _write_text(args.dump_normalized, "\n".join(lines) + ("\n" if lines else ""))
     clusters = discover(
         traffic,
-        miner_config=miner_config,
         refiner_config=refiner_config,
         disable_template_mining=args.disable_templates,
     )
@@ -266,7 +265,7 @@ def cmd_bench(args, file_config) -> int:
     kinds = [LEXIFY, INTERFERE] if args.kind == "both" else [
         {"lexify": LEXIFY, "interfere": INTERFERE}[args.kind]
     ]
-    filter_config, miner_config, refiner_config = _pipeline_configs(args, file_config)
+    filter_config, refiner_config = _pipeline_configs(args, file_config)
     rows = []
     for kind in sorted(kinds):
         for ratio in sorted(ratios):
@@ -275,7 +274,6 @@ def cmd_bench(args, file_config) -> int:
                 clusters = discover(
                     noisy,
                     filter_config=filter_config,
-                    miner_config=miner_config,
                     refiner_config=refiner_config,
                 )
                 rep = report(clusters, noisy.ground_truth)

@@ -43,9 +43,6 @@ DEFAULT_TAU = 0.01
 
 @dataclass
 class FilterConfig:
-    static_extensions: frozenset[str] = DEFAULT_STATIC_EXTENSIONS
-    static_path_markers: tuple[str, ...] = DEFAULT_STATIC_PATH_MARKERS
-    non_api_content_types: tuple[str, ...] = DEFAULT_NON_API_CONTENT_TYPES
     logistic_weights: tuple[float, ...] = DEFAULT_LOGISTIC_WEIGHTS
     tau: float = DEFAULT_TAU
 
@@ -62,24 +59,24 @@ class FilterOutcome:
     dropped: list[tuple[int, str]] = field(default_factory=list)
 
 
-def rule_signal(record: HttpRecord, path: str, config: FilterConfig) -> str | None:
+def rule_signal(record: HttpRecord, path: str) -> str | None:
     """First matching drop reason in cascade order, or None; ``path`` is the
     record's URL path as ``split_url`` gives it."""
     last_segment = path.rsplit("/", 1)[-1]
     if "." in last_segment:
         ext = last_segment.rsplit(".", 1)[-1].lower()
-        if ext in config.static_extensions:
+        if ext in DEFAULT_STATIC_EXTENSIONS:
             return STATIC_EXTENSION
     lowered = path.lower()
     if not lowered.endswith("/"):
         lowered = lowered + "/"
-    for marker in config.static_path_markers:
+    for marker in DEFAULT_STATIC_PATH_MARKERS:
         if marker in lowered:
             return STATIC_PATH_PATTERN
     if record.content_type is None:
         return MISSING_CONTENT_TYPE
     ct = record.content_type.lower()
-    for prefix in config.non_api_content_types:
+    for prefix in DEFAULT_NON_API_CONTENT_TYPES:
         if ct.startswith(prefix):
             return NON_API_CONTENT_TYPE
     return None
@@ -164,7 +161,7 @@ def filter_traffic(
     decisions: dict[tuple[float, ...], tuple[bool, bool]] = {}
     for record in dataset.records:
         path, query = split_url(record)
-        reason = rule_signal(record, path, config)
+        reason = rule_signal(record, path)
         if reason is None and _gate_drops(record, path, query, config, decisions):
             reason = LOGISTIC_GATE
         if reason is None:

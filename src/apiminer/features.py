@@ -84,15 +84,6 @@ class SimilarityGraph:
             self.self_sim = np.zeros(rows)
         self.counts = np.bincount(self.node_of, minlength=rows).astype(float)
 
-    def degree(self) -> np.ndarray:
-        """Edges at one request of each node, counting the copies of every row."""
-        m = self.counts
-        return (self.A > 0) @ m + (m - 1) * (self.self_sim > 0)
-
-    def mean_degree(self) -> float:
-        """Mean edge count over the n requests."""
-        return float(self.counts @ self.degree()) / self.n
-
 
 def build_graph(
     features: np.ndarray, theta: float, node_of: np.ndarray | None = None

@@ -33,6 +33,12 @@ class IngestError(ValueError):
     """Raised for malformed capture input."""
 
 
+# Counts must fit a signed 64-bit integer: the features turn each count into
+# a float, and no float holds an integer much past 10**308.
+_COUNT_MIN = -(2**63)
+_COUNT_MAX = 2**63 - 1
+
+
 @dataclass
 class HttpRecord:
     id: int
@@ -137,6 +143,9 @@ def parse_har(data: bytes) -> Dataset:
         raise IngestError(f"HAR is not valid UTF-8 at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise IngestError(f"malformed HAR document at byte offset {exc.pos}") from exc
+    except ValueError as exc:
+        # an integer literal past CPython's digit limit
+        raise IngestError(f"malformed HAR document: {exc}") from exc
     except RecursionError:
         raise IngestError("malformed HAR document: nested too deeply") from None
     if not isinstance(doc, dict) or "log" not in doc:
@@ -168,9 +177,12 @@ def parse_har(data: bytes) -> Dataset:
         headers = _har_headers(index, request.get("headers", []))
         content_type = _header_lookup(headers, "Content-Type")
         try:
-            body_size = max(0, int(request.get("bodySize") or 0))
+            body_size = int(request.get("bodySize") or 0)
         except (TypeError, ValueError, OverflowError):
             raise _har_error(index, "bodySize", "an integer", request["bodySize"]) from None
+        if not _COUNT_MIN <= body_size <= _COUNT_MAX:
+            raise _har_error(index, "bodySize", "a 64-bit integer", request["bodySize"])
+        body_size = max(0, body_size)
         field_count = None
         nesting = None
         post_data = request.get("postData")
@@ -204,13 +216,17 @@ def _field_error(lineno: int, name: str, expected: str, value) -> IngestError:
 
 
 def _as_int(lineno: int, name: str, value) -> int | None:
-    """A JSONL count field that is not a plain int: None, a convertible value, or an error."""
+    """A JSONL count field that is not a plain 64-bit int: None, a convertible
+    value, or an error."""
     if value is None:
         return None
     try:
-        return int(value)
+        number = int(value)
     except (TypeError, ValueError, OverflowError):
         raise _field_error(lineno, name, "an integer", value) from None
+    if not _COUNT_MIN <= number <= _COUNT_MAX:
+        raise _field_error(lineno, name, "a 64-bit integer", value)
+    return number
 
 
 def parse_jsonl(text: str) -> Dataset:
@@ -224,6 +240,9 @@ def parse_jsonl(text: str) -> Dataset:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise IngestError(f"malformed JSONL object at line {lineno}: {exc.msg}") from exc
+        except ValueError as exc:
+            # an integer literal past CPython's digit limit
+            raise IngestError(f"malformed JSONL object at line {lineno}: {exc}") from exc
         except RecursionError:
             raise IngestError(f"malformed JSONL object at line {lineno}: nested too deeply") from None
         if type(obj) is not dict:
@@ -249,13 +268,13 @@ def parse_jsonl(text: str) -> Dataset:
         if label is not None and type(label) is not str:
             raise _field_error(lineno, "label", "a string", label)
         body_size = obj.get("body_size")
-        if type(body_size) is not int:
+        if type(body_size) is not int or not _COUNT_MIN <= body_size <= _COUNT_MAX:
             body_size = _as_int(lineno, "body_size", body_size) or 0
         field_count = obj.get("body_field_count")
-        if type(field_count) is not int:
+        if type(field_count) is not int or not _COUNT_MIN <= field_count <= _COUNT_MAX:
             field_count = _as_int(lineno, "body_field_count", field_count)
         nesting = obj.get("body_nesting_depth")
-        if type(nesting) is not int:
+        if type(nesting) is not int or not _COUNT_MIN <= nesting <= _COUNT_MAX:
             nesting = _as_int(lineno, "body_nesting_depth", nesting)
         rid = len(records)
         records.append(

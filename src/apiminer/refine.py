@@ -1,13 +1,14 @@
 """Stage-2 refinement: split template groups into behavioral endpoint clusters.
 
-Large groups with a dense similarity graph are refined by spectral
-clustering: seeded k-means on the top eigenvectors of the graph's normalized
+Each group of three or more requests is refined by spectral clustering:
+seeded k-means on the top eigenvectors of its similarity graph's normalized
 adjacency (Ng, Jordan & Weiss, NIPS 2001), with the connected components
-giving the cluster count; sparse or small groups fall back to k-means on the
-scaled features.  The graph and its eigenvectors are computed over a group's
-distinct feature rows, each weighted by the number of requests that share it;
-the requests of one row share one embedding, so identical requests are never
-split.
+giving the cluster count.  A group whose graph is one component is one
+cluster and needs neither.  The graph and its eigenvectors are computed over
+a group's distinct feature rows, each weighted by the number of requests that
+share it; the requests of one row share one embedding, so identical requests
+are never split.  ``RefinerConfig.force_kmeans`` runs k-means on the scaled
+features instead, the paper's ablation of the graph.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from .records import Dataset, HttpRecord
 from .normalize import NormalizedRequest, normalize, canonical_path
 from .denoise import FilterConfig, filter_traffic
-from .templates import MinerConfig, PathTemplate, TemplateGroup, mine
+from .templates import PathTemplate, TemplateGroup, mine
 from .features import (
     SimilarityGraph,
     build_graph,
@@ -34,18 +35,17 @@ PASSTHROUGH = "Passthrough"
 GRAPH_REFINED = "GraphRefined"
 KMEANS_FALLBACK = "KMeansFallback"
 
+EMBEDDING_DIM = 8
+# clusters smaller than this fraction of a refined group are reabsorbed into
+# the nearest surviving cluster (guards against splinter clusters created by a
+# handful of lexically perturbed requests)
+MIN_CLUSTER_FRACTION = 0.2
+
 
 @dataclass
 class RefinerConfig:
-    embedding_dim: int = 8
     theta: float = 0.85
-    min_group_size: int = 10
-    min_mean_degree: float = 2.0
-    # clusters smaller than this fraction of a refined group are reabsorbed
-    # into the nearest surviving cluster (guards against splinter clusters
-    # created by a handful of lexically perturbed requests)
-    min_cluster_fraction: float = 0.2
-    kmeans_iters: int = 50
+    # k-means on the scaled features in place of the graph (ablation)
     force_kmeans: bool = False
     global_seed: int = 0
 
@@ -190,21 +190,18 @@ def refine_group(
     graph = build_graph(distinct, config.theta, node_of)
     k = select_k(graph)
 
-    applicable = (
-        not config.force_kmeans
-        and n >= config.min_group_size
-        and graph.mean_degree() >= config.min_mean_degree
-    )
+    provenance = KMEANS_FALLBACK if config.force_kmeans else GRAPH_REFINED
+    if k == 1:
+        # one component is one cluster: k-means with one centroid labels
+        # every request 0, and reabsorption leaves a lone cluster alone
+        return [_cluster(group, group.member_ids, members, provenance)]
     rng = _group_rng(config.global_seed, group.template)
-    if applicable:
-        Z = spectral_init(graph, config.embedding_dim, rng)
-        labels = kmeans_assign(Z[node_of], k, rng, config.kmeans_iters)
-        provenance = GRAPH_REFINED
+    if config.force_kmeans:
+        labels = kmeans_assign(X, k, rng)
     else:
-        labels = kmeans_assign(X, k, rng, config.kmeans_iters)
-        provenance = KMEANS_FALLBACK
+        labels = kmeans_assign(spectral_init(graph, EMBEDDING_DIM, rng)[node_of], k, rng)
 
-    min_size = max(2, int(np.ceil(config.min_cluster_fraction * n)))
+    min_size = max(2, int(np.ceil(MIN_CLUSTER_FRACTION * n)))
     labels = _reabsorb_small(labels, X, min_size)
 
     clusters = []
@@ -269,7 +266,6 @@ def prepare_traffic(
 def discover(
     dataset: Dataset | Traffic,
     filter_config: FilterConfig | None = None,
-    miner_config: MinerConfig | None = None,
     refiner_config: RefinerConfig | None = None,
     disable_noise_filter: bool = False,
     disable_template_mining: bool = False,
@@ -297,7 +293,7 @@ def discover(
         )
         groups = [degenerate]
     else:
-        groups = mine(normalized, miner_config)
+        groups = mine(normalized)
 
     clusters: list[EndpointCluster] = []
     for group in groups:

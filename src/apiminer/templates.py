@@ -17,6 +17,13 @@ from .normalize import NormalizedRequest
 
 WILDCARD = None  # pattern token marker; renders as "{*}"
 
+# levels of the prefix tree a request is routed through
+TREE_DEPTH = 4
+# share of positions that must match for a request to join a leaf's template
+SIM_THRESHOLD = 0.5
+# children per tree node before that level collapses to its wildcard branch
+MAX_CHILDREN = 64
+
 _UUID_RE = re.compile(
     r"^[0-9a-f]{8}-[0-9a-f]{4}-[0-9a-f]{4}-[0-9a-f]{4}-[0-9a-f]{12}$",
     re.IGNORECASE,
@@ -83,9 +90,7 @@ def _edit_distance_at_most_one(a: str, b: str) -> bool:
     return True
 
 
-def _near_match(a: str, b: str, max_edit: int) -> bool:
-    if max_edit <= 0:
-        return False
+def _near_match(a: str, b: str) -> bool:
     if min(len(a), len(b)) < 3:
         return False
     return _edit_distance_at_most_one(a, b)
@@ -110,18 +115,6 @@ class PathTemplate:
 class TemplateGroup:
     template: PathTemplate
     member_ids: list[int] = field(default_factory=list)
-
-
-@dataclass
-class MinerConfig:
-    tree_depth: int = 4
-    sim_threshold: float = 0.5
-    max_children: int = 64
-    fuzzy_route_max_edit: int = 1
-
-    def __post_init__(self):
-        if not (0.0 < self.sim_threshold <= 1.0):
-            raise ValueError("sim_threshold must be in (0,1]")
 
 
 class _Leaf:
@@ -161,18 +154,18 @@ def match(template: PathTemplate, nr: NormalizedRequest) -> bool:
     return True
 
 
-def _match_ratio(pattern: list, segments: list[str], max_edit: int) -> float:
+def _match_ratio(pattern: list, segments: list[str]) -> float:
     if not pattern:
         return 1.0
     hits = 0
     for token, segment in zip(pattern, segments):
-        if token is None or token == segment or _near_match(token, segment, max_edit):
+        if token is None or token == segment or _near_match(token, segment):
             hits += 1
     return hits / len(pattern)
 
 
-def _route(root: _Node, segments: list[str], config: MinerConfig) -> _Leaf:
-    levels = min(config.tree_depth, len(segments))
+def _route(root: _Node, segments: list[str]) -> _Leaf:
+    levels = min(TREE_DEPTH, len(segments))
     node = root
     for i in range(levels):
         make = _Leaf if i == levels - 1 else _Node
@@ -186,14 +179,14 @@ def _route(root: _Node, segments: list[str], config: MinerConfig) -> _Leaf:
         if child is None:
             for token, existing in node.children.items():
                 spellings = [token] + node.aliases.get(token, [])
-                if any(_near_match(segment, s, config.fuzzy_route_max_edit) for s in spellings):
+                if any(_near_match(segment, s) for s in spellings):
                     child = existing
                     alias_list = node.aliases.setdefault(token, [])
                     if segment not in alias_list and len(alias_list) < _Node.MAX_ALIASES:
                         alias_list.append(segment)
                     break
         if child is None:
-            if len(node.children) >= config.max_children:
+            if len(node.children) >= MAX_CHILDREN:
                 # branching cap reached: collapse this level to the wildcard branch
                 node.collapsed = True
                 if node.wildcard_child is None:
@@ -210,15 +203,14 @@ def _route(root: _Node, segments: list[str], config: MinerConfig) -> _Leaf:
     return node
 
 
-def mine(requests: list[NormalizedRequest], config: MinerConfig | None = None) -> list[TemplateGroup]:
+def mine(requests: list[NormalizedRequest]) -> list[TemplateGroup]:
     """Group requests into wildcard path templates.
 
     Requests are partitioned by (method, depth), routed through a prefix
     tree on their leading segments, and joined to the best-matching leaf
-    template (position-match ratio >= sim_threshold) or start a new one.
+    template (position-match ratio >= SIM_THRESHOLD) or start a new one.
     Positions that disagree across members become wildcards.
     """
-    config = config or MinerConfig()
     partitions: dict[tuple[str, int], list[NormalizedRequest]] = {}
     for nr in requests:
         partitions.setdefault((nr.method, len(nr.segments)), []).append(nr)
@@ -229,15 +221,15 @@ def mine(requests: list[NormalizedRequest], config: MinerConfig | None = None) -
         if depth == 0:
             solo = _Leaf()
             for nr in members:
-                _join_leaf(solo, nr, config)
+                _join_leaf(solo, nr)
             leaves = [solo]
         else:
             leaves = []
             for nr in members:
-                leaf = _route(root, nr.segments, config)
+                leaf = _route(root, nr.segments)
                 if leaf not in leaves:
                     leaves.append(leaf)
-                _join_leaf(leaf, nr, config)
+                _join_leaf(leaf, nr)
         for leaf in leaves:
             for pattern, leaf_members in leaf.templates:
                 template = PathTemplate(method=method, pattern=tuple(pattern))
@@ -246,15 +238,15 @@ def mine(requests: list[NormalizedRequest], config: MinerConfig | None = None) -
     return groups
 
 
-def _join_leaf(leaf: _Leaf, nr: NormalizedRequest, config: MinerConfig) -> None:
+def _join_leaf(leaf: _Leaf, nr: NormalizedRequest) -> None:
     best = None
     best_ratio = -1.0
     for entry in leaf.templates:
-        ratio = _match_ratio(entry[0], nr.segments, config.fuzzy_route_max_edit)
+        ratio = _match_ratio(entry[0], nr.segments)
         if ratio > best_ratio:  # earliest-created wins ties
             best = entry
             best_ratio = ratio
-    if best is not None and best_ratio >= config.sim_threshold:
+    if best is not None and best_ratio >= SIM_THRESHOLD:
         pattern = best[0]
         for i, segment in enumerate(nr.segments):
             if pattern[i] is not None and pattern[i] != segment:

@@ -4,7 +4,7 @@ import argparse
 import json
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from apiminer import denoise, refine
 from apiminer import normalize as normalize_module
@@ -13,7 +13,7 @@ from apiminer.corpus import CorpusSpec, synth_corpus
 from apiminer.denoise import filter_traffic
 from apiminer.noise import INTERFERE, inject
 from apiminer.normalize import canonical_path, normalize
-from apiminer.records import Dataset, HttpRecord, IngestError, parse_har, parse_jsonl, write_dataset
+from apiminer.records import IngestError, parse_har, parse_jsonl, write_dataset
 
 
 @pytest.fixture
@@ -318,7 +318,12 @@ class TestMalformedInput:
             ["discover", "--in", str(src)], f"record 1: malformed url {url!r}", capsys
         )
 
-    @pytest.mark.parametrize("field, value", [("headers", ["oops"]), ("bodySize", "x")])
+    @pytest.mark.parametrize("field, value", [
+        ("headers", ["oops"]),
+        ("bodySize", "x"),
+        # past 64 bits: no float holds it, and each count becomes a float feature
+        pytest.param("bodySize", 10**400, id="bodySize-10**400"),
+    ])
     def test_har_field(self, tmp_path, capsys, field, value):
         request = {"method": "GET", "url": "http://h/api/x", "headers": [], field: value}
         src = tmp_path / "bad.har"
@@ -328,6 +333,41 @@ class TestMalformedInput:
                 [command, "--format", "har", "--in", str(src)],
                 f"entry at index 0: {field} must be", capsys,
             )
+
+    @pytest.mark.parametrize("field", ["body_size", "body_field_count", "body_nesting_depth"])
+    def test_jsonl_count_past_64_bits(self, tmp_path, capsys, field):
+        # no float holds 10**400, and each count becomes a float feature
+        lines = [{"method": "POST", "url": f"/api/v1/items/{i}", "content_type": "application/json",
+                  "body_size": 10, "body_field_count": 1, "body_nesting_depth": 1}
+                 for i in range(4)]
+        lines[0][field] = 10**400
+        src = tmp_path / "big.jsonl"
+        src.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+        self.assert_rejected(
+            ["discover", "--in", str(src)], f"line 1: {field} must be a 64-bit integer", capsys
+        )
+
+    @pytest.mark.parametrize("surface", ["jsonl", "har", "config", "clusters"])
+    def test_integer_literal_past_digit_limit(self, tmp_path, corpus_file, capsys, surface):
+        # json.loads raises a plain ValueError for an integer of more than
+        # 4300 digits, not a JSONDecodeError
+        digits = "9" * 5000
+        doc = tmp_path / "doc"
+        argv, message = {
+            "jsonl": (["discover", "--in", str(doc)], "line 1: "),
+            "har": (["ingest", "--format", "har", "--in", str(doc)], "malformed HAR document: "),
+            "config": (["--config", str(doc), "discover", "--in", str(corpus_file)],
+                       f"malformed JSON in {doc}: "),
+            "clusters": (["evaluate", "--in", str(corpus_file), "--clusters", str(doc)],
+                         f"malformed JSON in {doc}: "),
+        }[surface]
+        doc.write_text({
+            "jsonl": '{"method": "GET", "url": "/x", "body_size": %s}\n' % digits,
+            "har": '{"log": {"entries": [{"request": {"url": "/x", "bodySize": %s}}]}}' % digits,
+            "config": '{"seed": %s}' % digits,
+            "clusters": '[{"template": "/x", "method": "GET", "member_ids": [%s]}]' % digits,
+        }[surface], encoding="utf-8")
+        self.assert_rejected(argv, message + "Exceeds the limit (4300 digits)", capsys)
 
     def test_deeply_nested_capture(self, tmp_path, capsys):
         src = tmp_path / "deep.jsonl"
@@ -362,14 +402,22 @@ JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=6,
 )
+# integers of any size: st.integers() stays within 128 bits, so powers of ten
+# up to the 4300 digits json.dumps writes reach past what a float holds
+COUNTS = st.integers() | st.builds(
+    lambda sign, exponent: sign * 10**exponent, st.sampled_from([1, -1]), st.integers(0, 4299)
+)
+# an integer literal json.loads does not read: more than 4300 digits
+LONG_LITERALS = st.integers(4301, 4400).map(lambda digits: "9" * digits)
 RECORD_FIELDS = ("id", "headers", "content_type", "body_size", "body_field_count",
                  "body_nesting_depth", "label")
 CAPTURE_LINES = st.one_of(
     st.text(max_size=20),
+    LONG_LITERALS,
     JSON_VALUES.map(json.dumps),
     st.fixed_dictionaries(
         {"method": JSON_VALUES, "url": JSON_VALUES},
-        optional={name: JSON_VALUES for name in RECORD_FIELDS},
+        optional={name: JSON_VALUES | COUNTS for name in RECORD_FIELDS},
     ).map(json.dumps),
 )
 CLUSTER_ENTRIES = st.fixed_dictionaries({}, optional={
@@ -381,20 +429,22 @@ CLUSTER_ENTRIES = st.fixed_dictionaries({}, optional={
 })
 CONFIG_DOCS = st.dictionaries(
     st.sampled_from(["tau", "theta", "seed", "force_kmeans", "lam"]) | st.text(max_size=4),
-    JSON_VALUES | st.floats(0, 1),
+    JSON_VALUES | st.floats(0, 1) | COUNTS,
     max_size=3,
 )
+# documents read from a file: raw bytes, an over-long integer, or JSON
+RAW_DOCS = st.binary(max_size=30) | LONG_LITERALS.map(str.encode)
 HAR_REQUESTS = st.fixed_dictionaries({}, optional={
     "method": JSON_VALUES,
     "url": JSON_VALUES | st.text(max_size=12),
     "headers": JSON_VALUES | st.lists(
         st.fixed_dictionaries({}, optional={"name": JSON_VALUES, "value": JSON_VALUES}), max_size=2
     ),
-    "bodySize": JSON_VALUES,
+    "bodySize": JSON_VALUES | COUNTS,
     "postData": JSON_VALUES | st.fixed_dictionaries({}, optional={"text": JSON_VALUES}),
 })
 HAR_DOCS = st.one_of(
-    st.binary(max_size=30),
+    RAW_DOCS,
     JSON_VALUES,
     st.fixed_dictionaries({"log": JSON_VALUES | st.fixed_dictionaries({}, optional={
         "entries": JSON_VALUES | st.lists(
@@ -433,7 +483,7 @@ class TestInputFuzz:
             pass
 
     @FUZZ
-    @given(doc=st.binary(max_size=30) | JSON_VALUES | st.lists(CLUSTER_ENTRIES | JSON_VALUES, max_size=3))
+    @given(doc=RAW_DOCS | JSON_VALUES | st.lists(CLUSTER_ENTRIES | JSON_VALUES, max_size=3))
     def test_load_clusters(self, tmp_path, doc):
         try:
             clusters = _load_clusters(as_file(tmp_path, doc))
@@ -442,7 +492,7 @@ class TestInputFuzz:
         assert all(isinstance(c, refine.EndpointCluster) for c in clusters)
 
     @FUZZ
-    @given(doc=st.binary(max_size=30) | JSON_VALUES | CONFIG_DOCS)
+    @given(doc=RAW_DOCS | JSON_VALUES | CONFIG_DOCS)
     def test_load_config_file(self, tmp_path, doc):
         try:
             file_config = _load_config_file(as_file(tmp_path, doc))
@@ -463,13 +513,20 @@ class TestInputFuzz:
         assert parse_jsonl(write_dataset(dataset)).records == dataset.records
 
     @FUZZ
-    @given(requests=st.lists(st.tuples(METHODS, URLS), min_size=1, max_size=12))
+    @given(requests=st.lists(
+        st.tuples(METHODS, URLS, st.tuples(COUNTS, COUNTS, COUNTS)), min_size=1, max_size=12
+    ))
+    @example([("GET", f"/api/v1/items/{i}", (10, 10**400, 1)) for i in range(4)])
     def test_discover(self, requests):
-        dataset = Dataset(records=[
-            HttpRecord(id=i, method=method, url=url, content_type="application/json")
-            for i, (method, url) in enumerate(requests)
-        ])
+        # through parse_jsonl, which reads the counts
+        capture = "".join(
+            json.dumps({"method": method, "url": url, "content_type": "application/json",
+                        "body_size": size, "body_field_count": fields,
+                        "body_nesting_depth": depth}) + "\n"
+            for method, url, (size, fields, depth) in requests
+        )
         try:
+            dataset = parse_jsonl(capture)
             clusters = refine.discover(dataset)
         except IngestError:
             return

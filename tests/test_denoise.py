@@ -33,7 +33,7 @@ CFG = FilterConfig()
 
 
 def rule(record):
-    return rule_signal(record, split_url(record)[0], CFG)
+    return rule_signal(record, split_url(record)[0])
 
 
 def score(record):
@@ -192,7 +192,7 @@ class TestGateShortcut:
                 with pytest.raises(IngestError):
                     filter_traffic(Dataset(records=records), config)
                 return
-            reason = rule_signal(record, path, config)
+            reason = rule_signal(record, path)
             if reason is None and sanity_score(record, path, query, config) < tau:
                 reason = LOGISTIC_GATE
             if reason is None:

@@ -181,12 +181,6 @@ class TestDistinctRowGraph:
         assert g.counts.tolist() == [3.0, 2.0, 1.0]
         assert g.self_sim.tolist() == [0.0, 1.0, 1.0]
 
-    def test_degree_counts_copies(self):
-        g = build_graph(self.distinct, 0.85, self.node_of)
-        full = build_graph(self.X, 0.85)
-        assert g.degree()[self.node_of].tolist() == (full.A > 0).sum(axis=1).tolist()
-        assert g.mean_degree() == pytest.approx((full.A > 0).sum(axis=1).mean())
-
     def test_zero_row_copies_are_components(self):
         g = build_graph(self.distinct, 0.85, self.node_of)
         # the zero row is one component, however many copies it has, plus one

@@ -179,6 +179,15 @@ class TestParseJsonl:
         record = parse_jsonl(line).records[0]
         assert (record.body_size, record.body_field_count, record.body_nesting_depth) == (12, 2, 1)
 
+    @pytest.mark.parametrize("field", ["body_size", "body_field_count", "body_nesting_depth"])
+    def test_counts_fit_64_bits(self, field):
+        # a float holds neither 10**400 nor -10**400, and each count becomes one
+        for value in (2**63 - 1, -(2**63), "9223372036854775807"):
+            parse_jsonl('{"method": "GET", "url": "/x", "%s": %s}' % (field, json.dumps(value)))
+        for value in (2**63, -(2**63) - 1, 10**400, "9" * 400, 1e300):
+            with pytest.raises(IngestError, match=f"line 1: {field} must be a 64-bit integer"):
+                parse_jsonl('{"method": "GET", "url": "/x", "%s": %s}' % (field, json.dumps(value)))
+
     def test_padded_lines_parse_as_json_loads_does(self):
         ds = parse_jsonl('  {"method": "GET", "url": "/x"}  \n\t{"method": "GET", "url": "/y"}')
         assert [r.url for r in ds.records] == ["/x", "/y"]

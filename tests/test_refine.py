@@ -1,7 +1,6 @@
-"""Second-stage refinement: spectral embedding, k-means, fallbacks."""
+"""Second-stage refinement: spectral embedding, k-means, the k-means ablation."""
 
 import numpy as np
-import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from apiminer.features import SimilarityGraph, build_graph, extract_features, scale_features, select_k
@@ -138,7 +137,6 @@ class TestWeightedRows:
             graph = build_graph(distinct, 0.85, node_of)
             full = build_graph(X, 0.85)
             assert select_k(graph) == select_k(full)
-            assert graph.mean_degree() == pytest.approx((full.A > 0).sum(axis=1).mean())
             k = select_k(graph)
             rows_rng, full_rng = np.random.default_rng(trial), np.random.default_rng(trial)
             Z = spectral_init(graph, 8, rows_rng)[node_of]
@@ -217,19 +215,41 @@ class TestRefineGroup:
         assert sorted(clusters[1].member_ids) == list(range(n, 2 * n))
         assert all(c.provenance == GRAPH_REFINED for c in clusters)
 
-    def test_sparse_graph_uses_kmeans_fallback(self):
-        # five requests, no two alike enough for edges at high theta
-        urls = [
+    SMALL_GROUP = (
+        [
             "/api/v1/things/1?page=1&limit=2&sort=x",
             "/api/v1/things/2",
             "/api/v1/things/3?q=a",
             "/api/v1/things/4?id=9&filter=b",
             "/api/v1/things/5?offset=2",
-        ]
-        bodies = [(0, None, None), (900, 12, 4), (0, None, None), (30, 1, 1), (0, None, None)]
+        ],
+        [(0, None, None), (900, 12, 4), (0, None, None), (30, 1, 1), (0, None, None)],
+    )
+
+    def test_small_group_takes_graph_path(self):
+        # five requests of different shapes, below any group-size gate
+        urls, bodies = self.SMALL_GROUP
         group, requests, records = group_from_urls(urls, method="POST", bodies=bodies)
-        clusters = refine_group(group, requests, records, RefinerConfig(min_group_size=10))
-        assert all(c.provenance == KMEANS_FALLBACK for c in clusters)
+        clusters = refine_group(group, requests, records)
+        assert [c.member_ids for c in clusters] == [[0, 1, 2, 3, 4]]
+        assert clusters[0].provenance == GRAPH_REFINED
+
+    def test_single_component_needs_no_eigensolve(self, monkeypatch):
+        # body size up, field count down: five distinct rows linked in a chain
+        urls = [f"/api/v1/things/{i}" for i in range(5)]
+        bodies = [(100, 5, 2), (150, 4, 2), (200, 3, 2), (250, 2, 2), (300, 1, 2)]
+        group, requests, records = group_from_urls(urls, method="POST", bodies=bodies)
+        X = scale_features(np.array([extract_features(requests[i], records[i]) for i in range(5)]))
+        assert len(np.unique(X, axis=0)) == 5
+        assert select_k(build_graph(X, RefinerConfig().theta)) == 1
+
+        def unreachable(*args):
+            raise AssertionError("a connected graph was embedded")
+
+        monkeypatch.setattr("apiminer.refine.spectral_init", unreachable)
+        monkeypatch.setattr("apiminer.refine.kmeans_assign", unreachable)
+        clusters = refine_group(group, requests, records)
+        assert [c.member_ids for c in clusters] == [[0, 1, 2, 3, 4]]
 
     def test_force_kmeans_bypasses_graph_training(self):
         n = 15

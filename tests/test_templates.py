@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from apiminer.normalize import normalize
 from apiminer.records import HttpRecord
 from apiminer.templates import (
-    MinerConfig,
+    MAX_CHILDREN,
     PathTemplate,
     is_variable_segment,
     match,
@@ -22,9 +22,9 @@ def nr(url, method="GET", rid=0):
     return normalize(HttpRecord(id=rid, method=method, url=url))
 
 
-def mine_urls(urls, method="GET", config=None):
+def mine_urls(urls, method="GET"):
     requests = [nr(u, method=method, rid=i) for i, u in enumerate(urls)]
-    return mine(requests, config)
+    return mine(requests)
 
 
 # ids, hashes and fixed tokens, and their punctuated variants
@@ -146,14 +146,18 @@ class TestGrouping:
         assert sorted(groups[0].member_ids) == [0, 1, 2]
 
     def test_max_children_collapses_level(self):
-        config = MinerConfig(max_children=3)
-        urls = ["/api/alpha/x", "/api/bravo/x", "/api/candle/x", "/api/dragon/x",
-                "/api/ember/x"]
-        groups = mine_urls(urls, config=config)
-        # first three tokens become children; later ones share a wildcard branch
-        rendered = sorted(g.template.render() for g in groups)
-        assert "/api/{*}/x" in rendered
-        assert len(groups) == 4
+        # letter-pair tokens such as "abab" differ from each other in two or
+        # more places, so none is routed into another's child by a near match
+        pairs = itertools.product("abcdefghijklmnopqrstuvwxyz", repeat=2)
+        tokens = ["".join(pair) * 2 for pair in itertools.islice(pairs, MAX_CHILDREN + 1)]
+        # the first token again, once the level has collapsed
+        urls = [f"/api/{t}/x" for t in tokens] + [f"/api/{tokens[0]}/x"]
+        groups = mine_urls(urls)
+        # the first MAX_CHILDREN tokens become children; the next one, and
+        # every later request, go down the wildcard branch
+        assert len(groups) == MAX_CHILDREN + 1
+        collapsed = [g for g in groups if g.template.render() == "/api/{*}/x"]
+        assert [g.member_ids for g in collapsed] == [[MAX_CHILDREN, MAX_CHILDREN + 1]]
 
     def test_zero_depth_paths_grouped(self):
         groups = mine_urls(["/", "/"])
@@ -176,9 +180,3 @@ class TestMatch:
         assert not match(t, nr("/api", method="POST"))
         assert not match(t, nr("/api/x"))
 
-
-class TestConfigValidation:
-    def test_sim_threshold_bounds(self):
-        with pytest.raises(ValueError):
-            MinerConfig(sim_threshold=0.0)
-        MinerConfig(sim_threshold=1.0)  # inclusive upper bound
