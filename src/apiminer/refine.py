@@ -33,7 +33,8 @@ from .features import (
 
 PASSTHROUGH = "Passthrough"
 GRAPH_REFINED = "GraphRefined"
-KMEANS_FALLBACK = "KMeansFallback"
+# marks clusters made under force_kmeans; the string is kept for clusters.json
+KMEANS_ABLATION = "KMeansFallback"
 
 EMBEDDING_DIM = 8
 # clusters smaller than this fraction of a refined group are reabsorbed into
@@ -190,7 +191,7 @@ def refine_group(
     graph = build_graph(distinct, config.theta, node_of)
     k = select_k(graph)
 
-    provenance = KMEANS_FALLBACK if config.force_kmeans else GRAPH_REFINED
+    provenance = KMEANS_ABLATION if config.force_kmeans else GRAPH_REFINED
     if k == 1:
         # one component is one cluster: k-means with one centroid labels
         # every request 0, and reabsorption leaves a lone cluster alone

@@ -459,6 +459,10 @@ URL_PIECES = st.sampled_from([
     "static", "é", "\uff03", " ", "\t", "\n",
 ])
 URLS = st.text(max_size=20) | st.lists(URL_PIECES, max_size=10).map("".join)
+# URLs of two templates, so that mined groups reach refinement
+API_URLS = st.builds("/api/v1/{}/{}".format, st.sampled_from(["items", "users"]), st.integers(0, 40))
+# body_size, body_field_count and body_nesting_depth within what ingest reads
+COUNTS_64 = st.tuples(*[st.integers(-(2**63), 2**63 - 1)] * 3)
 METHODS = st.text(max_size=6) | st.sampled_from(["GET", "post", "BREW", "ß"])
 FUZZ = settings(max_examples=150, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -514,11 +518,15 @@ class TestInputFuzz:
 
     @FUZZ
     @given(requests=st.lists(
-        st.tuples(METHODS, URLS, st.tuples(COUNTS, COUNTS, COUNTS)), min_size=1, max_size=12
+        st.tuples(METHODS, URLS, COUNTS_64) | st.tuples(st.just("GET"), API_URLS, COUNTS_64),
+        min_size=1, max_size=12,
     ))
+    # a count no float holds, rejected at ingest
     @example([("GET", f"/api/v1/items/{i}", (10, 10**400, 1)) for i in range(4)])
     def test_discover(self, requests):
-        # through parse_jsonl, which reads the counts
+        # through parse_jsonl, which reads the counts; drawn within 64 bits so
+        # that every example reaches discover, while the reader properties
+        # above draw counts of any size
         capture = "".join(
             json.dumps({"method": method, "url": url, "content_type": "application/json",
                         "body_size": size, "body_field_count": fields,

@@ -8,7 +8,7 @@ from apiminer.normalize import normalize
 from apiminer.records import HttpRecord
 from apiminer.refine import (
     GRAPH_REFINED,
-    KMEANS_FALLBACK,
+    KMEANS_ABLATION,
     PASSTHROUGH,
     RefinerConfig,
     discover,
@@ -260,7 +260,7 @@ class TestRefineGroup:
         clusters = refine_group(
             group, requests, records, RefinerConfig(force_kmeans=True)
         )
-        assert all(c.provenance == KMEANS_FALLBACK for c in clusters)
+        assert all(c.provenance == KMEANS_ABLATION for c in clusters)
 
     def test_clusters_partition_group(self):
         n = 15
