@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass
 from urllib.parse import urlsplit, urlunsplit
 
 import numpy as np
@@ -12,22 +13,156 @@ from .records import Dataset, HttpRecord
 LEXIFY = "Lexify"
 INTERFERE = "Interfere"
 
-LEXIFY_RULES = (
-    "Query Order Shuffle",
-    "Neutral Query Parameter",
-    "Duplicate Query Key",
-    "Underscore Injection",
-    "Hyphen Duplication",
-    "Dot Injection",
-    "Repeated Slash",
-    "Trailing Slash Addition",
-    "Trailing Slash Removal",
-    "Uppercase Token",
-    "Lowercase Token",
-    "Space Encoding",
-    "Plus Encoding",
-    "Hex Encoding",
-)
+
+class SplitUrl:
+    """One ``urlsplit`` of a URL, and the pieces every Lexify rule reads: the
+    query's non-empty ``&`` pairs, the path's non-empty segments, and whether
+    the path ends in a slash after a segment."""
+
+    __slots__ = ("parts", "pairs", "segments", "trailing")
+
+    def __init__(self, url: str):
+        self.parts = urlsplit(url)
+        self.pairs = [p for p in self.parts.query.split("&") if p]
+        self.segments = [s for s in self.parts.path.split("/") if s]
+        self.trailing = self.parts.path.endswith("/") and len(self.segments) > 0
+
+    def applicable(self) -> list[tuple[str, Sequence]]:
+        """(rule name, targets) of each Lexify rule that applies, in
+        ``LEXIFY_RULES`` order."""
+        out = []
+        for name, (targets_of, _) in _LEXIFY.items():
+            targets = targets_of(self)
+            if targets:
+                out.append((name, targets))
+        return out
+
+    def rebuild(self, path: str | None = None, query: str | None = None) -> str:
+        parts = self.parts
+        return urlunsplit(
+            (
+                parts.scheme,
+                parts.netloc,
+                parts.path if path is None else path,
+                parts.query if query is None else query,
+                parts.fragment,
+            )
+        )
+
+
+def _join(segments: list[str], trailing: bool) -> str:
+    path = "/" + "/".join(segments)
+    if trailing and segments:
+        path += "/"
+    return path
+
+
+def _pick(targets: Sequence, rng: np.random.Generator):
+    return targets[int(rng.integers(len(targets)))]
+
+
+def _shuffle_query(url: SplitUrl, pairs: list[str], rng: np.random.Generator) -> str:
+    order = list(rng.permutation(len(pairs)))
+    if order == sorted(order):
+        order = order[::-1]
+    return url.rebuild(query="&".join(pairs[i] for i in order))
+
+
+def _append_neutral(url: SplitUrl, neutral: Sequence[str], _rng) -> str:
+    return url.rebuild(query="&".join([*url.pairs, *neutral]))
+
+
+def _duplicate_pair(url: SplitUrl, pairs: Sequence[str], rng: np.random.Generator) -> str:
+    return url.rebuild(query="&".join([*url.pairs, _pick(pairs, rng)]))
+
+
+def _edit_segment(edit: Callable[[str, np.random.Generator], str]):
+    """Mutation that rewrites one drawn segment position with ``edit``."""
+
+    def mutate(url: SplitUrl, positions: Sequence[int], rng: np.random.Generator) -> str:
+        segments = list(url.segments)
+        pos = _pick(positions, rng)
+        segments[pos] = edit(segments[pos], rng)
+        return url.rebuild(path=_join(segments, url.trailing))
+
+    return mutate
+
+
+def _edit_value(edit: Callable[[str], str]):
+    """Mutation that rewrites the value of one drawn query pair with ``edit``."""
+
+    def mutate(url: SplitUrl, positions: Sequence[int], rng: np.random.Generator) -> str:
+        pairs = list(url.pairs)
+        pos = _pick(positions, rng)
+        key, _, value = pairs[pos].partition("=")
+        pairs[pos] = key + "=" + edit(value)
+        return url.rebuild(query="&".join(pairs))
+
+    return mutate
+
+
+def _set_trailing(trailing: bool):
+    def mutate(url: SplitUrl, _targets, _rng) -> str:
+        return url.rebuild(path=_join(url.segments, trailing))
+
+    return mutate
+
+
+def _inject_dot(segment: str, rng: np.random.Generator) -> str:
+    cut = 1 + int(rng.integers(len(segment) - 1))
+    return segment[:cut] + "." + segment[cut:]
+
+
+def _spaced_values(url: SplitUrl) -> list[int]:
+    return [i for i, p in enumerate(url.pairs) if " " in p.split("=", 1)[-1]]
+
+
+# Each Lexify rule as (targets, mutate).  ``targets(url)`` is the rule's one
+# applicability condition: the query pairs or segment positions it may change,
+# or the one pair or slash it adds or removes; empty when the rule does not
+# apply.  ``mutate(url, targets, rng)`` returns the new URL and makes the
+# rule's own draws from ``rng``.
+_LEXIFY: dict[str, tuple[Callable[[SplitUrl], Sequence], Callable[..., str]]] = {
+    "Query Order Shuffle": (lambda u: u.pairs if len(u.pairs) >= 2 else (), _shuffle_query),
+    "Neutral Query Parameter": (lambda u: ("tmp=0",), _append_neutral),
+    "Duplicate Query Key": (lambda u: u.pairs, _duplicate_pair),
+    "Underscore Injection": (
+        lambda u: [i for i, s in enumerate(u.segments) if len(s) >= 3],
+        _edit_segment(lambda s, rng: s + "_"),
+    ),
+    "Hyphen Duplication": (
+        lambda u: [i for i, s in enumerate(u.segments) if "-" in s],
+        _edit_segment(lambda s, rng: s.replace("-", "--", 1)),
+    ),
+    "Dot Injection": (
+        lambda u: [i for i, s in enumerate(u.segments) if len(s) >= 4 and "." not in s],
+        _edit_segment(_inject_dot),
+    ),
+    # doubles the slash that precedes the drawn segment
+    "Repeated Slash": (lambda u: range(len(u.segments)), _edit_segment(lambda s, rng: "/" + s)),
+    "Trailing Slash Addition": (
+        lambda u: ("/",) if u.segments and not u.trailing else (),
+        _set_trailing(True),
+    ),
+    "Trailing Slash Removal": (lambda u: ("/",) if u.trailing else (), _set_trailing(False)),
+    "Uppercase Token": (
+        lambda u: [i for i, s in enumerate(u.segments) if s != s.upper()],
+        _edit_segment(lambda s, rng: s.upper()),
+    ),
+    "Lowercase Token": (
+        lambda u: [i for i, s in enumerate(u.segments) if s != s.lower()],
+        _edit_segment(lambda s, rng: s.lower()),
+    ),
+    "Space Encoding": (_spaced_values, _edit_value(lambda v: v.replace(" ", "%20"))),
+    "Plus Encoding": (_spaced_values, _edit_value(lambda v: v.replace(" ", "+"))),
+    # str.isalnum is False for an empty value, and for a pair with no "="
+    "Hex Encoding": (
+        lambda u: [i for i, p in enumerate(u.pairs) if p.partition("=")[2].isalnum()],
+        _edit_value(lambda v: "".join(f"%{ord(c):02x}" for c in v)),
+    ),
+}
+
+LEXIFY_RULES = tuple(_LEXIFY)
 
 INTERFERE_CATEGORIES = (
     "Static Asset Request",
@@ -67,40 +202,19 @@ RULE_REGISTRY = tuple(
 )
 
 
-def _split(url: str):
-    parts = urlsplit(url)
-    return parts
-
-
-def _rebuild(parts, path=None, query=None) -> str:
-    return urlunsplit(
-        (
-            parts.scheme,
-            parts.netloc,
-            parts.path if path is None else path,
-            parts.query if query is None else query,
-            parts.fragment,
-        )
+def _record(record: HttpRecord, rid: int, url: str) -> HttpRecord:
+    """``record`` with the given id and URL, every other field shared."""
+    return HttpRecord(
+        rid,
+        record.method,
+        url,
+        record.headers,
+        record.content_type,
+        record.body_size,
+        record.body_field_count,
+        record.body_nesting_depth,
+        record.label,
     )
-
-
-def _query_pairs(query: str) -> list[str]:
-    return [p for p in query.split("&") if p] if query else []
-
-
-def _segments(path: str) -> list[str]:
-    return [s for s in path.split("/") if s]
-
-
-def _join(segments: list[str], trailing: bool) -> str:
-    path = "/" + "/".join(segments)
-    if trailing and segments:
-        path += "/"
-    return path
-
-
-def _mutable_positions(segments: list[str], min_len: int = 3) -> list[int]:
-    return [i for i, s in enumerate(segments) if len(s) >= min_len]
 
 
 def lexify(record: HttpRecord, rule: NoiseRule, rng: np.random.Generator) -> tuple[HttpRecord, bool]:
@@ -111,119 +225,12 @@ def lexify(record: HttpRecord, rule: NoiseRule, rng: np.random.Generator) -> tup
     """
     if rule.kind != LEXIFY:
         raise ValueError("lexify requires a Lexify rule")
-    parts = _split(record.url)
-    pairs = _query_pairs(parts.query)
-    segments = _segments(parts.path)
-    trailing = parts.path.endswith("/") and len(segments) > 0
-    name = rule.name
-
-    if name == "Query Order Shuffle":
-        if len(pairs) < 2:
-            return record, False
-        order = list(rng.permutation(len(pairs)))
-        if order == sorted(order):
-            order = order[::-1]
-        new_query = "&".join(pairs[i] for i in order)
-        return replace(record, url=_rebuild(parts, query=new_query)), True
-
-    if name == "Neutral Query Parameter":
-        new_query = "&".join(pairs + ["tmp=0"])
-        return replace(record, url=_rebuild(parts, query=new_query)), True
-
-    if name == "Duplicate Query Key":
-        if not pairs:
-            return record, False
-        pick = pairs[int(rng.integers(len(pairs)))]
-        return replace(record, url=_rebuild(parts, query="&".join(pairs + [pick]))), True
-
-    if name == "Underscore Injection":
-        positions = _mutable_positions(segments)
-        if not positions:
-            return record, False
-        pos = positions[int(rng.integers(len(positions)))]
-        segments[pos] = segments[pos] + "_"
-        return replace(record, url=_rebuild(parts, path=_join(segments, trailing))), True
-
-    if name == "Hyphen Duplication":
-        positions = [i for i, s in enumerate(segments) if "-" in s]
-        if not positions:
-            return record, False
-        pos = positions[int(rng.integers(len(positions)))]
-        segments[pos] = segments[pos].replace("-", "--", 1)
-        return replace(record, url=_rebuild(parts, path=_join(segments, trailing))), True
-
-    if name == "Dot Injection":
-        positions = [i for i, s in enumerate(segments) if len(s) >= 4 and "." not in s]
-        if not positions:
-            return record, False
-        pos = positions[int(rng.integers(len(positions)))]
-        seg = segments[pos]
-        cut = 1 + int(rng.integers(len(seg) - 1))
-        segments[pos] = seg[:cut] + "." + seg[cut:]
-        return replace(record, url=_rebuild(parts, path=_join(segments, trailing))), True
-
-    if name == "Repeated Slash":
-        if not segments:
-            return record, False
-        pos = int(rng.integers(len(segments)))
-        path = _join(segments, trailing)
-        # double the slash that precedes the chosen segment
-        idx = 0
-        for _ in range(pos + 1):
-            idx = path.index("/", idx) + 1
-        path = path[: idx - 1] + "/" + path[idx - 1 :]
-        return replace(record, url=_rebuild(parts, path=path)), True
-
-    if name == "Trailing Slash Addition":
-        if trailing or not segments:
-            return record, False
-        return replace(record, url=_rebuild(parts, path=_join(segments, True))), True
-
-    if name == "Trailing Slash Removal":
-        if not trailing:
-            return record, False
-        return replace(record, url=_rebuild(parts, path=_join(segments, False))), True
-
-    if name == "Uppercase Token":
-        positions = [i for i, s in enumerate(segments) if s != s.upper()]
-        if not positions:
-            return record, False
-        pos = positions[int(rng.integers(len(positions)))]
-        segments[pos] = segments[pos].upper()
-        return replace(record, url=_rebuild(parts, path=_join(segments, trailing))), True
-
-    if name == "Lowercase Token":
-        positions = [i for i, s in enumerate(segments) if s != s.lower()]
-        if not positions:
-            return record, False
-        pos = positions[int(rng.integers(len(positions)))]
-        segments[pos] = segments[pos].lower()
-        return replace(record, url=_rebuild(parts, path=_join(segments, trailing))), True
-
-    if name in ("Space Encoding", "Plus Encoding"):
-        target = [i for i, p in enumerate(pairs) if " " in p.split("=", 1)[-1]]
-        if not target:
-            return record, False
-        pos = target[int(rng.integers(len(target)))]
-        key, _, value = pairs[pos].partition("=")
-        repl = "%20" if name == "Space Encoding" else "+"
-        pairs[pos] = key + "=" + value.replace(" ", repl)
-        return replace(record, url=_rebuild(parts, query="&".join(pairs))), True
-
-    if name == "Hex Encoding":
-        target = [
-            i
-            for i, p in enumerate(pairs)
-            if "=" in p and p.split("=", 1)[1] and all(c.isalnum() for c in p.split("=", 1)[1])
-        ]
-        if not target:
-            return record, False
-        pos = target[int(rng.integers(len(target)))]
-        key, _, value = pairs[pos].partition("=")
-        pairs[pos] = key + "=" + "".join(f"%{ord(c):02x}" for c in value)
-        return replace(record, url=_rebuild(parts, query="&".join(pairs))), True
-
-    raise AssertionError(f"unhandled rule {name}")
+    url = SplitUrl(record.url)
+    targets_of, mutate = _LEXIFY[rule.name]
+    targets = targets_of(url)
+    if not targets:
+        return record, False
+    return _record(record, record.id, mutate(url, targets, rng)), True
 
 
 _ASSET_STEMS = ("app", "main", "vendor", "bundle", "chunk", "logo", "banner", "icon", "hero", "intro")
@@ -251,34 +258,42 @@ _INTERFERE_FAMILIES: dict[str, list[tuple[str, str, str | None]]] = {
 }
 
 
-def interfere_sample(category: NoiseRule, rng: np.random.Generator, record_id: int = 0) -> HttpRecord:
-    """Draw one fresh, unlabeled interference record from a category family."""
-    if category.kind != INTERFERE:
-        raise ValueError("interfere_sample requires an Interfere category")
-    method, path, content_type = _INTERFERE_FAMILIES[category.name][
-        int(rng.integers(2))
-    ]
+def _draw_interference(category: str, rng: np.random.Generator) -> tuple[str, str, str | None]:
+    """(method, url, content type) of one request drawn from a category family."""
+    method, path, content_type = _INTERFERE_FAMILIES[category][int(rng.integers(2))]
     if "{stem}" in path:
         stem = _ASSET_STEMS[int(rng.integers(len(_ASSET_STEMS)))]
         path = path.replace("{stem}", stem)
+    return method, path, content_type
+
+
+def _interference_record(record_id: int, method: str, url: str, content_type: str | None) -> HttpRecord:
     return HttpRecord(
         id=record_id,
         method=method,
-        url=path,
+        url=url,
         headers=[("Content-Type", content_type)] if content_type else [],
         content_type=content_type,
         body_size=0,
     )
 
 
+def interfere_sample(category: NoiseRule, rng: np.random.Generator, record_id: int = 0) -> HttpRecord:
+    """Draw one fresh, unlabeled interference record from a category family."""
+    if category.kind != INTERFERE:
+        raise ValueError("interfere_sample requires an Interfere category")
+    return _interference_record(record_id, *_draw_interference(category.name, rng))
+
+
 def _renumber(records: list[HttpRecord]) -> tuple[list[HttpRecord], dict[int, str]]:
     out = []
     truth = {}
     for new_id, record in enumerate(records):
-        rec = replace(record, id=new_id)
-        out.append(rec)
-        if rec.label is not None:
-            truth[new_id] = rec.label
+        if record.id != new_id:
+            record = _record(record, new_id, record.url)
+        out.append(record)
+        if record.label is not None:
+            truth[new_id] = record.label
     return out, truth
 
 
@@ -298,42 +313,34 @@ def inject(dataset: Dataset, kind: str, ratio: float, seed: int) -> Dataset:
         return dataset
 
     if kind == LEXIFY:
-        chosen = sorted(rng.choice(n, size=count, replace=False).tolist())
-        by_index = {idx: True for idx in chosen}
-        rules = [NoiseRule(name, LEXIFY) for name in LEXIFY_RULES]
-        # whether a rule applies never depends on the generator, so one probe
-        # generator serves every applicability check
-        probe = np.random.default_rng(0)
-        new_records = []
-        for idx, record in enumerate(dataset.records):
-            if idx not in by_index:
-                new_records.append(record)
-                continue
-            applicable = [rule for rule in rules if lexify(record, rule, probe)[1]]
-            if not applicable:
-                new_records.append(record)
-                continue
-            rule = applicable[int(rng.integers(len(applicable)))]
-            mutated, _ = lexify(record, rule, rng)
-            new_records.append(mutated)
-        records, truth = _renumber(new_records)
+        records = list(dataset.records)
+        for idx in sorted(rng.choice(n, size=count, replace=False).tolist()):
+            record = records[idx]
+            # one split answers which rules apply and feeds the drawn rule
+            url = SplitUrl(record.url)
+            applicable = url.applicable()
+            if applicable:
+                name, targets = _pick(applicable, rng)
+                records[idx] = _record(record, record.id, _LEXIFY[name][1](url, targets, rng))
+        records, truth = _renumber(records)
         return Dataset(records=records, source=dataset.source + f"+lexify{ratio:g}", ground_truth=truth)
 
     if kind == INTERFERE:
-        extras = []
-        for _ in range(count):
-            category = NoiseRule(INTERFERE_CATEGORIES[int(rng.integers(len(INTERFERE_CATEGORIES)))], INTERFERE)
-            extras.append(interfere_sample(category, rng))
+        drawn = [
+            _draw_interference(INTERFERE_CATEGORIES[int(rng.integers(len(INTERFERE_CATEGORIES)))], rng)
+            for _ in range(count)
+        ]
         positions = sorted(rng.integers(0, n + 1, size=count).tolist())
+        # each extra is built once, at the id it keeps: the j-th goes before
+        # the record at positions[j], or after the last record
         merged: list[HttpRecord] = []
-        extra_iter = iter(range(count))
-        pos_idx = 0
-        for idx, record in enumerate(dataset.records):
-            while pos_idx < count and positions[pos_idx] == idx:
-                merged.append(extras[pos_idx])
-                pos_idx += 1
-            merged.append(record)
-        merged.extend(extras[pos_idx:])
+        j = 0
+        for idx in range(n + 1):
+            while j < count and positions[j] == idx:
+                merged.append(_interference_record(len(merged), *drawn[j]))
+                j += 1
+            if idx < n:
+                merged.append(dataset.records[idx])
         records, truth = _renumber(merged)
         return Dataset(records=records, source=dataset.source + f"+interfere{ratio:g}", ground_truth=truth)
 

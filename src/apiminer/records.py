@@ -15,20 +15,6 @@ STRUCTURED_CONTENT_PREFIXES = (
     "text/json",
 )
 
-# Canonical JSONL field order for write_dataset / round-trip stability.
-_FIELD_ORDER = (
-    "id",
-    "method",
-    "url",
-    "headers",
-    "content_type",
-    "body_size",
-    "body_field_count",
-    "body_nesting_depth",
-    "label",
-)
-
-
 class IngestError(ValueError):
     """Raised for malformed capture input."""
 
@@ -37,6 +23,15 @@ class IngestError(ValueError):
 # a float, and no float holds an integer much past 10**308.
 _COUNT_MIN = -(2**63)
 _COUNT_MAX = 2**63 - 1
+_COUNT_FIELDS = ("body_size", "body_field_count", "body_nesting_depth")
+
+
+def _count_out_of_range(*counts) -> str:
+    """The first of ``_COUNT_FIELDS`` whose value in ``counts`` does not fit."""
+    for name, value in zip(_COUNT_FIELDS, counts):
+        if value is not None and not _COUNT_MIN <= value <= _COUNT_MAX:
+            return name
+    raise AssertionError("every count fits")
 
 
 @dataclass
@@ -53,6 +48,16 @@ class HttpRecord:
 
     def __post_init__(self):
         self.method = self.method.upper()
+        size, fields, depth = self.body_size, self.body_field_count, self.body_nesting_depth
+        if not (
+            _COUNT_MIN <= size <= _COUNT_MAX
+            and (fields is None or _COUNT_MIN <= fields <= _COUNT_MAX)
+            and (depth is None or _COUNT_MIN <= depth <= _COUNT_MAX)
+        ):
+            name = _count_out_of_range(size, fields, depth)
+            raise IngestError(
+                f"record {self.id}: {name} must be a 64-bit integer, got {getattr(self, name)!r}"
+            )
         if self.body_size < 0:
             self.body_size = 0
         if self.body_size == 0:
@@ -180,9 +185,6 @@ def parse_har(data: bytes) -> Dataset:
             body_size = int(request.get("bodySize") or 0)
         except (TypeError, ValueError, OverflowError):
             raise _har_error(index, "bodySize", "an integer", request["bodySize"]) from None
-        if not _COUNT_MIN <= body_size <= _COUNT_MAX:
-            raise _har_error(index, "bodySize", "a 64-bit integer", request["bodySize"])
-        body_size = max(0, body_size)
         field_count = None
         nesting = None
         post_data = request.get("postData")
@@ -191,17 +193,20 @@ def parse_har(data: bytes) -> Dataset:
                 raise _har_error(index, "postData", "an object", post_data)
             if content_type.lower().startswith(STRUCTURED_CONTENT_PREFIXES[0]):
                 field_count, nesting = _json_structure(post_data.get("text", ""))
-        rid = len(records)
-        record = HttpRecord(
-            id=rid,
-            method=method,
-            url=url,
-            headers=headers,
-            content_type=content_type,
-            body_size=body_size,
-            body_field_count=field_count,
-            body_nesting_depth=nesting,
-        )
+        try:
+            record = HttpRecord(
+                id=len(records),
+                method=method,
+                url=url,
+                headers=headers,
+                content_type=content_type,
+                body_size=body_size,
+                body_field_count=field_count,
+                body_nesting_depth=nesting,
+            )
+        except IngestError:
+            # the counts of a JSON body fit; only the declared size may not
+            raise _har_error(index, "bodySize", "a 64-bit integer", request["bodySize"]) from None
         records.append(record)
     return Dataset(records=records, source="har", ground_truth=ground_truth, skipped=skipped)
 
@@ -216,17 +221,31 @@ def _field_error(lineno: int, name: str, expected: str, value) -> IngestError:
 
 
 def _as_int(lineno: int, name: str, value) -> int | None:
-    """A JSONL count field that is not a plain 64-bit int: None, a convertible
-    value, or an error."""
+    """A JSONL count field that is not a plain int: None, a convertible value,
+    or an error.  ``HttpRecord`` checks that the number fits."""
     if value is None:
         return None
     try:
-        number = int(value)
+        return int(value)
     except (TypeError, ValueError, OverflowError):
         raise _field_error(lineno, name, "an integer", value) from None
-    if not _COUNT_MIN <= number <= _COUNT_MAX:
-        raise _field_error(lineno, name, "a 64-bit integer", value)
-    return number
+
+
+# The scanner json.loads runs once it has stripped the line and checked for a
+# BOM; a line it reads whole is decoded to the same object.
+_SCAN = json.scanner.make_scanner(json.decoder.JSONDecoder())
+
+
+def _loads(line: str):
+    """``json.loads(line)``, with its exceptions, through the scanner directly."""
+    try:
+        obj, end = _SCAN(line, 0)
+        if end == len(line):
+            return obj
+    except (StopIteration, ValueError, RecursionError):
+        pass
+    # padding, a BOM, trailing data or an error: json.loads says which
+    return json.loads(line)
 
 
 def parse_jsonl(text: str) -> Dataset:
@@ -237,7 +256,7 @@ def parse_jsonl(text: str) -> Dataset:
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
+            obj = _loads(line)
         except json.JSONDecodeError as exc:
             raise IngestError(f"malformed JSONL object at line {lineno}: {exc.msg}") from exc
         except ValueError as exc:
@@ -268,17 +287,17 @@ def parse_jsonl(text: str) -> Dataset:
         if label is not None and type(label) is not str:
             raise _field_error(lineno, "label", "a string", label)
         body_size = obj.get("body_size")
-        if type(body_size) is not int or not _COUNT_MIN <= body_size <= _COUNT_MAX:
+        if type(body_size) is not int:
             body_size = _as_int(lineno, "body_size", body_size) or 0
         field_count = obj.get("body_field_count")
-        if type(field_count) is not int or not _COUNT_MIN <= field_count <= _COUNT_MAX:
+        if type(field_count) is not int and field_count is not None:
             field_count = _as_int(lineno, "body_field_count", field_count)
         nesting = obj.get("body_nesting_depth")
-        if type(nesting) is not int or not _COUNT_MIN <= nesting <= _COUNT_MAX:
+        if type(nesting) is not int and nesting is not None:
             nesting = _as_int(lineno, "body_nesting_depth", nesting)
         rid = len(records)
-        records.append(
-            HttpRecord(
+        try:
+            record = HttpRecord(
                 rid,
                 method,
                 url,
@@ -289,30 +308,40 @@ def parse_jsonl(text: str) -> Dataset:
                 nesting,
                 label,
             )
-        )
+        except IngestError:
+            name = _count_out_of_range(body_size, field_count, nesting)
+            raise _field_error(lineno, name, "a 64-bit integer", obj[name]) from None
+        records.append(record)
         if label is not None:
             ground_truth[rid] = label
     return Dataset(records=records, source="jsonl", ground_truth=ground_truth)
 
 
+_ENCODE_LINE = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def write_dataset(dataset: Dataset) -> str:
-    """Emit the canonical JSONL form; parse_jsonl(write_dataset(d)) == d."""
+    """Emit the canonical JSONL form; parse_jsonl(write_dataset(d)) == d.
+
+    Fields go in a fixed order; id, method, url, headers and body_size are
+    always written, the other fields only when they are not None.
+    """
     lines = []
     for record in dataset.records:
-        obj = {
+        out = {
             "id": record.id,
             "method": record.method,
             "url": record.url,
             "headers": [list(h) for h in record.headers],
-            "content_type": record.content_type,
-            "body_size": record.body_size,
-            "body_field_count": record.body_field_count,
-            "body_nesting_depth": record.body_nesting_depth,
-            "label": record.label,
         }
-        out = {k: obj[k] for k in _FIELD_ORDER if obj[k] is not None or k in ("id", "method", "url")}
-        # headers/body_size always emitted for stability
-        out.setdefault("headers", [])
-        out.setdefault("body_size", 0)
-        lines.append(json.dumps(out, separators=(",", ":"), sort_keys=False))
+        if record.content_type is not None:
+            out["content_type"] = record.content_type
+        out["body_size"] = record.body_size
+        if record.body_field_count is not None:
+            out["body_field_count"] = record.body_field_count
+        if record.body_nesting_depth is not None:
+            out["body_nesting_depth"] = record.body_nesting_depth
+        if record.label is not None:
+            out["label"] = record.label
+        lines.append(_ENCODE_LINE(out))
     return "\n".join(lines) + ("\n" if lines else "")

@@ -1,5 +1,7 @@
 """Noise lab: perturbation rules, interference families, dataset injection."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -12,10 +14,12 @@ from apiminer.noise import (
     RULE_REGISTRY,
     TOKEN_MUTATION_RULES,
     NoiseRule,
+    SplitUrl,
     inject,
     interfere_sample,
     lexify,
 )
+from apiminer.corpus import CorpusSpec, synth_corpus
 from apiminer.records import Dataset, HttpRecord, write_dataset
 
 
@@ -192,8 +196,33 @@ class TestApplicability:
         a, b = (lexify(record, rule(name), rng(seed))[1] for seed in seeds)
         assert a == b
 
+    @given(url=st.lists(URL_PIECES, max_size=12).map("".join), seed=st.integers(0, 2**32))
+    def test_applicable_rules_are_the_rules_lexify_applies(self, url, seed):
+        # inject draws from SplitUrl.applicable(); lexify reads the same targets
+        record = rec(url=url)
+        applied = [name for name in LEXIFY_RULES if lexify(record, rule(name), rng(seed))[1]]
+        assert [name for name, _ in SplitUrl(url).applicable()] == applied
+
+
+# sha256 of write_dataset(inject(synth_corpus(CorpusSpec(20, 50, seed=42)), ...)):
+# any change to the noise lab's draws, mutations or JSONL form moves these
+PINNED_CAPTURES = {
+    (LEXIFY, 0.05, 3): "302866a3294261ff3673232c19229b48d98cd0c967f3a19cb88a9ac87fe8eb8d",
+    (LEXIFY, 0.5, 1): "ed06a37cb9a77aeeb51fdf737e6c7d4edeb69049e4f70ba12cc645ea2d1876b2",
+    (LEXIFY, 0.95, 2): "ec7901218a9959a868b8b231146d4c1a1cf11aa635532f50912cc9d2526baaa2",
+    (INTERFERE, 0.25, 2): "b25703cecf3ee256969a3ee4d1b84fed5dffb6c94f3720b561d40aa2c8bf38fe",
+    (INTERFERE, 0.95, 1): "0e3d1ad7fb888a2ee37ac0128bdac42fcd062f18a5ea82275cd9c50c21fa3928",
+}
+
 
 class TestInject:
+    @pytest.mark.parametrize("cell", sorted(PINNED_CAPTURES))
+    def test_generated_captures_are_pinned(self, cell):
+        kind, ratio, seed = cell
+        noisy = inject(synth_corpus(CorpusSpec(20, 50, seed=42)), kind, ratio, seed)
+        digest = hashlib.sha256(write_dataset(noisy).encode()).hexdigest()
+        assert digest == PINNED_CAPTURES[cell]
+
     def test_ratio_zero_is_byte_identical(self):
         ds = small_dataset()
         out = inject(ds, LEXIFY, 0.0, seed=3)

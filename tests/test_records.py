@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from apiminer.records import (
     Dataset,
@@ -196,6 +197,25 @@ class TestParseJsonl:
         with pytest.raises(IngestError, match="line 2: nested too deeply"):
             parse_jsonl('{"method": "GET", "url": "/x"}\n' + "[" * 100_000)
 
+    @given(line=st.lists(st.sampled_from([
+        '{"method": "GET", "url": "/x"}', "{", "}", "[", "]", '"', ",", ":", " ", "\t",
+        "\ufeff", "1", "-", "e5", "1" * 5000, "NaN", "null", "true", '"a"', '{"k":', "\\u00e9",
+    ]), max_size=6).map("".join))
+    def test_every_line_reads_as_json_loads_reads_it(self, line):
+        # the direct scanner call falls back to json.loads for anything it
+        # does not read whole, so objects and error messages are json.loads's
+        from apiminer.records import _loads
+
+        try:
+            expected = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            with pytest.raises(type(exc)) as got:
+                _loads(line)
+            assert str(got.value) == str(exc)
+        else:
+            # repr: NaN is not equal to itself, and key order counts
+            assert repr(_loads(line)) == repr(expected)
+
 
 class TestRecordInvariants:
     def test_method_uppercased(self):
@@ -220,6 +240,13 @@ class TestRecordInvariants:
         r = HttpRecord(id=0, method="GET", url="/x")
         with pytest.raises(IngestError, match="duplicate"):
             Dataset(records=[r, HttpRecord(id=0, method="GET", url="/y")])
+
+    @pytest.mark.parametrize("field", ["body_size", "body_field_count", "body_nesting_depth"])
+    def test_counts_fit_64_bits(self, field):
+        HttpRecord(id=0, method="GET", url="/x", **{"body_size": 1, field: 2**63 - 1})
+        for value in (2**63, -(2**63) - 1, 10**400):
+            with pytest.raises(IngestError, match=f"record 7: {field} must be a 64-bit integer"):
+                HttpRecord(id=7, method="GET", url="/x", **{"body_size": 1, field: value})
 
     def test_ground_truth_must_reference_known_ids(self):
         r = HttpRecord(id=0, method="GET", url="/x")

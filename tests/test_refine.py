@@ -1,11 +1,12 @@
 """Second-stage refinement: spectral embedding, k-means, the k-means ablation."""
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from apiminer.features import SimilarityGraph, build_graph, extract_features, scale_features, select_k
 from apiminer.normalize import normalize
-from apiminer.records import HttpRecord
+from apiminer.records import HttpRecord, IngestError
 from apiminer.refine import (
     GRAPH_REFINED,
     KMEANS_ABLATION,
@@ -334,6 +335,16 @@ class TestDiscover:
 
     def test_empty_dataset(self):
         assert discover(Dataset()) == []
+
+    def test_count_no_float_holds_is_rejected(self):
+        # each count becomes a float feature, and no float holds 10**400
+        with pytest.raises(IngestError, match="record 0: body_field_count must be a 64-bit integer"):
+            discover(Dataset(records=[
+                HttpRecord(id=i, method="GET", url=f"/api/v1/items/{i}",
+                           content_type="application/json", body_size=10,
+                           body_field_count=10**400, body_nesting_depth=1)
+                for i in range(4)
+            ]))
 
     def test_disable_template_mining_single_degenerate_group(self):
         records = [
