@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .records import Dataset, IngestError, parse_har, parse_jsonl, write_dataset
 from .normalize import canonical_path
-from .denoise import FilterConfig
+from .denoise import DEFAULT_TAU
 from .refine import PASSTHROUGH, EndpointCluster, RefinerConfig, discover, prepare_traffic
 from .corpus import CorpusSpec, synth_corpus
 from .noise import INTERFERE, LEXIFY, inject
@@ -87,24 +87,12 @@ def _load_config_file(path: str | None) -> dict:
     return doc
 
 
-def _setting(args: argparse.Namespace, file_config: dict, name: str, default):
-    """Precedence: built-in default < config file < explicit flag."""
-    flag = getattr(args, name, None)
-    if flag is not None:
-        return flag
-    if name in file_config:
-        return file_config[name]
-    return default
-
-
-def _pipeline_configs(args, file_config) -> tuple[FilterConfig, RefinerConfig]:
-    filter_config = FilterConfig(tau=_setting(args, file_config, "tau", FilterConfig.tau))
-    refiner_config = RefinerConfig(
-        theta=_setting(args, file_config, "theta", RefinerConfig.theta),
-        force_kmeans=_setting(args, file_config, "force_kmeans", RefinerConfig.force_kmeans),
-        global_seed=_setting(args, file_config, "seed", RefinerConfig.global_seed),
-    )
-    return filter_config, refiner_config
+def _pipeline_settings(args: argparse.Namespace) -> tuple[float, RefinerConfig]:
+    """The gate threshold and refiner settings, each flag ``main`` left unset
+    at its built-in default."""
+    tau = DEFAULT_TAU if args.tau is None else args.tau
+    given = {"theta": args.theta, "force_kmeans": args.force_kmeans, "global_seed": args.seed}
+    return tau, RefinerConfig(**{name: value for name, value in given.items() if value is not None})
 
 
 def _cluster_document(clusters: list[EndpointCluster]) -> str:
@@ -170,7 +158,7 @@ def _load_clusters(path: str) -> list[EndpointCluster]:
     return clusters
 
 
-def cmd_ingest(args, file_config) -> int:
+def cmd_ingest(args) -> int:
     dataset = _read_dataset(args.input, args.format)
     if dataset.skipped:
         print(f"warning: skipped {dataset.skipped} entries without a request URL", file=sys.stderr)
@@ -178,10 +166,10 @@ def cmd_ingest(args, file_config) -> int:
     return 0
 
 
-def cmd_discover(args, file_config) -> int:
+def cmd_discover(args) -> int:
     dataset = _read_dataset(args.input, args.format)
-    filter_config, refiner_config = _pipeline_configs(args, file_config)
-    traffic = prepare_traffic(dataset, filter_config, args.disable_nf)
+    tau, refiner_config = _pipeline_settings(args)
+    traffic = prepare_traffic(dataset, tau, args.disable_nf)
     if args.emit_dropped:
         lines = [f"{rid}\t{reason}" for rid, reason in traffic.dropped]
         _write_text(args.emit_dropped, "\n".join(lines) + ("\n" if lines else ""))
@@ -196,20 +184,16 @@ def cmd_discover(args, file_config) -> int:
     # free the normalized requests before the cluster document is encoded
     del traffic
     if args.dump_templates:
-        seen = []
-        for c in clusters:
-            key = (c.method, c.template.render())
-            if key not in seen:
-                seen.append(key)
-        _write_text(
-            args.dump_templates,
-            "".join(f"{m}\t{t}\n" for m, t in seen),
-        )
+        templates = dict.fromkeys((c.method, c.template.render()) for c in clusters)
+        _write_text(args.dump_templates, "".join(f"{m}\t{t}\n" for m, t in templates))
     _write_text(args.out, _cluster_document(clusters))
     return 0
 
 
-def cmd_noise(args, file_config) -> int:
+def cmd_noise(args) -> int:
+    if not 0.0 <= args.ratio <= 1.0:
+        raise IngestError(f"noise --ratio must lie in [0, 1], got {args.ratio!r}")
+    _check_seed("noise --seed", args.seed)
     dataset = _read_dataset(args.input, args.format)
     kind = {"lexify": LEXIFY, "interfere": INTERFERE}[args.kind]
     noisy = inject(dataset, kind, args.ratio, args.seed if args.seed is not None else 0)
@@ -217,7 +201,7 @@ def cmd_noise(args, file_config) -> int:
     return 0
 
 
-def cmd_evaluate(args, file_config) -> int:
+def cmd_evaluate(args) -> int:
     dataset = _read_dataset(args.input, args.format)
     if not dataset.ground_truth:
         raise NoLabeledDataError(
@@ -246,18 +230,27 @@ def _parse_list(flag: str, text: str, kind) -> list:
         ) from None
 
 
-def cmd_bench(args, file_config) -> int:
+def _check_seed(flag: str, seed: int | None) -> None:
+    # numpy seeds its generators from non-negative integers only
+    if seed is not None and seed < 0:
+        raise IngestError(f"{flag} must be a non-negative integer, got {seed}")
+
+
+def cmd_bench(args) -> int:
     ratios = _parse_list("--ratios", args.ratios, float)
     if not all(0.0 <= r <= 1.0 for r in ratios):
         raise IngestError(f"bench --ratios must lie in [0, 1], got {args.ratios!r}")
     seeds = _parse_list("--seeds", args.seeds, int)
+    if not all(s >= 0 for s in seeds):
+        raise IngestError(f"bench --seeds must be non-negative integers, got {args.seeds!r}")
+    _check_seed("bench --seed", args.seed)
+    # CorpusSpec checks the counts, synth_corpus the vocabulary budget
     try:
-        spec = CorpusSpec(
+        dataset = synth_corpus(CorpusSpec(
             endpoint_count=args.endpoints,
             requests_per_endpoint=args.requests,
             seed=args.seed if args.seed is not None else 42,
-        )
-        dataset = synth_corpus(spec)
+        ))
     except ValueError as exc:
         raise IngestError(
             f"bench --endpoints {args.endpoints} --requests {args.requests}: {exc}"
@@ -265,16 +258,16 @@ def cmd_bench(args, file_config) -> int:
     kinds = [LEXIFY, INTERFERE] if args.kind == "both" else [
         {"lexify": LEXIFY, "interfere": INTERFERE}[args.kind]
     ]
-    filter_config, refiner_config = _pipeline_configs(args, file_config)
+    tau, refiner_config = _pipeline_settings(args)
     rows = []
     for kind in sorted(kinds):
         for ratio in sorted(ratios):
             for noise_seed in sorted(seeds):
                 noisy = inject(dataset, kind, ratio, noise_seed)
                 clusters = discover(
-                    noisy,
-                    filter_config=filter_config,
-                    refiner_config=refiner_config,
+                    prepare_traffic(noisy, tau, args.disable_nf),
+                    refiner_config,
+                    disable_template_mining=args.disable_templates,
                 )
                 rep = report(clusters, noisy.ground_truth)
                 rows.append(
@@ -367,7 +360,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         file_config = _load_config_file(args.config)
-        return args.func(args, file_config)
+        # the config file gives the pipeline flags of discover and bench their
+        # defaults; noise and evaluate read their --seed from the flag alone
+        if args.command in ("discover", "bench"):
+            for name, value in file_config.items():
+                if getattr(args, name) is None:
+                    setattr(args, name, value)
+        return args.func(args)
     except (IngestError, NoLabeledDataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

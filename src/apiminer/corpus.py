@@ -23,6 +23,8 @@ _TAIL_WORDS = ("status", "history", "details", "summary", "comments", "ratings")
 
 _METHOD_MIX = ("GET", "POST", "GET", "PUT", "DELETE")
 _ID_STYLES = ("int", "uuid", "hex")
+# path depths the non-twin endpoints cycle through
+_DEPTHS = (3, 4, 5)
 _QUERY_PROFILES = ((), ("page", "limit"), ("sort",), ("page",))
 
 # Endpoints come in pairs every TWIN_STRIDE indices: the pair shares one path
@@ -36,19 +38,11 @@ TWIN_STRIDE = 20
 class CorpusSpec:
     endpoint_count: int = 20
     requests_per_endpoint: int = 50
-    id_styles: tuple[str, ...] = _ID_STYLES
-    method_mix: tuple[str, ...] = _METHOD_MIX
-    depth_range: tuple[int, int] = (3, 5)
     seed: int = 42
 
     def __post_init__(self):
         if self.endpoint_count < 1 or self.requests_per_endpoint < 1:
             raise ValueError("all counts must be >= 1")
-        if not self.id_styles or not self.method_mix:
-            raise ValueError("id_styles and method_mix must be non-empty")
-        lo, hi = self.depth_range
-        if not (1 <= lo <= hi):
-            raise ValueError("invalid depth_range")
 
 
 def _word(index: int) -> str:
@@ -87,7 +81,6 @@ class _EndpointPlan:
 
 
 def _plan_endpoints(spec: CorpusSpec) -> list[_EndpointPlan]:
-    lo, hi = spec.depth_range
     plans: list[_EndpointPlan] = []
     for i in range(spec.endpoint_count):
         label = f"EP_{i:02d}"
@@ -105,7 +98,7 @@ def _plan_endpoints(spec: CorpusSpec) -> list[_EndpointPlan]:
                         prefix=prefix,
                         has_id=True,
                         tail=None,
-                        id_style=spec.id_styles[i % len(spec.id_styles)],
+                        id_style=_ID_STYLES[i % len(_ID_STYLES)],
                         query_keys=("cursor",),
                         body_profiles=((0, 0, 0),),
                     )
@@ -118,20 +111,19 @@ def _plan_endpoints(spec: CorpusSpec) -> list[_EndpointPlan]:
                         prefix=prefix,
                         has_id=True,
                         tail=None,
-                        id_style=spec.id_styles[(i - 1) % len(spec.id_styles)],
+                        id_style=_ID_STYLES[(i - 1) % len(_ID_STYLES)],
                         query_keys=(),
                         body_profiles=((1, 1, 1), (8000, 20, 5)),
                     )
                 )
             continue
         word = _word(i)
-        # cycle through the depth range, starting one above the minimum so the
+        # cycle through the depths, starting one above the minimum so the
         # smallest specs still exercise a variable position
-        span = hi - lo + 1
-        depth = lo + (i + 1) % span if span > 1 else lo
+        depth = _DEPTHS[(i + 1) % len(_DEPTHS)]
         has_id = depth >= 4
         tail = _TAIL_WORDS[i % len(_TAIL_WORDS)] if depth >= 5 else None
-        method = spec.method_mix[i % len(spec.method_mix)]
+        method = _METHOD_MIX[i % len(_METHOD_MIX)]
         if method in ("POST", "PUT", "PATCH", "DELETE"):
             query_keys: tuple[str, ...] = ()
             body = (120 + 35 * (i % 7), 3 + (i % 5), 1 + (i % 3))
@@ -147,7 +139,7 @@ def _plan_endpoints(spec: CorpusSpec) -> list[_EndpointPlan]:
                 prefix=("api", "v1", word),
                 has_id=has_id,
                 tail=tail,
-                id_style=spec.id_styles[i % len(spec.id_styles)],
+                id_style=_ID_STYLES[i % len(_ID_STYLES)],
                 query_keys=query_keys,
                 body_profiles=(body,),
             )
@@ -159,7 +151,6 @@ def synth_corpus(spec: CorpusSpec) -> Dataset:
     """Deterministic labeled corpus: endpoint_count templates, fixed request
     count each, interleaved round-robin the way mixed live traffic arrives."""
     plans = _plan_endpoints(spec)
-    rng = np.random.default_rng(spec.seed)
     per_endpoint_rngs = [
         np.random.default_rng(spec.seed * 1_000_003 + i) for i in range(len(plans))
     ]
@@ -197,6 +188,4 @@ def synth_corpus(spec: CorpusSpec) -> Dataset:
                 )
             )
             ground_truth[rid] = plan.label
-    # burn one draw from the top-level rng so future spec fields can hook in
-    rng.integers(1 << 16)
     return Dataset(records=records, source=f"synth-seed{spec.seed}", ground_truth=ground_truth)

@@ -37,20 +37,8 @@ LOGISTIC_GATE = "LogisticGate"
 # (bias, method-is-read, path-depth, has-identifier-placeholder, has-query,
 #  is-structured-payload).  The gate is deliberately permissive:
 # a plain JSON API call scores >= 0.9 while a featureless record scores < 0.01.
-DEFAULT_LOGISTIC_WEIGHTS = (-5.0, 1.0, 1.5, 1.0, 0.5, 3.0)
+LOGISTIC_WEIGHTS = (-5.0, 1.0, 1.5, 1.0, 0.5, 3.0)
 DEFAULT_TAU = 0.01
-
-
-@dataclass
-class FilterConfig:
-    logistic_weights: tuple[float, ...] = DEFAULT_LOGISTIC_WEIGHTS
-    tau: float = DEFAULT_TAU
-
-    def __post_init__(self):
-        if not (0.0 < self.tau < 1.0):
-            raise ValueError(f"tau must be in (0,1), got {self.tau}")
-        if len(self.logistic_weights) != 6:
-            raise ValueError("logistic_weights must have 6 components")
 
 
 @dataclass
@@ -110,19 +98,19 @@ def _sigmoid_score(weights: tuple[float, ...], x: tuple[float, ...]) -> float:
     return 1.0 / (1.0 + math.exp(-z))
 
 
-def sanity_score(record: HttpRecord, path: str, query: str, config: FilterConfig) -> float:
+def sanity_score(record: HttpRecord, path: str, query: str) -> float:
     """sigma(w . x), strictly inside (0, 1)."""
-    return _sigmoid_score(config.logistic_weights, gate_features(record, path, query))
+    return _sigmoid_score(LOGISTIC_WEIGHTS, gate_features(record, path, query))
 
 
 def _gate_drops(
     record: HttpRecord,
     path: str,
     query: str,
-    config: FilterConfig,
+    tau: float,
     decisions: dict[tuple[float, ...], tuple[bool, bool]],
 ) -> bool:
-    """``sanity_score(record, path, query, config) < config.tau``, with the
+    """``sanity_score(record, path, query) < tau``, with the
     ID-segment scan only when its bit can change that answer.
 
     ``decisions`` maps a gate vector with the bit at 0 to the answer with
@@ -133,11 +121,10 @@ def _gate_drops(
     x = _gate_vector(record, len(parts) - parts.count(""), query, 0.0)
     pair = decisions.get(x)
     if pair is None:
-        weights, tau = config.logistic_weights, config.tau
         with_bit = x[:3] + (1.0,) + x[4:]
         pair = decisions[x] = (
-            _sigmoid_score(weights, x) < tau,
-            _sigmoid_score(weights, with_bit) < tau,
+            _sigmoid_score(LOGISTIC_WEIGHTS, x) < tau,
+            _sigmoid_score(LOGISTIC_WEIGHTS, with_bit) < tau,
         )
     drop_without, drop_with = pair
     if drop_with != drop_without and any(is_variable_segment(s) for s in parts if s):
@@ -147,22 +134,24 @@ def _gate_drops(
 
 def filter_traffic(
     dataset: Dataset,
-    config: FilterConfig | None = None,
+    tau: float = DEFAULT_TAU,
     on_kept: Callable[[HttpRecord, tuple[str, str]], None] | None = None,
 ) -> FilterOutcome:
     """Partition records into kept / dropped-with-reason, preserving input order.
 
     ``on_kept(record, split)`` is called on each kept record, in input order,
     with the ``split_url`` the filter read, so a caller can normalize the
-    record without splitting its URL again.
+    record without splitting its URL again.  A record is dropped by the
+    gate when its ``sanity_score`` is below ``tau``.
     """
-    config = config or FilterConfig()
+    if not (0.0 < tau < 1.0):
+        raise ValueError(f"tau must be in (0,1), got {tau}")
     outcome = FilterOutcome()
     decisions: dict[tuple[float, ...], tuple[bool, bool]] = {}
     for record in dataset.records:
         path, query = split_url(record)
         reason = rule_signal(record, path)
-        if reason is None and _gate_drops(record, path, query, config, decisions):
+        if reason is None and _gate_drops(record, path, query, tau, decisions):
             reason = LOGISTIC_GATE
         if reason is None:
             outcome.kept.append(record.id)

@@ -5,8 +5,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-KNOWN_VERBS = {"GET", "POST", "PUT", "PATCH", "DELETE", "HEAD", "OPTIONS"}
-
 STRUCTURED_CONTENT_PREFIXES = (
     "application/json",
     "application/x-www-form-urlencoded",
@@ -14,6 +12,7 @@ STRUCTURED_CONTENT_PREFIXES = (
     "application/xml",
     "text/json",
 )
+
 
 class IngestError(ValueError):
     """Raised for malformed capture input."""
@@ -66,10 +65,6 @@ class HttpRecord:
                 self.body_field_count = 0
             if self.body_nesting_depth:
                 self.body_nesting_depth = 0
-
-    @property
-    def known_verb(self) -> bool:
-        return self.method in KNOWN_VERBS
 
 
 @dataclass

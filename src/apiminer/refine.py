@@ -20,12 +20,11 @@ import numpy as np
 
 from .records import Dataset, HttpRecord
 from .normalize import NormalizedRequest, normalize, canonical_path
-from .denoise import FilterConfig, filter_traffic
+from .denoise import DEFAULT_TAU, filter_traffic
 from .templates import PathTemplate, TemplateGroup, mine
 from .features import (
     SimilarityGraph,
     build_graph,
-    connected_components,
     extract_features,
     scale_features,
     select_k,
@@ -249,39 +248,30 @@ class Traffic:
 
 def prepare_traffic(
     dataset: Dataset,
-    filter_config: FilterConfig | None = None,
+    tau: float = DEFAULT_TAU,
     disable_noise_filter: bool = False,
 ) -> Traffic:
-    """The first two stages of discover: filter the traffic, normalize what it keeps."""
+    """The first two stages of discovery: filter the traffic at the gate
+    threshold ``tau``, normalize what it keeps."""
     records = {r.id: r for r in dataset.records}
     if disable_noise_filter:
         return Traffic(records, [normalize(r) for r in dataset.records], [])
     normalized: list[NormalizedRequest] = []
     # the filter hands each kept record over with the URL split it read
     outcome = filter_traffic(
-        dataset, filter_config, lambda record, split: normalized.append(normalize(record, split))
+        dataset, tau, lambda record, split: normalized.append(normalize(record, split))
     )
     return Traffic(records, normalized, outcome.dropped)
 
 
 def discover(
-    dataset: Dataset | Traffic,
-    filter_config: FilterConfig | None = None,
+    traffic: Traffic,
     refiner_config: RefinerConfig | None = None,
-    disable_noise_filter: bool = False,
     disable_template_mining: bool = False,
 ) -> list[EndpointCluster]:
-    """Full pipeline: filter, normalize, mine templates, refine each group.
-
-    Given the Traffic that ``prepare_traffic`` made of a dataset, discovery
-    starts from it, and the filter settings are not used.
-    """
+    """The rest of the pipeline on what ``prepare_traffic`` made of a dataset:
+    mine templates, refine each group."""
     refiner_config = refiner_config or RefinerConfig()
-    traffic = (
-        dataset
-        if isinstance(dataset, Traffic)
-        else prepare_traffic(dataset, filter_config, disable_noise_filter)
-    )
     normalized = traffic.normalized
     requests = {nr.record_id: nr for nr in normalized}
     if not normalized:

@@ -15,8 +15,6 @@ from functools import lru_cache
 
 from .normalize import NormalizedRequest
 
-WILDCARD = None  # pattern token marker; renders as "{*}"
-
 # levels of the prefix tree a request is routed through
 TREE_DEPTH = 4
 # share of positions that must match for a request to join a leaf's template
@@ -197,7 +195,7 @@ def _route(root: _Node, segments: list[str]) -> _Leaf:
             node.children[segment] = child
         node = child
     if isinstance(node, _Node):  # depth 0 paths
-        if node.wildcard_child is None or not isinstance(node.wildcard_child, _Leaf):
+        if node.wildcard_child is None:
             node.wildcard_child = _Leaf()
         return node.wildcard_child
     return node
@@ -216,20 +214,14 @@ def mine(requests: list[NormalizedRequest]) -> list[TemplateGroup]:
         partitions.setdefault((nr.method, len(nr.segments)), []).append(nr)
 
     groups: list[TemplateGroup] = []
-    for (method, depth), members in partitions.items():
+    for (method, _), members in partitions.items():
         root = _Node()
-        if depth == 0:
-            solo = _Leaf()
-            for nr in members:
-                _join_leaf(solo, nr)
-            leaves = [solo]
-        else:
-            leaves = []
-            for nr in members:
-                leaf = _route(root, nr.segments)
-                if leaf not in leaves:
-                    leaves.append(leaf)
-                _join_leaf(leaf, nr)
+        # the sort below orders the groups, so the leaves need no order
+        leaves: set[_Leaf] = set()
+        for nr in members:
+            leaf = _route(root, nr.segments)
+            leaves.add(leaf)
+            _join_leaf(leaf, nr)
         for leaf in leaves:
             for pattern, leaf_members in leaf.templates:
                 template = PathTemplate(method=method, pattern=tuple(pattern))

@@ -23,13 +23,13 @@ from apiminer.noise import (
 )
 from apiminer.normalize import normalize
 from apiminer.records import Dataset, HttpRecord
-from apiminer.refine import RefinerConfig, discover
+from apiminer.refine import RefinerConfig, discover, prepare_traffic
 from apiminer.templates import mine
 
 
-def run_pipeline(dataset, **kwargs):
-    clusters = discover(dataset, **kwargs)
-    return report(clusters, dataset.ground_truth)
+def run_pipeline(dataset, disable_noise_filter=False, **kwargs):
+    traffic = prepare_traffic(dataset, disable_noise_filter=disable_noise_filter)
+    return report(discover(traffic, **kwargs), dataset.ground_truth)
 
 
 @pytest.fixture(scope="module")

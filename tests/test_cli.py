@@ -8,12 +8,12 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from apiminer import denoise, refine
 from apiminer import normalize as normalize_module
-from apiminer.cli import _load_clusters, _load_config_file, _pipeline_configs, main
+from apiminer.cli import _load_clusters, _load_config_file, _pipeline_settings, main
 from apiminer.corpus import CorpusSpec, synth_corpus
 from apiminer.denoise import filter_traffic
 from apiminer.noise import INTERFERE, inject
 from apiminer.normalize import canonical_path, normalize
-from apiminer.records import IngestError, parse_har, parse_jsonl, write_dataset
+from apiminer.records import Dataset, IngestError, parse_har, parse_jsonl, write_dataset
 
 
 @pytest.fixture
@@ -227,6 +227,19 @@ class TestBench:
         keys = [tuple(line.split(",")[1:4]) for line in lines[1:]]
         assert keys == sorted(keys)
 
+    def test_ablation_flags_reach_discover(self, tmp_path):
+        argv = ["bench", "--endpoints", "5", "--requests", "10", "--kind", "interfere",
+                "--ratios", "0.5"]
+
+        def fga(*flags):
+            out = tmp_path / "bench.csv"
+            assert main([*argv, *flags, "--out", str(out)]) == 0
+            return float(out.read_text(encoding="utf-8").splitlines()[1].split(",")[9])
+
+        assert fga() == 100.0
+        assert fga("--disable-nf") < 100.0
+        assert fga("--disable-templates") < 100.0
+
 
 class TestConfigPrecedence:
     def test_flag_overrides_config_file(self, tmp_path, corpus_file):
@@ -247,6 +260,18 @@ class TestConfigPrecedence:
         ])
         assert rc == 0
         assert len(json.loads(out_flag.read_text(encoding="utf-8"))) == 5
+
+    def test_config_seed_seeds_bench_corpus(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": 5}), encoding="utf-8")
+        argv = ["bench", "--endpoints", "3", "--requests", "4", "--kind", "lexify",
+                "--ratios", "0.5"]
+        from_file, from_flag = tmp_path / "file.csv", tmp_path / "flag.csv"
+        assert main(["--config", str(config), *argv, "--out", str(from_file)]) == 0
+        assert main([*argv, "--seed", "5", "--out", str(from_flag)]) == 0
+        rows = from_file.read_text(encoding="utf-8").splitlines()[1:]
+        assert rows and all(row.startswith("synth-seed5,") for row in rows)
+        assert from_file.read_bytes() == from_flag.read_bytes()
 
 
 class TestMalformedInput:
@@ -385,9 +410,21 @@ class TestMalformedInput:
         (["--ratios", "0.5,x"], "--ratios must be a comma-separated list of floats"),
         (["--ratios", "1.5"], "--ratios must lie in [0, 1]"),
         (["--seeds", "a"], "--seeds must be a comma-separated list of ints"),
+        (["--seeds", "1,-1"], "bench --seeds must be non-negative integers, got '1,-1'"),
+        (["--seed", "-1"], "bench --seed must be a non-negative integer, got -1"),
     ])
     def test_bench_flags(self, capsys, flags, message):
         self.assert_rejected(["bench", *flags], message, capsys)
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--ratio", "1.5"], "noise --ratio must lie in [0, 1], got 1.5"),
+        (["--ratio", "-0.1"], "noise --ratio must lie in [0, 1], got -0.1"),
+        (["--ratio", "nan"], "noise --ratio must lie in [0, 1], got nan"),
+        (["--ratio", "0.5", "--seed", "-1"], "noise --seed must be a non-negative integer, got -1"),
+    ])
+    def test_noise_flags(self, corpus_file, capsys, flags, message):
+        argv = ["noise", "--in", str(corpus_file), "--kind", "lexify", *flags]
+        self.assert_rejected(argv, message, capsys)
 
     @pytest.mark.parametrize("flags", [["--lambda", "0.1"], ["--theta", "2"], ["--tau", "x"]])
     def test_pipeline_flags(self, corpus_file, capsys, flags):
@@ -502,8 +539,11 @@ class TestInputFuzz:
             file_config = _load_config_file(as_file(tmp_path, doc))
         except IngestError:
             return
-        # what a config file may hold builds the pipeline's configs
-        _pipeline_configs(argparse.Namespace(), file_config)
+        # what a config file may hold, main sets as the unset pipeline flags,
+        # and the pipeline takes
+        unset = dict.fromkeys(("tau", "theta", "seed", "force_kmeans"))
+        tau, _ = _pipeline_settings(argparse.Namespace(**{**unset, **file_config}))
+        filter_traffic(Dataset(), tau)
 
     @FUZZ
     @given(doc=HAR_DOCS)
@@ -535,7 +575,7 @@ class TestInputFuzz:
         )
         try:
             dataset = parse_jsonl(capture)
-            clusters = refine.discover(dataset)
+            clusters = refine.discover(refine.prepare_traffic(dataset))
         except IngestError:
             return
         members = [i for c in clusters for i in c.member_ids]

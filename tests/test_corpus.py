@@ -43,8 +43,7 @@ class TestDefaultCorpus:
 class TestMinimalSpec:
     def test_single_endpoint(self):
         ds = synth_corpus(
-            CorpusSpec(endpoint_count=1, requests_per_endpoint=3,
-                       id_styles=("int",), seed=1)
+            CorpusSpec(endpoint_count=1, requests_per_endpoint=3, seed=1)
         )
         assert len(ds.records) == 3
         assert {r.label for r in ds.records} == {"EP_00"}
@@ -66,16 +65,6 @@ class TestValidation:
             CorpusSpec(endpoint_count=0)
         with pytest.raises(ValueError):
             CorpusSpec(requests_per_endpoint=0)
-
-    def test_bad_depth_range(self):
-        with pytest.raises(ValueError):
-            CorpusSpec(depth_range=(5, 3))
-
-    def test_empty_mixes(self):
-        with pytest.raises(ValueError):
-            CorpusSpec(id_styles=())
-        with pytest.raises(ValueError):
-            CorpusSpec(method_mix=())
 
     def test_vocabulary_budget_enforced(self):
         with pytest.raises(ValueError):

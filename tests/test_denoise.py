@@ -1,18 +1,20 @@
 """Traffic filtering: rule cascade and the logistic sanity gate."""
 
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from apiminer import denoise
 from apiminer.denoise import (
-    DEFAULT_LOGISTIC_WEIGHTS,
+    DEFAULT_TAU,
     LOGISTIC_GATE,
+    LOGISTIC_WEIGHTS,
     MISSING_CONTENT_TYPE,
     NON_API_CONTENT_TYPE,
     STATIC_EXTENSION,
     STATIC_PATH_PATTERN,
-    FilterConfig,
     filter_traffic,
     gate_features,
     rule_signal,
@@ -29,15 +31,12 @@ def rec(rid=0, method="GET", url="/api/v1/items", content_type="application/json
     )
 
 
-CFG = FilterConfig()
-
-
 def rule(record):
     return rule_signal(record, split_url(record)[0])
 
 
 def score(record):
-    return sanity_score(record, *split_url(record), CFG)
+    return sanity_score(record, *split_url(record))
 
 
 class TestRuleCascade:
@@ -84,7 +83,7 @@ class TestGate:
         # unknown verb, zero depth, no query, unstructured: z = -5
         record = rec(method="BREW", url="/", content_type="application/octet-stream")
         assert score(record) == pytest.approx(1 / (1 + math.exp(5)))
-        assert score(record) < CFG.tau
+        assert score(record) < DEFAULT_TAU
 
     def test_score_strictly_inside_unit_interval(self):
         s = score(rec())
@@ -102,7 +101,7 @@ class TestFilterTraffic:
                 rec(rid=4, url="/api/v1/orders"),
             ]
         )
-        outcome = filter_traffic(ds, CFG)
+        outcome = filter_traffic(ds)
         assert outcome.kept == [0, 4]
         assert outcome.dropped == [
             (1, STATIC_EXTENSION),
@@ -111,9 +110,8 @@ class TestFilterTraffic:
         ]
 
     def test_custom_tau_overrides(self):
-        strict = FilterConfig(tau=0.999999)
         ds = Dataset(records=[rec(rid=0)])
-        assert filter_traffic(ds, strict).kept == []
+        assert filter_traffic(ds, 0.999999).kept == []
 
 
 class TestSharedSplit:
@@ -128,7 +126,7 @@ class TestSharedSplit:
 
     def test_schemeless_static_asset_still_dropped(self):
         ds = Dataset(records=[rec(url="//static/app.js")])
-        assert filter_traffic(ds, CFG).dropped == [(0, STATIC_EXTENSION)]
+        assert filter_traffic(ds).dropped == [(0, STATIC_EXTENSION)]
 
     def test_kept_records_handed_over_with_their_split(self):
         ds = Dataset(records=[
@@ -137,7 +135,9 @@ class TestSharedSplit:
             rec(rid=2),
         ])
         handed = []
-        outcome = filter_traffic(ds, CFG, lambda record, split: handed.append((record.id, split)))
+        outcome = filter_traffic(
+            ds, on_kept=lambda record, split: handed.append((record.id, split))
+        )
         assert outcome.kept == [0, 2]
         assert handed == [(0, ("/api/v1/items", "page=2")), (2, ("/api/v1/items", ""))]
 
@@ -159,9 +159,9 @@ class TestGateShortcut:
 
     def test_id_segment_bit_decides_when_it_can(self):
         # z = -1 + 2 * has_placeholder: 0.73 with an ID segment, 0.27 without
-        config = FilterConfig(logistic_weights=(-1.0, 0.0, 0.0, 2.0, 0.0, 0.0), tau=0.5)
         ds = Dataset(records=[rec(rid=0, url="/api/12"), rec(rid=1, url="/api/x")])
-        outcome = filter_traffic(ds, config)
+        with mock.patch.object(denoise, "LOGISTIC_WEIGHTS", (-1.0, 0.0, 0.0, 2.0, 0.0, 0.0)):
+            outcome = filter_traffic(ds, 0.5)
         assert outcome.kept == [0]
         assert outcome.dropped == [(1, LOGISTIC_GATE)]
 
@@ -179,40 +179,36 @@ class TestGateShortcut:
     def test_decisions_match_rules_then_score(self, weights, tau, requests):
         # several records per dataset, so one filter call decides records that
         # share a gate vector and differ in the ID-segment bit
-        config = FilterConfig(logistic_weights=weights, tau=tau)
         records = [
             HttpRecord(id=i, method=method, url=url, content_type=content_type)
             for i, (method, url, content_type) in enumerate(requests)
         ]
-        kept, dropped = [], []
-        for record in records:
-            try:
-                path, query = split_url(record)
-            except IngestError:
-                with pytest.raises(IngestError):
-                    filter_traffic(Dataset(records=records), config)
-                return
-            reason = rule_signal(record, path)
-            if reason is None and sanity_score(record, path, query, config) < tau:
-                reason = LOGISTIC_GATE
-            if reason is None:
-                kept.append(record.id)
-            else:
-                dropped.append((record.id, reason))
-        outcome = filter_traffic(Dataset(records=records), config)
+        # patched per example: Hypothesis rejects function-scoped fixtures
+        with mock.patch.object(denoise, "LOGISTIC_WEIGHTS", weights):
+            kept, dropped = [], []
+            for record in records:
+                try:
+                    path, query = split_url(record)
+                except IngestError:
+                    with pytest.raises(IngestError):
+                        filter_traffic(Dataset(records=records), tau)
+                    return
+                reason = rule_signal(record, path)
+                if reason is None and sanity_score(record, path, query) < tau:
+                    reason = LOGISTIC_GATE
+                if reason is None:
+                    kept.append(record.id)
+                else:
+                    dropped.append((record.id, reason))
+            outcome = filter_traffic(Dataset(records=records), tau)
         assert (outcome.kept, outcome.dropped) == (kept, dropped)
 
 
 class TestConfigValidation:
     def test_tau_bounds(self):
-        with pytest.raises(ValueError):
-            FilterConfig(tau=0.0)
-        with pytest.raises(ValueError):
-            FilterConfig(tau=1.0)
-
-    def test_weight_arity(self):
-        with pytest.raises(ValueError):
-            FilterConfig(logistic_weights=(1.0, 2.0))
+        for tau in (0.0, 1.0, float("nan")):
+            with pytest.raises(ValueError):
+                filter_traffic(Dataset(records=[rec()]), tau)
 
     def test_default_weights_documented_shape(self):
-        assert len(DEFAULT_LOGISTIC_WEIGHTS) == 6
+        assert len(LOGISTIC_WEIGHTS) == 6

@@ -232,10 +232,6 @@ class TestRecordInvariants:
         assert rec.body_field_count == 0
         assert rec.body_nesting_depth == 0
 
-    def test_known_verb(self):
-        assert HttpRecord(id=0, method="GET", url="/x").known_verb
-        assert not HttpRecord(id=0, method="BREW", url="/x").known_verb
-
     def test_duplicate_ids_rejected(self):
         r = HttpRecord(id=0, method="GET", url="/x")
         with pytest.raises(IngestError, match="duplicate"):

@@ -15,6 +15,7 @@ from apiminer.refine import (
     discover,
     farthest_point_indices,
     kmeans_assign,
+    prepare_traffic,
     refine_group,
     spectral_init,
     _distinct_rows,
@@ -326,7 +327,7 @@ class TestDiscover:
         for i in range(5, 10):
             records.append(HttpRecord(id=i, method="GET", url="/api/v1/user/me",
                                       content_type="application/json"))
-        clusters = discover(Dataset(records=records))
+        clusters = discover(prepare_traffic(Dataset(records=records)))
         assert len(clusters) == 2
         assert {(c.method, c.template.render()) for c in clusters} == {
             ("POST", "/api/v1/users/login"),
@@ -334,24 +335,24 @@ class TestDiscover:
         }
 
     def test_empty_dataset(self):
-        assert discover(Dataset()) == []
+        assert discover(prepare_traffic(Dataset())) == []
 
     def test_count_no_float_holds_is_rejected(self):
         # each count becomes a float feature, and no float holds 10**400
         with pytest.raises(IngestError, match="record 0: body_field_count must be a 64-bit integer"):
-            discover(Dataset(records=[
+            discover(prepare_traffic(Dataset(records=[
                 HttpRecord(id=i, method="GET", url=f"/api/v1/items/{i}",
                            content_type="application/json", body_size=10,
                            body_field_count=10**400, body_nesting_depth=1)
                 for i in range(4)
-            ]))
+            ])))
 
     def test_disable_template_mining_single_degenerate_group(self):
         records = [
             HttpRecord(id=0, method="GET", url="/api/v1/a", content_type="application/json"),
             HttpRecord(id=1, method="POST", url="/api/v1/b/c", content_type="application/json"),
         ]
-        clusters = discover(Dataset(records=records), disable_template_mining=True)
+        clusters = discover(prepare_traffic(Dataset(records=records)), disable_template_mining=True)
         all_ids = sorted(i for c in clusters for i in c.member_ids)
         assert all_ids == [0, 1]
 
@@ -360,8 +361,8 @@ class TestDiscover:
             HttpRecord(id=0, method="GET", url="/api/v1/a", content_type="application/json"),
             HttpRecord(id=1, method="GET", url="/static/app.js", content_type="application/javascript"),
         ]
-        with_filter = discover(Dataset(records=records))
-        without = discover(Dataset(records=records), disable_noise_filter=True)
+        with_filter = discover(prepare_traffic(Dataset(records=records)))
+        without = discover(prepare_traffic(Dataset(records=records), disable_noise_filter=True))
         assert sorted(i for c in with_filter for i in c.member_ids) == [0]
         assert sorted(i for c in without for i in c.member_ids) == [0, 1]
 
@@ -371,6 +372,6 @@ class TestDiscover:
             HttpRecord(id=1, method="GET", url="/api/a", content_type="application/json"),
             HttpRecord(id=2, method="GET", url="/api/c", content_type="application/json"),
         ]
-        clusters = discover(Dataset(records=records))
+        clusters = discover(prepare_traffic(Dataset(records=records)))
         keys = [(c.method, c.template.render()) for c in clusters]
         assert keys == sorted(keys)
