@@ -170,6 +170,8 @@ def cmd_discover(args) -> int:
     dataset = _read_dataset(args.input, args.format)
     tau, refiner_config = _pipeline_settings(args)
     traffic = prepare_traffic(dataset, tau, args.disable_nf)
+    # the traffic holds the kept records; let the dropped ones go
+    del dataset
     if args.emit_dropped:
         lines = [f"{rid}\t{reason}" for rid, reason in traffic.dropped]
         _write_text(args.emit_dropped, "\n".join(lines) + ("\n" if lines else ""))

@@ -9,6 +9,8 @@ import numpy as np
 from .records import Dataset, HttpRecord
 
 _HOST = "https://app.example.com"
+# every record of a corpus holds this one header list
+_JSON_HEADERS = (("Content-Type", "application/json"),)
 
 # Resource nouns with pairwise edit distance >= 2 so that typo-tolerant
 # template routing can never confuse two different endpoints.
@@ -179,7 +181,7 @@ def synth_corpus(spec: CorpusSpec) -> Dataset:
                     id=rid,
                     method=plan.method,
                     url=url,
-                    headers=[("Content-Type", "application/json")],
+                    headers=_JSON_HEADERS,
                     content_type="application/json",
                     body_size=body_size,
                     body_field_count=fields or None,

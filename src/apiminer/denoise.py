@@ -5,8 +5,9 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import lru_cache
 
-from .records import Dataset, HttpRecord, STRUCTURED_CONTENT_PREFIXES
+from .records import Dataset, HttpRecord, structured_payload
 from .normalize import split_url
 from .templates import is_variable_segment
 
@@ -61,12 +62,16 @@ def rule_signal(record: HttpRecord, path: str) -> str | None:
     for marker in DEFAULT_STATIC_PATH_MARKERS:
         if marker in lowered:
             return STATIC_PATH_PATTERN
-    if record.content_type is None:
+    return _content_type_reason(record.content_type)
+
+
+@lru_cache(maxsize=128)
+def _content_type_reason(content_type: str | None) -> str | None:
+    """The drop reason a content type gives, once per distinct content type."""
+    if content_type is None:
         return MISSING_CONTENT_TYPE
-    ct = record.content_type.lower()
-    for prefix in DEFAULT_NON_API_CONTENT_TYPES:
-        if ct.startswith(prefix):
-            return NON_API_CONTENT_TYPE
+    if content_type.lower().startswith(DEFAULT_NON_API_CONTENT_TYPES):
+        return NON_API_CONTENT_TYPE
     return None
 
 
@@ -74,15 +79,13 @@ def _gate_vector(
     record: HttpRecord, depth: int, query: str, placeholder: float
 ) -> tuple[float, ...]:
     """The gate's feature vector, with the ID-segment bit given."""
-    ct = (record.content_type or "").lower()
-    structured = ct.startswith(STRUCTURED_CONTENT_PREFIXES)
     return (
         1.0,
         1.0 if record.method in READ_VERBS else 0.0,
         float(depth),
         placeholder,
         1.0 if query else 0.0,
-        1.0 if structured else 0.0,
+        1.0 if structured_payload(record.content_type) else 0.0,
     )
 
 

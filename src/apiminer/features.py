@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .records import HttpRecord, STRUCTURED_CONTENT_PREFIXES
+from .records import HttpRecord, structured_payload
 from .normalize import NormalizedRequest
 
 API_KEYWORDS = {"api", "v1", "v2", "v3", "rest", "graphql"}
@@ -30,19 +31,27 @@ FEATURE_NAMES = (
 
 def extract_features(nr: NormalizedRequest, record: HttpRecord) -> tuple[float, ...]:
     """Raw (pre-scaling) 10-component feature vector for one request."""
-    ct = (record.content_type or "").lower()
-    distinct_keys = list(dict.fromkeys(nr.raw_query_keys))
     return (
         float(len(nr.segments)),
         float(sum(1 for s in nr.segments if s in API_KEYWORDS)),
-        float(len(distinct_keys)),
-        float(sum(1 for k in distinct_keys if k in COMMON_QUERY_KEYS)),
-        1.0 if nr.raw_query_keys else 0.0,
+        *_query_facts(tuple(nr.raw_query_keys)),
         math.log1p(max(0, record.body_size)),
         float(record.body_field_count or 0),
         float(record.body_nesting_depth or 0),
         1.0 if record.method in WRITE_VERBS else 0.0,
-        1.0 if ct.startswith(STRUCTURED_CONTENT_PREFIXES) else 0.0,
+        1.0 if structured_payload(record.content_type) else 0.0,
+    )
+
+
+@lru_cache(maxsize=256)
+def _query_facts(keys: tuple[str, ...]) -> tuple[float, float, float]:
+    """The query features of a request's query keys: distinct keys, distinct
+    common keys and whether there is a query, once per key tuple."""
+    distinct = dict.fromkeys(keys)
+    return (
+        float(len(distinct)),
+        float(sum(1 for k in distinct if k in COMMON_QUERY_KEYS)),
+        1.0 if keys else 0.0,
     )
 
 

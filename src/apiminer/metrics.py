@@ -71,11 +71,57 @@ class EvalReport:
         return buf.getvalue()
 
 
-def _label_sets(truth: dict[int, str]) -> dict[str, frozenset[int]]:
-    sets: dict[str, set[int]] = {}
-    for rid, label in truth.items():
-        sets.setdefault(label, set()).add(rid)
-    return {label: frozenset(ids) for label, ids in sets.items()}
+# what one cluster's labels say: its majority label (None when no member is
+# labeled), the members holding it, its labeled members, and the label whose
+# records it is exactly (None when it is not)
+_ClusterLabels = tuple[str | None, int, int, str | None]
+
+
+def _read_labels(
+    clusters: list[EndpointCluster], truth: dict[int, str], lenient: bool
+) -> tuple[int, int, int, list[_ClusterLabels]]:
+    """Exact-set group accuracy counts (tp, fp, fn), with what each cluster's
+    labels say, from one read of each cluster's labels.
+
+    A cluster is correct iff its labeled members are exactly the full record
+    set of one endpoint label and it contains neither another label's records
+    nor unlabeled (interference) records.  With ``lenient`` a cluster matches
+    the label a strict majority of its distinct labeled members hold instead,
+    if that is more than half the label's records and no earlier cluster
+    matched it.
+    """
+    sizes = Counter(truth.values())
+    matched: set[str] = set()
+    tp = 0
+    rows: list[_ClusterLabels] = []
+    for cluster in clusters:
+        ids = cluster.member_ids
+        labels = [truth[i] for i in ids if i in truth]
+        votes = Counter(labels)
+        majority, count = votes.most_common(1)[0] if labels else (None, 0)
+        # every member labeled with one label, each of its records once
+        exact = (
+            majority
+            if labels and count == len(ids) == sizes[majority] and len(set(ids)) == count
+            else None
+        )
+        rows.append((majority, count, len(labels), exact))
+        if lenient:
+            if len(set(ids)) != len(ids):
+                # a record listed twice votes once
+                votes = Counter(truth[i] for i in set(ids) if i in truth)
+            if not votes:
+                continue
+            # a strict majority is the one most common label; under a tie
+            # no label has one, whichever most_common names
+            label, held = votes.most_common(1)[0]
+            if label not in matched and held * 2 > sizes[label] and held * 2 > votes.total():
+                matched.add(label)
+                tp += 1
+        elif exact is not None and exact not in matched:
+            matched.add(exact)
+            tp += 1
+    return tp, len(clusters) - tp, len(sizes) - len(matched), rows
 
 
 def match_counts(
@@ -83,54 +129,20 @@ def match_counts(
     truth: dict[int, str],
     lenient: bool = False,
 ) -> tuple[int, int, int]:
-    """Exact-set group accuracy counts.
+    """Exact-set group accuracy counts (tp, fp, fn); see ``_read_labels``."""
+    return _read_labels(clusters, truth, lenient)[:3]
 
-    A cluster is correct iff its labeled members are exactly the full record
-    set of one endpoint label and it contains neither another label's records
-    nor unlabeled (interference) records.  With ``lenient`` a cluster matches
-    its majority label instead, each label claimed by at most one cluster.
-    """
-    label_sets = _label_sets(truth)
-    matched: set[str] = set()
-    tp = 0
-    for cluster in clusters:
-        labeled = frozenset(i for i in cluster.member_ids if i in truth)
-        if lenient:
-            if not labeled:
-                continue
-            majority, count = Counter(truth[i] for i in labeled).most_common(1)[0]
-            if majority in matched:
-                continue
-            if count * 2 > len(label_sets[majority]) and count * 2 > len(labeled):
-                matched.add(majority)
-                tp += 1
-            continue
-        if not labeled or len(labeled) != len(cluster.member_ids):
-            continue
-        labels = {truth[i] for i in labeled}
-        if len(labels) != 1:
-            continue
-        label = next(iter(labels))
-        if labeled == label_sets[label] and label not in matched:
-            matched.add(label)
-            tp += 1
-    fp = len(clusters) - tp
-    fn = len(label_sets) - len(matched)
-    return tp, fp, fn
+
+def _purity(rows: list[_ClusterLabels]) -> float:
+    total = sum(labeled for _, _, labeled, _ in rows)
+    if total == 0:
+        raise NoLabeledDataError("no labeled records in any cluster")
+    return sum(count for _, count, _, _ in rows) / total
 
 
 def purity(clusters: list[EndpointCluster], truth: dict[int, str]) -> float:
     """(1/N) * sum_k max_c |cluster k members with label c|, labeled records only."""
-    total = 0
-    majority_sum = 0
-    for cluster in clusters:
-        labels = [truth[i] for i in cluster.member_ids if i in truth]
-        total += len(labels)
-        if labels:
-            majority_sum += Counter(labels).most_common(1)[0][1]
-    if total == 0:
-        raise NoLabeledDataError("no labeled records in any cluster")
-    return majority_sum / total
+    return _purity(_read_labels(clusters, truth, False)[3])
 
 
 def _ratio(num: float, den: float) -> tuple[float, bool]:
@@ -145,7 +157,7 @@ def report(
     config_echo: dict | None = None,
     lenient: bool = False,
 ) -> EvalReport:
-    tp, fp, fn = match_counts(clusters, truth, lenient=lenient)
+    tp, fp, fn, rows = _read_labels(clusters, truth, lenient)
     pga, pga_def = _ratio(tp, tp + fp)
     rga, rga_def = _ratio(tp, tp + fn)
     fga, fga_def = _ratio(2 * tp, 2 * tp + fp + fn)
@@ -153,35 +165,19 @@ def report(
         # degenerate run: nothing discovered; flagged zero rather than an error
         pur = 0.0
     else:
-        pur = purity(clusters, truth)
-
-    label_sets = _label_sets(truth)
-    per_cluster = []
-    for idx, cluster in enumerate(clusters):
-        labels = [truth[i] for i in cluster.member_ids if i in truth]
-        majority, count = (None, 0)
-        if labels:
-            majority, count = Counter(labels).most_common(1)[0]
-        labeled = frozenset(i for i in cluster.member_ids if i in truth)
-        exact = (
-            majority
-            if majority is not None
-            and len(labeled) == len(cluster.member_ids)
-            and len(set(labels)) == 1
-            and labeled == label_sets[majority]
-            else None
-        )
-        per_cluster.append(
-            {
-                "cluster": idx,
-                "template": cluster.template.render(),
-                "method": cluster.method,
-                "size": len(cluster.member_ids),
-                "matched_endpoint": exact,
-                "majority_label": majority,
-                "majority_fraction": round(count / len(labels), 6) if labels else 0.0,
-            }
-        )
+        pur = _purity(rows)
+    per_cluster = [
+        {
+            "cluster": idx,
+            "template": cluster.template.render(),
+            "method": cluster.method,
+            "size": len(cluster.member_ids),
+            "matched_endpoint": exact,
+            "majority_label": majority,
+            "majority_fraction": round(count / labeled, 6) if labeled else 0.0,
+        }
+        for idx, (cluster, (majority, count, labeled, exact)) in enumerate(zip(clusters, rows))
+    ]
     return EvalReport(
         tp=tp,
         fp=fp,

@@ -204,17 +204,8 @@ RULE_REGISTRY = tuple(
 
 def _record(record: HttpRecord, rid: int, url: str) -> HttpRecord:
     """``record`` with the given id and URL, every other field shared."""
-    return HttpRecord(
-        rid,
-        record.method,
-        url,
-        record.headers,
-        record.content_type,
-        record.body_size,
-        record.body_field_count,
-        record.body_nesting_depth,
-        record.label,
-    )
+    _, method, _, headers, content_type, body_size, fields, depth, label = record
+    return HttpRecord(rid, method, url, headers, content_type, body_size, fields, depth, label)
 
 
 def lexify(record: HttpRecord, rule: NoiseRule, rng: np.random.Generator) -> tuple[HttpRecord, bool]:
@@ -272,7 +263,7 @@ def _interference_record(record_id: int, method: str, url: str, content_type: st
         id=record_id,
         method=method,
         url=url,
-        headers=[("Content-Type", content_type)] if content_type else [],
+        headers=(("Content-Type", content_type),) if content_type else (),
         content_type=content_type,
         body_size=0,
     )

@@ -20,7 +20,7 @@ _UNRESERVED = set(
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class NormalizedRequest:
     record_id: int
     method: str
@@ -111,20 +111,27 @@ def split_url(record: HttpRecord) -> tuple[str, str]:
     return parts.path, parts.query
 
 
-def normalize(record: HttpRecord, split: tuple[str, str] | None = None) -> NormalizedRequest:
+def normalize(
+    record: HttpRecord,
+    split: tuple[str, str] | None = None,
+    shared: dict[str, str] | None = None,
+) -> NormalizedRequest:
     """Canonicalize a record's URL into (method, path segments).
 
     ``split`` is the record's ``split_url``, when the caller has made it.
+    ``shared`` maps each path segment and query key met so far to the one
+    object that stands for it, when the caller shares them across records.
     """
     path, query = split if split is not None else split_url(record)
-    raw_query_keys = _query_keys(query)
-    path = _decode_unreserved(path)
-    segments = [seg.lower() for seg in path.split("/") if seg]
+    share = (shared if shared is not None else {}).setdefault
+    # lower-casing the whole path is lower-casing each segment: '/' neither
+    # changes case nor ends a final sigma's context
+    segments = [share(seg, seg) for seg in _decode_unreserved(path).lower().split("/") if seg]
     return NormalizedRequest(
         record_id=record.id,
         method=record.method,
         segments=segments,
-        raw_query_keys=raw_query_keys,
+        raw_query_keys=[share(key, key) for key in _query_keys(query)],
     )
 
 

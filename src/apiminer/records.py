@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 STRUCTURED_CONTENT_PREFIXES = (
     "application/json",
@@ -12,6 +14,14 @@ STRUCTURED_CONTENT_PREFIXES = (
     "application/xml",
     "text/json",
 )
+
+
+@lru_cache(maxsize=128)
+def structured_payload(content_type: str | None) -> bool:
+    """Whether a content type, lower-cased, starts with one of
+    ``STRUCTURED_CONTENT_PREFIXES``: the gate's and the features' structured
+    bit, computed once per distinct content type."""
+    return (content_type or "").lower().startswith(STRUCTURED_CONTENT_PREFIXES)
 
 
 class IngestError(ValueError):
@@ -25,46 +35,84 @@ _COUNT_MAX = 2**63 - 1
 _COUNT_FIELDS = ("body_size", "body_field_count", "body_nesting_depth")
 
 
-def _count_out_of_range(*counts) -> str:
-    """The first of ``_COUNT_FIELDS`` whose value in ``counts`` does not fit."""
+def _count_out_of_range(*counts) -> tuple[str, int]:
+    """The first of ``_COUNT_FIELDS`` whose value in ``counts`` does not fit,
+    with that value."""
     for name, value in zip(_COUNT_FIELDS, counts):
         if value is not None and not _COUNT_MIN <= value <= _COUNT_MAX:
-            return name
+            return name, value
     raise AssertionError("every count fits")
 
 
-@dataclass
-class HttpRecord:
+class _RecordFields(NamedTuple):
     id: int
     method: str
     url: str
-    headers: list[tuple[str, str]] = field(default_factory=list)
+    # (name, value) pairs in capture order
+    headers: tuple[tuple[str, str], ...] = ()
     content_type: str | None = None
     body_size: int = 0
     body_field_count: int | None = None
     body_nesting_depth: int | None = None
     label: str | None = None
 
-    def __post_init__(self):
-        self.method = self.method.upper()
-        size, fields, depth = self.body_size, self.body_field_count, self.body_nesting_depth
+
+_new_tuple = tuple.__new__
+
+
+class HttpRecord(_RecordFields):
+    """One captured request, immutable once built.
+
+    Every way of making one (the constructor, ``_make``, ``_replace``,
+    unpickling) goes through ``__new__``, which upper-cases the method,
+    checks that each count fits 64 bits, clamps a negative body size to 0
+    and clears the structure counts of an empty body.  Headers given as a
+    list are stored as a tuple of pairs.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        id: int,
+        method: str,
+        url: str,
+        headers: tuple[tuple[str, str], ...] = (),
+        content_type: str | None = None,
+        body_size: int = 0,
+        body_field_count: int | None = None,
+        body_nesting_depth: int | None = None,
+        label: str | None = None,
+    ):
+        upper = method.upper()
+        if upper != method:
+            # an upper-case method keeps its object, which a capture may share
+            method = upper
+        if type(headers) is not tuple:
+            headers = tuple(tuple(h) for h in headers)
+        fields, depth = body_field_count, body_nesting_depth
         if not (
-            _COUNT_MIN <= size <= _COUNT_MAX
+            _COUNT_MIN <= body_size <= _COUNT_MAX
             and (fields is None or _COUNT_MIN <= fields <= _COUNT_MAX)
             and (depth is None or _COUNT_MIN <= depth <= _COUNT_MAX)
         ):
-            name = _count_out_of_range(size, fields, depth)
-            raise IngestError(
-                f"record {self.id}: {name} must be a 64-bit integer, got {getattr(self, name)!r}"
-            )
-        if self.body_size < 0:
-            self.body_size = 0
-        if self.body_size == 0:
+            name, value = _count_out_of_range(body_size, fields, depth)
+            raise IngestError(f"record {id}: {name} must be a 64-bit integer, got {value!r}")
+        if body_size <= 0:
+            body_size = 0
             # no body implies no structure metrics
-            if self.body_field_count:
-                self.body_field_count = 0
-            if self.body_nesting_depth:
-                self.body_nesting_depth = 0
+            if fields:
+                fields = 0
+            if depth:
+                depth = 0
+        return _new_tuple(
+            cls, (id, method, url, headers, content_type, body_size, fields, depth, label)
+        )
+
+    @classmethod
+    def _make(cls, iterable) -> HttpRecord:
+        # namedtuple's _make (and _replace, which calls it) skip __new__
+        return cls(*iterable)
 
 
 @dataclass
@@ -87,7 +135,7 @@ class Dataset:
         return len(self.records)
 
 
-def _header_lookup(headers: list[tuple[str, str]], name: str) -> str | None:
+def _header_lookup(headers: tuple[tuple[str, str], ...], name: str) -> str | None:
     """Case-insensitive header lookup, first occurrence wins."""
     lname = name.lower()
     for hname, hvalue in headers:
@@ -120,14 +168,14 @@ def _har_error(index: int, name: str, expected: str, value) -> IngestError:
     )
 
 
-def _har_headers(index: int, headers) -> list[tuple[str, str]]:
+def _har_headers(index: int, headers) -> tuple[tuple[str, str], ...]:
     if isinstance(headers, list) and all(
         isinstance(h, dict)
         and isinstance(h.get("name", ""), str)
         and isinstance(h.get("value", ""), str)
         for h in headers
     ):
-        return [(h.get("name", ""), h.get("value", "")) for h in headers]
+        return tuple((h.get("name", ""), h.get("value", "")) for h in headers)
     raise _har_error(index, "headers", "a list of {name, value} string objects", headers)
 
 
@@ -243,11 +291,37 @@ def _loads(line: str):
     return json.loads(line)
 
 
+# Characters of text split into lines at a time; see ``_lines``.
+_LINE_BLOCK = 1 << 16
+
+
+def _lines(text: str, block: int = _LINE_BLOCK):
+    """The lines of ``text.splitlines()``, split a block at a time so that
+    no list of every line is held at once.
+
+    Each block ends just past a '\n', where ``splitlines`` ends a line too,
+    so the blocks' lines are the text's lines.
+    """
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + block) + 1 or len(text)
+        yield from text[start:end].splitlines()
+        start = end
+
+
 def parse_jsonl(text: str) -> Dataset:
-    """Parse JSONL capture text, one request object per non-empty line."""
+    """Parse JSONL capture text, one request object per non-empty line.
+
+    The records of one capture share one object per distinct method,
+    content type, label, header pair and header list.
+    """
     records: list[HttpRecord] = []
     ground_truth: dict[int, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    shared: dict = {}
+    share = shared.setdefault
+    # each method as given, to its upper-case form in ``shared``
+    methods: dict[str, str] = {}
+    for lineno, line in enumerate(_lines(text), start=1):
         if not line.strip():
             continue
         try:
@@ -266,21 +340,30 @@ def parse_jsonl(text: str) -> Dataset:
         method = obj["method"]
         if type(method) is not str:
             raise _field_error(lineno, "method", "a string", method)
+        upper = methods.get(method)
+        if upper is None:
+            upper = method.upper()
+            upper = methods[method] = share(upper, upper)
         url = obj["url"]
         if type(url) is not str:
             raise _field_error(lineno, "url", "a string", url)
         headers = obj.get("headers", [])
         if type(headers) is not list:
             raise _field_error(lineno, "headers", _HEADER_PAIRS, headers)
+        pairs = []
         for h in headers:
             if type(h) is not list or len(h) != 2 or type(h[0]) is not str or type(h[1]) is not str:
                 raise _field_error(lineno, "headers", _HEADER_PAIRS, headers)
+            pair = (h[0], h[1])
+            pairs.append(share(pair, pair))
+        pairs = tuple(pairs)
         content_type = obj.get("content_type")
         if content_type is not None and type(content_type) is not str:
             raise _field_error(lineno, "content_type", "a string", content_type)
         label = obj.get("label")
         if label is not None and type(label) is not str:
             raise _field_error(lineno, "label", "a string", label)
+        label = share(label, label)
         body_size = obj.get("body_size")
         if type(body_size) is not int:
             body_size = _as_int(lineno, "body_size", body_size) or 0
@@ -294,17 +377,17 @@ def parse_jsonl(text: str) -> Dataset:
         try:
             record = HttpRecord(
                 rid,
-                method,
+                upper,
                 url,
-                [(name, value) for name, value in headers],
-                content_type,
+                share(pairs, pairs),
+                share(content_type, content_type),
                 body_size,
                 field_count,
                 nesting,
                 label,
             )
         except IngestError:
-            name = _count_out_of_range(body_size, field_count, nesting)
+            name, _ = _count_out_of_range(body_size, field_count, nesting)
             raise _field_error(lineno, name, "a 64-bit integer", obj[name]) from None
         records.append(record)
         if label is not None:
@@ -322,21 +405,16 @@ def write_dataset(dataset: Dataset) -> str:
     always written, the other fields only when they are not None.
     """
     lines = []
-    for record in dataset.records:
-        out = {
-            "id": record.id,
-            "method": record.method,
-            "url": record.url,
-            "headers": [list(h) for h in record.headers],
-        }
-        if record.content_type is not None:
-            out["content_type"] = record.content_type
-        out["body_size"] = record.body_size
-        if record.body_field_count is not None:
-            out["body_field_count"] = record.body_field_count
-        if record.body_nesting_depth is not None:
-            out["body_nesting_depth"] = record.body_nesting_depth
-        if record.label is not None:
-            out["label"] = record.label
+    for rid, method, url, headers, content_type, body_size, fields, depth, label in dataset.records:
+        out = {"id": rid, "method": method, "url": url, "headers": [list(h) for h in headers]}
+        if content_type is not None:
+            out["content_type"] = content_type
+        out["body_size"] = body_size
+        if fields is not None:
+            out["body_field_count"] = fields
+        if depth is not None:
+            out["body_nesting_depth"] = depth
+        if label is not None:
+            out["label"] = label
         lines.append(_ENCODE_LINE(out))
     return "\n".join(lines) + ("\n" if lines else "")

@@ -239,8 +239,9 @@ def _cluster(
 class Traffic:
     """A dataset as discovery sees it once filtered and normalized."""
 
+    # the kept records, by id
     records: dict[int, HttpRecord]
-    # the kept records, in input order
+    # the kept records, normalized, in input order
     normalized: list[NormalizedRequest]
     # (record id, reason) for each record the filter dropped
     dropped: list[tuple[int, str]]
@@ -252,15 +253,25 @@ def prepare_traffic(
     disable_noise_filter: bool = False,
 ) -> Traffic:
     """The first two stages of discovery: filter the traffic at the gate
-    threshold ``tau``, normalize what it keeps."""
-    records = {r.id: r for r in dataset.records}
-    if disable_noise_filter:
-        return Traffic(records, [normalize(r) for r in dataset.records], [])
+    threshold ``tau``, normalize what it keeps.
+
+    The normalized requests share one object per distinct path segment and
+    query key; the table that shares them lives for this call only.
+    """
+    records: dict[int, HttpRecord] = {}
     normalized: list[NormalizedRequest] = []
+    shared: dict[str, str] = {}
+
+    def keep(record: HttpRecord, split: tuple[str, str] | None = None) -> None:
+        records[record.id] = record
+        normalized.append(normalize(record, split, shared))
+
+    if disable_noise_filter:
+        for record in dataset.records:
+            keep(record)
+        return Traffic(records, normalized, [])
     # the filter hands each kept record over with the URL split it read
-    outcome = filter_traffic(
-        dataset, tau, lambda record, split: normalized.append(normalize(record, split))
-    )
+    outcome = filter_traffic(dataset, tau, keep)
     return Traffic(records, normalized, outcome.dropped)
 
 

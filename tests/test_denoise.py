@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from apiminer import denoise
 from apiminer.denoise import (
+    DEFAULT_NON_API_CONTENT_TYPES,
     DEFAULT_TAU,
     LOGISTIC_GATE,
     LOGISTIC_WEIGHTS,
@@ -20,8 +21,9 @@ from apiminer.denoise import (
     rule_signal,
     sanity_score,
 )
+from apiminer.features import extract_features
 from apiminer.normalize import normalize, split_url
-from apiminer.records import Dataset, HttpRecord, IngestError
+from apiminer.records import STRUCTURED_CONTENT_PREFIXES, Dataset, HttpRecord, IngestError
 
 
 def rec(rid=0, method="GET", url="/api/v1/items", content_type="application/json",
@@ -212,3 +214,36 @@ class TestConfigValidation:
 
     def test_default_weights_documented_shape(self):
         assert len(LOGISTIC_WEIGHTS) == 6
+
+
+# prefixes of both lists in upper case, and characters whose lower case
+# differs in length or sits outside ASCII
+CONTENT_TYPES = st.none() | st.text(
+    alphabet=st.sampled_from("aAjJsSoOnN/+-;=İK") | st.characters(), max_size=12
+) | st.sampled_from(
+    [p.upper() for p in DEFAULT_NON_API_CONTENT_TYPES + STRUCTURED_CONTENT_PREFIXES]
+).flatmap(lambda p: st.text(max_size=3).map(lambda tail: p + tail))
+
+
+class TestContentTypeFacts:
+    @settings(max_examples=400, deadline=None)
+    @given(CONTENT_TYPES)
+    @example(None)
+    @example("Application/JSON; charset=utf-8")
+    @example("İmage/png")
+    @example("TEXT/HTML")
+    def test_cached_facts_are_the_formula(self, content_type):
+        record = rec(url="/api/v1/items", content_type=content_type)
+        lowered = None if content_type is None else content_type.lower()
+        if lowered is None:
+            reason = MISSING_CONTENT_TYPE
+        elif any(lowered.startswith(p) for p in DEFAULT_NON_API_CONTENT_TYPES):
+            reason = NON_API_CONTENT_TYPE
+        else:
+            reason = None
+        structured = 1.0 if (lowered or "").startswith(STRUCTURED_CONTENT_PREFIXES) else 0.0
+        # asked twice: once filling the caches, once reading them
+        for _ in range(2):
+            assert rule(record) == reason
+            assert gate_features(record, *split_url(record))[5] == structured
+            assert extract_features(normalize(record), record)[9] == structured

@@ -1,8 +1,10 @@
 """Evaluation metrics: exact-set matching, the three ratios, purity."""
 
 import json
+from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from apiminer.metrics import (
     CSV_HEADER,
@@ -182,3 +184,75 @@ class TestRandomizedAgainstOracle:
                 for c in clusters
             )
             assert pur == pytest.approx(osum / len(truth), rel=1e-9)
+
+
+def reference_report(clusters, truth, lenient):
+    """The report's figures the plain way: label sets, and one question at a
+    time to each cluster."""
+    label_sets = {}
+    for rid, label in truth.items():
+        label_sets.setdefault(label, set()).add(rid)
+    matched, tp, total, majority_sum, per_cluster = set(), 0, 0, 0, []
+    for c in clusters:
+        labeled = {i for i in c.member_ids if i in truth}
+        labels = [truth[i] for i in c.member_ids if i in truth]
+        majority, count = Counter(labels).most_common(1)[0] if labels else (None, 0)
+        exact = None
+        if (
+            labels
+            and len(labeled) == len(c.member_ids)
+            and len(set(labels)) == 1
+            and labeled == label_sets[majority]
+        ):
+            exact = majority
+        if lenient and labeled:
+            votes = Counter(truth[i] for i in labeled)
+            # the labels with more than half the distinct labeled members
+            for label, held in votes.items():
+                if (label not in matched and held * 2 > len(labeled)
+                        and held * 2 > len(label_sets[label])):
+                    matched.add(label)
+                    tp += 1
+        elif not lenient and exact is not None and exact not in matched:
+            matched.add(exact)
+            tp += 1
+        total += len(labels)
+        majority_sum += count
+        per_cluster.append((exact, majority, round(count / len(labels), 6) if labels else 0.0))
+    fp, fn = len(clusters) - tp, len(label_sets) - len(matched)
+    if not clusters and truth:
+        pur = 0.0
+    elif total == 0:
+        pur = None
+    else:
+        pur = majority_sum / total
+    return (tp, fp, fn), pur, per_cluster
+
+
+# ids 0-7 may be labeled; 8 and 9 never are, and a cluster may list an id twice
+TRUTHS = st.dictionaries(st.integers(0, 7), st.sampled_from("ABC"), max_size=8)
+CLUSTERS = st.lists(st.lists(st.integers(0, 9), max_size=6), max_size=5)
+
+
+class TestReportAgainstReference:
+    @settings(max_examples=500, deadline=None)
+    @given(TRUTHS, CLUSTERS, st.booleans())
+    @example({0: "A", 1: "A"}, [[0, 1, 1]], False)
+    @example({0: "A", 1: "A", 2: "B"}, [[0, 0, 0, 2, 1]], True)
+    @example({0: "A", 1: "B"}, [[0, 1], [0]], True)
+    @example({0: "A"}, [[8, 9]], False)
+    def test_report_is_the_reference(self, truth, member_lists, lenient):
+        clusters = [cluster(ids) for ids in member_lists]
+        counts, pur, per_cluster = reference_report(clusters, truth, lenient)
+        if pur is None:
+            with pytest.raises(NoLabeledDataError):
+                report(clusters, truth, lenient=lenient)
+            return
+        rep = report(clusters, truth, lenient=lenient)
+        assert (rep.tp, rep.fp, rep.fn) == counts == match_counts(clusters, truth, lenient)
+        assert rep.purity == pur
+        assert [
+            (c["matched_endpoint"], c["majority_label"], c["majority_fraction"])
+            for c in rep.per_cluster
+        ] == per_cluster
+        assert [c["size"] for c in rep.per_cluster] == [len(ids) for ids in member_lists]

@@ -140,3 +140,29 @@ class TestProperties:
         clean = "/" + "/".join(segments)
         noisy = "/" + ("/" * extra) + ("/" * 2).join(segments) + "/"
         assert normalize(rec(noisy)).segments == normalize(rec(clean)).segments
+
+
+# cased letters, the final-sigma context (':' and '.' are case-ignorable),
+# characters whose lower case is longer ('İ'), and escapes
+PATH_CHARS = st.sampled_from("/Σσς İIıAa:.'%2F41") | st.characters()
+
+
+class TestLowerOnce:
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(alphabet=PATH_CHARS))
+    @example("/AΣ/b")
+    @example("/AΣ:/b")
+    @example("/a/Σ")
+    @example("/İ/x")
+    def test_segments_are_each_segment_lowered(self, path):
+        expected = [seg.lower() for seg in _decode_unreserved(path).split("/") if seg]
+        assert normalize(rec("/"), (path, "")).segments == expected
+
+    def test_segments_and_keys_are_shared_through_the_table(self):
+        shared = {}
+        a = normalize(rec("/API/Items/7?page=1&sort=x"), shared=shared)
+        b = normalize(rec("/api/items/8?page=2"), shared=shared)
+        assert a.segments[:2] == b.segments[:2] == ["api", "items"]
+        assert all(x is y for x, y in zip(a.segments[:2], b.segments[:2]))
+        assert a.raw_query_keys[0] is b.raw_query_keys[0]
+        assert set(shared) == {"api", "items", "7", "8", "page", "sort"}

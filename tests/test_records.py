@@ -1,6 +1,8 @@
 """Ingestion: HAR / JSONL parsing, canonical serialization, validation."""
 
+import copy
 import json
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,10 +11,12 @@ from apiminer.records import (
     Dataset,
     HttpRecord,
     IngestError,
+    _lines,
     parse_har,
     parse_jsonl,
     write_dataset,
 )
+from apiminer.refine import discover, prepare_traffic
 
 
 def har_doc(entries):
@@ -244,6 +248,33 @@ class TestRecordInvariants:
             with pytest.raises(IngestError, match=f"record 7: {field} must be a 64-bit integer"):
                 HttpRecord(id=7, method="GET", url="/x", **{"body_size": 1, field: value})
 
+    def test_a_count_cannot_be_set_after_construction(self):
+        records = [
+            HttpRecord(id=i, method="POST", url=f"/api/v1/items/{i}",
+                       content_type="application/json", body_size=10, body_field_count=2)
+            for i in range(4)
+        ]
+        with pytest.raises(AttributeError):
+            records[0].body_field_count = 10**400
+        # every other way to a record with a new count checks it
+        with pytest.raises(IngestError, match="record 0: body_field_count must be a 64-bit"):
+            records[0]._replace(body_field_count=10**400)
+        with pytest.raises(IngestError, match="record 0: body_field_count must be a 64-bit"):
+            HttpRecord._make((0, "POST", "/x", (), None, 10, 10**400, None, None))
+        assert records[0].body_field_count == 2
+        clusters = discover(prepare_traffic(Dataset(records=records)))
+        assert sorted(i for c in clusters for i in c.member_ids) == [0, 1, 2, 3]
+
+    def test_normalized_when_built_and_equal_when_copied(self):
+        record = HttpRecord(id=3, method="get", url="/x", headers=[["A", "b"]],
+                            body_size=-4, body_field_count=5)
+        assert record.method == "GET"
+        assert record.headers == (("A", "b"),)
+        assert (record.body_size, record.body_field_count) == (0, 0)
+        assert pickle.loads(pickle.dumps(record)) == record
+        assert copy.deepcopy(record) == record
+        assert record._replace(url="/y") == HttpRecord(3, "GET", "/y", (("A", "b"),), None, 0, 0)
+
     def test_ground_truth_must_reference_known_ids(self):
         r = HttpRecord(id=0, method="GET", url="/x")
         with pytest.raises(IngestError, match="unknown record id"):
@@ -270,3 +301,14 @@ class TestRoundTrip:
 
     def test_empty_dataset_serializes_to_empty_string(self):
         assert write_dataset(Dataset()) == ""
+
+
+class TestLines:
+    @given(
+        st.text(alphabet=st.sampled_from("ab{} \n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029") | st.characters()),
+        st.integers(0, 6),
+    )
+    def test_lines_are_splitlines(self, text, block):
+        assert list(_lines(text, block)) == text.splitlines()
+        assert list(_lines(text)) == text.splitlines()
+
