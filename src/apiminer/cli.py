@@ -7,7 +7,7 @@ import json
 import sys
 from pathlib import Path
 
-from .records import Dataset, IngestError, parse_har, parse_jsonl, write_dataset
+from .records import Dataset, IngestError, parse_har, parse_jsonl, read_labels, write_dataset
 from .normalize import canonical_path
 from .denoise import DEFAULT_TAU
 from .refine import PASSTHROUGH, EndpointCluster, RefinerConfig, discover, prepare_traffic
@@ -41,6 +41,15 @@ def _read_dataset(path: str, fmt: str) -> Dataset:
     if fmt == "jsonl":
         return parse_jsonl(_read_text(path))
     raise IngestError(f"unknown input format {fmt!r}")
+
+
+def _capture_labels(path: str, fmt: str) -> tuple[dict[int, str], int]:
+    """The ground truth of a capture and its number of requests; a JSONL
+    capture is checked line by line but builds no record."""
+    if fmt == "jsonl":
+        return read_labels(_read_text(path))
+    dataset = _read_dataset(path, fmt)
+    return dataset.ground_truth, len(dataset.records)
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -158,6 +167,18 @@ def _load_clusters(path: str) -> list[EndpointCluster]:
     return clusters
 
 
+def _check_member_ids(clusters: list[EndpointCluster], requests: int) -> None:
+    """Each member id names one of the capture's ``requests`` requests."""
+    for index, cluster in enumerate(clusters):
+        ids = cluster.member_ids
+        if ids and (min(ids) < 0 or max(ids) >= requests):
+            stray = next(i for i in ids if not 0 <= i < requests)
+            raise IngestError(
+                f"cluster entry {index}: member id {stray} is not one of the "
+                f"capture's {requests} requests"
+            )
+
+
 def cmd_ingest(args) -> int:
     dataset = _read_dataset(args.input, args.format)
     if dataset.skipped:
@@ -204,15 +225,16 @@ def cmd_noise(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    dataset = _read_dataset(args.input, args.format)
-    if not dataset.ground_truth:
+    ground_truth, requests = _capture_labels(args.input, args.format)
+    if not ground_truth:
         raise NoLabeledDataError(
             "evaluation requires a labeled dataset: no record carries a label"
         )
     clusters = _load_clusters(args.clusters)
+    _check_member_ids(clusters, requests)
     rep = report(
         clusters,
-        dataset.ground_truth,
+        ground_truth,
         config_echo={"input": args.input, "clusters": args.clusters, "lenient": args.lenient},
         lenient=args.lenient,
     )

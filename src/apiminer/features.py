@@ -34,7 +34,7 @@ def extract_features(nr: NormalizedRequest, record: HttpRecord) -> tuple[float, 
     return (
         float(len(nr.segments)),
         float(sum(1 for s in nr.segments if s in API_KEYWORDS)),
-        *_query_facts(tuple(nr.raw_query_keys)),
+        *_query_facts(nr.raw_query_keys),
         math.log1p(max(0, record.body_size)),
         float(record.body_field_count or 0),
         float(record.body_nesting_depth or 0),

@@ -8,7 +8,7 @@ same interface compare equal.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from urllib.parse import urlsplit
 
 from .records import HttpRecord, IngestError
@@ -25,7 +25,7 @@ class NormalizedRequest:
     record_id: int
     method: str
     segments: list[str]
-    raw_query_keys: list[str] = field(default_factory=list)
+    raw_query_keys: tuple[str, ...] = ()
 
 
 def _decode_unreserved(path: str) -> str:
@@ -55,16 +55,13 @@ def _decode_unreserved(path: str) -> str:
     return "".join(out)
 
 
-def _query_keys(query: str) -> list[str]:
-    """Parameter names in order, duplicates kept."""
+def _query_keys(query: str, share) -> tuple[str, ...]:
+    """Parameter names in order, duplicates kept, each through ``share``;
+    no query gives the one empty tuple."""
     if not query:
-        return []
-    keys = []
-    for pair in query.split("&"):
-        if not pair:
-            continue
-        keys.append(pair.split("=", 1)[0])
-    return keys
+        return ()
+    keys = [pair.split("=", 1)[0] for pair in query.split("&") if pair]
+    return tuple([share(key, key) for key in keys])
 
 
 # An http(s) scheme and a host that urlsplit passes through unchecked:
@@ -131,7 +128,7 @@ def normalize(
         record_id=record.id,
         method=record.method,
         segments=segments,
-        raw_query_keys=[share(key, key) for key in _query_keys(query)],
+        raw_query_keys=_query_keys(query, share),
     )
 
 

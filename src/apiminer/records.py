@@ -44,6 +44,26 @@ def _count_out_of_range(*counts) -> tuple[str, int]:
     raise AssertionError("every count fits")
 
 
+def _held_counts(
+    body_size: int, fields: int | None, depth: int | None
+) -> tuple[int, int | None, int | None] | None:
+    """The counts as a record holds them, or None if one does not fit 64 bits.
+
+    A negative body size is clamped to 0, and an empty body has no structure
+    counts: a field count or nesting depth it gives is cleared to 0.
+    """
+    if not (
+        _COUNT_MIN <= body_size <= _COUNT_MAX
+        and (fields is None or _COUNT_MIN <= fields <= _COUNT_MAX)
+        and (depth is None or _COUNT_MIN <= depth <= _COUNT_MAX)
+    ):
+        return None
+    if body_size <= 0:
+        # None stays None
+        return 0, fields and 0, depth and 0
+    return body_size, fields, depth
+
+
 class _RecordFields(NamedTuple):
     id: int
     method: str
@@ -90,21 +110,11 @@ class HttpRecord(_RecordFields):
             method = upper
         if type(headers) is not tuple:
             headers = tuple(tuple(h) for h in headers)
-        fields, depth = body_field_count, body_nesting_depth
-        if not (
-            _COUNT_MIN <= body_size <= _COUNT_MAX
-            and (fields is None or _COUNT_MIN <= fields <= _COUNT_MAX)
-            and (depth is None or _COUNT_MIN <= depth <= _COUNT_MAX)
-        ):
-            name, value = _count_out_of_range(body_size, fields, depth)
+        counts = _held_counts(body_size, body_field_count, body_nesting_depth)
+        if counts is None:
+            name, value = _count_out_of_range(body_size, body_field_count, body_nesting_depth)
             raise IngestError(f"record {id}: {name} must be a 64-bit integer, got {value!r}")
-        if body_size <= 0:
-            body_size = 0
-            # no body implies no structure metrics
-            if fields:
-                fields = 0
-            if depth:
-                depth = 0
+        body_size, fields, depth = counts
         return _new_tuple(
             cls, (id, method, url, headers, content_type, body_size, fields, depth, label)
         )
@@ -309,14 +319,15 @@ def _lines(text: str, block: int = _LINE_BLOCK):
         start = end
 
 
-def parse_jsonl(text: str) -> Dataset:
-    """Parse JSONL capture text, one request object per non-empty line.
+def _jsonl_requests(text: str):
+    """The fields of each request line of JSONL capture text, checked, as
+    ``HttpRecord`` holds them after its id: one tuple per non-blank line.
 
-    The records of one capture share one object per distinct method,
-    content type, label, header pair and header list.
+    A line that is not a request object, or a field of the wrong type or out
+    of range, raises ``IngestError`` naming the line and the field.  The
+    fields of one call share one object per distinct method, content type,
+    label, header pair and header list.
     """
-    records: list[HttpRecord] = []
-    ground_truth: dict[int, str] = {}
     shared: dict = {}
     share = shared.setdefault
     # each method as given, to its upper-case form in ``shared``
@@ -363,7 +374,6 @@ def parse_jsonl(text: str) -> Dataset:
         label = obj.get("label")
         if label is not None and type(label) is not str:
             raise _field_error(lineno, "label", "a string", label)
-        label = share(label, label)
         body_size = obj.get("body_size")
         if type(body_size) is not int:
             body_size = _as_int(lineno, "body_size", body_size) or 0
@@ -373,26 +383,55 @@ def parse_jsonl(text: str) -> Dataset:
         nesting = obj.get("body_nesting_depth")
         if type(nesting) is not int and nesting is not None:
             nesting = _as_int(lineno, "body_nesting_depth", nesting)
-        rid = len(records)
-        try:
-            record = HttpRecord(
-                rid,
-                upper,
-                url,
-                share(pairs, pairs),
-                share(content_type, content_type),
-                body_size,
-                field_count,
-                nesting,
-                label,
-            )
-        except IngestError:
+        counts = _held_counts(body_size, field_count, nesting)
+        if counts is None:
             name, _ = _count_out_of_range(body_size, field_count, nesting)
-            raise _field_error(lineno, name, "a 64-bit integer", obj[name]) from None
-        records.append(record)
+            raise _field_error(lineno, name, "a 64-bit integer", obj[name])
+        body_size, field_count, nesting = counts
+        yield (
+            upper,
+            url,
+            share(pairs, pairs),
+            share(content_type, content_type),
+            body_size,
+            field_count,
+            nesting,
+            share(label, label),
+        )
+
+
+def parse_jsonl(text: str) -> Dataset:
+    """Parse JSONL capture text, one request object per non-blank line.
+
+    The records of one capture share one object per distinct method,
+    content type, label, header pair and header list.
+    """
+    records: list[HttpRecord] = []
+    ground_truth: dict[int, str] = {}
+    for rid, fields in enumerate(_jsonl_requests(text)):
+        # the fields are checked and held as HttpRecord.__new__ would hold them
+        records.append(_new_tuple(HttpRecord, (rid,) + fields))
+        label = fields[-1]
         if label is not None:
             ground_truth[rid] = label
     return Dataset(records=records, source="jsonl", ground_truth=ground_truth)
+
+
+def read_labels(text: str) -> tuple[dict[int, str], int]:
+    """The ground truth of JSONL capture text and its number of requests,
+    without building a record.
+
+    Every line is checked as ``parse_jsonl`` checks it, so the two raise the
+    same ``IngestError`` for the same text.
+    """
+    ground_truth: dict[int, str] = {}
+    requests = 0
+    for fields in _jsonl_requests(text):
+        label = fields[-1]
+        if label is not None:
+            ground_truth[requests] = label
+        requests += 1
+    return ground_truth, requests
 
 
 _ENCODE_LINE = json.JSONEncoder(separators=(",", ":")).encode

@@ -4,11 +4,13 @@ Each group of three or more requests is refined by spectral clustering:
 seeded k-means on the top eigenvectors of its similarity graph's normalized
 adjacency (Ng, Jordan & Weiss, NIPS 2001), with the connected components
 giving the cluster count.  A group whose graph is one component is one
-cluster and needs neither.  The graph and its eigenvectors are computed over
-a group's distinct feature rows, each weighted by the number of requests that
-share it; the requests of one row share one embedding, so identical requests
-are never split.  ``RefinerConfig.force_kmeans`` runs k-means on the scaled
-features instead, the paper's ablation of the graph.
+cluster and needs neither; a group whose requests share one distinct
+feature row is one cluster and gets no graph at all.  The graph and its
+eigenvectors are computed over a group's distinct feature rows, each
+weighted by the number of requests that share it; the requests of one row
+share one embedding, so identical requests are never split.
+``RefinerConfig.force_kmeans`` runs k-means on the scaled features instead,
+the paper's ablation of the graph.
 """
 
 from __future__ import annotations
@@ -183,14 +185,17 @@ def refine_group(
     distinct_raw, node_of = _distinct_rows(
         [extract_features(nr, records[nr.record_id]) for nr in members]
     )
+    provenance = KMEANS_ABLATION if config.force_kmeans else GRAPH_REFINED
+    if len(distinct_raw) == 1:
+        # one distinct row scales to a zero row: its graph is one node with
+        # no edge, one component, so k = 1 without building it
+        return [_cluster(group, group.member_ids, members, provenance)]
     # min-max scaling over every request gives each distinct raw row one
     # scaled row; take it where the row first occurs
     X = scale_features(distinct_raw[node_of])
     distinct = X[np.unique(node_of, return_index=True)[1]]
     graph = build_graph(distinct, config.theta, node_of)
     k = select_k(graph)
-
-    provenance = KMEANS_ABLATION if config.force_kmeans else GRAPH_REFINED
     if k == 1:
         # one component is one cluster: k-means with one centroid labels
         # every request 0, and reabsorption leaves a lone cluster alone

@@ -6,14 +6,16 @@ import json
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from apiminer import denoise, refine
+from apiminer import cli, denoise, refine
 from apiminer import normalize as normalize_module
 from apiminer.cli import _load_clusters, _load_config_file, _pipeline_settings, main
 from apiminer.corpus import CorpusSpec, synth_corpus
 from apiminer.denoise import filter_traffic
 from apiminer.noise import INTERFERE, inject
 from apiminer.normalize import canonical_path, normalize
-from apiminer.records import Dataset, IngestError, parse_har, parse_jsonl, write_dataset
+from apiminer.records import (
+    Dataset, IngestError, parse_har, parse_jsonl, read_labels, write_dataset,
+)
 
 
 @pytest.fixture
@@ -172,6 +174,19 @@ class TestDiscoverAndEvaluate:
         tb = sorted(e["template"] for e in json.loads(b.read_text(encoding="utf-8")))
         assert ta == tb
 
+    def test_evaluate_reads_labels_without_parsing_records(self, tmp_path, noisy_file, monkeypatch):
+        clusters, before, after = (tmp_path / name for name in ("c.json", "a.json", "b.json"))
+        assert main(["discover", "--in", str(noisy_file), "--out", str(clusters)]) == 0
+        evaluate = ["evaluate", "--in", str(noisy_file), "--clusters", str(clusters), "--out"]
+        assert main([*evaluate, str(before)]) == 0
+
+        def unreachable(*args):
+            raise AssertionError("evaluate built the capture's records")
+
+        monkeypatch.setattr(cli, "parse_jsonl", unreachable)
+        assert main([*evaluate, str(after)]) == 0
+        assert after.read_bytes() == before.read_bytes()
+
     def test_evaluate_unlabeled_exits_two(self, tmp_path):
         src = tmp_path / "u.jsonl"
         src.write_text(
@@ -316,6 +331,20 @@ class TestMalformedInput:
         argv = ["evaluate", "--in", str(corpus_file), "--clusters", str(clusters)]
         self.assert_rejected(argv, "cluster entry 0: member_ids must be a list of integers", capsys)
 
+    @pytest.mark.parametrize("stray", [-1, 100, 10**30])
+    def test_cluster_member_id_outside_capture(self, tmp_path, corpus_file, capsys, stray):
+        # corpus_file holds requests 0-99; a document from another capture
+        # names ids it does not hold
+        entries = [
+            {"template": "/a", "method": "GET", "member_ids": [0, 1]},
+            {"template": "/b", "method": "GET", "member_ids": [2, stray, 3]},
+        ]
+        clusters = tmp_path / "clusters.json"
+        clusters.write_text(json.dumps(entries), encoding="utf-8")
+        argv = ["evaluate", "--in", str(corpus_file), "--clusters", str(clusters)]
+        message = f"cluster entry 1: member id {stray} is not one of the capture's 100 requests"
+        self.assert_rejected(argv, message, capsys)
+
     def test_jsonl_field(self, tmp_path, capsys):
         src = tmp_path / "bad.jsonl"
         src.write_text('{"method": "GET", "url": "/x", "body_size": "abc"}\n', encoding="utf-8")
@@ -457,6 +486,31 @@ CAPTURE_LINES = st.one_of(
         optional={name: JSON_VALUES | COUNTS for name in RECORD_FIELDS},
     ).map(json.dumps),
 )
+# request lines that parse, some labeled, for the labels reader to count
+LABELED_LINES = st.fixed_dictionaries(
+    {"method": st.sampled_from(["GET", "post"]), "url": st.text(max_size=6)},
+    optional={
+        "label": st.none() | st.sampled_from(["EP_A", "EP_B"]),
+        "body_size": st.integers(-(2**63), 2**63 - 1),
+    },
+).map(json.dumps)
+
+
+def padded(lines):
+    """``lines`` with whitespace around some of them."""
+    return st.tuples(
+        st.sampled_from(["", " ", "\t"]), lines, st.sampled_from(["", " ", "\t "])
+    ).map("".join)
+
+
+# capture text: request lines, blank lines and at most one fuzzed capture
+# line, each maybe padded with whitespace
+CAPTURE_TEXTS = st.builds(
+    lambda lines, fuzzed, at: "\n".join(lines[:at] + fuzzed + lines[at:]),
+    st.lists(padded(LABELED_LINES) | st.sampled_from(["", " ", "\t"]), max_size=6),
+    st.lists(padded(CAPTURE_LINES), max_size=1),
+    st.integers(0, 6),
+)
 CLUSTER_ENTRIES = st.fixed_dictionaries({}, optional={
     "template": JSON_VALUES,
     "method": JSON_VALUES,
@@ -522,6 +576,19 @@ class TestInputFuzz:
             parse_jsonl("\n".join(lines))
         except IngestError:
             pass
+
+    @FUZZ
+    @given(text=CAPTURE_TEXTS)
+    def test_read_labels_matches_parse_jsonl(self, text):
+        # the same labels and request count, or the same error
+        try:
+            dataset = parse_jsonl(text)
+        except IngestError as exc:
+            with pytest.raises(IngestError) as raised:
+                read_labels(text)
+            assert str(raised.value) == str(exc)
+        else:
+            assert read_labels(text) == (dataset.ground_truth, len(dataset.records))
 
     @FUZZ
     @given(doc=RAW_DOCS | JSON_VALUES | st.lists(CLUSTER_ENTRIES | JSON_VALUES, max_size=3))

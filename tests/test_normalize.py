@@ -26,11 +26,15 @@ class TestNormalize:
     def test_query_and_fragment_removed_keys_recorded_in_order(self):
         nr = normalize(rec("/api/user?role=admin&id=1#frag"))
         assert nr.segments == ["api", "user"]
-        assert nr.raw_query_keys == ["role", "id"]
+        assert nr.raw_query_keys == ("role", "id")
 
     def test_duplicate_query_keys_kept(self):
         nr = normalize(rec("/api/user?id=1&id=2"))
-        assert nr.raw_query_keys == ["id", "id"]
+        assert nr.raw_query_keys == ("id", "id")
+
+    def test_requests_without_a_query_share_one_empty_tuple(self):
+        a, b = normalize(rec("/api/user")), normalize(rec("/api/item?"))
+        assert a.raw_query_keys == () and a.raw_query_keys is b.raw_query_keys
 
     def test_query_order_does_not_affect_path(self):
         a = normalize(rec("/api/user?role=admin&id=1"))

@@ -253,6 +253,23 @@ class TestRefineGroup:
         clusters = refine_group(group, requests, records)
         assert [c.member_ids for c in clusters] == [[0, 1, 2, 3, 4]]
 
+    @pytest.mark.parametrize("force_kmeans, provenance", [
+        (False, GRAPH_REFINED), (True, KMEANS_ABLATION),
+    ])
+    def test_one_row_group_builds_no_graph(self, monkeypatch, force_kmeans, provenance):
+        # different ids, one feature row: the group's answer is one cluster
+        urls = [f"/api/v1/things/{i}?page={i}" for i in range(6)]
+        group, requests, records = group_from_urls(urls, method="PUT", bodies=[(80, 3, 1)] * 6)
+        assert len({extract_features(requests[i], records[i]) for i in range(6)}) == 1
+
+        def unreachable(*args):
+            raise AssertionError("a one-row group was scaled or graphed")
+
+        monkeypatch.setattr("apiminer.refine.scale_features", unreachable)
+        monkeypatch.setattr("apiminer.refine.build_graph", unreachable)
+        clusters = refine_group(group, requests, records, RefinerConfig(force_kmeans=force_kmeans))
+        assert [(c.member_ids, c.provenance) for c in clusters] == [(list(range(6)), provenance)]
+
     def test_force_kmeans_bypasses_graph_training(self):
         n = 15
         urls = [f"/api/v1/things/{i}?page=1" for i in range(n)]
