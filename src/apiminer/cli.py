@@ -43,15 +43,6 @@ def _read_dataset(path: str, fmt: str) -> Dataset:
     raise IngestError(f"unknown input format {fmt!r}")
 
 
-def _capture_labels(path: str, fmt: str) -> tuple[dict[int, str], int]:
-    """The ground truth of a capture and its number of requests; a JSONL
-    capture is checked line by line but builds no record."""
-    if fmt == "jsonl":
-        return read_labels(_read_text(path))
-    dataset = _read_dataset(path, fmt)
-    return dataset.ground_truth, len(dataset.records)
-
-
 def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -225,7 +216,13 @@ def cmd_noise(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    ground_truth, requests = _capture_labels(args.input, args.format)
+    if args.format != "jsonl":
+        # a HAR request has no label field
+        raise IngestError(
+            f"evaluate reads labels from a JSONL capture; --format {args.format} carries none"
+        )
+    # the capture is checked line by line, but no record is built
+    ground_truth, requests = read_labels(_read_text(args.input))
     if not ground_truth:
         raise NoLabeledDataError(
             "evaluation requires a labeled dataset: no record carries a label"

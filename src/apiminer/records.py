@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
@@ -319,7 +320,31 @@ def _lines(text: str, block: int = _LINE_BLOCK):
         start = end
 
 
-def _jsonl_requests(text: str):
+# A JSON string as ``write_dataset`` writes it.  Most hold no escape and are
+# read by the first branch in one scan; the second reads runs of plain
+# characters between escapes.  Neither can split a run two ways, so a failed
+# match backtracks in linear time.
+_PLAIN = r'[^"\\\x00-\x1f]'
+_ESCAPE = r'\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4})'
+_STRING = rf'"(?:{_PLAIN}*"|{_PLAIN}*(?:{_ESCAPE}{_PLAIN}*)+")'
+# An integer of at most 18 digits, which fits 64 bits ([0-9], not \d: \d
+# matches every Unicode digit, which JSON does not read).
+_COUNT = r"-?(?:0|[1-9][0-9]{0,17})"
+_HEADER = rf"\[{_STRING},{_STRING}\]"
+# One line as ``write_dataset`` writes it, keys in its order.  A line that
+# matches decodes to an object that passes every check of
+# ``_jsonl_requests``, with the label that group 1 holds; the label is taken
+# only when it has no escape, so that the text is its value.
+_CANONICAL_LINE = re.compile(
+    rf'\{{"id":{_COUNT},"method":{_STRING},"url":{_STRING}'
+    rf',"headers":\[(?:{_HEADER}(?:,{_HEADER})*)?\]'
+    rf'(?:,"content_type":{_STRING})?'
+    rf',"body_size":{_COUNT}(?:,"body_field_count":{_COUNT})?(?:,"body_nesting_depth":{_COUNT})?'
+    rf'(?:,"label":"({_PLAIN}*)")?\}}'
+)
+
+
+def _jsonl_requests(text: str, canonical=None):
     """The fields of each request line of JSONL capture text, checked, as
     ``HttpRecord`` holds them after its id: one tuple per non-blank line.
 
@@ -327,12 +352,21 @@ def _jsonl_requests(text: str):
     of range, raises ``IngestError`` naming the line and the field.  The
     fields of one call share one object per distinct method, content type,
     label, header pair and header list.
+
+    A line that ``canonical`` (``_CANONICAL_LINE.fullmatch``) matches is not
+    decoded: it passes every check, and it is yielded as the 1-tuple of its
+    label, so that the label is the last item of every tuple.
     """
     shared: dict = {}
     share = shared.setdefault
     # each method as given, to its upper-case form in ``shared``
     methods: dict[str, str] = {}
     for lineno, line in enumerate(_lines(text), start=1):
+        if canonical is not None:
+            match = canonical(line)
+            if match is not None:
+                yield (match[1],)
+                continue
         if not line.strip():
             continue
         try:
@@ -421,12 +455,13 @@ def read_labels(text: str) -> tuple[dict[int, str], int]:
     """The ground truth of JSONL capture text and its number of requests,
     without building a record.
 
-    Every line is checked as ``parse_jsonl`` checks it, so the two raise the
-    same ``IngestError`` for the same text.
+    A line as ``write_dataset`` writes it is read by ``_CANONICAL_LINE``
+    alone.  Every other line is checked as ``parse_jsonl`` checks it, so the
+    two raise the same ``IngestError`` for the same text.
     """
     ground_truth: dict[int, str] = {}
     requests = 0
-    for fields in _jsonl_requests(text):
+    for fields in _jsonl_requests(text, _CANONICAL_LINE.fullmatch):
         label = fields[-1]
         if label is not None:
             ground_truth[requests] = label

@@ -11,10 +11,11 @@ from apiminer import normalize as normalize_module
 from apiminer.cli import _load_clusters, _load_config_file, _pipeline_settings, main
 from apiminer.corpus import CorpusSpec, synth_corpus
 from apiminer.denoise import filter_traffic
-from apiminer.noise import INTERFERE, inject
+from apiminer.noise import INTERFERE, LEXIFY, inject
 from apiminer.normalize import canonical_path, normalize
 from apiminer.records import (
-    Dataset, IngestError, parse_har, parse_jsonl, read_labels, write_dataset,
+    _CANONICAL_LINE, Dataset, HttpRecord, IngestError, parse_har, parse_jsonl, read_labels,
+    write_dataset,
 )
 
 
@@ -186,6 +187,21 @@ class TestDiscoverAndEvaluate:
         monkeypatch.setattr(cli, "parse_jsonl", unreachable)
         assert main([*evaluate, str(after)]) == 0
         assert after.read_bytes() == before.read_bytes()
+
+    @pytest.mark.parametrize("har", [json.dumps(HAR_DOC), "{not json", None])
+    def test_evaluate_rejects_har_before_reading_it(self, tmp_path, capsys, har):
+        # a HAR request has no label field; a valid, a malformed and a missing
+        # HAR file all get the same message
+        src = tmp_path / "t.har"
+        if har is not None:
+            src.write_text(har, encoding="utf-8")
+        clusters = tmp_path / "c.json"
+        clusters.write_text("[]", encoding="utf-8")
+        rc = main(["evaluate", "--format", "har", "--in", str(src), "--clusters", str(clusters)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: evaluate reads labels from a JSONL capture; --format har carries none\n"
+        )
 
     def test_evaluate_unlabeled_exits_two(self, tmp_path):
         src = tmp_path / "u.jsonl"
@@ -475,12 +491,97 @@ COUNTS = st.integers() | st.builds(
 )
 # an integer literal json.loads does not read: more than 4300 digits
 LONG_LITERALS = st.integers(4301, 4400).map(lambda digits: "9" * digits)
+
+
+def padded(lines):
+    """``lines`` with whitespace around some of them."""
+    return st.tuples(
+        st.sampled_from(["", " ", "\t"]), lines, st.sampled_from(["", " ", "\t "])
+    ).map("".join)
+
+
+# text with what a JSON string escapes (quotes, backslashes, control
+# characters, U+2028, which also ends a line) and text past ASCII
+WRITTEN_TEXT = st.text(
+    alphabet=st.sampled_from('a/_"\\\x00\t\x1f\x7f\u00e9\u2028\U0001f600') | st.characters(),
+    max_size=6,
+)
+WRITTEN_COUNTS = st.integers(-(2**63), 2**63 - 1)
+WRITTEN_RECORDS = st.builds(
+    HttpRecord,
+    id=st.integers(0, 10**6),
+    method=st.sampled_from(["GET", "POST"]) | WRITTEN_TEXT,
+    url=st.sampled_from(["/api/v1/items/7"]) | WRITTEN_TEXT,
+    headers=st.lists(st.tuples(WRITTEN_TEXT, WRITTEN_TEXT), max_size=2).map(tuple),
+    content_type=st.none() | WRITTEN_TEXT,
+    body_size=WRITTEN_COUNTS,
+    body_field_count=st.none() | WRITTEN_COUNTS,
+    body_nesting_depth=st.none() | WRITTEN_COUNTS,
+    label=st.none() | st.sampled_from(["EP_A", "EP_B"]) | WRITTEN_TEXT,
+)
+WRITTEN_KEYS = ("id", "method", "url", "headers", "content_type", "body_size",
+                "body_field_count", "body_nesting_depth", "label")
+# JSON text to set a count to: -0, which the pattern takes; null, a float, a
+# list and 19 digits, which it leaves to the checked path; and a leading zero
+# and 20 or 4301 digits, which no reader takes
+COUNT_LITERALS = ["-0", "null", "1.5", "[]", "1" * 19, "9" * 19, "-" + "9" * 19, "01", "9" * 20,
+                  "9" * 4301]
+COUNT_KEYS = ["id", "body_size", "body_field_count", "body_nesting_depth"]
+# JSON text to set a string to: null and escapes, which the pattern leaves to
+# the checked path in a label; and a raw tab and escapes that JSON does not
+# have, which no reader takes
+STRING_LITERALS = [
+    "null", '"EP_A"', '"EP\\u005fA"', '"EP\\"A"', '"EP\\\\A"', '"\\/"',
+    '"\t"', '"\\x41"', '"\\u00zz"', '"\\u12"', '"\\"', '"\\U0041"',
+]
+STRING_KEYS = ["method", "url", "headers", "content_type", "label"]
+
+
+def _compact(obj, ascii_only=True) -> str:
+    return json.dumps(obj, separators=(",", ":"), ensure_ascii=ascii_only)
+
+
+def _with(obj, key, literal) -> str:
+    """``obj`` in compact JSON with ``key`` set to the JSON text ``literal``,
+    or with a header value set to it for ``headers``."""
+    if key == "headers":
+        literal = f'[["a",{literal}]]'
+    # longer than any drawn string, so it stands for nothing else
+    return _compact({**obj, key: "\x00literal\x00"}).replace('"\\u0000literal\\u0000"', literal)
+
+
+@st.composite
+def written_lines(draw):
+    """A line as ``write_dataset`` writes it, or that line with one edit: a
+    count or a string set to other JSON text, the keys reordered, a key
+    repeated or added, padding, or text past ASCII left unescaped."""
+    line = write_dataset(Dataset([draw(WRITTEN_RECORDS)])).rstrip("\n")
+    edit = draw(st.sampled_from(["count", "string", "order", "repeat", "padding", "unescaped", None]))
+    obj = json.loads(line)
+    if edit == "count":
+        return _with(obj, draw(st.sampled_from(COUNT_KEYS)), draw(st.sampled_from(COUNT_LITERALS)))
+    if edit == "string":
+        return _with(obj, draw(st.sampled_from(STRING_KEYS)), draw(st.sampled_from(STRING_LITERALS)))
+    if edit == "order":
+        return _compact({key: obj[key] for key in draw(st.permutations(list(obj)))})
+    if edit == "repeat":
+        key = draw(st.sampled_from(WRITTEN_KEYS + ("extra",)))
+        value = draw(st.sampled_from([*COUNT_LITERALS, *STRING_LITERALS, json.dumps(obj.get(key))]))
+        return line[:-1] + f',"{key}":{value}}}'
+    if edit == "padding":
+        return draw(padded(st.just(line)))
+    if edit == "unescaped":
+        return _compact(obj, ascii_only=False)
+    return line
+
+
 RECORD_FIELDS = ("id", "headers", "content_type", "body_size", "body_field_count",
                  "body_nesting_depth", "label")
 CAPTURE_LINES = st.one_of(
     st.text(max_size=20),
     LONG_LITERALS,
     JSON_VALUES.map(json.dumps),
+    written_lines(),
     st.fixed_dictionaries(
         {"method": JSON_VALUES, "url": JSON_VALUES},
         optional={name: JSON_VALUES | COUNTS for name in RECORD_FIELDS},
@@ -496,18 +597,14 @@ LABELED_LINES = st.fixed_dictionaries(
 ).map(json.dumps)
 
 
-def padded(lines):
-    """``lines`` with whitespace around some of them."""
-    return st.tuples(
-        st.sampled_from(["", " ", "\t"]), lines, st.sampled_from(["", " ", "\t "])
-    ).map("".join)
-
-
-# capture text: request lines, blank lines and at most one fuzzed capture
-# line, each maybe padded with whitespace
+# capture text: request lines (some as write_dataset writes them, or with one
+# edit), blank lines and at most one fuzzed capture line, each maybe padded
+# with whitespace
 CAPTURE_TEXTS = st.builds(
     lambda lines, fuzzed, at: "\n".join(lines[:at] + fuzzed + lines[at:]),
-    st.lists(padded(LABELED_LINES) | st.sampled_from(["", " ", "\t"]), max_size=6),
+    st.lists(
+        padded(LABELED_LINES) | written_lines() | st.sampled_from(["", " ", "\t"]), max_size=6
+    ),
     st.lists(padded(CAPTURE_LINES), max_size=1),
     st.integers(0, 6),
 )
@@ -577,10 +674,9 @@ class TestInputFuzz:
         except IngestError:
             pass
 
-    @FUZZ
-    @given(text=CAPTURE_TEXTS)
-    def test_read_labels_matches_parse_jsonl(self, text):
-        # the same labels and request count, or the same error
+    @staticmethod
+    def assert_read_alike(text):
+        # the same labels in the same order and request count, or the same error
         try:
             dataset = parse_jsonl(text)
         except IngestError as exc:
@@ -588,7 +684,54 @@ class TestInputFuzz:
                 read_labels(text)
             assert str(raised.value) == str(exc)
         else:
-            assert read_labels(text) == (dataset.ground_truth, len(dataset.records))
+            ground_truth, requests = read_labels(text)
+            assert list(ground_truth.items()) == list(dataset.ground_truth.items())
+            assert requests == len(dataset.records)
+
+    @FUZZ
+    @given(text=CAPTURE_TEXTS)
+    def test_read_labels_matches_parse_jsonl(self, text):
+        self.assert_read_alike(text)
+
+    def test_read_labels_matches_parse_jsonl_on_every_value_edit(self):
+        line = write_dataset(Dataset([HttpRecord(
+            0, "GET", "/x", (("a", "b"),), "application/json", 5, 1, 1, "EP_A"
+        )])).rstrip("\n")
+        edits = [(key, literal) for key in COUNT_KEYS for literal in COUNT_LITERALS]
+        edits += [(key, literal) for key in STRING_KEYS for literal in STRING_LITERALS]
+        for key, literal in edits:
+            self.assert_read_alike(f"{line}\n{_with(json.loads(line), key, literal)}\n{line}\n")
+
+    @FUZZ
+    @given(text=written_lines() | CAPTURE_LINES)
+    def test_a_canonical_match_is_a_checked_request(self, text):
+        # of the lines the readers split a text into, one that the pattern
+        # matches parse_jsonl reads as one request, with the match's label
+        for line in text.splitlines():
+            match = _CANONICAL_LINE.fullmatch(line)
+            if match is not None:
+                dataset = parse_jsonl(line)
+                assert len(dataset.records) == 1
+                assert dataset.records[0].label == match[1]
+
+    @FUZZ
+    @given(record=WRITTEN_RECORDS)
+    def test_written_lines_match_the_pattern(self, record):
+        # every line write_dataset writes takes the pattern's path, but for
+        # one whose label it escapes or that holds a count of 19 digits
+        line = write_dataset(Dataset([record])).rstrip("\n")
+        escaped = record.label is not None and json.dumps(record.label) != f'"{record.label}"'
+        counts = (record.id, record.body_size, record.body_field_count, record.body_nesting_depth)
+        long_count = any(abs(count) >= 10**18 for count in counts if count is not None)
+        assert (_CANONICAL_LINE.fullmatch(line) is None) == (escaped or long_count)
+
+    def test_written_captures_match_the_pattern(self):
+        # a typo in the pattern would send every line to the checked path
+        # while the readers still agree
+        dataset = synth_corpus(CorpusSpec(endpoint_count=8, requests_per_endpoint=10))
+        for capture in (dataset, inject(dataset, LEXIFY, 0.95, 1), inject(dataset, INTERFERE, 0.95, 1)):
+            lines = write_dataset(capture).splitlines()
+            assert lines and all(_CANONICAL_LINE.fullmatch(line) for line in lines)
 
     @FUZZ
     @given(doc=RAW_DOCS | JSON_VALUES | st.lists(CLUSTER_ENTRIES | JSON_VALUES, max_size=3))

@@ -3,6 +3,7 @@
 import copy
 import json
 import pickle
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,6 +15,7 @@ from apiminer.records import (
     _lines,
     parse_har,
     parse_jsonl,
+    read_labels,
     write_dataset,
 )
 from apiminer.refine import discover, prepare_traffic
@@ -301,6 +303,55 @@ class TestRoundTrip:
 
     def test_empty_dataset_serializes_to_empty_string(self):
         assert write_dataset(Dataset()) == ""
+
+
+def canonical_capture(count=3) -> str:
+    records = [
+        HttpRecord(id=i, method="GET", url=f"/api/v1/items/{i}", label=f"EP_{i % 2}")
+        for i in range(count)
+    ]
+    return write_dataset(Dataset(records=records))
+
+
+class TestReadLabels:
+    @pytest.mark.parametrize("line, message", [
+        ("not json", "line 4: Expecting value"),
+        ('{"id":3,"method":"GET","url":"/x","headers":[],"body_size":' + "9" * 20 + "}",
+         "line 4: body_size must be a 64-bit integer"),
+    ])
+    def test_malformed_line_after_canonical_lines_names_its_line(self, line, message):
+        text = canonical_capture() + line + "\n" + canonical_capture()
+        for reader in (read_labels, parse_jsonl):
+            with pytest.raises(IngestError, match=message):
+                reader(text)
+
+    def test_crlf_and_blank_lines_are_skipped_and_not_counted(self):
+        lines = canonical_capture(4).splitlines()
+        text = "\r\n".join(["", lines[0], " ", lines[1], "\t", "", lines[2], lines[3], "  "]) + "\r\n"
+        assert read_labels(text) == ({0: "EP_0", 1: "EP_1", 2: "EP_0", 3: "EP_1"}, 4)
+        assert read_labels(text) == (parse_jsonl(text).ground_truth, 4)
+
+    @pytest.mark.parametrize("label", ['"EP_1"', '"EP\\u005f1"'])
+    def test_label_reads_as_its_value(self, label):
+        # written as is, the pattern reads it; escaped, the checked path does
+        line = '{"id":0,"method":"GET","url":"/x","headers":[],"body_size":0,"label":%s}' % label
+        assert read_labels(line) == ({0: "EP_1"}, 1)
+
+    @pytest.mark.parametrize("line", [
+        "\\" * 2**20,
+        "[" * 2**20,
+        '{"id":0,"method":"GET","url":"' + "\\" * 2**20,
+        '{"id":0,"method":"GET","url":"' + "\\u0041" * 2**17 + "\\",
+    ], ids=["backslashes", "brackets", "url-of-backslashes", "url-of-escapes"])
+    def test_long_malformed_line_is_read_in_linear_time(self, line):
+        # a megabyte line; work quadratic in its length would take hours
+        start = time.perf_counter()
+        with pytest.raises(IngestError) as raised:
+            read_labels(line)
+        assert time.perf_counter() - start < 2.0
+        with pytest.raises(IngestError) as parsed:
+            parse_jsonl(line)
+        assert str(raised.value) == str(parsed.value)
 
 
 class TestLines:
