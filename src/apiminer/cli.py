@@ -5,8 +5,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from pathlib import Path
 
+from . import jsontext
 from .records import Dataset, IngestError, parse_har, parse_jsonl, read_labels, write_dataset
 from .normalize import canonical_path
 from .denoise import DEFAULT_TAU
@@ -96,18 +98,16 @@ def _pipeline_settings(args: argparse.Namespace) -> tuple[float, RefinerConfig]:
 
 
 def _cluster_document(clusters: list[EndpointCluster]) -> str:
-    payload = [
-        {
-            "method": c.method,
-            "template": c.template.render(),
-            "member_count": len(c.member_ids),
-            "provenance": c.provenance,
-            "representative_paths": c.representative_paths,
-            "member_ids": c.member_ids,
-        }
+    """The clusters as ``json.dumps(..., indent=2)`` writes their entries."""
+    string, array = jsontext.string, jsontext.array
+    entries = [
+        f'{{\n    "method": {string(c.method)},\n    "template": {string(c.template.render())},\n'
+        f'    "member_count": {len(c.member_ids)},\n    "provenance": {string(c.provenance)},\n'
+        f'    "representative_paths": {array(list(map(string, c.representative_paths)), "    ")},\n'
+        f'    "member_ids": {array(list(map(str, c.member_ids)), "    ")}\n  }}'
         for c in clusters
     ]
-    return json.dumps(payload, indent=2) + "\n"
+    return array(entries, "") + "\n"
 
 
 def _cluster_field(entry: dict, index: int, name: str, expected: str, accepts, default=None):
@@ -339,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="parse a capture into canonical JSONL")
     _add_io_flags(p)
-    p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("discover", help="run the endpoint-discovery pipeline")
     _add_io_flags(p)
@@ -347,14 +346,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump-templates", default=None, help="write METHOD\\ttemplate lines here")
     p.add_argument("--dump-normalized", default=None, help="write METHOD\\tpath lines here")
     p.add_argument("--emit-dropped", default=None, help="write id\\treason lines here")
-    p.set_defaults(func=cmd_discover)
 
     p = sub.add_parser("noise", help="produce a noisy variant of a dataset")
     _add_io_flags(p)
     p.add_argument("--kind", choices=("lexify", "interfere"), required=True)
     p.add_argument("--ratio", type=float, required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_noise)
 
     p = sub.add_parser("evaluate", help="score a cluster document against ground truth")
     _add_io_flags(p)
@@ -362,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", default=None, help="also write a one-row CSV here")
     p.add_argument("--lenient", action="store_true", help="majority-overlap matching")
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("bench", help="noise-ratio sweep over a synthetic corpus")
     p.add_argument("--out", default="-")
@@ -372,13 +368,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratios", default="0.05,0.25,0.5,0.75,0.95")
     p.add_argument("--seeds", default="1")
     _add_pipeline_flags(p)
-    p.set_defaults(func=cmd_bench)
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    # parse_args leaves a parser as it found it, so main builds one per process
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         file_config = _load_config_file(args.config)
         # the config file gives the pipeline flags of discover and bench their
@@ -387,7 +387,8 @@ def main(argv: list[str] | None = None) -> int:
             for name, value in file_config.items():
                 if getattr(args, name) is None:
                     setattr(args, name, value)
-        return args.func(args)
+        # looked up per call, so that a wrapped cmd_* function is the one run
+        return globals()[f"cmd_{args.command}"](args)
     except (IngestError, NoLabeledDataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

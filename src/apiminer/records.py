@@ -6,6 +6,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
+from json.decoder import scanstring
 from typing import NamedTuple
 
 STRUCTURED_CONTENT_PREFIXES = (
@@ -190,6 +191,21 @@ def _har_headers(index: int, headers) -> tuple[tuple[str, str], ...]:
     raise _har_error(index, "headers", "a list of {name, value} string objects", headers)
 
 
+_SURROGATE = re.compile("[\ud800-\udfff]")
+_NO_SURROGATE = "a string without a lone surrogate"
+
+
+def _surrogate_field(fields) -> str | None:
+    """The name of the first of ``fields``, (name, strings) pairs, with a
+    string that holds a lone surrogate, which no UTF-8 output can write; a
+    string of ASCII holds none."""
+    for name, texts in fields:
+        for text in texts:
+            if text is not None and not text.isascii() and _SURROGATE.search(text):
+                return name
+    return None
+
+
 def parse_har(data: bytes) -> Dataset:
     """Parse a HAR 1.2 document into a Dataset.
 
@@ -234,6 +250,11 @@ def parse_har(data: bytes) -> Dataset:
         if not isinstance(method, str):
             raise _har_error(index, "method", "a string", method)
         headers = _har_headers(index, request.get("headers", []))
+        name = _surrogate_field(
+            (("url", [url]), ("method", [method]), ("headers", [t for h in headers for t in h]))
+        )
+        if name is not None:
+            raise _har_error(index, name, _NO_SURROGATE, request[name])
         content_type = _header_lookup(headers, "Content-Type")
         try:
             body_size = int(request.get("bodySize") or 0)
@@ -320,53 +341,62 @@ def _lines(text: str, block: int = _LINE_BLOCK):
         start = end
 
 
-# A JSON string as ``write_dataset`` writes it.  Most hold no escape and are
-# read by the first branch in one scan; the second reads runs of plain
-# characters between escapes.  Neither can split a run two ways, so a failed
-# match backtracks in linear time.
-_PLAIN = r'[^"\\\x00-\x1f]'
-_ESCAPE = r'\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4})'
-_STRING = rf'"(?:{_PLAIN}*"|{_PLAIN}*(?:{_ESCAPE}{_PLAIN}*)+")'
+# The text inside the quotes of a JSON string as ``write_dataset`` writes
+# it, but for an escaped surrogate (an astral character as a pair, or a lone
+# one) and a raw surrogate: lines with those take the checked path, which
+# rejects a lone surrogate.  Most strings hold no escape and are read by the
+# first branch in one scan; the second reads runs of plain characters between
+# escapes.  Neither can split a run two ways, so a failed match backtracks in
+# linear time.
+_PLAIN = r'[^"\\\x00-\x1f\ud800-\udfff]'
+_ESCAPE = r'\\(?:["\\/bfnrt]|u(?:[0-9a-cA-Ce-fE-F][0-9a-fA-F]{3}|[dD][0-7][0-9a-fA-F]{2}))'
+_TEXT = rf"(?:{_PLAIN}*|{_PLAIN}*(?:{_ESCAPE}{_PLAIN}*)+)"
+_HEADER = rf'\["{_TEXT}","{_TEXT}"\]'
 # An integer of at most 18 digits, which fits 64 bits ([0-9], not \d: \d
 # matches every Unicode digit, which JSON does not read).
 _COUNT = r"-?(?:0|[1-9][0-9]{0,17})"
-_HEADER = rf"\[{_STRING},{_STRING}\]"
-# One line as ``write_dataset`` writes it, keys in its order.  A line that
-# matches decodes to an object that passes every check of
-# ``_jsonl_requests``, with the label that group 1 holds; the label is taken
-# only when it has no escape, so that the text is its value.
+# One line as ``write_dataset`` writes it, keys in its order, with one group
+# per field of ``HttpRecord`` after its id, in the same order: the text inside
+# the quotes of a string, the header list's JSON text, a count's digits.  A
+# line that matches decodes to an object that passes every check of
+# ``_jsonl_requests``.  The label is taken only when it has no escape, so that
+# the text is its value.  An optional part is written (?:part|), which the
+# regex engine runs faster than (?:part)?.
 _CANONICAL_LINE = re.compile(
-    rf'\{{"id":{_COUNT},"method":{_STRING},"url":{_STRING}'
-    rf',"headers":\[(?:{_HEADER}(?:,{_HEADER})*)?\]'
-    rf'(?:,"content_type":{_STRING})?'
-    rf',"body_size":{_COUNT}(?:,"body_field_count":{_COUNT})?(?:,"body_nesting_depth":{_COUNT})?'
-    rf'(?:,"label":"({_PLAIN}*)")?\}}'
+    rf'\{{"id":{_COUNT},"method":"(?P<method>{_TEXT})","url":"(?P<url>{_TEXT})"'
+    rf',"headers":(?P<headers>\[(?:{_HEADER}(?:,{_HEADER})*|)\])'
+    rf'(?:,"content_type":"(?P<content_type>{_TEXT})"|)'
+    rf',"body_size":(?P<body_size>{_COUNT})'
+    rf'(?:,"body_field_count":(?P<body_field_count>{_COUNT})|)'
+    rf'(?:,"body_nesting_depth":(?P<body_nesting_depth>{_COUNT})|)'
+    rf'(?:,"label":"(?P<label>{_PLAIN}*)"|)\}}'
 )
 
 
-def _jsonl_requests(text: str, canonical=None):
-    """The fields of each request line of JSONL capture text, checked, as
-    ``HttpRecord`` holds them after its id: one tuple per non-blank line.
+def _unescape(text: str) -> str:
+    """The value of a JSON string whose text inside the quotes is ``text``."""
+    return scanstring(text + '"', 0)[0]
+
+
+def _jsonl_requests(text: str, shared: dict, methods: dict):
+    """Each request line of JSONL capture text: the ``_CANONICAL_LINE`` match
+    of a line as ``write_dataset`` writes it, which passes every check, or
+    else the line's fields, checked, as ``HttpRecord`` holds them after its
+    id.  Blank lines yield nothing.
 
     A line that is not a request object, or a field of the wrong type or out
     of range, raises ``IngestError`` naming the line and the field.  The
-    fields of one call share one object per distinct method, content type,
-    label, header pair and header list.
-
-    A line that ``canonical`` (``_CANONICAL_LINE.fullmatch``) matches is not
-    decoded: it passes every check, and it is yielded as the 1-tuple of its
-    label, so that the label is the last item of every tuple.
+    checked fields share one object per distinct value through ``shared``
+    (each method, content type, label, header pair and header list) and
+    ``methods`` (each method as given, to its upper-case form in ``shared``).
     """
-    shared: dict = {}
     share = shared.setdefault
-    # each method as given, to its upper-case form in ``shared``
-    methods: dict[str, str] = {}
+    canonical = _CANONICAL_LINE.fullmatch
     for lineno, line in enumerate(_lines(text), start=1):
-        if canonical is not None:
-            match = canonical(line)
-            if match is not None:
-                yield (match[1],)
-                continue
+        match = canonical(line)
+        if match is not None:
+            yield match
+            continue
         if not line.strip():
             continue
         try:
@@ -408,6 +438,14 @@ def _jsonl_requests(text: str, canonical=None):
         label = obj.get("label")
         if label is not None and type(label) is not str:
             raise _field_error(lineno, "label", "a string", label)
+        if not line.isascii() or "\\u" in line:
+            # a string may hold a character past ASCII
+            name = _surrogate_field((
+                ("method", [method]), ("url", [url]), ("headers", [t for p in pairs for t in p]),
+                ("content_type", [content_type]), ("label", [label]),
+            ))
+            if name is not None:
+                raise _field_error(lineno, name, _NO_SURROGATE, obj[name])
         body_size = obj.get("body_size")
         if type(body_size) is not int:
             body_size = _as_int(lineno, "body_size", body_size) or 0
@@ -442,10 +480,46 @@ def parse_jsonl(text: str) -> Dataset:
     """
     records: list[HttpRecord] = []
     ground_truth: dict[int, str] = {}
-    for rid, fields in enumerate(_jsonl_requests(text)):
-        # the fields are checked and held as HttpRecord.__new__ would hold them
-        records.append(_new_tuple(HttpRecord, (rid,) + fields))
-        label = fields[-1]
+    shared: dict = {}
+    share = shared.setdefault
+    methods: dict[str, str] = {}
+    # each header list's JSON text in a canonical line, to its shared pairs
+    header_lists: dict[str, tuple[tuple[str, str], ...]] = {}
+    for rid, fields in enumerate(_jsonl_requests(text, shared, methods)):
+        if type(fields) is tuple:
+            # checked, and held as HttpRecord.__new__ would hold them
+            record = (rid,) + fields
+            label = fields[-1]
+        else:
+            method, url, headers, content_type, body_size, field_count, nesting, label = (
+                fields.groups()
+            )
+            if "\\" in method:
+                method = _unescape(method)
+            upper = methods.get(method)
+            if upper is None:
+                upper = method.upper()
+                upper = methods[method] = share(upper, upper)
+            if "\\" in url:
+                url = _unescape(url)
+            pairs = header_lists.get(headers)
+            if pairs is None:
+                pairs = tuple(share((name, value), (name, value)) for name, value in _loads(headers))
+                pairs = header_lists[headers] = share(pairs, pairs)
+            if content_type is not None:
+                if "\\" in content_type:
+                    content_type = _unescape(content_type)
+                content_type = share(content_type, content_type)
+            if label is not None:
+                label = share(label, label)
+            # 18 digits at most: every count fits
+            body_size, field_count, nesting = _held_counts(
+                int(body_size),
+                None if field_count is None else int(field_count),
+                None if nesting is None else int(nesting),
+            )
+            record = (rid, upper, url, pairs, content_type, body_size, field_count, nesting, label)
+        records.append(_new_tuple(HttpRecord, record))
         if label is not None:
             ground_truth[rid] = label
     return Dataset(records=records, source="jsonl", ground_truth=ground_truth)
@@ -455,14 +529,14 @@ def read_labels(text: str) -> tuple[dict[int, str], int]:
     """The ground truth of JSONL capture text and its number of requests,
     without building a record.
 
-    A line as ``write_dataset`` writes it is read by ``_CANONICAL_LINE``
-    alone.  Every other line is checked as ``parse_jsonl`` checks it, so the
-    two raise the same ``IngestError`` for the same text.
+    Of a line as ``write_dataset`` writes it, only the label is read.  Every
+    other line is checked as ``parse_jsonl`` checks it, so the two raise the
+    same ``IngestError`` for the same text.
     """
     ground_truth: dict[int, str] = {}
     requests = 0
-    for fields in _jsonl_requests(text, _CANONICAL_LINE.fullmatch):
-        label = fields[-1]
+    for fields in _jsonl_requests(text, {}, {}):
+        label = fields[-1] if type(fields) is tuple else fields["label"]
         if label is not None:
             ground_truth[requests] = label
         requests += 1

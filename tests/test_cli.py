@@ -215,6 +215,41 @@ class TestDiscoverAndEvaluate:
         assert rc == 2
 
 
+class TestMain:
+    def test_successive_calls_share_no_state(self, tmp_path, corpus_file, monkeypatch):
+        # main keeps one parser; each call still sees only its own flags
+        seen = []
+
+        def record(args):
+            seen.append(vars(args))
+            return 0
+
+        for command in ("discover", "evaluate", "noise"):
+            monkeypatch.setattr(cli, f"cmd_{command}", record)
+        config = tmp_path / "config.json"
+        config.write_text('{"seed": 5, "force_kmeans": true}', encoding="utf-8")
+        capture = str(corpus_file)
+        assert main(["--config", str(config), "discover", "--in", capture, "--tau", "0.5",
+                     "--disable-nf", "--dump-templates", "t.tsv"]) == 0
+        assert main(["discover", "--in", capture]) == 0
+        assert main(["evaluate", "--in", capture, "--clusters", "c.json", "--lenient",
+                     "--seed", "3"]) == 0
+        assert main(["noise", "--in", capture, "--kind", "lexify", "--ratio", "0.5"]) == 0
+        first, second, evaluate, noise = seen
+        assert (first["seed"], first["force_kmeans"], first["tau"]) == (5, True, 0.5)
+        assert (first["disable_nf"], first["dump_templates"]) == (True, "t.tsv")
+        assert second == {
+            "config": None, "command": "discover", "input": capture, "format": "jsonl",
+            "out": "-", "seed": None, "theta": None, "tau": None, "disable_nf": False,
+            "disable_templates": False, "force_kmeans": None, "dump_templates": None,
+            "dump_normalized": None, "emit_dropped": None,
+        }
+        assert (evaluate["lenient"], evaluate["seed"], evaluate["csv"]) == (True, 3, None)
+        assert noise["seed"] is None and "lenient" not in noise
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli.build_parser()
+
+
 class TestNoise:
     def test_interfere_grows_dataset(self, tmp_path, corpus_file):
         out = tmp_path / "noisy.jsonl"
@@ -439,6 +474,18 @@ class TestMalformedInput:
         }[surface], encoding="utf-8")
         self.assert_rejected(argv, message + "Exceeds the limit (4300 digits)", capsys)
 
+    @pytest.mark.parametrize("dump", ["--dump-normalized", "--dump-templates"])
+    def test_lone_surrogate_in_capture(self, tmp_path, corpus_file, capsys, dump):
+        # a kept request whose path no UTF-8 dump can write
+        src = tmp_path / "surrogate.jsonl"
+        line = ('{"id":100,"method":"GET","url":"/api/v1/\\ud800x","headers":[],'
+                '"content_type":"application/json","body_size":0}')
+        src.write_text(corpus_file.read_text(encoding="utf-8") + line + "\n", encoding="utf-8")
+        argv = ["discover", "--in", str(src), "--out", str(tmp_path / "c.json"),
+                dump, str(tmp_path / "dump.tsv")]
+        message = "line 101: url must be a string without a lone surrogate, got '/api/v1/\\ud800x'"
+        self.assert_rejected(argv, message, capsys)
+
     def test_deeply_nested_capture(self, tmp_path, capsys):
         src = tmp_path / "deep.jsonl"
         src.write_text("[" * 100_000 + "\n", encoding="utf-8")
@@ -575,6 +622,28 @@ def written_lines(draw):
     return line
 
 
+def respaced(text: str) -> str:
+    """``text`` with each line that json.loads reads written again by
+    json.dumps, which puts a space after each colon and comma."""
+    lines = []
+    for line in text.splitlines():
+        try:
+            lines.append(json.dumps(json.loads(line)))
+        except (ValueError, RecursionError):
+            lines.append(line)
+    return "\n".join(lines)
+
+
+def sharing(dataset: Dataset) -> list[int]:
+    """Which of the values a parse shares are one object: for each, the
+    first position among them of the same object."""
+    values = [v for r in dataset.records for v in (r.method, r.headers, *r.headers,
+                                                   r.content_type, r.label)]
+    values += dataset.ground_truth.values()
+    first: dict[int, int] = {}
+    return [first.setdefault(id(v), i) for i, v in enumerate(values)]
+
+
 RECORD_FIELDS = ("id", "headers", "content_type", "body_size", "body_field_count",
                  "body_nesting_depth", "label")
 CAPTURE_LINES = st.one_of(
@@ -706,24 +775,73 @@ class TestInputFuzz:
     @given(text=written_lines() | CAPTURE_LINES)
     def test_a_canonical_match_is_a_checked_request(self, text):
         # of the lines the readers split a text into, one that the pattern
-        # matches parse_jsonl reads as one request, with the match's label
+        # matches holds in its groups each field of the request that the
+        # checked path reads from the line re-spaced, which it never matches
         for line in text.splitlines():
             match = _CANONICAL_LINE.fullmatch(line)
-            if match is not None:
-                dataset = parse_jsonl(line)
-                assert len(dataset.records) == 1
-                assert dataset.records[0].label == match[1]
+            if match is None:
+                continue
+            spaced = respaced(line)
+            assert _CANONICAL_LINE.fullmatch(spaced) is None
+            (checked,) = parse_jsonl(spaced).records
+
+            def string(name):
+                return None if match[name] is None else json.loads(f'"{match[name]}"')
+
+            def count(name):
+                return None if match[name] is None else int(match[name])
+
+            # HttpRecord upper-cases the method and applies the count rule
+            assert HttpRecord(
+                0,
+                string("method"),
+                string("url"),
+                tuple(map(tuple, json.loads(match["headers"]))),
+                string("content_type"),
+                count("body_size"),
+                count("body_field_count"),
+                count("body_nesting_depth"),
+                string("label"),
+            ) == checked
+            assert "\\" not in (match["label"] or "")
+            assert parse_jsonl(line).records == [checked]
+
+    @FUZZ
+    @given(text=CAPTURE_TEXTS)
+    def test_respaced_text_reads_alike(self, text):
+        # the same records, ground truth and shared objects, or the same
+        # error, whether lines take the pattern's path or the checked one;
+        # the text twice over, so that each value repeats
+        text = f"{text}\n{text}"
+        spaced = respaced(text)
+        assert not any(_CANONICAL_LINE.fullmatch(line) for line in spaced.splitlines())
+        try:
+            dataset = parse_jsonl(text)
+        except IngestError as exc:
+            with pytest.raises(IngestError) as raised:
+                parse_jsonl(spaced)
+            assert str(raised.value) == str(exc)
+            return
+        again = parse_jsonl(spaced)
+        assert again.records == dataset.records
+        assert list(again.ground_truth.items()) == list(dataset.ground_truth.items())
+        assert sharing(again) == sharing(dataset)
 
     @FUZZ
     @given(record=WRITTEN_RECORDS)
     def test_written_lines_match_the_pattern(self, record):
         # every line write_dataset writes takes the pattern's path, but for
-        # one whose label it escapes or that holds a count of 19 digits
+        # one whose label it escapes, that holds a count of 19 digits, or
+        # that holds a character past U+FFFF, which it writes as an escaped
+        # surrogate pair
         line = write_dataset(Dataset([record])).rstrip("\n")
         escaped = record.label is not None and json.dumps(record.label) != f'"{record.label}"'
         counts = (record.id, record.body_size, record.body_field_count, record.body_nesting_depth)
         long_count = any(abs(count) >= 10**18 for count in counts if count is not None)
-        assert (_CANONICAL_LINE.fullmatch(line) is None) == (escaped or long_count)
+        strings = [record.method, record.url, *(t for h in record.headers for t in h),
+                   record.content_type, record.label]
+        astral = any(ord(ch) > 0xFFFF for text in strings if text is not None for ch in text)
+        assert (_CANONICAL_LINE.fullmatch(line) is None) == (escaped or long_count or astral)
 
     def test_written_captures_match_the_pattern(self):
         # a typo in the pattern would send every line to the checked path

@@ -354,6 +354,42 @@ class TestReadLabels:
         assert str(raised.value) == str(parsed.value)
 
 
+class TestLoneSurrogate:
+    LINE = ('{"id":0,"method":"GET","url":"/x","headers":[["a","b"]],"content_type":"t",'
+            '"body_size":0,"label":"L"}')
+
+    @pytest.mark.parametrize("field, old, new", [
+        ("method", '"GET"', '"G\\ud800T"'),
+        ("url", '"/x"', '"/x\\udfff"'),
+        ("headers", '"b"', '"\\udbff"'),
+        ("content_type", '"t"', '"\\uDC00t"'),
+        ("label", '"L"', '"L\\ud800"'),
+        ("url", '"/x"', '"/\ud800"'),
+    ], ids=["method", "url", "header", "content_type", "label", "raw"])
+    def test_lone_surrogate_is_rejected_by_both_readers(self, field, old, new):
+        text = canonical_capture() + self.LINE.replace(old, new, 1) + "\n"
+        message = f"line 4: {field} must be a string without a lone surrogate"
+        for reader in (read_labels, parse_jsonl):
+            with pytest.raises(IngestError, match=message):
+                reader(text)
+
+    def test_surrogate_pair_is_read(self):
+        record = HttpRecord(0, "GET", "/x/\U0001f600", (("a", "\U0001f600"),), label="EP_\U0001f600")
+        text = write_dataset(Dataset([record]))
+        assert "\\ud83d\\ude00" in text
+        assert parse_jsonl(text).records == [record]
+        assert read_labels(text) == ({0: "EP_\U0001f600"}, 1)
+
+    @pytest.mark.parametrize("field", ["url", "method", "headers"])
+    def test_lone_surrogate_in_har_entry(self, field):
+        bad = {"url": {"url": "http://h/\ud800"}, "method": {"method": "\udc00"},
+               "headers": {"headers": [{"name": "X", "value": "\ud800"}]}}[field]
+        doc = entry()
+        doc["request"].update(bad)
+        with pytest.raises(IngestError, match=f"index 0: {field} must be a string without a lone"):
+            parse_har(har_doc([doc]))
+
+
 class TestLines:
     @given(
         st.text(alphabet=st.sampled_from("ab{} \n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029") | st.characters()),
