@@ -101,7 +101,7 @@ def _cluster_document(clusters: list[EndpointCluster]) -> str:
     """The clusters as ``json.dumps(..., indent=2)`` writes their entries."""
     string, array = jsontext.string, jsontext.array
     entries = [
-        f'{{\n    "method": {string(c.method)},\n    "template": {string(c.template.render())},\n'
+        f'{{\n    "method": {string(c.template.method)},\n    "template": {string(c.template.render())},\n'
         f'    "member_count": {len(c.member_ids)},\n    "provenance": {string(c.provenance)},\n'
         f'    "representative_paths": {array(list(map(string, c.representative_paths)), "    ")},\n'
         f'    "member_ids": {array(list(map(str, c.member_ids)), "    ")}\n  }}'
@@ -149,7 +149,6 @@ def _load_clusters(path: str) -> list[EndpointCluster]:
         clusters.append(
             EndpointCluster(
                 template=PathTemplate(method=method, pattern=tokens),
-                method=method,
                 member_ids=member_ids,
                 representative_paths=paths,
                 provenance=provenance,
@@ -182,13 +181,13 @@ def cmd_discover(args) -> int:
     dataset = _read_dataset(args.input, args.format)
     tau, refiner_config = _pipeline_settings(args)
     traffic = prepare_traffic(dataset, tau, args.disable_nf)
-    # the traffic holds the kept records; let the dropped ones go
+    # the normalized requests hold the kept records; let the dropped ones go
     del dataset
     if args.emit_dropped:
         lines = [f"{rid}\t{reason}" for rid, reason in traffic.dropped]
         _write_text(args.emit_dropped, "\n".join(lines) + ("\n" if lines else ""))
     if args.dump_normalized:
-        lines = [f"{nr.method}\t{canonical_path(nr)}" for nr in traffic.normalized]
+        lines = [f"{nr.record.method}\t{canonical_path(nr)}" for nr in traffic.normalized]
         _write_text(args.dump_normalized, "\n".join(lines) + ("\n" if lines else ""))
     clusters = discover(
         traffic,
@@ -198,7 +197,7 @@ def cmd_discover(args) -> int:
     # free the normalized requests before the cluster document is encoded
     del traffic
     if args.dump_templates:
-        templates = dict.fromkeys((c.method, c.template.render()) for c in clusters)
+        templates = dict.fromkeys((c.template.method, c.template.render()) for c in clusters)
         _write_text(args.dump_templates, "".join(f"{m}\t{t}\n" for m, t in templates))
     _write_text(args.out, _cluster_document(clusters))
     return 0

@@ -158,7 +158,6 @@ def synth_corpus(spec: CorpusSpec) -> Dataset:
     ]
 
     records: list[HttpRecord] = []
-    ground_truth: dict[int, str] = {}
     for j in range(spec.requests_per_endpoint):
         for e, plan in enumerate(plans):
             erng = per_endpoint_rngs[e]
@@ -175,10 +174,9 @@ def synth_corpus(spec: CorpusSpec) -> Dataset:
             else:
                 url = f"{_HOST}{path}"
             body_size, fields, nesting = plan.body_profiles[j % len(plan.body_profiles)]
-            rid = len(records)
             records.append(
                 HttpRecord(
-                    id=rid,
+                    id=len(records),
                     method=plan.method,
                     url=url,
                     headers=_JSON_HEADERS,
@@ -189,5 +187,4 @@ def synth_corpus(spec: CorpusSpec) -> Dataset:
                     label=plan.label,
                 )
             )
-            ground_truth[rid] = plan.label
-    return Dataset(records=records, source=f"synth-seed{spec.seed}", ground_truth=ground_truth)
+    return Dataset(records=records, source=f"synth-seed{spec.seed}")

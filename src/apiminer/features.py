@@ -8,7 +8,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .records import HttpRecord, structured_payload
+from .records import structured_payload
 from .normalize import NormalizedRequest
 
 API_KEYWORDS = {"api", "v1", "v2", "v3", "rest", "graphql"}
@@ -29,8 +29,9 @@ FEATURE_NAMES = (
 )
 
 
-def extract_features(nr: NormalizedRequest, record: HttpRecord) -> tuple[float, ...]:
+def extract_features(nr: NormalizedRequest) -> tuple[float, ...]:
     """Raw (pre-scaling) 10-component feature vector for one request."""
+    record = nr.record
     return (
         float(len(nr.segments)),
         float(sum(1 for s in nr.segments if s in API_KEYWORDS)),
@@ -73,35 +74,28 @@ class SimilarityGraph:
     ``self_sim[a]`` is the similarity between two copies of row ``a`` (1 for
     a non-zero row, 0 for a zero row, whose copies stay isolated).  The graph
     is the n-request graph with every copy of a row expanded to its own node,
-    and ``n`` is that request count.  Without ``node_of`` each row is one
-    request.
+    and ``n`` is that request count.
     """
 
-    n: int
     A: np.ndarray
     # node of each of the n requests
-    node_of: np.ndarray | None = None
-    self_sim: np.ndarray | None = None
+    node_of: np.ndarray
+    self_sim: np.ndarray
+    n: int = field(init=False)
     # requests per node
     counts: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        rows = self.A.shape[0]
-        if self.node_of is None:
-            self.node_of = np.arange(rows)
-        if self.self_sim is None:
-            self.self_sim = np.zeros(rows)
-        self.counts = np.bincount(self.node_of, minlength=rows).astype(float)
+        self.n = len(self.node_of)
+        self.counts = np.bincount(self.node_of, minlength=self.A.shape[0]).astype(float)
 
 
-def build_graph(
-    features: np.ndarray, theta: float, node_of: np.ndarray | None = None
-) -> SimilarityGraph:
+def build_graph(features: np.ndarray, theta: float, node_of: np.ndarray) -> SimilarityGraph:
     """Thresholded cosine-derived similarity graph on scaled feature rows.
 
     s(i, j) = (1 + cos(x_i, x_j)) / 2; pairs involving a zero vector get
-    s = 0.  Entries below theta are cut; the diagonal is zero.  ``node_of``
-    gives the row of each request when ``features`` holds distinct rows.
+    s = 0.  Entries below theta are cut; the diagonal is zero.  ``features``
+    holds distinct rows and ``node_of`` gives the row of each request.
     """
     if not (0.0 < theta < 1.0):
         raise ValueError("theta must be in (0,1)")
@@ -117,8 +111,7 @@ def build_graph(
     sim[sim < theta] = 0.0
     np.fill_diagonal(sim, 0.0)
     sim = (sim + sim.T) / 2.0
-    n = features.shape[0] if node_of is None else len(node_of)
-    return SimilarityGraph(n=n, A=sim, node_of=node_of, self_sim=(~zero_mask).astype(float))
+    return SimilarityGraph(A=sim, node_of=node_of, self_sim=(~zero_mask).astype(float))
 
 
 def connected_components(A: np.ndarray) -> np.ndarray:

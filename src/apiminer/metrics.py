@@ -170,7 +170,7 @@ def report(
         {
             "cluster": idx,
             "template": cluster.template.render(),
-            "method": cluster.method,
+            "method": cluster.template.method,
             "size": len(cluster.member_ids),
             "matched_endpoint": exact,
             "majority_label": majority,

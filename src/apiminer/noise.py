@@ -276,16 +276,11 @@ def interfere_sample(category: NoiseRule, rng: np.random.Generator, record_id: i
     return _interference_record(record_id, *_draw_interference(category.name, rng))
 
 
-def _renumber(records: list[HttpRecord]) -> tuple[list[HttpRecord], dict[int, str]]:
-    out = []
-    truth = {}
-    for new_id, record in enumerate(records):
-        if record.id != new_id:
-            record = _record(record, new_id, record.url)
-        out.append(record)
-        if record.label is not None:
-            truth[new_id] = record.label
-    return out, truth
+def _renumber(records: list[HttpRecord]) -> list[HttpRecord]:
+    return [
+        record if record.id == new_id else _record(record, new_id, record.url)
+        for new_id, record in enumerate(records)
+    ]
 
 
 def inject(dataset: Dataset, kind: str, ratio: float, seed: int) -> Dataset:
@@ -313,8 +308,7 @@ def inject(dataset: Dataset, kind: str, ratio: float, seed: int) -> Dataset:
             if applicable:
                 name, targets = _pick(applicable, rng)
                 records[idx] = _record(record, record.id, _LEXIFY[name][1](url, targets, rng))
-        records, truth = _renumber(records)
-        return Dataset(records=records, source=dataset.source + f"+lexify{ratio:g}", ground_truth=truth)
+        return Dataset(records=_renumber(records), source=dataset.source + f"+lexify{ratio:g}")
 
     if kind == INTERFERE:
         drawn = [
@@ -332,7 +326,6 @@ def inject(dataset: Dataset, kind: str, ratio: float, seed: int) -> Dataset:
                 j += 1
             if idx < n:
                 merged.append(dataset.records[idx])
-        records, truth = _renumber(merged)
-        return Dataset(records=records, source=dataset.source + f"+interfere{ratio:g}", ground_truth=truth)
+        return Dataset(records=_renumber(merged), source=dataset.source + f"+interfere{ratio:g}")
 
     raise ValueError(f"unknown noise kind {kind!r}")

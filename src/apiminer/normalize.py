@@ -22,8 +22,7 @@ _UNRESERVED = set(
 
 @dataclass(slots=True)
 class NormalizedRequest:
-    record_id: int
-    method: str
+    record: HttpRecord
     segments: list[str]
     raw_query_keys: tuple[str, ...] = ()
 
@@ -113,7 +112,7 @@ def normalize(
     split: tuple[str, str] | None = None,
     shared: dict[str, str] | None = None,
 ) -> NormalizedRequest:
-    """Canonicalize a record's URL into (method, path segments).
+    """Canonicalize a record's URL into path segments and query keys.
 
     ``split`` is the record's ``split_url``, when the caller has made it.
     ``shared`` maps each path segment and query key met so far to the one
@@ -124,12 +123,7 @@ def normalize(
     # lower-casing the whole path is lower-casing each segment: '/' neither
     # changes case nor ends a final sigma's context
     segments = [share(seg, seg) for seg in _decode_unreserved(path).lower().split("/") if seg]
-    return NormalizedRequest(
-        record_id=record.id,
-        method=record.method,
-        segments=segments,
-        raw_query_keys=_query_keys(query, share),
-    )
+    return NormalizedRequest(record, segments, _query_keys(query, share))
 
 
 def canonical_path(nr: NormalizedRequest) -> str:

@@ -131,17 +131,17 @@ class HttpRecord(_RecordFields):
 class Dataset:
     records: list[HttpRecord] = field(default_factory=list)
     source: str = ""
-    ground_truth: dict[int, str] = field(default_factory=dict)
     # entries skipped with a warning during ingest (e.g. HAR entry without url)
     skipped: int = 0
 
     def __post_init__(self):
-        ids = {r.id for r in self.records}
-        if len(ids) != len(self.records):
+        if len({r.id for r in self.records}) != len(self.records):
             raise IngestError("duplicate record ids in dataset")
-        for rid in self.ground_truth:
-            if rid not in ids:
-                raise IngestError(f"ground_truth refers to unknown record id {rid}")
+
+    @property
+    def ground_truth(self) -> dict[int, str]:
+        """The label of each labelled record, by id, in record order."""
+        return {r.id: r.label for r in self.records if r.label is not None}
 
     def __len__(self) -> int:
         return len(self.records)
@@ -232,7 +232,6 @@ def parse_har(data: bytes) -> Dataset:
         raise IngestError("malformed HAR document: log.entries is not a list")
 
     records: list[HttpRecord] = []
-    ground_truth: dict[int, str] = {}
     skipped = 0
     for index, entry in enumerate(entries):
         if not isinstance(entry, dict) or "request" not in entry:
@@ -283,7 +282,7 @@ def parse_har(data: bytes) -> Dataset:
             # the counts of a JSON body fit; only the declared size may not
             raise _har_error(index, "bodySize", "a 64-bit integer", request["bodySize"]) from None
         records.append(record)
-    return Dataset(records=records, source="har", ground_truth=ground_truth, skipped=skipped)
+    return Dataset(records=records, source="har", skipped=skipped)
 
 
 _HEADER_PAIRS = "a list of [name, value] string pairs"
@@ -479,7 +478,6 @@ def parse_jsonl(text: str) -> Dataset:
     content type, label, header pair and header list.
     """
     records: list[HttpRecord] = []
-    ground_truth: dict[int, str] = {}
     shared: dict = {}
     share = shared.setdefault
     methods: dict[str, str] = {}
@@ -489,7 +487,6 @@ def parse_jsonl(text: str) -> Dataset:
         if type(fields) is tuple:
             # checked, and held as HttpRecord.__new__ would hold them
             record = (rid,) + fields
-            label = fields[-1]
         else:
             method, url, headers, content_type, body_size, field_count, nesting, label = (
                 fields.groups()
@@ -520,9 +517,7 @@ def parse_jsonl(text: str) -> Dataset:
             )
             record = (rid, upper, url, pairs, content_type, body_size, field_count, nesting, label)
         records.append(_new_tuple(HttpRecord, record))
-        if label is not None:
-            ground_truth[rid] = label
-    return Dataset(records=records, source="jsonl", ground_truth=ground_truth)
+    return Dataset(records=records, source="jsonl")
 
 
 def read_labels(text: str) -> tuple[dict[int, str], int]:

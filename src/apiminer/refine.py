@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .records import Dataset, HttpRecord
+from .records import Dataset
 from .normalize import NormalizedRequest, normalize, canonical_path
 from .denoise import DEFAULT_TAU, filter_traffic
 from .templates import PathTemplate, TemplateGroup, mine
@@ -55,7 +55,6 @@ class RefinerConfig:
 @dataclass
 class EndpointCluster:
     template: PathTemplate
-    method: str
     member_ids: list[int] = field(default_factory=list)
     representative_paths: list[str] = field(default_factory=list)
     provenance: str = PASSTHROUGH
@@ -167,29 +166,22 @@ def _distinct_rows(rows: list[tuple[float, ...]]) -> tuple[np.ndarray, np.ndarra
     return np.array(list(node)), np.array(node_of)
 
 
-def refine_group(
-    group: TemplateGroup,
-    requests: dict[int, NormalizedRequest],
-    records: dict[int, HttpRecord],
-    config: RefinerConfig | None = None,
-) -> list[EndpointCluster]:
+def refine_group(group: TemplateGroup, config: RefinerConfig | None = None) -> list[EndpointCluster]:
     """Split one template group into endpoint clusters per the two-stage scheme."""
     config = config or RefinerConfig()
-    members = [requests[i] for i in group.member_ids]
+    members = group.members
     n = len(members)
     if n == 0:
         return []
     if n < 3:
-        return [_cluster(group, group.member_ids, members, PASSTHROUGH)]
+        return [_cluster(group, members, PASSTHROUGH)]
 
-    distinct_raw, node_of = _distinct_rows(
-        [extract_features(nr, records[nr.record_id]) for nr in members]
-    )
+    distinct_raw, node_of = _distinct_rows([extract_features(nr) for nr in members])
     provenance = KMEANS_ABLATION if config.force_kmeans else GRAPH_REFINED
     if len(distinct_raw) == 1:
         # one distinct row scales to a zero row: its graph is one node with
         # no edge, one component, so k = 1 without building it
-        return [_cluster(group, group.member_ids, members, provenance)]
+        return [_cluster(group, members, provenance)]
     # min-max scaling over every request gives each distinct raw row one
     # scaled row; take it where the row first occurs
     X = scale_features(distinct_raw[node_of])
@@ -199,7 +191,7 @@ def refine_group(
     if k == 1:
         # one component is one cluster: k-means with one centroid labels
         # every request 0, and reabsorption leaves a lone cluster alone
-        return [_cluster(group, group.member_ids, members, provenance)]
+        return [_cluster(group, members, provenance)]
     rng = _group_rng(config.global_seed, group.template)
     if config.force_kmeans:
         labels = kmeans_assign(X, k, rng)
@@ -209,23 +201,20 @@ def refine_group(
     min_size = max(2, int(np.ceil(MIN_CLUSTER_FRACTION * n)))
     labels = _reabsorb_small(labels, X, min_size)
 
-    clusters = []
-    for c in np.unique(labels):
-        ids = [members[i].record_id for i in np.nonzero(labels == c)[0]]
-        sub = [requests[i] for i in ids]
-        clusters.append(_cluster(group, ids, sub, provenance))
+    clusters = [
+        _cluster(group, [members[i] for i in np.nonzero(labels == c)[0]], provenance)
+        for c in np.unique(labels)
+    ]
     clusters.sort(key=lambda cl: min(cl.member_ids))
     return clusters
 
 
 def _cluster(
-    group: TemplateGroup,
-    ids: list[int],
-    members: list[NormalizedRequest],
-    provenance: str,
+    group: TemplateGroup, members: list[NormalizedRequest], provenance: str
 ) -> EndpointCluster:
+    members = sorted(members, key=lambda m: m.record.id)
     seen: list[str] = []
-    for nr in sorted(members, key=lambda m: m.record_id):
+    for nr in members:
         path = canonical_path(nr)
         if path not in seen:
             seen.append(path)
@@ -233,8 +222,7 @@ def _cluster(
             break
     return EndpointCluster(
         template=group.template,
-        method=group.template.method,
-        member_ids=sorted(ids),
+        member_ids=[nr.record.id for nr in members],
         representative_paths=seen,
         provenance=provenance,
     )
@@ -244,9 +232,7 @@ def _cluster(
 class Traffic:
     """A dataset as discovery sees it once filtered and normalized."""
 
-    # the kept records, by id
-    records: dict[int, HttpRecord]
-    # the kept records, normalized, in input order
+    # the kept records, normalized, in input order; each holds its record
     normalized: list[NormalizedRequest]
     # (record id, reason) for each record the filter dropped
     dropped: list[tuple[int, str]]
@@ -263,21 +249,15 @@ def prepare_traffic(
     The normalized requests share one object per distinct path segment and
     query key; the table that shares them lives for this call only.
     """
-    records: dict[int, HttpRecord] = {}
-    normalized: list[NormalizedRequest] = []
     shared: dict[str, str] = {}
-
-    def keep(record: HttpRecord, split: tuple[str, str] | None = None) -> None:
-        records[record.id] = record
-        normalized.append(normalize(record, split, shared))
-
     if disable_noise_filter:
-        for record in dataset.records:
-            keep(record)
-        return Traffic(records, normalized, [])
+        return Traffic([normalize(record, None, shared) for record in dataset.records], [])
+    normalized: list[NormalizedRequest] = []
     # the filter hands each kept record over with the URL split it read
-    outcome = filter_traffic(dataset, tau, keep)
-    return Traffic(records, normalized, outcome.dropped)
+    outcome = filter_traffic(
+        dataset, tau, lambda record, split: normalized.append(normalize(record, split, shared))
+    )
+    return Traffic(normalized, outcome.dropped)
 
 
 def discover(
@@ -289,23 +269,18 @@ def discover(
     mine templates, refine each group."""
     refiner_config = refiner_config or RefinerConfig()
     normalized = traffic.normalized
-    requests = {nr.record_id: nr for nr in normalized}
     if not normalized:
         return []
 
     if disable_template_mining:
-        degenerate = TemplateGroup(
-            template=PathTemplate(method="*", pattern=()),
-            member_ids=[nr.record_id for nr in normalized],
-        )
-        groups = [degenerate]
+        groups = [TemplateGroup(PathTemplate(method="*", pattern=()), normalized)]
     else:
         groups = mine(normalized)
 
     clusters: list[EndpointCluster] = []
     for group in groups:
-        clusters.extend(refine_group(group, requests, traffic.records, refiner_config))
+        clusters.extend(refine_group(group, refiner_config))
     clusters.sort(
-        key=lambda cl: (cl.method, cl.template.render(), min(cl.member_ids))
+        key=lambda cl: (cl.template.method, cl.template.render(), min(cl.member_ids))
     )
     return clusters

@@ -112,7 +112,11 @@ class PathTemplate:
 @dataclass
 class TemplateGroup:
     template: PathTemplate
-    member_ids: list[int] = field(default_factory=list)
+    members: list[NormalizedRequest] = field(default_factory=list)
+
+    @property
+    def member_ids(self) -> list[int]:
+        return [nr.record.id for nr in self.members]
 
 
 class _Leaf:
@@ -142,7 +146,7 @@ class _Node:
 
 def match(template: PathTemplate, nr: NormalizedRequest) -> bool:
     """Membership check: method, depth and all fixed tokens must line up."""
-    if template.method != nr.method:
+    if template.method != nr.record.method:
         return False
     if len(template.pattern) != len(nr.segments):
         return False
@@ -211,7 +215,7 @@ def mine(requests: list[NormalizedRequest]) -> list[TemplateGroup]:
     """
     partitions: dict[tuple[str, int], list[NormalizedRequest]] = {}
     for nr in requests:
-        partitions.setdefault((nr.method, len(nr.segments)), []).append(nr)
+        partitions.setdefault((nr.record.method, len(nr.segments)), []).append(nr)
 
     groups: list[TemplateGroup] = []
     for (method, _), members in partitions.items():
@@ -225,7 +229,7 @@ def mine(requests: list[NormalizedRequest]) -> list[TemplateGroup]:
         for leaf in leaves:
             for pattern, leaf_members in leaf.templates:
                 template = PathTemplate(method=method, pattern=tuple(pattern))
-                groups.append(TemplateGroup(template, [m.record_id for m in leaf_members]))
+                groups.append(TemplateGroup(template, leaf_members))
     groups.sort(key=lambda g: (g.template.method, g.template.render(), min(g.member_ids)))
     return groups
 

@@ -186,7 +186,7 @@ class TestCriterion8NormalizerAbsorption:
 
         def signature(record):
             nr = normalize(record)
-            return (nr.method, tuple(nr.segments))
+            return (nr.record.method, tuple(nr.segments))
 
         for name in absorbable:
             rule = NoiseRule(name, LEXIFY)

@@ -144,7 +144,7 @@ class TestDiscoverAndEvaluate:
         # one split per record, one normalize per kept record
         assert calls == {"filter": 1, "split": len(ds.records), "normalize": len(outcome.kept)}
         traffic = refine.prepare_traffic(ds)
-        assert [nr.record_id for nr in traffic.normalized] == outcome.kept
+        assert [nr.record.id for nr in traffic.normalized] == outcome.kept
         assert traffic.dropped == outcome.dropped
         assert dropped.read_text(encoding="utf-8") == "".join(
             f"{rid}\t{reason}\n" for rid, reason in outcome.dropped
@@ -153,7 +153,7 @@ class TestDiscoverAndEvaluate:
         kept = [normalize(records[rid]) for rid in outcome.kept]
         assert traffic.normalized == kept
         assert normalized.read_text(encoding="utf-8").splitlines() == [
-            f"{nr.method}\t{canonical_path(nr)}" for nr in kept
+            f"{nr.record.method}\t{canonical_path(nr)}" for nr in kept
         ]
 
     def test_nothing_dropped_without_filter(self, tmp_path, noisy_file):

@@ -10,9 +10,10 @@ class TestDefaultCorpus:
     def test_sizes_and_labels(self):
         ds = synth_corpus(CorpusSpec())
         assert len(ds.records) == 1000
-        labels = {ds.ground_truth[r.id] for r in ds.records}
-        assert labels == {f"EP_{i:02d}" for i in range(20)}
-        assert all(r.label == ds.ground_truth[r.id] for r in ds.records)
+        truth = ds.ground_truth
+        # every record labelled
+        assert list(truth) == [r.id for r in ds.records]
+        assert set(truth.values()) == {f"EP_{i:02d}" for i in range(20)}
 
     def test_even_split_across_endpoints(self):
         ds = synth_corpus(CorpusSpec())

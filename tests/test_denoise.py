@@ -246,4 +246,4 @@ class TestContentTypeFacts:
         for _ in range(2):
             assert rule(record) == reason
             assert gate_features(record, *split_url(record))[5] == structured
-            assert extract_features(normalize(record), record)[9] == structured
+            assert extract_features(normalize(record))[9] == structured

@@ -23,7 +23,12 @@ def features_for(url, method="GET", content_type=None, body_size=0,
         body_size=body_size, body_field_count=body_field_count,
         body_nesting_depth=body_nesting_depth,
     )
-    return extract_features(normalize(record), record)
+    return extract_features(normalize(record))
+
+
+def row_graph(X, theta):
+    """The graph of feature rows that each stand for one request."""
+    return build_graph(X, theta, np.arange(len(X)))
 
 
 class TestExtractFeatures:
@@ -76,24 +81,24 @@ class TestScaleFeatures:
 class TestBuildGraph:
     def test_identical_vectors_weight_one(self):
         X = np.array([[1.0, 1.0], [1.0, 1.0]])
-        g = build_graph(X, 0.9)
+        g = row_graph(X, 0.9)
         assert g.A[0, 1] == pytest.approx(1.0)
 
     def test_orthogonal_vectors_half_similarity(self):
         X = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert build_graph(X, 0.4).A[0, 1] == pytest.approx(0.5)
-        assert build_graph(X, 0.6).A[0, 1] == 0.0
+        assert row_graph(X, 0.4).A[0, 1] == pytest.approx(0.5)
+        assert row_graph(X, 0.6).A[0, 1] == 0.0
 
     def test_zero_vector_isolated(self):
         X = np.array([[0.0, 0.0], [1.0, 1.0]])
-        g = build_graph(X, 0.1)
+        g = row_graph(X, 0.1)
         assert g.A[0, 1] == 0.0
 
     def test_matches_brute_force_similarity(self):
         rng = np.random.default_rng(3)
         X = np.abs(rng.standard_normal((4, 5)))
         theta = 0.9
-        g = build_graph(X, theta)
+        g = row_graph(X, theta)
         for i in range(4):
             for j in range(4):
                 if i == j:
@@ -106,7 +111,7 @@ class TestBuildGraph:
 
     def test_theta_bounds(self):
         with pytest.raises(ValueError):
-            build_graph(np.ones((2, 2)), 0.0)
+            row_graph(np.ones((2, 2)), 0.0)
 
 
 def bfs_components(A):
@@ -147,22 +152,22 @@ class TestComponents:
 
     def test_select_k_fully_connected(self):
         X = np.ones((5, 3))
-        assert select_k(build_graph(X, 0.5)) == 1
+        assert select_k(row_graph(X, 0.5)) == 1
 
     def test_select_k_two_cliques(self):
         X = np.array([[1.0, 0.0]] * 3 + [[0.0, 1.0]] * 3)
-        assert select_k(build_graph(X, 0.85)) == 2
+        assert select_k(row_graph(X, 0.85)) == 2
 
     def test_select_k_clamped_to_eight(self):
         X = np.zeros((20, 2))  # all isolated -> 20 components
-        assert select_k(build_graph(X, 0.5)) == 8
+        assert select_k(row_graph(X, 0.5)) == 8
 
     def test_select_k_clamped_by_n(self):
         X = np.zeros((3, 2))
-        assert select_k(build_graph(X, 0.5)) == 3
+        assert select_k(row_graph(X, 0.5)) == 3
 
     def test_empty_graph_rejected(self):
-        g = build_graph(np.ones((1, 2)), 0.5)
+        g = row_graph(np.ones((1, 2)), 0.5)
         g.n = 0
         with pytest.raises(ValueError):
             select_k(g)
@@ -186,8 +191,4 @@ class TestDistinctRowGraph:
         # the zero row is one component, however many copies it has, plus one
         # component of the rest; on all six rows each zero-row copy is its own
         assert select_k(g) == 2
-        assert select_k(build_graph(self.X, 0.85)) == 4
-
-    def test_unit_counts_without_node_of(self):
-        g = build_graph(self.X, 0.85)
-        assert g.n == 6 and g.counts.tolist() == [1.0] * 6
+        assert select_k(row_graph(self.X, 0.85)) == 4

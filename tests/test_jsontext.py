@@ -37,7 +37,6 @@ CLUSTERS = st.lists(
         template=st.builds(
             PathTemplate, method=TEXT, pattern=st.lists(st.none() | TEXT, max_size=3).map(tuple)
         ),
-        method=TEXT,
         member_ids=st.lists(st.integers(), max_size=4),
         representative_paths=st.lists(TEXT, max_size=3),
         provenance=TEXT,
@@ -82,7 +81,7 @@ def test_value_is_json_dumps(v):
 def test_cluster_document_is_json_dumps(clusters):
     payload = [
         {
-            "method": c.method,
+            "method": c.template.method,
             "template": c.template.render(),
             "member_count": len(c.member_ids),
             "provenance": c.provenance,

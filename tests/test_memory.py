@@ -71,12 +71,14 @@ class TestTraffic:
         ds = parse_jsonl(capture(INTERFERE, requests=10))
         traffic = prepare_traffic(ds, disable_noise_filter=disable_filter)
         if disable_filter:
-            kept = [r.id for r in ds.records]
+            kept = ds.records
         else:
-            kept = filter_traffic(ds).kept
+            kept_ids = set(filter_traffic(ds).kept)
+            kept = [r for r in ds.records if r.id in kept_ids]
             assert len(kept) < len(ds.records)
-        assert list(traffic.records) == kept == [nr.record_id for nr in traffic.normalized]
-        assert all(traffic.records[r.id] is r for r in ds.records if r.id in traffic.records)
+        held = [nr.record for nr in traffic.normalized]
+        assert len(held) == len(kept)
+        assert all(a is b for a, b in zip(held, kept))
 
 
 def _module_tables():

@@ -21,7 +21,6 @@ def cluster(member_ids, method="GET", template="/api/x"):
     tokens = tuple(template.strip("/").split("/")) if template != "/" else ()
     return EndpointCluster(
         template=PathTemplate(method=method, pattern=tokens),
-        method=method,
         member_ids=list(member_ids),
     )
 

@@ -176,7 +176,7 @@ def small_dataset(n=10):
         rec(rid=i, url=f"/api/v1/items/{i}?page={i}", label=f"EP_{i % 2}")
         for i in range(n)
     ]
-    return Dataset(records=records, source="t", ground_truth={r.id: r.label for r in records})
+    return Dataset(records=records, source="t")
 
 
 URL_PIECES = st.sampled_from(

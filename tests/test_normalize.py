@@ -39,7 +39,7 @@ class TestNormalize:
     def test_query_order_does_not_affect_path(self):
         a = normalize(rec("/api/user?role=admin&id=1"))
         b = normalize(rec("/api/user?id=1&role=admin"))
-        assert (a.method, a.segments) == (b.method, b.segments)
+        assert (a.record.method, a.segments) == (b.record.method, b.segments)
         assert sorted(a.raw_query_keys) == sorted(b.raw_query_keys)
 
     def test_segments_lowercased(self):
@@ -62,7 +62,7 @@ class TestNormalize:
         assert canonical_path(normalize(rec("/"))) == "/"
 
     def test_method_carried_over(self):
-        assert normalize(rec("/x", method="post")).method == "POST"
+        assert normalize(rec("/x", method="post")).record.method == "POST"
 
 
 # pieces that reach each branch of split_url: plain relative and http(s)

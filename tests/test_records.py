@@ -18,6 +18,8 @@ from apiminer.records import (
     read_labels,
     write_dataset,
 )
+from apiminer.metrics import report
+from apiminer.noise import INTERFERE, LEXIFY, inject
 from apiminer.refine import discover, prepare_traffic
 
 
@@ -277,10 +279,44 @@ class TestRecordInvariants:
         assert copy.deepcopy(record) == record
         assert record._replace(url="/y") == HttpRecord(3, "GET", "/y", (("A", "b"),), None, 0, 0)
 
-    def test_ground_truth_must_reference_known_ids(self):
-        r = HttpRecord(id=0, method="GET", url="/x")
-        with pytest.raises(IngestError, match="unknown record id"):
-            Dataset(records=[r], ground_truth={5: "EP"})
+
+
+def labelled_dataset():
+    """Two endpoints of six labelled requests each, and one unlabelled request."""
+    records = [
+        HttpRecord(id=i, method="GET", url=f"/api/v1/{name}/{i}?page=1",
+                   content_type="application/json", label=name.upper())
+        for i, name in enumerate(["items", "users"] * 6)
+    ]
+    records.append(HttpRecord(id=12, method="GET", url="/api/v1/health"))
+    return Dataset(records=records)
+
+
+class TestGroundTruth:
+    """A dataset's ground truth is its records' labels, however it was made."""
+
+    def test_labels_of_built_records(self):
+        ds = labelled_dataset()
+        assert ds.ground_truth == {i: ["ITEMS", "USERS"][i % 2] for i in range(12)}
+        assert Dataset(records=[HttpRecord(0, "GET", "/a", label="X")]).ground_truth == {0: "X"}
+
+    def test_labels_survive_write_and_parse(self):
+        ds = labelled_dataset()
+        again = parse_jsonl(write_dataset(ds))
+        assert again.ground_truth == ds.ground_truth
+        assert read_labels(write_dataset(ds)) == (ds.ground_truth, 13)
+
+    @pytest.mark.parametrize("kind", [LEXIFY, INTERFERE])
+    def test_labels_survive_inject(self, kind):
+        ds = labelled_dataset()
+        noisy = inject(ds, kind, 0.5, 3)
+        assert noisy.ground_truth == {r.id: r.label for r in noisy.records if r.label is not None}
+        assert list(noisy.ground_truth.values()) == list(ds.ground_truth.values())
+
+    def test_report_scores_built_dataset(self):
+        ds = labelled_dataset()
+        rep = report(discover(prepare_traffic(ds)), ds.ground_truth)
+        assert (rep.tp, rep.fn) == (2, 0)
 
 
 class TestRoundTrip:

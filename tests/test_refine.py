@@ -48,7 +48,7 @@ class TestSeedingAndKMeans:
 class TestTraining:
     def two_clique_graph(self, n_per=8):
         X = np.array([[1.0, 0.0]] * n_per + [[0.0, 1.0]] * n_per)
-        return build_graph(X, 0.85), n_per
+        return build_graph(X, 0.85, np.arange(len(X))), n_per
 
     def test_hard_assignment_recovers_cliques(self):
         graph, n_per = self.two_clique_graph()
@@ -66,7 +66,7 @@ class TestTraining:
         assert np.array_equal(Z1, Z2)
 
     def test_spectral_init_isolated_graph_falls_back(self):
-        graph = SimilarityGraph(n=5, A=np.zeros((5, 5)))
+        graph = SimilarityGraph(A=np.zeros((5, 5)), node_of=np.arange(5), self_sim=np.zeros(5))
         Z = spectral_init(graph, 3, np.random.default_rng(0))
         assert Z.shape == (5, 3)
         assert np.all(np.isfinite(Z))
@@ -116,7 +116,7 @@ class TestWeightedRows:
             A, _, m, node_of = random_weighted(rng, u)
             np.fill_diagonal(A, 0.0)
             s = (rng.random(u) < 0.8).astype(float)
-            graph = SimilarityGraph(n=len(node_of), A=A, node_of=node_of, self_sim=s)
+            graph = SimilarityGraph(A=A, node_of=node_of, self_sim=s)
             Z = spectral_init(graph, 8, np.random.default_rng(0))[node_of]
             Z_full = dense_spectral(expand(A, s, node_of), 8)
             assert Z.shape == Z_full.shape
@@ -137,7 +137,7 @@ class TestWeightedRows:
             X = base[rng.permutation(np.repeat(np.arange(u), rng.integers(2, 20, u)))]
             distinct, node_of = _distinct_rows([tuple(row) for row in X])
             graph = build_graph(distinct, 0.85, node_of)
-            full = build_graph(X, 0.85)
+            full = build_graph(X, 0.85, np.arange(len(X)))
             assert select_k(graph) == select_k(full)
             k = select_k(graph)
             rows_rng, full_rng = np.random.default_rng(trial), np.random.default_rng(trial)
@@ -173,8 +173,8 @@ def test_distinct_rows_match_unique_on_scaled_rows(picks, seed):
     rng = np.random.default_rng(seed)
     bodies = [(int(b), int(f), int(d)) for b, f, d in rng.integers(0, 3, (5, 3))]
     urls = [f"/api/v1/things/{i}{PROFILES[p][0]}" for i, p in enumerate(picks)]
-    group, requests, records = group_from_urls(urls, bodies=[bodies[p] for p in picks])
-    rows = [extract_features(requests[i], records[i]) for i in group.member_ids]
+    group = group_from_urls(urls, bodies=[bodies[p] for p in picks])
+    rows = [extract_features(nr) for nr in group.members]
     distinct_raw, node_of = _distinct_rows(rows)
     X = scale_features(distinct_raw[node_of])
     assert np.array_equal(X, scale_features(np.array(rows)))
@@ -184,23 +184,21 @@ def test_distinct_rows_match_unique_on_scaled_rows(picks, seed):
 
 
 def group_from_urls(urls, method="GET", bodies=None):
-    records = {}
+    requests = []
     for i, u in enumerate(urls):
         body = bodies[i] if bodies else (0, None, None)
-        records[i] = HttpRecord(
+        requests.append(normalize(HttpRecord(
             id=i, method=method, url=u, content_type="application/json",
             body_size=body[0], body_field_count=body[1], body_nesting_depth=body[2],
-        )
-    requests = {i: normalize(r) for i, r in records.items()}
-    groups = mine(list(requests.values()))
-    assert len(groups) == 1
-    return groups[0], requests, records
+        )))
+    (group,) = mine(requests)
+    return group
 
 
 class TestRefineGroup:
     def test_small_group_passthrough(self):
-        group, requests, records = group_from_urls(["/api/a", "/api/a"])
-        clusters = refine_group(group, requests, records)
+        group = group_from_urls(["/api/a", "/api/a"])
+        clusters = refine_group(group)
         assert len(clusters) == 1
         assert clusters[0].provenance == PASSTHROUGH
         assert clusters[0].member_ids == [0, 1]
@@ -210,8 +208,8 @@ class TestRefineGroup:
         urls = [f"/api/v1/things/{i}?page=1&limit=5" for i in range(n)]
         urls += [f"/api/v1/things/{i + n}" for i in range(n)]
         bodies = [(0, None, None)] * n + [(400, 6, 3)] * n
-        group, requests, records = group_from_urls(urls, method="POST", bodies=bodies)
-        clusters = refine_group(group, requests, records)
+        group = group_from_urls(urls, method="POST", bodies=bodies)
+        clusters = refine_group(group)
         assert len(clusters) == 2
         assert sorted(clusters[0].member_ids) == list(range(n))
         assert sorted(clusters[1].member_ids) == list(range(n, 2 * n))
@@ -231,8 +229,8 @@ class TestRefineGroup:
     def test_small_group_takes_graph_path(self):
         # five requests of different shapes, below any group-size gate
         urls, bodies = self.SMALL_GROUP
-        group, requests, records = group_from_urls(urls, method="POST", bodies=bodies)
-        clusters = refine_group(group, requests, records)
+        group = group_from_urls(urls, method="POST", bodies=bodies)
+        clusters = refine_group(group)
         assert [c.member_ids for c in clusters] == [[0, 1, 2, 3, 4]]
         assert clusters[0].provenance == GRAPH_REFINED
 
@@ -240,17 +238,17 @@ class TestRefineGroup:
         # body size up, field count down: five distinct rows linked in a chain
         urls = [f"/api/v1/things/{i}" for i in range(5)]
         bodies = [(100, 5, 2), (150, 4, 2), (200, 3, 2), (250, 2, 2), (300, 1, 2)]
-        group, requests, records = group_from_urls(urls, method="POST", bodies=bodies)
-        X = scale_features(np.array([extract_features(requests[i], records[i]) for i in range(5)]))
+        group = group_from_urls(urls, method="POST", bodies=bodies)
+        X = scale_features(np.array([extract_features(nr) for nr in group.members]))
         assert len(np.unique(X, axis=0)) == 5
-        assert select_k(build_graph(X, RefinerConfig().theta)) == 1
+        assert select_k(build_graph(X, RefinerConfig().theta, np.arange(5))) == 1
 
         def unreachable(*args):
             raise AssertionError("a connected graph was embedded")
 
         monkeypatch.setattr("apiminer.refine.spectral_init", unreachable)
         monkeypatch.setattr("apiminer.refine.kmeans_assign", unreachable)
-        clusters = refine_group(group, requests, records)
+        clusters = refine_group(group)
         assert [c.member_ids for c in clusters] == [[0, 1, 2, 3, 4]]
 
     @pytest.mark.parametrize("force_kmeans, provenance", [
@@ -259,15 +257,15 @@ class TestRefineGroup:
     def test_one_row_group_builds_no_graph(self, monkeypatch, force_kmeans, provenance):
         # different ids, one feature row: the group's answer is one cluster
         urls = [f"/api/v1/things/{i}?page={i}" for i in range(6)]
-        group, requests, records = group_from_urls(urls, method="PUT", bodies=[(80, 3, 1)] * 6)
-        assert len({extract_features(requests[i], records[i]) for i in range(6)}) == 1
+        group = group_from_urls(urls, method="PUT", bodies=[(80, 3, 1)] * 6)
+        assert len({extract_features(nr) for nr in group.members}) == 1
 
         def unreachable(*args):
             raise AssertionError("a one-row group was scaled or graphed")
 
         monkeypatch.setattr("apiminer.refine.scale_features", unreachable)
         monkeypatch.setattr("apiminer.refine.build_graph", unreachable)
-        clusters = refine_group(group, requests, records, RefinerConfig(force_kmeans=force_kmeans))
+        clusters = refine_group(group, RefinerConfig(force_kmeans=force_kmeans))
         assert [(c.member_ids, c.provenance) for c in clusters] == [(list(range(6)), provenance)]
 
     def test_force_kmeans_bypasses_graph_training(self):
@@ -275,10 +273,8 @@ class TestRefineGroup:
         urls = [f"/api/v1/things/{i}?page=1" for i in range(n)]
         urls += [f"/api/v1/things/{i + n}" for i in range(n)]
         bodies = [(0, None, None)] * n + [(400, 6, 3)] * n
-        group, requests, records = group_from_urls(urls, method="POST", bodies=bodies)
-        clusters = refine_group(
-            group, requests, records, RefinerConfig(force_kmeans=True)
-        )
+        group = group_from_urls(urls, method="POST", bodies=bodies)
+        clusters = refine_group(group, RefinerConfig(force_kmeans=True))
         assert all(c.provenance == KMEANS_ABLATION for c in clusters)
 
     def test_clusters_partition_group(self):
@@ -286,8 +282,8 @@ class TestRefineGroup:
         urls = [f"/api/v1/things/{i}?page=1" for i in range(n)]
         urls += [f"/api/v1/things/{i + n}" for i in range(n)]
         bodies = [(0, None, None)] * n + [(400, 6, 3)] * n
-        group, requests, records = group_from_urls(urls, method="POST", bodies=bodies)
-        clusters = refine_group(group, requests, records)
+        group = group_from_urls(urls, method="POST", bodies=bodies)
+        clusters = refine_group(group)
         all_ids = sorted(i for c in clusters for i in c.member_ids)
         assert all_ids == sorted(group.member_ids)
 
@@ -296,9 +292,9 @@ class TestRefineGroup:
         urls = [f"/api/v1/things/{i}?page=1" for i in range(n)]
         urls += [f"/api/v1/things/{i + n}" for i in range(n)]
         bodies = [(0, None, None)] * n + [(400, 6, 3)] * n
-        group, requests, records = group_from_urls(urls, method="POST", bodies=bodies)
-        a = refine_group(group, requests, records)
-        b = refine_group(group, requests, records)
+        group = group_from_urls(urls, method="POST", bodies=bodies)
+        a = refine_group(group)
+        b = refine_group(group)
         assert [(c.member_ids, c.provenance) for c in a] == [
             (c.member_ids, c.provenance) for c in b
         ]
@@ -324,10 +320,10 @@ PROFILES = [
 def test_identical_feature_rows_share_a_cluster(picks, theta):
     urls = [f"/api/v1/things/{i}{PROFILES[p][0]}" for i, p in enumerate(picks)]
     bodies = [PROFILES[p][1] for p in picks]
-    group, requests, records = group_from_urls(urls, method="POST", bodies=bodies)
-    clusters = refine_group(group, requests, records, RefinerConfig(theta=theta))
+    group = group_from_urls(urls, method="POST", bodies=bodies)
+    clusters = refine_group(group, RefinerConfig(theta=theta))
     cluster_of = {i: c for c, cl in enumerate(clusters) for i in cl.member_ids}
-    X = scale_features(np.vstack([extract_features(requests[i], records[i]) for i in group.member_ids]))
+    X = scale_features(np.vstack([extract_features(nr) for nr in group.members]))
     for a, i in enumerate(group.member_ids):
         for b, j in enumerate(group.member_ids):
             if np.array_equal(X[a], X[b]):
@@ -346,7 +342,7 @@ class TestDiscover:
                                       content_type="application/json"))
         clusters = discover(prepare_traffic(Dataset(records=records)))
         assert len(clusters) == 2
-        assert {(c.method, c.template.render()) for c in clusters} == {
+        assert {(c.template.method, c.template.render()) for c in clusters} == {
             ("POST", "/api/v1/users/login"),
             ("GET", "/api/v1/user/me"),
         }
@@ -390,5 +386,5 @@ class TestDiscover:
             HttpRecord(id=2, method="GET", url="/api/c", content_type="application/json"),
         ]
         clusters = discover(prepare_traffic(Dataset(records=records)))
-        keys = [(c.method, c.template.render()) for c in clusters]
+        keys = [(c.template.method, c.template.render()) for c in clusters]
         assert keys == sorted(keys)

@@ -134,10 +134,9 @@ class TestGrouping:
     def test_members_always_match_template(self):
         urls = [f"/api/v1/things/{i}" for i in range(5)] + ["/api/v1/other/name"]
         requests = [nr(u, rid=i) for i, u in enumerate(urls)]
-        by_id = {r.record_id: r for r in requests}
         for g in mine(requests):
-            for rid in g.member_ids:
-                assert match(g.template, by_id[rid])
+            for member in g.members:
+                assert match(g.template, member)
 
     def test_single_character_token_corruption_groups_together(self):
         urls = ["/api/v1/orders/1", "/api/v1/orders/2", "/api/v1/orders_/3"]
