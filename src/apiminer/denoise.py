@@ -151,10 +151,21 @@ def filter_traffic(
         raise ValueError(f"tau must be in (0,1), got {tau}")
     outcome = FilterOutcome()
     decisions: dict[tuple[float, ...], tuple[bool, bool]] = {}
+    # with no negative weight past the bias, raising a feature never lowers
+    # the score (float products and sums and the sigmoid are monotone), so
+    # if a depth-1 vector with every other feature at 0 passes, every record
+    # with a path segment passes
+    keeps_any_segment = min(LOGISTIC_WEIGHTS[1:]) >= 0 and not (
+        _sigmoid_score(LOGISTIC_WEIGHTS, (1.0, 0.0, 1.0, 0.0, 0.0, 0.0)) < tau
+    )
     for record in dataset.records:
         path, query = split_url(record)
         reason = rule_signal(record, path)
-        if reason is None and _gate_drops(record, path, query, tau, decisions):
+        if (
+            reason is None
+            and not (keeps_any_segment and path.strip("/"))
+            and _gate_drops(record, path, query, tau, decisions)
+        ):
             reason = LOGISTIC_GATE
         if reason is None:
             outcome.kept.append(record.id)

@@ -3,14 +3,19 @@
 Each group of three or more requests is refined by spectral clustering:
 seeded k-means on the top eigenvectors of its similarity graph's normalized
 adjacency (Ng, Jordan & Weiss, NIPS 2001), with the connected components
-giving the cluster count.  A group whose graph is one component is one
-cluster and needs neither; a group whose requests share one distinct
-feature row is one cluster and gets no graph at all.  The graph and its
+giving the cluster count, then clusters under ``MIN_CLUSTER_FRACTION`` of
+the group are merged into the nearest big one.  The graph and its
 eigenvectors are computed over a group's distinct feature rows, each
 weighted by the number of requests that share it; the requests of one row
 share one embedding, so identical requests are never split.
 ``RefinerConfig.force_kmeans`` runs k-means on the scaled features instead,
 the paper's ablation of the graph.
+
+Two answers are known before the work that would give them.  A group whose
+requests off its most common feature row are too few to form a cluster of
+their own is one cluster, with no scaling and no graph, under either path.
+A group whose graph is one component is one cluster, with no eigensolve and
+no k-means.
 """
 
 from __future__ import annotations
@@ -151,9 +156,9 @@ def _reabsorb_small(labels: np.ndarray, X: np.ndarray, min_size: int) -> np.ndar
         big = [c for c, cnt in zip(ids, counts) if cnt >= min_size]
         if not small or not big:
             return labels
-        centroids = {c: X[labels == c].mean(axis=0) for c in ids}
         target_c = small[0]
-        d = {c: np.linalg.norm(centroids[target_c] - centroids[c]) for c in big}
+        target = X[labels == target_c].mean(axis=0)
+        d = {c: np.linalg.norm(target - X[labels == c].mean(axis=0)) for c in big}
         dest = min(sorted(d), key=lambda c: d[c])
         labels[labels == target_c] = dest
 
@@ -178,27 +183,28 @@ def refine_group(group: TemplateGroup, config: RefinerConfig | None = None) -> l
 
     distinct_raw, node_of = _distinct_rows([extract_features(nr) for nr in members])
     provenance = KMEANS_ABLATION if config.force_kmeans else GRAPH_REFINED
-    if len(distinct_raw) == 1:
-        # one distinct row scales to a zero row: its graph is one node with
-        # no edge, one component, so k = 1 without building it
+    min_size = max(2, int(np.ceil(MIN_CLUSTER_FRACTION * n)))
+    if n - np.bincount(node_of).max() < min_size:
+        # the copies of a row share a k-means label, so the cluster holding
+        # the most common row has at least n - min_size + 1 >= min_size
+        # members (n >= 3) and every other cluster fewer than min_size: with
+        # one big cluster, reabsorption merges the rest into it
         return [_cluster(group, members, provenance)]
-    # min-max scaling over every request gives each distinct raw row one
-    # scaled row; take it where the row first occurs
-    X = scale_features(distinct_raw[node_of])
-    distinct = X[np.unique(node_of, return_index=True)[1]]
+    # min and max over the distinct rows are those over every request, so
+    # each request's scaled row is its distinct row scaled
+    distinct = scale_features(distinct_raw)
     graph = build_graph(distinct, config.theta, node_of)
     k = select_k(graph)
     if k == 1:
         # one component is one cluster: k-means with one centroid labels
         # every request 0, and reabsorption leaves a lone cluster alone
         return [_cluster(group, members, provenance)]
+    X = distinct[node_of]
     rng = _group_rng(config.global_seed, group.template)
     if config.force_kmeans:
         labels = kmeans_assign(X, k, rng)
     else:
         labels = kmeans_assign(spectral_init(graph, EMBEDDING_DIM, rng)[node_of], k, rng)
-
-    min_size = max(2, int(np.ceil(MIN_CLUSTER_FRACTION * n)))
     labels = _reabsorb_small(labels, X, min_size)
 
     clusters = [

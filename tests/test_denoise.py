@@ -178,6 +178,15 @@ class TestGateShortcut:
     # kept only with the bit at exactly 1: the score at 0.5 is 0.5
     @example(weights=(-1.0, 0.0, 0.0, 2.0, 0.0, 0.0), tau=0.6,
              requests=[("GET", "/api/12", "application/json")])
+    # the default gate keeps every path with a segment: a depth-0 POST is
+    # still scored, and dropped (z = -5), while its depth-1 twin is kept
+    @example(weights=LOGISTIC_WEIGHTS, tau=DEFAULT_TAU,
+             requests=[("POST", "/", "text/plain"), ("POST", "/api", "text/plain")])
+    # a negative path-depth weight: depth 1 passes (0.27) and depth 3 does
+    # not (0.05), so no bound from the depth-1 score may keep the deeper path
+    @example(weights=(0.0, 0.0, -1.0, 0.0, 0.0, 0.0), tau=0.2,
+             requests=[("GET", "/api", "application/json"),
+                       ("GET", "/api/v1/x", "application/json")])
     def test_decisions_match_rules_then_score(self, weights, tau, requests):
         # several records per dataset, so one filter call decides records that
         # share a gate vector and differ in the ID-segment bit
@@ -204,6 +213,31 @@ class TestGateShortcut:
                     dropped.append((record.id, reason))
             outcome = filter_traffic(Dataset(records=records), tau)
         assert (outcome.kept, outcome.dropped) == (kept, dropped)
+
+
+class TestSegmentBound:
+    """Under the default weights a path with a segment passes the gate unscored."""
+
+    def test_gate_scores_only_paths_without_a_segment(self):
+        ds = Dataset(records=[
+            rec(rid=0, method="POST", url="/", content_type="text/plain"),
+            rec(rid=1, method="BREW", url="/x", content_type="text/plain"),
+            rec(rid=2, url="//api//12/"),
+            rec(rid=3, url="http://h?page=1"),
+            rec(rid=4, url="/api/v1/items?q=1"),
+        ])
+        scored = []
+        gate_drops = denoise._gate_drops
+
+        def counted(record, path, *args):
+            scored.append(path)
+            return gate_drops(record, path, *args)
+
+        with mock.patch.object(denoise, "_gate_drops", counted):
+            outcome = filter_traffic(ds)
+        assert scored == ["/", ""]
+        assert outcome.kept == [1, 2, 3, 4]
+        assert outcome.dropped == [(0, LOGISTIC_GATE)]
 
 
 class TestConfigValidation:

@@ -2,7 +2,8 @@
 
 A change that is meant to leave the pipeline's behaviour alone must leave
 these digests alone too: the capture, the cluster document, the three dumps,
-the evaluation report and the cluster document of the k-means ablation.
+the evaluation report, and the cluster documents of the k-means ablation and
+of the one-group path (template mining off, with and without the filter).
 """
 
 import hashlib
@@ -14,7 +15,8 @@ from apiminer.corpus import CorpusSpec, synth_corpus
 from apiminer.noise import INTERFERE, LEXIFY, inject
 from apiminer.records import write_dataset
 
-# the Lexify capture has no non-API traffic: its dropped.tsv is the empty file
+# the Lexify capture has no non-API traffic: its dropped.tsv is the empty file,
+# and its one-group documents with and without the filter are the same
 PINNED = {
     LEXIFY: {
         "capture.jsonl": "e2f648a80c2a48fb156fa3f8df72cd5cd54d191a639741bf77d82ae6b81ef888",
@@ -24,6 +26,8 @@ PINNED = {
         "templates.tsv": "fc28b17ffd0c78a595e5fd35c6bb40369bd25da3cb60dff9ad7bbf25b6d40a57",
         "evaluate.json": "98d1b39738c11439ddbb4c47df0eaf974133078e3e7484612cacad7b3fdde868",
         "kmeans.json": "3db566adcecadfd4a8dafabe1c289dc96b6e99ec03469909bc57eff9bbb0752f",
+        "one-group.json": "72f7277370d6d07ac2dc9e574e9e049243e3b06eb93022a452b4dbc362141007",
+        "one-group-unfiltered.json": "72f7277370d6d07ac2dc9e574e9e049243e3b06eb93022a452b4dbc362141007",
     },
     INTERFERE: {
         "capture.jsonl": "2214ad11bf81a8c8d365ea70ca3924d66ce20f8a51ea5b4e798fb28665b59b36",
@@ -33,6 +37,8 @@ PINNED = {
         "templates.tsv": "5a3d4f4d1027ef6aceb36ad1925ccfd42726af3caaaf2dc3f676c355c23f1b68",
         "evaluate.json": "c050537df7c959e8f987d26e0ac62edfb98dde0049f99a810bfa06de05a14859",
         "kmeans.json": "cc36dd3c3570aec61f2bf7b368c119c4e1b10ceea8a2b491bf86196dc13394d2",
+        "one-group.json": "cb242659ab1dd1155c65a758626d2eac9abc0dfc5c66fb41f2d5a29a80388a50",
+        "one-group-unfiltered.json": "abecec88ee9c8c1d93c217e8c6eba448b9c74abcd059713fe4dddc518d3fe3a9",
     },
 }
 
@@ -48,8 +54,12 @@ def _digests(kind) -> dict[str, str]:
     assert main(["evaluate", "--in", capture, "--clusters", "clusters.json",
                  "--out", "evaluate.json"]) == 0
     assert main(["discover", "--in", capture, "--out", "kmeans.json", "--force-kmeans"]) == 0
+    assert main(["discover", "--in", capture, "--out", "one-group.json",
+                 "--disable-templates"]) == 0
+    assert main(["discover", "--in", capture, "--out", "one-group-unfiltered.json",
+                 "--disable-nf", "--disable-templates"]) == 0
     names = (capture, "clusters.json", "dropped.tsv", "normalized.tsv", "templates.tsv",
-             "evaluate.json", "kmeans.json")
+             "evaluate.json", "kmeans.json", "one-group.json", "one-group-unfiltered.json")
     digests = {}
     for name in names:
         with open(name, "rb") as handle:

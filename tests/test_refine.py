@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from apiminer.features import SimilarityGraph, build_graph, extract_features, scale_features, select_k
 from apiminer.normalize import normalize
 from apiminer.records import HttpRecord, IngestError
 from apiminer.refine import (
+    EMBEDDING_DIM,
     GRAPH_REFINED,
     KMEANS_ABLATION,
+    MIN_CLUSTER_FRACTION,
     PASSTHROUGH,
     RefinerConfig,
     discover,
@@ -18,7 +21,10 @@ from apiminer.refine import (
     prepare_traffic,
     refine_group,
     spectral_init,
+    _cluster,
     _distinct_rows,
+    _group_rng,
+    _reabsorb_small,
 )
 from apiminer.records import Dataset
 from apiminer.templates import TemplateGroup, PathTemplate, mine
@@ -168,7 +174,7 @@ def unique_scaled_rows(X):
 @settings(max_examples=60, deadline=None)
 @given(picks=st.lists(st.integers(0, 4), min_size=1, max_size=60), seed=st.integers(0, 2**16))
 def test_distinct_rows_match_unique_on_scaled_rows(picks, seed):
-    # feature rows of a mined group, deduplicated as tuples before scaling,
+    # feature rows of a mined group, deduplicated as tuples and scaled,
     # against np.unique over the scaled n-row matrix
     rng = np.random.default_rng(seed)
     bodies = [(int(b), int(f), int(d)) for b, f, d in rng.integers(0, 3, (5, 3))]
@@ -176,10 +182,11 @@ def test_distinct_rows_match_unique_on_scaled_rows(picks, seed):
     group = group_from_urls(urls, bodies=[bodies[p] for p in picks])
     rows = [extract_features(nr) for nr in group.members]
     distinct_raw, node_of = _distinct_rows(rows)
-    X = scale_features(distinct_raw[node_of])
-    assert np.array_equal(X, scale_features(np.array(rows)))
+    X = scale_features(np.array(rows))
     expected, expected_node_of = unique_scaled_rows(X)
-    assert np.array_equal(X[np.unique(node_of, return_index=True)[1]], expected)
+    # scaling the distinct raw rows gives the distinct scaled rows
+    assert np.array_equal(scale_features(distinct_raw), expected)
+    assert np.array_equal(scale_features(distinct_raw)[node_of], X)
     assert node_of.tolist() == expected_node_of.tolist()
 
 
@@ -268,6 +275,23 @@ class TestRefineGroup:
         clusters = refine_group(group, RefinerConfig(force_kmeans=force_kmeans))
         assert [(c.member_ids, c.provenance) for c in clusters] == [(list(range(6)), provenance)]
 
+    @pytest.mark.parametrize("force_kmeans", [False, True])
+    def test_dominant_row_group_builds_no_graph(self, monkeypatch, force_kmeans):
+        # twenty requests, three off the common row: fewer than min_size = 4,
+        # so no cluster without the common row survives reabsorption
+        urls = [f"/api/v1/things/{i}" for i in range(20)]
+        bodies = [(80, 3, 1)] * 17 + [(900, 12, 4)] * 2 + [(0, None, None)]
+        group = group_from_urls(urls, method="PUT", bodies=bodies)
+        assert len({extract_features(nr) for nr in group.members}) == 3
+
+        def unreachable(*args):
+            raise AssertionError("a group with a dominant row was refined")
+
+        for name in ("scale_features", "build_graph", "spectral_init", "kmeans_assign"):
+            monkeypatch.setattr(f"apiminer.refine.{name}", unreachable)
+        clusters = refine_group(group, RefinerConfig(force_kmeans=force_kmeans))
+        assert [c.member_ids for c in clusters] == [list(range(20))]
+
     def test_force_kmeans_bypasses_graph_training(self):
         n = 15
         urls = [f"/api/v1/things/{i}?page=1" for i in range(n)]
@@ -328,6 +352,98 @@ def test_identical_feature_rows_share_a_cluster(picks, theta):
         for b, j in enumerate(group.member_ids):
             if np.array_equal(X[a], X[b]):
                 assert cluster_of[i] == cluster_of[j]
+
+
+def min_cluster_size(n):
+    return max(2, int(np.ceil(MIN_CLUSTER_FRACTION * n)))
+
+
+@st.composite
+def dominated_rows(draw):
+    """``node_of`` with row 0 the most common and fewer than
+    ``min_cluster_size(n)`` requests on every other row together."""
+    others = draw(st.lists(st.integers(1, 5), max_size=6))
+    rest = sum(others)
+    top = max(3 - rest, 4 * rest + 1) + draw(st.integers(0, 30))
+    node_of = np.repeat(np.arange(1 + len(others)), [top, *others])
+    return draw(st.permutations(node_of.tolist()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), node_of=dominated_rows())
+def test_reabsorption_of_a_dominated_group_leaves_one_cluster(data, node_of):
+    # the lemma refine_group answers such groups by: labels constant on the
+    # copies of a row, any X, one label after reabsorption
+    node_of = np.array(node_of)
+    n = len(node_of)
+    assert n - np.bincount(node_of).max() < min_cluster_size(n)
+    row_label = data.draw(hnp.arrays(int, int(node_of.max()) + 1, elements=st.integers(0, 7)))
+    X = data.draw(hnp.arrays(float, (n, 3), elements=st.floats(-1e6, 1e6)))
+    labels = _reabsorb_small(row_label[node_of], X, min_cluster_size(n))
+    assert len(set(labels.tolist())) == 1
+
+
+def reference_reabsorb(labels, X, min_size):
+    """Merge the first small cluster into the nearest big one until none is
+    small or none is big, with every cluster's centroid computed."""
+    labels = labels.copy()
+    while True:
+        ids, counts = np.unique(labels, return_counts=True)
+        small = [c for c, cnt in zip(ids, counts) if cnt < min_size]
+        big = [c for c, cnt in zip(ids, counts) if cnt >= min_size]
+        if not small or not big:
+            return labels
+        centroids = {c: X[labels == c].mean(axis=0) for c in ids}
+        d = {c: np.linalg.norm(centroids[small[0]] - centroids[c]) for c in big}
+        labels[labels == small[0]] = min(sorted(d), key=lambda c: d[c])
+
+
+def reference_refine(group, config):
+    """refine_group with no shortcut: scaling over every request, the graph,
+    k-means for any k and reabsorption on every group of three or more."""
+    members = group.members
+    n = len(members)
+    if n < 3:
+        return [_cluster(group, members, PASSTHROUGH)]
+    X = scale_features(np.array([extract_features(nr) for nr in members]))
+    distinct, node_of = unique_scaled_rows(X)
+    graph = build_graph(distinct, config.theta, node_of)
+    k = select_k(graph)
+    rng = _group_rng(config.global_seed, group.template)
+    if config.force_kmeans:
+        labels, provenance = kmeans_assign(X, k, rng), KMEANS_ABLATION
+    else:
+        Z = spectral_init(graph, EMBEDDING_DIM, rng)[node_of]
+        labels, provenance = kmeans_assign(Z, k, rng), GRAPH_REFINED
+    labels = reference_reabsorb(labels, X, min_cluster_size(n))
+    clusters = [
+        _cluster(group, [members[i] for i in np.nonzero(labels == c)[0]], provenance)
+        for c in np.unique(labels)
+    ]
+    return sorted(clusters, key=lambda cl: min(cl.member_ids))
+
+
+# profile picks: a run of one profile, which may dominate, among others
+PICKS = st.builds(
+    lambda top, copies, others: [top] * copies + others,
+    st.integers(0, len(PROFILES) - 1),
+    st.integers(0, 40),
+    st.lists(st.integers(0, len(PROFILES) - 1), max_size=25),
+).filter(lambda picks: len(picks) >= 1).flatmap(st.permutations)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    picks=PICKS,
+    theta=st.sampled_from([0.6, 0.85, 0.95]),
+    force_kmeans=st.booleans(),
+    seed=st.integers(0, 3),
+)
+def test_refine_group_matches_full_path(picks, theta, force_kmeans, seed):
+    urls = [f"/api/v1/things/{i}{PROFILES[p][0]}" for i, p in enumerate(picks)]
+    group = group_from_urls(urls, method="POST", bodies=[PROFILES[p][1] for p in picks])
+    config = RefinerConfig(theta=theta, force_kmeans=force_kmeans, global_seed=seed)
+    assert refine_group(group, config) == reference_refine(group, config)
 
 
 class TestDiscover:
