@@ -3,9 +3,11 @@
 # argument: discover and evaluate as separate processes on a small labeled
 # capture of 72 requests; both write the same outputs for the capture
 # re-spaced by json.dumps (read line by line, not by the canonical-line
-# pattern); evaluate exits 2 for a cluster document that names a request
-# past the capture and for --format har, and discover for a capture with a
-# lone surrogate in a url.
+# pattern); ingest writes the re-spaced capture back to the canonical bytes;
+# noise writes the bytes the writer gives for the same injection in process;
+# evaluate exits 2 for a cluster document that names a request past the
+# capture and for --format har, and discover for a capture with a lone
+# surrogate in a url.
 #
 # Usage: bash .github/scripts/console-e2e.sh DIR   (needs `apiminer` on PATH)
 set -e
@@ -13,9 +15,14 @@ cd "$1"
 python - <<'PY'
 import json, os
 from apiminer.corpus import CorpusSpec, synth_corpus
+from apiminer.noise import INTERFERE, LEXIFY, inject
 from apiminer.records import write_dataset
+corpus = synth_corpus(CorpusSpec(6, 12))
 with open("capture.jsonl", "w", encoding="utf-8") as out:
-    out.write(write_dataset(synth_corpus(CorpusSpec(6, 12))))
+    out.write(write_dataset(corpus))
+for name, kind, ratio, seed in (("interfere", INTERFERE, 0.95, 1), ("lexify", LEXIFY, 0.5, 3)):
+    with open(f"expected-{name}.jsonl", "w", encoding="utf-8") as out:
+        out.write(write_dataset(inject(corpus, kind, ratio, seed)))
 os.mkdir("spaced")
 with open("capture.jsonl", encoding="utf-8") as src:
     with open("spaced/capture.jsonl", "w", encoding="utf-8") as out:
@@ -29,6 +36,12 @@ apiminer evaluate --in capture.jsonl --clusters clusters.json --out report.json
 for name in clusters.json normalized.tsv templates.tsv report.json; do
   cmp "$name" "spaced/$name"
 done
+apiminer ingest --in spaced/capture.jsonl --out ingested.jsonl
+cmp ingested.jsonl capture.jsonl
+apiminer noise --in capture.jsonl --kind interfere --ratio 0.95 --seed 1 --out interfere.jsonl
+cmp interfere.jsonl expected-interfere.jsonl
+apiminer noise --in capture.jsonl --kind lexify --ratio 0.5 --seed 3 --out lexify.jsonl
+cmp lexify.jsonl expected-lexify.jsonl
 echo '[{"template": "/x", "method": "GET", "member_ids": [0, 72]}]' > stray.json
 code=0
 apiminer evaluate --in capture.jsonl --clusters stray.json || code=$?

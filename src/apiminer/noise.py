@@ -8,7 +8,7 @@ from urllib.parse import urlsplit, urlunsplit
 
 import numpy as np
 
-from .records import Dataset, HttpRecord
+from .records import Dataset, HttpRecord, _new_tuple
 
 LEXIFY = "Lexify"
 INTERFERE = "Interfere"
@@ -203,8 +203,17 @@ RULE_REGISTRY = tuple(
 
 
 def _record(record: HttpRecord, rid: int, url: str) -> HttpRecord:
-    """``record`` with the given id and URL, every other field shared."""
+    """``record`` with the given id and URL, every other field shared.
+
+    The fields of an ``HttpRecord`` already passed its checks, which would
+    return them unchanged, so its tuple is built directly; a record of any
+    other type goes through the constructor.
+    """
     _, method, _, headers, content_type, body_size, fields, depth, label = record
+    if type(record) is HttpRecord:
+        return _new_tuple(
+            HttpRecord, (rid, method, url, headers, content_type, body_size, fields, depth, label)
+        )
     return HttpRecord(rid, method, url, headers, content_type, body_size, fields, depth, label)
 
 
@@ -259,14 +268,10 @@ def _draw_interference(category: str, rng: np.random.Generator) -> tuple[str, st
 
 
 def _interference_record(record_id: int, method: str, url: str, content_type: str | None) -> HttpRecord:
-    return HttpRecord(
-        id=record_id,
-        method=method,
-        url=url,
-        headers=(("Content-Type", content_type),) if content_type else (),
-        content_type=content_type,
-        body_size=0,
-    )
+    # an upper-case method, a header tuple and an empty body, as
+    # HttpRecord's checks hold them
+    headers = (("Content-Type", content_type),) if content_type else ()
+    return _new_tuple(HttpRecord, (record_id, method, url, headers, content_type, 0, None, None, None))
 
 
 def interfere_sample(category: NoiseRule, rng: np.random.Generator, record_id: int = 0) -> HttpRecord:

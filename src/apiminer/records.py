@@ -9,6 +9,8 @@ from functools import lru_cache
 from json.decoder import scanstring
 from typing import NamedTuple
 
+from .jsontext import string as _string
+
 STRUCTURED_CONTENT_PREFIXES = (
     "application/json",
     "application/x-www-form-urlencoded",
@@ -541,23 +543,94 @@ def read_labels(text: str) -> tuple[dict[int, str], int]:
 _ENCODE_LINE = json.JSONEncoder(separators=(",", ":")).encode
 
 
+def _line_object(record) -> dict:
+    """A record's line as the dict ``_ENCODE_LINE`` writes: keys in a fixed
+    order, each optional field only when it is not None."""
+    rid, method, url, headers, content_type, body_size, fields, depth, label = record
+    out = {"id": rid, "method": method, "url": url, "headers": [list(h) for h in headers]}
+    if content_type is not None:
+        out["content_type"] = content_type
+    out["body_size"] = body_size
+    if fields is not None:
+        out["body_field_count"] = fields
+    if depth is not None:
+        out["body_nesting_depth"] = depth
+    if label is not None:
+        out["label"] = label
+    return out
+
+
+def _header_text(headers) -> str | None:
+    """The JSON text of a header tuple of (str, str) pairs, or None for any
+    other headers value, which the encoder writes."""
+    if type(headers) is not tuple:
+        return None
+    parts = []
+    for pair in headers:
+        if type(pair) is not tuple or len(pair) != 2:
+            return None
+        name, value = pair
+        if type(name) is not str or type(value) is not str:
+            return None
+        parts.append("[" + _string(name) + "," + _string(value) + "]")
+    return "[" + ",".join(parts) + "]"
+
+
 def write_dataset(dataset: Dataset) -> str:
-    """Emit the canonical JSONL form; parse_jsonl(write_dataset(d)) == d.
+    """Emit the canonical JSONL form, one line per record and a newline after
+    each; the empty dataset is "".
 
     Fields go in a fixed order; id, method, url, headers and body_size are
-    always written, the other fields only when they are not None.
+    always written, the other fields only when they are not None.  Strings
+    are written ASCII-escaped, as ``json.dumps`` writes them.  For records
+    with ids 0..n-1 and no lone surrogate (a capture's ids as ``parse_jsonl``
+    numbers them), ``parse_jsonl(write_dataset(d)).records == d.records``;
+    the source is "jsonl", and a lone surrogate, written as its escape, is an
+    ``IngestError`` when read.
+
+    A line is laid out here when its ints and strings are exactly ``int``
+    and ``str`` and its headers a tuple of (str, str) pairs, as every record
+    ``HttpRecord`` checks or ``parse_jsonl`` reads holds them; each header
+    tuple's text is made once per call.  Any other record (a bool or float
+    count, a subclass of int or str, headers as lists) is written by the
+    JSON encoder, to the same text it always had.
     """
     lines = []
-    for rid, method, url, headers, content_type, body_size, fields, depth, label in dataset.records:
-        out = {"id": rid, "method": method, "url": url, "headers": [list(h) for h in headers]}
+    append = lines.append
+    string = _string
+    # by id: a header value may be unhashable, and the records keep each
+    # headers object alive for the call
+    header_texts: dict[int, str | None] = {}
+    for record in dataset.records:
+        rid, method, url, headers, content_type, body_size, fields, depth, label = record
+        key = id(headers)
+        if key in header_texts:
+            head = header_texts[key]
+        else:
+            head = header_texts[key] = _header_text(headers)
+        if (
+            head is None
+            or type(rid) is not int
+            or type(method) is not str
+            or type(url) is not str
+            or type(body_size) is not int
+            or (content_type is not None and type(content_type) is not str)
+            or (fields is not None and type(fields) is not int)
+            or (depth is not None and type(depth) is not int)
+            or (label is not None and type(label) is not str)
+        ):
+            append(_ENCODE_LINE(_line_object(record)))
+            continue
+        line = '{"id":' + str(rid) + ',"method":' + string(method) + ',"url":' + string(url)
+        line += ',"headers":' + head
         if content_type is not None:
-            out["content_type"] = content_type
-        out["body_size"] = body_size
+            line += ',"content_type":' + string(content_type)
+        line += ',"body_size":' + str(body_size)
         if fields is not None:
-            out["body_field_count"] = fields
+            line += ',"body_field_count":' + str(fields)
         if depth is not None:
-            out["body_nesting_depth"] = depth
+            line += ',"body_nesting_depth":' + str(depth)
         if label is not None:
-            out["label"] = label
-        lines.append(_ENCODE_LINE(out))
+            line += ',"label":' + string(label)
+        append(line + "}")
     return "\n".join(lines) + ("\n" if lines else "")

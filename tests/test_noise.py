@@ -266,3 +266,101 @@ class TestInject:
             inject(small_dataset(), LEXIFY, 1.5, seed=1)
         with pytest.raises(ValueError):
             inject(small_dataset(), "Garble", 0.5, seed=1)
+
+
+def assert_checked(record):
+    """``record`` is exactly an ``HttpRecord`` and holds its fields as the
+    constructor holds them, down to their types."""
+    assert type(record) is HttpRecord
+    built = HttpRecord(*record)
+    assert tuple(record) == tuple(built)
+    assert [type(v) for v in record] == [type(v) for v in built]
+
+
+def from_input(base: Dataset, noisy: Dataset):
+    """(input record, output record) pairs: every input record is labelled,
+    and keeps its order among the output's labelled records."""
+    kept = [r for r in noisy.records if r.label is not None]
+    assert len(kept) == len(base.records)
+    return list(zip(base.records, kept))
+
+
+# URLs on which every Lexify rule applies to some record
+RULE_URLS = (
+    "/api/v1/user-profile/items/?q=a b&page=2&page=3",
+    "/API/Orders/Item.json?id=7",
+    "http://h:8080/api/v2/search?term=x",
+    "/a",
+)
+
+
+def noise_bases():
+    corpus = synth_corpus(CorpusSpec(6, 10, seed=5))
+    built = [
+        HttpRecord(i, "post" if i % 2 else "GET", url, (("Content-Type", "application/json"),),
+                   "application/json", 12, 2, 1, f"EP_{i % len(RULE_URLS)}")
+        for i, url in enumerate(RULE_URLS * 3)
+    ]
+    # ids no position reaches: every output record is renumbered
+    sparse = [r._replace(id=1000 + i) for i, r in enumerate(corpus.records[:20] + built)]
+    return [corpus, Dataset(built), Dataset(sparse)]
+
+
+class LooseRecord(HttpRecord):
+    __slots__ = ()
+
+
+def loose(rid: int, url: str) -> LooseRecord:
+    # fields the constructor would change: a lower-case method, headers as
+    # lists, a negative body size with structure counts
+    return tuple.__new__(LooseRecord, (rid, "get", url, [["X-A", "1"]], None, -4, 3, 2, f"EP_{rid % 3}"))
+
+
+class TestNoiseRecords:
+    """Every record the noise lab makes holds what ``HttpRecord``'s
+    constructor would, and shares each field it does not change."""
+
+    @pytest.mark.parametrize("kind", [LEXIFY, INTERFERE])
+    @pytest.mark.parametrize("ratio", [0.05, 0.5, 0.95])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_injected_records_are_checked_and_share_unchanged_fields(self, kind, ratio, seed):
+        for base in noise_bases():
+            noisy = inject(base, kind, ratio, seed)
+            for record in noisy.records:
+                assert_checked(record)
+            for old, new in from_input(base, noisy):
+                assert all(new[i] is old[i] for i in (1, 3, 4, 5, 6, 7, 8))
+                if kind == INTERFERE or new.url == old.url:
+                    assert new.url is old.url
+                if new.id == old.id and new.url is old.url:
+                    assert new is old
+
+    @pytest.mark.parametrize("name", LEXIFY_RULES)
+    def test_lexify_records_are_checked_and_share_unchanged_fields(self, name):
+        for i, url in enumerate(RULE_URLS):
+            record = HttpRecord(i, "PUT", url, (("A", "b"),), "text/plain", 3, 1, 1, "EP")
+            for seed in range(3):
+                out, applied = lexify(record, rule(name), rng(seed))
+                assert_checked(out)
+                assert all(out[j] is record[j] for j in (0, 1, 3, 4, 5, 6, 7, 8))
+                assert (out.url != url) if applied else (out is record)
+
+    @pytest.mark.parametrize("name", INTERFERE_CATEGORIES)
+    def test_interference_samples_are_checked(self, name):
+        for seed in range(4):
+            assert_checked(interfere_sample(NoiseRule(name, INTERFERE), rng(seed), record_id=seed))
+
+    @pytest.mark.parametrize("kind", [LEXIFY, INTERFERE])
+    @pytest.mark.parametrize("ratio", [0.5, 0.95])
+    def test_a_subclass_record_goes_through_the_constructor(self, kind, ratio):
+        # ids no position reaches: every record is renumbered
+        base = Dataset([loose(1000 + i, url) for i, url in enumerate(RULE_URLS * 3)])
+        noisy = inject(base, kind, ratio, 1)
+        for old, new in from_input(base, noisy):
+            assert_checked(new)
+            assert tuple(new) == tuple(HttpRecord(new.id, old.method, new.url, *old[3:]))
+            assert (new.method, new.headers, new.body_size) == ("GET", (("X-A", "1"),), 0)
+        out, applied = lexify(loose(0, RULE_URLS[0]), rule("Neutral Query Parameter"), rng(0))
+        assert applied
+        assert_checked(out)
+        assert (out.method, out.headers) == ("GET", (("X-A", "1"),))

@@ -2,16 +2,19 @@
 
 import copy
 import json
+import enum
 import pickle
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from apiminer import records as records_module
 from apiminer.records import (
     Dataset,
     HttpRecord,
     IngestError,
+    _ENCODE_LINE,
     _lines,
     parse_har,
     parse_jsonl,
@@ -319,6 +322,17 @@ class TestGroundTruth:
         assert (rep.tp, rep.fn) == (2, 0)
 
 
+# strings with quotes, backslashes, control characters, DEL, text past ASCII,
+# astral characters and lone surrogates
+WRITER_TEXT = st.text(
+    st.sampled_from('"\\\x00\x1f\x7f\xe9\u2028\U0001f600\ud800\udfff/a') | st.characters(exclude_categories=())
+)
+# a codec, not the default category filter: in a union with other characters
+# the default filter lets lone surrogates through
+SURROGATE_FREE_TEXT = st.text(st.sampled_from('"\\\x00\x1f\x7f\xe9\u2028\U0001f600/a') | st.characters(codec="utf-8"))
+COUNTS = st.integers(-(2**63 - 1), 2**63 - 1)
+
+
 class TestRoundTrip:
     def test_write_then_parse_is_identity(self):
         text = (
@@ -339,6 +353,153 @@ class TestRoundTrip:
 
     def test_empty_dataset_serializes_to_empty_string(self):
         assert write_dataset(Dataset()) == ""
+
+    @given(st.lists(st.builds(
+        HttpRecord,
+        id=st.just(0),
+        method=st.sampled_from(["GET", "post"]) | SURROGATE_FREE_TEXT,
+        url=SURROGATE_FREE_TEXT,
+        headers=st.lists(st.tuples(SURROGATE_FREE_TEXT, SURROGATE_FREE_TEXT), max_size=2).map(tuple),
+        content_type=st.none() | SURROGATE_FREE_TEXT,
+        body_size=COUNTS,
+        body_field_count=st.none() | COUNTS,
+        body_nesting_depth=st.none() | COUNTS,
+        label=st.none() | SURROGATE_FREE_TEXT,
+    ), max_size=4))
+    def test_records_round_trip_for_dense_ids_without_lone_surrogates(self, records):
+        records = [r._replace(id=i) for i, r in enumerate(records)]
+        again = parse_jsonl(write_dataset(Dataset(records, source="built")))
+        assert again.records == records
+        assert again.source == "jsonl"
+
+    def test_ids_are_renumbered_from_zero(self):
+        records = [HttpRecord(5, "GET", "/a"), HttpRecord(9, "GET", "/b")]
+        again = parse_jsonl(write_dataset(Dataset(records)))
+        assert again.records == [r._replace(id=i) for i, r in enumerate(records)]
+
+    @pytest.mark.parametrize("field", ["method", "url", "headers", "content_type", "label"])
+    def test_a_lone_surrogate_is_written_escaped_and_not_read(self, field):
+        record = HttpRecord(0, "GET", "/x", (("a", "b"),), "t", label="L")
+        values = {"method": "G\ud800T", "url": "/x\udfff", "headers": (("a", "\udbff"),),
+                  "content_type": "\udc00t", "label": "L\ud800"}
+        text = write_dataset(Dataset([record._replace(**{field: values[field]})]))
+        assert text.isascii()
+        with pytest.raises(IngestError, match=f"line 1: {field} must be a string without a lone"):
+            parse_jsonl(text)
+
+
+def encoded_line(record) -> str:
+    """A record's line as the JSON encoder writes it from the dict of its
+    fields, keys in the written order and each optional field only when set."""
+    rid, method, url, headers, content_type, body_size, fields, depth, label = record
+    out = {"id": rid, "method": method, "url": url, "headers": [list(h) for h in headers]}
+    if content_type is not None:
+        out["content_type"] = content_type
+    out["body_size"] = body_size
+    if fields is not None:
+        out["body_field_count"] = fields
+    if depth is not None:
+        out["body_nesting_depth"] = depth
+    if label is not None:
+        out["label"] = label
+    return _ENCODE_LINE(out) + "\n"
+
+
+def held(*fields) -> HttpRecord:
+    """A record that holds ``fields`` as given, past the constructor's checks."""
+    return tuple.__new__(HttpRecord, fields)
+
+
+class Count(enum.IntEnum):
+    TWO = 2
+
+
+class Text(str):
+    pass
+
+
+SHARED_HEADERS = (("Content-Type", "application/json"),)
+# records whose lines the JSON encoder writes, not the writer's own layout
+ENCODER_RECORDS = {
+    "bool-count": held(0, "GET", "/x", (), None, True, None, None, None),
+    "float-count": held(0, "GET", "/x", (), None, 3, 1.5, None, None),
+    "intenum-count": held(0, "GET", "/x", (), None, 3, None, Count.TWO, None),
+    "intenum-id": held(Count.TWO, "GET", "/x", (), None, 0, None, None, None),
+    "str-subclass": held(0, Text("GET"), Text("/x"), (), Text("t"), 0, None, None, Text("L")),
+    "url-not-str": held(0, "GET", None, (), None, 0, None, None, None),
+    "list-header-value": held(0, "GET", "/x", (("a", ["b", "c"]),), None, 0, None, None, None),
+    "headers-list": held(0, "GET", "/x", [["a", "b"]], None, 0, None, None, None),
+    "header-pairs-lists": held(0, "GET", "/x", (["a", "b"],), None, 0, None, None, None),
+    "header-triple": held(0, "GET", "/x", (("a", "b", "c"),), None, 0, None, None, None),
+}
+
+
+@st.composite
+def writer_records(draw):
+    """One to three records with distinct ids, fields as drawn (past the
+    constructor's checks); a later record may share the first one's headers."""
+    records = []
+    for rid in draw(st.lists(COUNTS, min_size=1, max_size=3, unique=True)):
+        headers = draw(st.lists(st.tuples(WRITER_TEXT, WRITER_TEXT), max_size=3).map(tuple))
+        if records and draw(st.booleans()):
+            headers = records[0].headers
+        records.append(held(
+            rid,
+            draw(WRITER_TEXT),
+            draw(WRITER_TEXT),
+            headers,
+            draw(st.none() | WRITER_TEXT),
+            draw(COUNTS),
+            draw(st.none() | COUNTS),
+            draw(st.none() | COUNTS),
+            draw(st.none() | WRITER_TEXT),
+        ))
+    return records
+
+
+class TestWriter:
+    """``write_dataset`` writes each line as the JSON encoder writes the dict
+    of its fields, whichever path a record takes."""
+
+    @given(writer_records())
+    @example([ENCODER_RECORDS["bool-count"]])
+    @example([ENCODER_RECORDS["float-count"]])
+    @example([ENCODER_RECORDS["intenum-count"]])
+    @example([ENCODER_RECORDS["intenum-id"]])
+    @example([ENCODER_RECORDS["str-subclass"]])
+    @example([ENCODER_RECORDS["url-not-str"]])
+    @example([ENCODER_RECORDS["list-header-value"]])
+    @example([ENCODER_RECORDS["headers-list"]])
+    @example([ENCODER_RECORDS["header-pairs-lists"]])
+    @example([ENCODER_RECORDS["header-triple"]])
+    @example([HttpRecord(0, "GET", "/a", SHARED_HEADERS, label="A"),
+              HttpRecord(1, "POST", "/b", SHARED_HEADERS, body_size=2)])
+    @example([ENCODER_RECORDS["list-header-value"], held(1, "GET", "/y", (("a", "b"),), None, 0, None, None, None),
+              ENCODER_RECORDS["bool-count"]._replace(id=2)])
+    def test_lines_are_the_encoders(self, records):
+        assert write_dataset(Dataset(records)) == "".join(encoded_line(r) for r in records)
+
+    @pytest.mark.parametrize("name", list(ENCODER_RECORDS))
+    def test_other_types_are_written_by_the_encoder(self, name, monkeypatch):
+        calls = []
+
+        def encode(obj):
+            calls.append(obj)
+            return _ENCODE_LINE(obj)
+
+        monkeypatch.setattr(records_module, "_ENCODE_LINE", encode)
+        record = ENCODER_RECORDS[name]
+        assert write_dataset(Dataset([record])) == encoded_line(record)
+        assert len(calls) == 1
+
+    def test_checked_records_are_laid_out_without_the_encoder(self, monkeypatch):
+        monkeypatch.setattr(records_module, "_ENCODE_LINE", None)
+        records = [
+            HttpRecord(0, "get", "/a\u00e9", SHARED_HEADERS, "application/json", 5, 2, 1, "A"),
+            HttpRecord(1, "POST", "/b", [["x", "\x00"]], body_size=-3, body_field_count=4),
+            HttpRecord(2, "PUT", "/c\U0001f600", SHARED_HEADERS, label="C\ud800"),
+        ]
+        assert write_dataset(Dataset(records)) == "".join(encoded_line(r) for r in records)
 
 
 def canonical_capture(count=3) -> str:
