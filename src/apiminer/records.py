@@ -561,8 +561,8 @@ def _line_object(record) -> dict:
 
 
 def _header_text(headers) -> str | None:
-    """The JSON text of a header tuple of (str, str) pairs, or None for any
-    other headers value, which the encoder writes."""
+    """The JSON text of a tuple of (str, str) pairs, or None for any other
+    headers value."""
     if type(headers) is not tuple:
         return None
     parts = []
@@ -577,23 +577,18 @@ def _header_text(headers) -> str | None:
 
 
 def write_dataset(dataset: Dataset) -> str:
-    """Emit the canonical JSONL form, one line per record and a newline after
-    each; the empty dataset is "".
+    """Emit the canonical JSONL form, each line ended by a newline.
 
     Fields go in a fixed order; id, method, url, headers and body_size are
-    always written, the other fields only when they are not None.  Strings
-    are written ASCII-escaped, as ``json.dumps`` writes them.  For records
-    with ids 0..n-1 and no lone surrogate (a capture's ids as ``parse_jsonl``
-    numbers them), ``parse_jsonl(write_dataset(d)).records == d.records``;
-    the source is "jsonl", and a lone surrogate, written as its escape, is an
-    ``IngestError`` when read.
+    always written, the other fields only when they are not None.  The
+    ``.records`` of records with ids 0..n-1 and no lone surrogate read back
+    equal through ``parse_jsonl``; a lone surrogate is written as its escape,
+    which ``parse_jsonl`` rejects.
 
-    A line is laid out here when its ints and strings are exactly ``int``
-    and ``str`` and its headers a tuple of (str, str) pairs, as every record
-    ``HttpRecord`` checks or ``parse_jsonl`` reads holds them; each header
-    tuple's text is made once per call.  Any other record (a bool or float
-    count, a subclass of int or str, headers as lists) is written by the
-    JSON encoder, to the same text it always had.
+    A record whose ints and strings are exactly ``int`` and ``str`` and
+    whose headers are a tuple of (str, str) pairs, as a checked or parsed
+    record holds them, is laid out here; any other is written by the JSON
+    encoder.  Both give the encoder's text.
     """
     lines = []
     append = lines.append
