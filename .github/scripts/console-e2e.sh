@@ -5,9 +5,10 @@
 # re-spaced by json.dumps (read line by line, not by the canonical-line
 # pattern); ingest writes the re-spaced capture back to the canonical bytes;
 # noise writes the bytes the writer gives for the same injection in process;
-# evaluate exits 2 for a cluster document that names a request past the
-# capture and for --format har, and discover for a capture with a lone
-# surrogate in a url.
+# bench writes its CSV header and one row per cell; evaluate exits 2 for a
+# cluster document that names a request past the capture and for --format
+# har, discover for a capture with a lone surrogate in a url, and noise
+# --kind lexify for a capture with a url urlsplit rejects.
 #
 # Usage: bash .github/scripts/console-e2e.sh DIR   (needs `apiminer` on PATH)
 set -e
@@ -42,6 +43,10 @@ apiminer noise --in capture.jsonl --kind interfere --ratio 0.95 --seed 1 --out i
 cmp interfere.jsonl expected-interfere.jsonl
 apiminer noise --in capture.jsonl --kind lexify --ratio 0.5 --seed 3 --out lexify.jsonl
 cmp lexify.jsonl expected-lexify.jsonl
+apiminer bench --endpoints 6 --requests 12 --ratios 0.5 --seeds 1 --out bench.csv
+test "$(head -n 1 bench.csv)" = "dataset,noise_type,noise_ratio,seed,tp,fp,fn,pga,rga,fga,purity"
+test "$(grep -c '^synth-seed42,\(Interfere\|Lexify\),0.5,1,' bench.csv)" -eq 2
+test "$(wc -l < bench.csv)" -eq 3
 echo '[{"template": "/x", "method": "GET", "member_ids": [0, 72]}]' > stray.json
 code=0
 apiminer evaluate --in capture.jsonl --clusters stray.json || code=$?
@@ -55,3 +60,9 @@ code=0
 apiminer discover --in surrogate.jsonl --out surrogate.json \
   --dump-normalized surrogate-normalized.tsv --dump-templates surrogate-templates.tsv || code=$?
 test "$code" -eq 2
+printf '%s\n' '{"id":0,"method":"GET","url":"http://[::1/x","headers":[],"body_size":0}' > badurl.jsonl
+code=0
+apiminer noise --in badurl.jsonl --kind lexify --ratio 1 --out badurl-noisy.jsonl 2> badurl.err || code=$?
+test "$code" -eq 2
+test "$(wc -l < badurl.err)" -eq 1
+grep -q "^error: record 0: malformed url 'http://\[::1/x'" badurl.err

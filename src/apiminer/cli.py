@@ -6,9 +6,9 @@ import argparse
 import json
 import sys
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _string
 from pathlib import Path
 
-from . import jsontext
 from .records import Dataset, IngestError, parse_har, parse_jsonl, read_labels, write_dataset
 from .normalize import canonical_path
 from .denoise import DEFAULT_TAU
@@ -97,17 +97,24 @@ def _pipeline_settings(args: argparse.Namespace) -> tuple[float, RefinerConfig]:
     return tau, RefinerConfig(**{name: value for name, value in given.items() if value is not None})
 
 
+def _array(items: list[str], indent: str) -> str:
+    """A JSON list of the encoded ``items``, its brackets at ``indent``."""
+    if not items:
+        return "[]"
+    inner = "\n" + indent + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
+
+
 def _cluster_document(clusters: list[EndpointCluster]) -> str:
     """The clusters as ``json.dumps(..., indent=2)`` writes their entries."""
-    string, array = jsontext.string, jsontext.array
     entries = [
-        f'{{\n    "method": {string(c.template.method)},\n    "template": {string(c.template.render())},\n'
-        f'    "member_count": {len(c.member_ids)},\n    "provenance": {string(c.provenance)},\n'
-        f'    "representative_paths": {array(list(map(string, c.representative_paths)), "    ")},\n'
-        f'    "member_ids": {array(list(map(str, c.member_ids)), "    ")}\n  }}'
+        f'{{\n    "method": {_string(c.template.method)},\n    "template": {_string(c.template.render())},\n'
+        f'    "member_count": {len(c.member_ids)},\n    "provenance": {_string(c.provenance)},\n'
+        f'    "representative_paths": {_array(list(map(_string, c.representative_paths)), "    ")},\n'
+        f'    "member_ids": {_array(list(map(str, c.member_ids)), "    ")}\n  }}'
         for c in clusters
     ]
-    return array(entries, "") + "\n"
+    return _array(entries, "") + "\n"
 
 
 def _cluster_field(entry: dict, index: int, name: str, expected: str, accepts, default=None):

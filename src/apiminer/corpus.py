@@ -85,65 +85,42 @@ class _EndpointPlan:
 def _plan_endpoints(spec: CorpusSpec) -> list[_EndpointPlan]:
     plans: list[_EndpointPlan] = []
     for i in range(spec.endpoint_count):
-        label = f"EP_{i:02d}"
         twin_a = (i % TWIN_STRIDE == TWIN_STRIDE - 2) and (i + 1 < spec.endpoint_count)
         twin_b = i % TWIN_STRIDE == TWIN_STRIDE - 1 and i > 0
+        # the endpoint whose resource word and id style this one takes: a
+        # twin pair shares the A-endpoint's, and so its template
+        a = i - 1 if twin_b else i
         if twin_a or twin_b:
-            # the pair shares the A-endpoint's resource word and template
-            word = _word(i - 1 if twin_b else i)
-            prefix = ("api", "v1", word)
-            if twin_a:
-                plans.append(
-                    _EndpointPlan(
-                        label=label,
-                        method="POST",
-                        prefix=prefix,
-                        has_id=True,
-                        tail=None,
-                        id_style=_ID_STYLES[i % len(_ID_STYLES)],
-                        query_keys=("cursor",),
-                        body_profiles=((0, 0, 0),),
-                    )
-                )
-            else:
-                plans.append(
-                    _EndpointPlan(
-                        label=label,
-                        method="POST",
-                        prefix=prefix,
-                        has_id=True,
-                        tail=None,
-                        id_style=_ID_STYLES[(i - 1) % len(_ID_STYLES)],
-                        query_keys=(),
-                        body_profiles=((1, 1, 1), (8000, 20, 5)),
-                    )
-                )
-            continue
-        word = _word(i)
-        # cycle through the depths, starting one above the minimum so the
-        # smallest specs still exercise a variable position
-        depth = _DEPTHS[(i + 1) % len(_DEPTHS)]
-        has_id = depth >= 4
-        tail = _TAIL_WORDS[i % len(_TAIL_WORDS)] if depth >= 5 else None
-        method = _METHOD_MIX[i % len(_METHOD_MIX)]
-        if method in ("POST", "PUT", "PATCH", "DELETE"):
-            query_keys: tuple[str, ...] = ()
-            body = (120 + 35 * (i % 7), 3 + (i % 5), 1 + (i % 3))
-            if method == "DELETE":
-                body = (0, 0, 0)
+            # A reads by query, B writes bodies of two sizes
+            method, has_id, tail = "POST", True, None
+            query_keys: tuple[str, ...] = () if twin_b else ("cursor",)
+            bodies = ((1, 1, 1), (8000, 20, 5)) if twin_b else ((0, 0, 0),)
         else:
-            query_keys = _QUERY_PROFILES[i % len(_QUERY_PROFILES)]
-            body = (0, 0, 0)
+            # cycle through the depths, starting one above the minimum so the
+            # smallest specs still exercise a variable position
+            depth = _DEPTHS[(i + 1) % len(_DEPTHS)]
+            has_id = depth >= 4
+            tail = _TAIL_WORDS[i % len(_TAIL_WORDS)] if depth >= 5 else None
+            method = _METHOD_MIX[i % len(_METHOD_MIX)]
+            if method in ("POST", "PUT", "PATCH", "DELETE"):
+                query_keys = ()
+                body = (120 + 35 * (i % 7), 3 + (i % 5), 1 + (i % 3))
+                if method == "DELETE":
+                    body = (0, 0, 0)
+            else:
+                query_keys = _QUERY_PROFILES[i % len(_QUERY_PROFILES)]
+                body = (0, 0, 0)
+            bodies = (body,)
         plans.append(
             _EndpointPlan(
-                label=label,
+                label=f"EP_{i:02d}",
                 method=method,
-                prefix=("api", "v1", word),
+                prefix=("api", "v1", _word(a)),
                 has_id=has_id,
                 tail=tail,
-                id_style=_ID_STYLES[i % len(_ID_STYLES)],
+                id_style=_ID_STYLES[a % len(_ID_STYLES)],
                 query_keys=query_keys,
-                body_profiles=(body,),
+                body_profiles=bodies,
             )
         )
     return plans

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 from collections import Counter
 from dataclasses import dataclass, field
 
-from . import jsontext
 from .refine import EndpointCluster
 
 CSV_HEADER = "dataset,noise_type,noise_ratio,seed,tp,fp,fn,pga,rga,fga,purity"
@@ -47,7 +47,7 @@ class EvalReport:
             "per_cluster": self.per_cluster,
             "config_echo": self.config_echo,
         }
-        return jsontext.value(payload)
+        return json.dumps(payload, indent=2)
 
     def to_csv_row(self, dataset: str = "", noise_type: str = "", noise_ratio: float = 0.0,
                    seed: int = 0) -> str:

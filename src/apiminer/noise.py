@@ -8,6 +8,7 @@ from urllib.parse import urlsplit, urlunsplit
 
 import numpy as np
 
+from .normalize import malformed_url
 from .records import Dataset, HttpRecord, _new_tuple
 
 LEXIFY = "Lexify"
@@ -48,6 +49,14 @@ class SplitUrl:
                 parts.fragment,
             )
         )
+
+
+def _split(record: HttpRecord) -> SplitUrl:
+    """The record's URL split, or the ``IngestError`` ``discover`` raises for it."""
+    try:
+        return SplitUrl(record.url)
+    except ValueError as exc:
+        raise malformed_url(record, exc) from None
 
 
 def _join(segments: list[str], trailing: bool) -> str:
@@ -225,7 +234,7 @@ def lexify(record: HttpRecord, rule: NoiseRule, rng: np.random.Generator) -> tup
     """
     if rule.kind != LEXIFY:
         raise ValueError("lexify requires a Lexify rule")
-    url = SplitUrl(record.url)
+    url = _split(record)
     targets_of, mutate = _LEXIFY[rule.name]
     targets = targets_of(url)
     if not targets:
@@ -308,7 +317,7 @@ def inject(dataset: Dataset, kind: str, ratio: float, seed: int) -> Dataset:
         for idx in sorted(rng.choice(n, size=count, replace=False).tolist()):
             record = records[idx]
             # one split answers which rules apply and feeds the drawn rule
-            url = SplitUrl(record.url)
+            url = _split(record)
             applicable = url.applicable()
             if applicable:
                 name, targets = _pick(applicable, rng)

@@ -84,6 +84,11 @@ def _plain_path_start(url: str) -> int | None:
     return origin.end() if origin else None
 
 
+def malformed_url(record: HttpRecord, exc: ValueError) -> IngestError:
+    """The error for a record whose URL ``urlsplit`` rejects with ``exc``."""
+    return IngestError(f"record {record.id}: malformed url {record.url!r}: {exc}")
+
+
 def split_url(record: HttpRecord) -> tuple[str, str]:
     """The (path, query) of a record's URL, the one split the filter and
     ``normalize`` both read.
@@ -103,7 +108,7 @@ def split_url(record: HttpRecord) -> tuple[str, str]:
     try:
         parts = urlsplit(url)
     except ValueError as exc:
-        raise IngestError(f"record {record.id}: malformed url {url!r}: {exc}") from None
+        raise malformed_url(record, exc) from None
     return parts.path, parts.query
 
 

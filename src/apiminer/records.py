@@ -7,9 +7,9 @@ import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from json.decoder import scanstring
+from json.encoder import encode_basestring_ascii as _string
 from typing import NamedTuple
 
-from .jsontext import string as _string
 
 STRUCTURED_CONTENT_PREFIXES = (
     "application/json",

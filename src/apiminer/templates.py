@@ -99,10 +99,6 @@ class PathTemplate:
     method: str
     pattern: tuple[str | None, ...]  # None == wildcard
 
-    @property
-    def depth(self) -> int:
-        return len(self.pattern)
-
     def render(self) -> str:
         if not self.pattern:
             return "/"
@@ -142,18 +138,6 @@ class _Node:
         self.aliases: dict[str, list[str]] = {}
         self.wildcard_child: _Node | _Leaf | None = None
         self.collapsed = False
-
-
-def match(template: PathTemplate, nr: NormalizedRequest) -> bool:
-    """Membership check: method, depth and all fixed tokens must line up."""
-    if template.method != nr.record.method:
-        return False
-    if len(template.pattern) != len(nr.segments):
-        return False
-    for token, segment in zip(template.pattern, nr.segments):
-        if token is not None and token != segment:
-            return False
-    return True
 
 
 def _match_ratio(pattern: list, segments: list[str]) -> float:

@@ -423,6 +423,24 @@ class TestMalformedInput:
             ["discover", "--in", str(src)], f"record 1: malformed url {url!r}", capsys
         )
 
+    @pytest.mark.parametrize("url", ["http://[::1/x", "http://h＃x/a"])
+    @pytest.mark.parametrize("fmt", ["jsonl", "har"])
+    def test_lexify_malformed_url(self, tmp_path, capsys, fmt, url):
+        src = tmp_path / f"bad.{fmt}"
+        if fmt == "jsonl":
+            text = write_dataset(Dataset([HttpRecord(0, "GET", url)]))
+        else:
+            text = json.dumps({"log": {"entries": [
+                {"request": {"method": "GET", "url": url, "headers": []}}
+            ]}})
+        src.write_text(text, encoding="utf-8")
+        # noise words the error as discover does
+        for command in (["noise", "--kind", "lexify", "--ratio", "1"], ["discover"]):
+            self.assert_rejected(
+                [*command, "--format", fmt, "--in", str(src)],
+                f"record 0: malformed url {url!r}", capsys,
+            )
+
     @pytest.mark.parametrize("field, value", [
         ("headers", ["oops"]),
         ("bodySize", "x"),

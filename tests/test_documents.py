@@ -1,10 +1,9 @@
-"""The indented JSON writers write what ``json.dumps(..., indent=2)`` writes."""
+"""The output documents are what ``json.dumps(..., indent=2)`` writes."""
 
 import json
 
 from hypothesis import given, settings, strategies as st
 
-from apiminer import jsontext
 from apiminer.cli import _cluster_document
 from apiminer.metrics import EvalReport
 from apiminer.refine import EndpointCluster
@@ -21,8 +20,7 @@ SCALARS = (
     st.none() | st.booleans() | st.integers() | st.floats() | TEXT
     | st.sampled_from([float("nan"), float("inf"), -0.0, 1e300, 5e-324])
 )
-# lists and dicts with text keys, which value() writes itself, and tuples and
-# dicts with other keys, which it leaves to json.dumps
+# lists, tuples and dicts with text or other keys, as a report may echo them
 JSON_VALUES = st.recursive(
     SCALARS,
     lambda inner: st.lists(inner, max_size=3)
@@ -68,12 +66,6 @@ REPORTS = st.builds(
     config_echo=st.dictionaries(TEXT, JSON_VALUES, max_size=3),
 )
 WRITERS = settings(max_examples=300, deadline=None)
-
-
-@WRITERS
-@given(v=JSON_VALUES)
-def test_value_is_json_dumps(v):
-    assert jsontext.value(v) == json.dumps(v, indent=2)
 
 
 @WRITERS

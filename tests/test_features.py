@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from apiminer.features import (
+    FEATURE_NAMES,
     build_graph,
     connected_components,
     extract_features,
@@ -18,12 +19,13 @@ from apiminer.records import HttpRecord
 
 def features_for(url, method="GET", content_type=None, body_size=0,
                  body_field_count=None, body_nesting_depth=None):
+    """The request's feature vector, read by column name."""
     record = HttpRecord(
         id=0, method=method, url=url, content_type=content_type,
         body_size=body_size, body_field_count=body_field_count,
         body_nesting_depth=body_nesting_depth,
     )
-    return extract_features(normalize(record))
+    return dict(zip(FEATURE_NAMES, extract_features(normalize(record)), strict=True))
 
 
 def row_graph(X, theta):
@@ -32,37 +34,43 @@ def row_graph(X, theta):
 
 
 class TestExtractFeatures:
+    def test_one_value_per_feature_name(self):
+        for url in ("/", "/api/v1/items/42?page=2", "/x?a=1&a=2&b"):
+            nr = normalize(HttpRecord(id=0, method="POST", url=url, body_size=7))
+            assert len(extract_features(nr)) == len(FEATURE_NAMES)
+
     def test_plain_get(self):
         x = features_for("/api/v1/items/42")
-        # depth, api-ish tokens, query count, common keys, has query
-        assert x[0] == 4.0
-        assert x[1] == 2.0  # "api" and "v1"
-        assert x[2] == 0.0 and x[3] == 0.0 and x[4] == 0.0
-        assert x[8] == 0.0  # read verb
+        assert x["path_depth"] == 4.0
+        assert x["api_keyword_count"] == 2.0  # "api" and "v1"
+        assert x["query_param_count"] == 0.0
+        assert x["common_key_count"] == 0.0
+        assert x["has_query"] == 0.0
+        assert x["method_write"] == 0.0  # read verb
 
     def test_query_counts(self):
         x = features_for("/api/items?page=2&limit=10")
-        assert x[2] == 2.0
-        assert x[3] == 2.0
-        assert x[4] == 1.0
+        assert x["query_param_count"] == 2.0
+        assert x["common_key_count"] == 2.0
+        assert x["has_query"] == 1.0
 
     def test_duplicate_keys_counted_once(self):
         x = features_for("/api/items?id=1&id=2")
-        assert x[2] == 1.0
+        assert x["query_param_count"] == 1.0
 
     def test_body_metrics(self):
         x = features_for(
             "/api/items", method="POST", content_type="application/json",
             body_size=100, body_field_count=4, body_nesting_depth=2,
         )
-        assert x[5] == pytest.approx(math.log1p(100))
-        assert x[6] == 4.0 and x[7] == 2.0
-        assert x[8] == 1.0  # write verb
-        assert x[9] == 1.0  # structured payload
+        assert x["body_size_log"] == pytest.approx(math.log1p(100))
+        assert x["body_field_count"] == 4.0 and x["body_nesting_depth"] == 2.0
+        assert x["method_write"] == 1.0  # write verb
+        assert x["has_structured_payload"] == 1.0
 
     def test_empty_body(self):
         x = features_for("/api/items")
-        assert x[5] == 0.0 and x[6] == 0.0
+        assert x["body_size_log"] == 0.0 and x["body_field_count"] == 0.0
 
 
 class TestScaleFeatures:

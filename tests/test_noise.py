@@ -1,10 +1,11 @@
 """Noise lab: perturbation rules, interference families, dataset injection."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from apiminer.noise import (
     INTERFERE,
@@ -20,7 +21,8 @@ from apiminer.noise import (
     lexify,
 )
 from apiminer.corpus import CorpusSpec, synth_corpus
-from apiminer.records import Dataset, HttpRecord, write_dataset
+from apiminer.normalize import split_url
+from apiminer.records import Dataset, HttpRecord, IngestError, write_dataset
 
 
 def rec(rid=0, url="/api/v1/items?page=1", method="GET", label="EP_00"):
@@ -202,6 +204,59 @@ class TestApplicability:
         record = rec(url=url)
         applied = [name for name in LEXIFY_RULES if lexify(record, rule(name), rng(seed))[1]]
         assert [name for name, _ in SplitUrl(url).applicable()] == applied
+
+
+# URLs urlsplit rejects: an unclosed IPv6 bracket, and a host that NFKC
+# normalization turns into one holding '#'
+MALFORMED_URLS = ("http://[::1/x", "http://h\uff03x/a")
+# any text, and URL pieces with what urlsplit checks: brackets, ports, and
+# characters NFKC normalization turns into '#' and '?'
+URL_TEXT = st.text(max_size=16) | st.lists(
+    URL_PIECES | st.sampled_from(["http://", "https://h", "[", "]", "::1", ":80", "@", "\uff03", "\uff1f"]),
+    max_size=8,
+).map("".join)
+
+
+def split_url_error(record: HttpRecord) -> str:
+    with pytest.raises(IngestError) as raised:
+        split_url(record)
+    return str(raised.value)
+
+
+class TestMalformedUrls:
+    @pytest.mark.parametrize("url", MALFORMED_URLS)
+    @pytest.mark.parametrize("name", LEXIFY_RULES)
+    def test_lexify_raises_the_split_url_error(self, url, name):
+        record = rec(rid=7, url=url)
+        message = split_url_error(record)
+        assert message.startswith(f"record 7: malformed url {url!r}: ")
+        with pytest.raises(IngestError, match=re.escape(message) + "$"):
+            lexify(record, rule(name), rng())
+
+    @pytest.mark.parametrize("url", MALFORMED_URLS)
+    def test_inject_raises_the_split_url_error(self, url):
+        records = [rec(rid=0), rec(rid=1, url=url), rec(rid=2)]
+        message = split_url_error(records[1])
+        with pytest.raises(IngestError, match=re.escape(message) + "$"):
+            inject(Dataset(records), LEXIFY, 1.0, seed=0)
+        # Interfere never splits a URL
+        assert len(inject(Dataset(records), INTERFERE, 1.0, seed=0).records) == 6
+
+    @given(
+        urls=st.lists(URL_TEXT, min_size=1, max_size=4),
+        kind=st.sampled_from([LEXIFY, INTERFERE]),
+        ratio=st.sampled_from([0.5, 1.0]),
+        seed=st.integers(0, 2**32),
+    )
+    @example(urls=list(MALFORMED_URLS), kind=LEXIFY, ratio=1.0, seed=0)
+    def test_inject_returns_a_dataset_or_raises_ingest_error(self, urls, kind, ratio, seed):
+        dataset = Dataset([rec(rid=i, url=url) for i, url in enumerate(urls)])
+        try:
+            noisy = inject(dataset, kind, ratio, seed)
+        except IngestError as exc:
+            assert kind == LEXIFY and "malformed url" in str(exc)
+        else:
+            assert isinstance(noisy, Dataset)
 
 
 # sha256 of write_dataset(inject(synth_corpus(CorpusSpec(20, 50, seed=42)), ...)):
