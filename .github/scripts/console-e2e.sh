@@ -8,7 +8,8 @@
 # bench writes its CSV header and one row per cell; evaluate exits 2 for a
 # cluster document that names a request past the capture and for --format
 # har, discover for a capture with a lone surrogate in a url, and noise
-# --kind lexify for a capture with a url urlsplit rejects.
+# --kind lexify for a capture with a url urlsplit rejects; discover mines the
+# same templates from a Lexify 0.95 capture and from its lines reversed.
 #
 # Usage: bash .github/scripts/console-e2e.sh DIR   (needs `apiminer` on PATH)
 set -e
@@ -21,6 +22,8 @@ from apiminer.records import write_dataset
 corpus = synth_corpus(CorpusSpec(6, 12))
 with open("capture.jsonl", "w", encoding="utf-8") as out:
     out.write(write_dataset(corpus))
+with open("sweep.jsonl", "w", encoding="utf-8") as out:
+    out.write(write_dataset(synth_corpus(CorpusSpec(20, 50))))
 for name, kind, ratio, seed in (("interfere", INTERFERE, 0.95, 1), ("lexify", LEXIFY, 0.5, 3)):
     with open(f"expected-{name}.jsonl", "w", encoding="utf-8") as out:
         out.write(write_dataset(inject(corpus, kind, ratio, seed)))
@@ -66,3 +69,10 @@ apiminer noise --in badurl.jsonl --kind lexify --ratio 1 --out badurl-noisy.json
 test "$code" -eq 2
 test "$(wc -l < badurl.err)" -eq 1
 grep -q "^error: record 0: malformed url 'http://\[::1/x'" badurl.err
+apiminer noise --in sweep.jsonl --kind lexify --ratio 0.95 --seed 2 --out sweep-lexify.jsonl
+tac sweep-lexify.jsonl > sweep-reversed.jsonl
+apiminer discover --in sweep-lexify.jsonl --out sweep.json --dump-templates sweep-templates.tsv
+apiminer discover --in sweep-reversed.jsonl --out sweep-reversed.json \
+  --dump-templates sweep-reversed-templates.tsv
+# templates.tsv holds the mined templates only, which refinement cannot move
+cmp <(sort sweep-templates.tsv) <(sort sweep-reversed-templates.tsv)

@@ -12,8 +12,11 @@ _HOST = "https://app.example.com"
 # every record of a corpus holds this one header list
 _JSON_HEADERS = (("Content-Type", "application/json"),)
 
-# Resource nouns with pairwise edit distance >= 2 so that typo-tolerant
-# template routing can never confuse two different endpoints.
+# Resource nouns, pairwise at least two edits apart.  Template mining does not
+# need that spacing to keep endpoints apart, since a spelling only joins one
+# that occurs at least twice as often; endpoints one edit apart are tested
+# with their own captures.  The words stay as they are: every generated
+# capture, and every figure measured on one, depends on them.
 _RESOURCE_WORDS = (
     "orders", "invoices", "customers", "payments", "shipments",
     "products", "reviews", "sessions", "tickets", "warehouses",

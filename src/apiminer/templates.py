@@ -1,15 +1,19 @@
 """Structural template mining over normalized request paths.
 
-A fixed-depth prefix tree groups requests whose paths differ only at
-variable-looking positions (ids, UUIDs, hashes) into a single wildcard
-template per (method, depth).  Child lookup is typo-tolerant: a segment
-within edit distance 1 of an existing child token follows that child, so
-single-character token corruption does not shatter an endpoint.
+A fixed-depth split on the leading path segments groups requests whose
+paths differ only at variable-looking positions (ids, UUIDs, hashes) into a
+single wildcard template per (method, depth).  Near-miss spellings are
+resolved by count: at each node a spelling within edit distance 1 of one
+that occurs at least twice as often joins that spelling's child, so
+single-character token corruption does not shatter an endpoint, and two
+frequent words one edit apart stay two endpoints.  Counts do not depend on
+line order; the one rule left that does is the MAX_CHILDREN collapse.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -115,87 +119,66 @@ class TemplateGroup:
         return [nr.record.id for nr in self.members]
 
 
-class _Leaf:
-    __slots__ = ("templates",)
-
-    def __init__(self):
-        # each entry: [pattern list, member NormalizedRequests]
-        self.templates: list[list] = []
-
-
-class _Node:
-    __slots__ = ("children", "aliases", "wildcard_child", "collapsed")
-
-    # spelling variants recorded per child key; bounds alias-chain growth
-    MAX_ALIASES = 8
-
-    def __init__(self):
-        self.children: dict[str, _Node | _Leaf] = {}
-        # child key -> distinct segment spellings routed into that child;
-        # near-matching against recorded spellings keeps single-character
-        # corruptions of one token together even when the first spelling
-        # seen was itself corrupted
-        self.aliases: dict[str, list[str]] = {}
-        self.wildcard_child: _Node | _Leaf | None = None
-        self.collapsed = False
-
-
 def _match_ratio(pattern: list, segments: list[str]) -> float:
     if not pattern:
         return 1.0
-    hits = 0
-    for token, segment in zip(pattern, segments):
+    # routing has already resolved the leading positions, so they count as hits
+    routed = min(TREE_DEPTH, len(segments))
+    hits = routed
+    for token, segment in zip(pattern[routed:], segments[routed:]):
         if token is None or token == segment or _near_match(token, segment):
             hits += 1
     return hits / len(pattern)
 
 
-def _route(root: _Node, segments: list[str]) -> _Leaf:
-    levels = min(TREE_DEPTH, len(segments))
-    node = root
-    for i in range(levels):
-        make = _Leaf if i == levels - 1 else _Node
-        segment = segments[i]
-        if node.collapsed or _looks_variable_loosely(segment):
-            if node.wildcard_child is None:
-                node.wildcard_child = make()
-            node = node.wildcard_child
-            continue
-        child = node.children.get(segment)
-        if child is None:
-            for token, existing in node.children.items():
-                spellings = [token] + node.aliases.get(token, [])
-                if any(_near_match(segment, s) for s in spellings):
-                    child = existing
-                    alias_list = node.aliases.setdefault(token, [])
-                    if segment not in alias_list and len(alias_list) < _Node.MAX_ALIASES:
-                        alias_list.append(segment)
-                    break
-        if child is None:
-            if len(node.children) >= MAX_CHILDREN:
-                # branching cap reached: collapse this level to the wildcard branch
-                node.collapsed = True
-                if node.wildcard_child is None:
-                    node.wildcard_child = make()
-                node = node.wildcard_child
-                continue
-            child = make()
-            node.children[segment] = child
-        node = child
-    if isinstance(node, _Node):  # depth 0 paths
-        if node.wildcard_child is None:
-            node.wildcard_child = _Leaf()
-        return node.wildcard_child
-    return node
+def _resolve(counts: dict[str, int]) -> dict[str, str]:
+    """Map each spelling to the spelling whose child it joins.
+
+    A spelling joins the most frequent of the MAX_CHILDREN most frequent
+    spellings that is within one edit of it and occurs at least twice as
+    often, ties broken by spelling; otherwise it keeps its own child.
+    """
+    top = sorted(counts, key=lambda s: (-counts[s], s))[:MAX_CHILDREN]
+    return {
+        s: next((t for t in top if counts[t] >= 2 * n and _near_match(s, t)), s)
+        for s, n in counts.items()
+    }
+
+
+def _split(members: list[NormalizedRequest], level: int = 0):
+    """Route members through one tree level; yield the member list of each leaf."""
+    if level == min(TREE_DEPTH, len(members[0].segments)):
+        yield members
+        return
+    counts = Counter(nr.segments[level] for nr in members)
+    resolved = _resolve({s: n for s, n in counts.items() if not _looks_variable_loosely(s)})
+    children: dict[str, list[NormalizedRequest]] = {}
+    wildcard: list[NormalizedRequest] = []
+    collapsed = False
+    for nr in members:
+        token = resolved.get(nr.segments[level])
+        if token is not None and token not in children and len(children) >= MAX_CHILDREN:
+            # branching cap reached: this level collapses to its wildcard
+            # branch for every later member
+            collapsed = True
+        if token is None or collapsed:
+            wildcard.append(nr)
+        else:
+            children.setdefault(token, []).append(nr)
+    for child in (*children.values(), wildcard):
+        if child:
+            yield from _split(child, level + 1)
 
 
 def mine(requests: list[NormalizedRequest]) -> list[TemplateGroup]:
     """Group requests into wildcard path templates.
 
-    Requests are partitioned by (method, depth), routed through a prefix
-    tree on their leading segments, and joined to the best-matching leaf
-    template (position-match ratio >= SIM_THRESHOLD) or start a new one.
-    Positions that disagree across members become wildcards.
+    Requests are partitioned by (method, depth) and split on their leading
+    segments, near-miss spellings resolved by count (``_resolve``).  Within
+    a leaf a request joins the best-matching template (position-match ratio
+    >= SIM_THRESHOLD) or starts a new one.  Positions that disagree across
+    members become wildcards.  The groups do not depend on the order of
+    ``requests``, except through the MAX_CHILDREN collapse.
     """
     partitions: dict[tuple[str, int], list[NormalizedRequest]] = {}
     for nr in requests:
@@ -203,35 +186,34 @@ def mine(requests: list[NormalizedRequest]) -> list[TemplateGroup]:
 
     groups: list[TemplateGroup] = []
     for (method, _), members in partitions.items():
-        root = _Node()
-        # the sort below orders the groups, so the leaves need no order
-        leaves: set[_Leaf] = set()
-        for nr in members:
-            leaf = _route(root, nr.segments)
-            leaves.add(leaf)
-            _join_leaf(leaf, nr)
-        for leaf in leaves:
-            for pattern, leaf_members in leaf.templates:
+        for leaf in _split(members):
+            for pattern, template_members in _leaf_templates(leaf):
                 template = PathTemplate(method=method, pattern=tuple(pattern))
-                groups.append(TemplateGroup(template, leaf_members))
+                groups.append(TemplateGroup(template, template_members))
     groups.sort(key=lambda g: (g.template.method, g.template.render(), min(g.member_ids)))
     return groups
 
 
-def _join_leaf(leaf: _Leaf, nr: NormalizedRequest) -> None:
-    best = None
-    best_ratio = -1.0
-    for entry in leaf.templates:
-        ratio = _match_ratio(entry[0], nr.segments)
-        if ratio > best_ratio:  # earliest-created wins ties
-            best = entry
-            best_ratio = ratio
-    if best is not None and best_ratio >= SIM_THRESHOLD:
+def _leaf_templates(members: list[NormalizedRequest]) -> list[tuple[list, list]]:
+    """The (pattern, members) templates of one leaf.
+
+    Members join in the order of their segments, not of their arrival; each
+    template lists its members in arrival order.
+    """
+    templates: list[tuple[list, list[int]]] = []
+    for i, nr in sorted(enumerate(members), key=lambda item: item[1].segments):
+        segments = nr.segments
+        best, best_ratio = None, -1.0
+        for entry in templates:
+            ratio = _match_ratio(entry[0], segments)
+            if ratio > best_ratio:  # the earliest-created template wins ties
+                best, best_ratio = entry, ratio
+        if best is None or best_ratio < SIM_THRESHOLD:
+            best = ([None if is_variable_segment(s) else s for s in segments], [])
+            templates.append(best)
         pattern = best[0]
-        for i, segment in enumerate(nr.segments):
-            if pattern[i] is not None and pattern[i] != segment:
-                pattern[i] = None
-        best[1].append(nr)
-        return
-    pattern = [None if is_variable_segment(s) else s for s in nr.segments]
-    leaf.templates.append([pattern, [nr]])
+        for j, segment in enumerate(segments):
+            if pattern[j] != segment:
+                pattern[j] = None
+        best[1].append(i)
+    return [(pattern, [members[i] for i in sorted(joined)]) for pattern, joined in templates]

@@ -217,6 +217,30 @@ class TestCriterion8NormalizerAbsorption:
         )
 
 
+class TestNearWordEndpoints:
+    WORDS = ("users", "user", "carts", "cards", "items", "item", "posts", "post", "orders")
+
+    def test_endpoints_one_edit_apart_stay_apart(self):
+        # a clean one-host capture whose resource words are one edit apart:
+        # each is frequent, so none is taken for a corruption of another
+        rng = np.random.default_rng(0)
+        records = [
+            HttpRecord(
+                id=j * len(self.WORDS) + w,
+                method="GET",
+                url=f"https://app.example.com/api/v1/{word}/{int(rng.integers(100, 999999))}",
+                headers=(("Content-Type", "application/json"),),
+                content_type="application/json",
+                label=word,
+            )
+            for j in range(50)
+            for w, word in enumerate(self.WORDS)
+        ]
+        rep = run_pipeline(Dataset(records))
+        assert rep.fga == 100.0
+        print(f"\nnear-word pass: {len(self.WORDS)} endpoints one edit apart, FGA {rep.fga:.2f}")
+
+
 class TestCriterion9AblationDirection:
     def test_each_toggle_lowers_fga(self, corpus):
         noisy = inject(corpus, INTERFERE, 0.5, 1)

@@ -1,12 +1,19 @@
 """Structural template mining."""
 
 import itertools
+import random
+import string
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from apiminer import templates
+from apiminer.corpus import CorpusSpec, synth_corpus
+from apiminer.noise import INTERFERE, LEXIFY, LEXIFY_RULES, NoiseRule, inject, lexify
 from apiminer.normalize import normalize
-from apiminer.records import HttpRecord
+from apiminer.records import Dataset, HttpRecord
+from apiminer.refine import prepare_traffic
 from apiminer.templates import (
     MAX_CHILDREN,
     is_variable_segment,
@@ -23,6 +30,10 @@ def nr(url, method="GET", rid=0):
 def mine_urls(urls, method="GET"):
     requests = [nr(u, method=method, rid=i) for i, u in enumerate(urls)]
     return mine(requests)
+
+
+def id_groups(groups):
+    return {frozenset(g.member_ids) for g in groups}
 
 
 # ids, hashes and fixed tokens, and their punctuated variants
@@ -103,6 +114,17 @@ class TestGoldenTemplates:
             groups = mine_urls(list(perm))
             rendered = sorted(g.template.render() for g in groups)
             assert rendered == ["/api/v1/items/{*}", "/api/v1/order/{*}/status"]
+        # two corruptions of "items", two edits apart from each other: both
+        # join "items" whichever spelling arrives first
+        paths = self.PATHS + ["/api/v1/item.s/104", "/api/v1/items_/105"]
+        for perm in itertools.islice(itertools.permutations(paths), 0, 40320, 271):
+            groups = mine_urls(list(perm))
+            assert sorted(g.template.render() for g in groups) == [
+                "/api/v1/order/{*}/status", "/api/v1/{*}/{*}",
+            ]
+            assert {frozenset(perm[i] for i in g.member_ids) for g in groups} == {
+                frozenset(paths[:3] + paths[6:]), frozenset(paths[3:6]),
+            }
 
 
 class TestGrouping:
@@ -164,3 +186,88 @@ class TestGrouping:
         assert len(groups) == 1
         assert groups[0].template.render() == "/"
 
+
+class TestCountResolution:
+    def test_two_frequent_words_one_edit_apart_stay_apart(self):
+        words = ("users", "user", "cards", "carts")
+        urls = [f"/api/v1/{w}/{i}" for i in range(1, 6) for w in words] + ["/api/v1/user_/9"]
+        groups = mine_urls(urls)
+        # "user_" is one edit from both "user" and "users", which occur
+        # equally often: the tie goes to the spelling that sorts first
+        assert {frozenset(urls[i].split("/")[3] for i in g.member_ids) for g in groups} == {
+            frozenset({"users"}), frozenset({"user", "user_"}),
+            frozenset({"cards"}), frozenset({"carts"}),
+        }
+
+    def test_near_match_calls_are_bounded(self, monkeypatch):
+        # 32,000 distinct 7-letter words, half of them seen twice: every
+        # once-seen word is a candidate against the most frequent spellings
+        rng = np.random.default_rng(0)
+        letters = np.array(list(string.ascii_lowercase))
+        words = sorted({"".join(w) for w in rng.choice(letters, size=(40_000, 7))})[:32_000]
+        assert len(words) == 32_000
+        urls = [f"/api/{w}/x" for w in words + words[:16_000]]
+        requests = [nr(u, rid=i) for i, u in enumerate(urls)]
+        calls = 0
+        near_match = templates._near_match
+
+        def counting(a, b):
+            nonlocal calls
+            calls += 1
+            return near_match(a, b)
+
+        monkeypatch.setattr(templates, "_near_match", counting)
+        groups = mine(requests)
+        assert sum(len(g.members) for g in groups) == 48_000
+        distinct = len({s for request in requests for s in request.segments})
+        assert 0 < calls <= MAX_CHILDREN * distinct
+
+
+VOCAB = ("users", "user", "carts", "cards", "items", "item", "api", "v1", "{id}")
+
+
+@st.composite
+def noisy_captures(draw):
+    """URLs of 1-4 templates of depth 1-9 over words one edit apart, about
+    30% of them passed through a Lexify rule."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    paths = st.lists(st.sampled_from(VOCAB), min_size=1, max_size=9)
+    urls = []
+    for path in draw(st.lists(paths, min_size=1, max_size=4)):
+        for _ in range(draw(st.integers(1, 12))):
+            segments = (str(rng.integers(1, 10**6)) if t == "{id}" else t for t in path)
+            record = HttpRecord(id=0, method="GET", url="/" + "/".join(segments))
+            if rng.random() < 0.3:
+                rule = NoiseRule(LEXIFY_RULES[int(rng.integers(len(LEXIFY_RULES)))], LEXIFY)
+                record, _ = lexify(record, rule, rng)
+            urls.append(record.url)
+    return urls
+
+
+class TestOrderFree:
+    @settings(max_examples=300, deadline=None)
+    @given(noisy_captures(), st.integers(0, 2**32 - 1))
+    # two corruptions two edits apart, each one edit from the frequent word
+    @example(["/us.ers", "/users_"] + ["/users"] * 5, 0)
+    # past the routed levels: the request with an id came first or not
+    @example(["/api/api/api/api/1/users/users/users/users",
+              "/api/api/api/api/carts/carts/carts/carts/carts"], 0)
+    def test_groups_do_not_depend_on_line_order(self, urls, order_seed):
+        requests = [nr(u, rid=i) for i, u in enumerate(urls)]
+        shuffled = requests[:]
+        random.Random(order_seed).shuffle(shuffled)
+        expected = id_groups(mine(requests))
+        assert id_groups(mine(requests[::-1])) == expected
+        assert id_groups(mine(shuffled)) == expected
+
+    def test_sweep_captures_under_permutations(self):
+        base = synth_corpus(CorpusSpec(20, 50, seed=1))
+        cells = itertools.product((LEXIFY, INTERFERE), (0.05, 0.25, 0.5, 0.75, 0.95), (1, 2, 3))
+        for kind, ratio, noise_seed in cells:
+            capture = inject(base, kind, ratio, noise_seed)
+            expected = id_groups(mine(prepare_traffic(capture).normalized))
+            for k in range(3):
+                records = list(capture.records)
+                random.Random(1000 + k).shuffle(records)
+                moved = id_groups(mine(prepare_traffic(Dataset(records)).normalized))
+                assert moved == expected, (kind, ratio, noise_seed, k)
