@@ -4,7 +4,10 @@
 # capture of 72 requests; both write the same outputs for the capture
 # re-spaced by json.dumps (read line by line, not by the canonical-line
 # pattern); ingest writes the re-spaced capture back to the canonical bytes;
-# noise writes the bytes the writer gives for the same injection in process;
+# noise writes the bytes the writer gives for the same injection in process,
+# also at Lexify ratio 1 on URLs that take each way the noise lab splits and
+# rebuilds a URL (relative, a '//' path, an upper-case scheme, userinfo and a
+# port, an empty query, an empty fragment);
 # bench writes its CSV header and one row per cell; evaluate exits 2 for a
 # cluster document that names a request past the capture and for --format
 # har, discover for a capture with a lone surrogate in a url, and noise
@@ -18,7 +21,7 @@ python - <<'PY'
 import json, os
 from apiminer.corpus import CorpusSpec, synth_corpus
 from apiminer.noise import INTERFERE, LEXIFY, inject
-from apiminer.records import write_dataset
+from apiminer.records import Dataset, HttpRecord, write_dataset
 corpus = synth_corpus(CorpusSpec(6, 12))
 with open("capture.jsonl", "w", encoding="utf-8") as out:
     out.write(write_dataset(corpus))
@@ -27,6 +30,13 @@ with open("sweep.jsonl", "w", encoding="utf-8") as out:
 for name, kind, ratio, seed in (("interfere", INTERFERE, 0.95, 1), ("lexify", LEXIFY, 0.5, 3)):
     with open(f"expected-{name}.jsonl", "w", encoding="utf-8") as out:
         out.write(write_dataset(inject(corpus, kind, ratio, seed)))
+urls = ("/api/v1/items?page=2&q=a b", "//h/a", "HTTPS://H/a", "https://u:p@h:8080/a-b/",
+        "https://h?", "https://h/a#")
+branches = Dataset([HttpRecord(i, "GET", url, label=f"EP_{i % 6}") for i, url in enumerate(urls * 4)])
+with open("branches.jsonl", "w", encoding="utf-8") as out:
+    out.write(write_dataset(branches))
+with open("expected-branches.jsonl", "w", encoding="utf-8") as out:
+    out.write(write_dataset(inject(branches, LEXIFY, 1.0, 0)))
 os.mkdir("spaced")
 with open("capture.jsonl", encoding="utf-8") as src:
     with open("spaced/capture.jsonl", "w", encoding="utf-8") as out:
@@ -46,6 +56,8 @@ apiminer noise --in capture.jsonl --kind interfere --ratio 0.95 --seed 1 --out i
 cmp interfere.jsonl expected-interfere.jsonl
 apiminer noise --in capture.jsonl --kind lexify --ratio 0.5 --seed 3 --out lexify.jsonl
 cmp lexify.jsonl expected-lexify.jsonl
+apiminer noise --in branches.jsonl --kind lexify --ratio 1 --out branches-lexify.jsonl
+cmp branches-lexify.jsonl expected-branches.jsonl
 apiminer bench --endpoints 6 --requests 12 --ratios 0.5 --seeds 1 --out bench.csv
 test "$(head -n 1 bench.csv)" = "dataset,noise_type,noise_ratio,seed,tp,fp,fn,pga,rga,fga,purity"
 test "$(grep -c '^synth-seed42,\(Interfere\|Lexify\),0.5,1,' bench.csv)" -eq 2

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .records import Dataset, HttpRecord
+from .records import Dataset, HttpRecord, _new_tuple
 
 _HOST = "https://app.example.com"
 # every record of a corpus holds this one header list
@@ -154,17 +154,12 @@ def synth_corpus(spec: CorpusSpec) -> Dataset:
             else:
                 url = f"{_HOST}{path}"
             body_size, fields, nesting = plan.body_profiles[j % len(plan.body_profiles)]
-            records.append(
-                HttpRecord(
-                    id=len(records),
-                    method=plan.method,
-                    url=url,
-                    headers=_JSON_HEADERS,
-                    content_type="application/json",
-                    body_size=body_size,
-                    body_field_count=fields or None,
-                    body_nesting_depth=nesting or None,
-                    label=plan.label,
-                )
+            # the fields as HttpRecord's checks hold them: an upper-case
+            # method, the one header tuple, small counts, and no structure
+            # counts for an empty body
+            fields_held = (
+                len(records), plan.method, url, _JSON_HEADERS, "application/json",
+                body_size, fields or None, nesting or None, plan.label,
             )
+            records.append(_new_tuple(HttpRecord, fields_held))
     return Dataset(records=records, source=f"synth-seed{spec.seed}")

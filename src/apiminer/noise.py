@@ -4,11 +4,12 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 from urllib.parse import urlsplit, urlunsplit
 
 import numpy as np
 
-from .normalize import malformed_url
+from .normalize import _plain_path_start, malformed_url
 from .records import Dataset, HttpRecord, _new_tuple
 
 LEXIFY = "Lexify"
@@ -16,39 +17,50 @@ INTERFERE = "Interfere"
 
 
 class SplitUrl:
-    """One ``urlsplit`` of a URL, and the pieces every Lexify rule reads: the
-    query's non-empty ``&`` pairs, the path's non-empty segments, and whether
-    the path ends in a slash after a segment."""
+    """A URL cut into the five parts ``urlsplit`` gives, and the pieces every
+    Lexify rule reads: the query's non-empty ``&`` pairs, the path's non-empty
+    segments, and whether the path ends in a slash after a segment.
+
+    A URL ``normalize._plain_path_start`` accepts is cut at its first '#' and
+    '?' and where its path begins, which is all ``urlsplit`` does to it; every
+    other URL goes through ``urlsplit``, and its ``ValueError`` with it.
+    """
 
     __slots__ = ("parts", "pairs", "segments", "trailing")
 
     def __init__(self, url: str):
-        self.parts = urlsplit(url)
-        self.pairs = [p for p in self.parts.query.split("&") if p]
-        self.segments = [s for s in self.parts.path.split("/") if s]
-        self.trailing = self.parts.path.endswith("/") and len(self.segments) > 0
-
-    def applicable(self) -> list[tuple[str, Sequence]]:
-        """(rule name, targets) of each Lexify rule that applies, in
-        ``LEXIFY_RULES`` order."""
-        out = []
-        for name, (targets_of, _) in _LEXIFY.items():
-            targets = targets_of(self)
-            if targets:
-                out.append((name, targets))
-        return out
+        start = _plain_path_start(url)
+        if start is None:
+            self.parts = tuple(urlsplit(url))
+        else:
+            # an empty origin for a relative path: no scheme, no netloc
+            scheme, _, netloc = url[:start].partition("://")
+            rest, _, fragment = url[start:].partition("#")
+            path, _, query = rest.partition("?")
+            self.parts = (scheme, netloc, path, query, fragment)
+        path, query = self.parts[2:4]
+        self.pairs = [p for p in query.split("&") if p]
+        self.segments = [s for s in path.split("/") if s]
+        self.trailing = path.endswith("/") and len(self.segments) > 0
 
     def rebuild(self, path: str | None = None, query: str | None = None) -> str:
-        parts = self.parts
-        return urlunsplit(
-            (
-                parts.scheme,
-                parts.netloc,
-                parts.path if path is None else path,
-                parts.query if query is None else query,
-                parts.fragment,
-            )
-        )
+        """The URL with ``path`` and ``query`` in place of its own, as
+        ``urlunsplit`` joins it."""
+        scheme, netloc, old_path, old_query, fragment = self.parts
+        path = old_path if path is None else path
+        query = old_query if query is None else query
+        if not netloc or path[:1] not in ("", "/"):
+            return urlunsplit((scheme, netloc, path, query, fragment))
+        # urlunsplit's own join when there is a netloc and the path needs no
+        # '/' put before it
+        url = "//" + netloc + path
+        if scheme:
+            url = scheme + ":" + url
+        if query:
+            url += "?" + query
+        if fragment:
+            url += "#" + fragment
+        return url
 
 
 def _split(record: HttpRecord) -> SplitUrl:
@@ -70,19 +82,20 @@ def _pick(targets: Sequence, rng: np.random.Generator):
     return targets[int(rng.integers(len(targets)))]
 
 
-def _shuffle_query(url: SplitUrl, pairs: list[str], rng: np.random.Generator) -> str:
+def _shuffle_query(url: SplitUrl, _targets, rng: np.random.Generator) -> str:
+    pairs = url.pairs
     order = list(rng.permutation(len(pairs)))
     if order == sorted(order):
         order = order[::-1]
     return url.rebuild(query="&".join(pairs[i] for i in order))
 
 
-def _append_neutral(url: SplitUrl, neutral: Sequence[str], _rng) -> str:
-    return url.rebuild(query="&".join([*url.pairs, *neutral]))
+def _append_neutral(url: SplitUrl, _targets, _rng) -> str:
+    return url.rebuild(query="&".join([*url.pairs, "tmp=0"]))
 
 
-def _duplicate_pair(url: SplitUrl, pairs: Sequence[str], rng: np.random.Generator) -> str:
-    return url.rebuild(query="&".join([*url.pairs, _pick(pairs, rng)]))
+def _duplicate_pair(url: SplitUrl, positions: Sequence[int], rng: np.random.Generator) -> str:
+    return url.rebuild(query="&".join([*url.pairs, url.pairs[_pick(positions, rng)]]))
 
 
 def _edit_segment(edit: Callable[[str, np.random.Generator], str]):
@@ -122,54 +135,87 @@ def _inject_dot(segment: str, rng: np.random.Generator) -> str:
     return segment[:cut] + "." + segment[cut:]
 
 
-def _spaced_values(url: SplitUrl) -> list[int]:
-    return [i for i, p in enumerate(url.pairs) if " " in p.split("=", 1)[-1]]
+def _value(pair: str) -> str:
+    # a pair with no "=" has no value
+    return pair.partition("=")[2]
 
 
-# Each Lexify rule as (targets, mutate).  ``targets(url)`` is the rule's one
-# applicability condition: the query pairs or segment positions it may change,
-# or the one pair or slash it adds or removes; empty when the rule does not
-# apply.  ``mutate(url, targets, rng)`` returns the new URL and makes the
-# rule's own draws from ``rng``.
-_LEXIFY: dict[str, tuple[Callable[[SplitUrl], Sequence], Callable[..., str]]] = {
-    "Query Order Shuffle": (lambda u: u.pairs if len(u.pairs) >= 2 else (), _shuffle_query),
-    "Neutral Query Parameter": (lambda u: ("tmp=0",), _append_neutral),
-    "Duplicate Query Key": (lambda u: u.pairs, _duplicate_pair),
-    "Underscore Injection": (
-        lambda u: [i for i, s in enumerate(u.segments) if len(s) >= 3],
-        _edit_segment(lambda s, rng: s + "_"),
+class _Rule(NamedTuple):
+    # what ``holds`` is asked of: "url" (the whole SplitUrl), or each of its
+    # "segments" or "pairs"
+    on: str
+    holds: Callable[..., bool]
+    # (url, targets, rng) -> the new URL, with the rule's own draws from rng
+    mutate: Callable[[SplitUrl, Sequence[int], np.random.Generator], str]
+
+
+# Each Lexify rule with its one condition.  A rule on segments or pairs
+# applies where the condition holds for any of them, and the positions where
+# it holds are its targets; a rule on the whole URL has none.
+_LEXIFY: dict[str, _Rule] = {
+    "Query Order Shuffle": _Rule("url", lambda u: len(u.pairs) >= 2, _shuffle_query),
+    "Neutral Query Parameter": _Rule("url", lambda u: True, _append_neutral),
+    "Duplicate Query Key": _Rule("pairs", lambda p: True, _duplicate_pair),
+    "Underscore Injection": _Rule(
+        "segments", lambda s: len(s) >= 3, _edit_segment(lambda s, rng: s + "_")
     ),
-    "Hyphen Duplication": (
-        lambda u: [i for i, s in enumerate(u.segments) if "-" in s],
-        _edit_segment(lambda s, rng: s.replace("-", "--", 1)),
+    "Hyphen Duplication": _Rule(
+        "segments", lambda s: "-" in s, _edit_segment(lambda s, rng: s.replace("-", "--", 1))
     ),
-    "Dot Injection": (
-        lambda u: [i for i, s in enumerate(u.segments) if len(s) >= 4 and "." not in s],
-        _edit_segment(_inject_dot),
+    "Dot Injection": _Rule(
+        "segments", lambda s: len(s) >= 4 and "." not in s, _edit_segment(_inject_dot)
     ),
     # doubles the slash that precedes the drawn segment
-    "Repeated Slash": (lambda u: range(len(u.segments)), _edit_segment(lambda s, rng: "/" + s)),
-    "Trailing Slash Addition": (
-        lambda u: ("/",) if u.segments and not u.trailing else (),
-        _set_trailing(True),
+    "Repeated Slash": _Rule("segments", lambda s: True, _edit_segment(lambda s, rng: "/" + s)),
+    "Trailing Slash Addition": _Rule(
+        "url", lambda u: bool(u.segments) and not u.trailing, _set_trailing(True)
     ),
-    "Trailing Slash Removal": (lambda u: ("/",) if u.trailing else (), _set_trailing(False)),
-    "Uppercase Token": (
-        lambda u: [i for i, s in enumerate(u.segments) if s != s.upper()],
-        _edit_segment(lambda s, rng: s.upper()),
+    "Trailing Slash Removal": _Rule("url", lambda u: u.trailing, _set_trailing(False)),
+    "Uppercase Token": _Rule(
+        "segments", lambda s: s != s.upper(), _edit_segment(lambda s, rng: s.upper())
     ),
-    "Lowercase Token": (
-        lambda u: [i for i, s in enumerate(u.segments) if s != s.lower()],
-        _edit_segment(lambda s, rng: s.lower()),
+    "Lowercase Token": _Rule(
+        "segments", lambda s: s != s.lower(), _edit_segment(lambda s, rng: s.lower())
     ),
-    "Space Encoding": (_spaced_values, _edit_value(lambda v: v.replace(" ", "%20"))),
-    "Plus Encoding": (_spaced_values, _edit_value(lambda v: v.replace(" ", "+"))),
-    # str.isalnum is False for an empty value, and for a pair with no "="
-    "Hex Encoding": (
-        lambda u: [i for i, p in enumerate(u.pairs) if p.partition("=")[2].isalnum()],
-        _edit_value(lambda v: "".join(f"%{ord(c):02x}" for c in v)),
+    "Space Encoding": _Rule(
+        "pairs", lambda p: " " in _value(p), _edit_value(lambda v: v.replace(" ", "%20"))
+    ),
+    "Plus Encoding": _Rule(
+        "pairs", lambda p: " " in _value(p), _edit_value(lambda v: v.replace(" ", "+"))
+    ),
+    # str.isalnum is False for an empty value; the value's UTF-8 bytes are
+    # escaped, so it decodes back to itself
+    "Hex Encoding": _Rule(
+        "pairs",
+        lambda p: _value(p).isalnum(),
+        _edit_value(lambda v: "".join(f"%{b:02x}" for b in v.encode())),
     ),
 }
+
+
+def applicable_rules(url: SplitUrl) -> list[str]:
+    """The names of the Lexify rules that apply to ``url``, in
+    ``LEXIFY_RULES`` order."""
+    names = []
+    for name, (on, holds, _) in _LEXIFY.items():
+        if on == "url":
+            if holds(url):
+                names.append(name)
+            continue
+        # any(map(holds, items)), without building a map per rule and URL
+        for item in getattr(url, on):
+            if holds(item):
+                names.append(name)
+                break
+    return names
+
+
+def _apply(rule: _Rule, url: SplitUrl, rng: np.random.Generator) -> str:
+    """The URL ``rule`` makes of ``url``, which it applies to."""
+    on, holds, mutate = rule
+    targets = () if on == "url" else [i for i, item in enumerate(getattr(url, on)) if holds(item)]
+    return mutate(url, targets, rng)
+
 
 LEXIFY_RULES = tuple(_LEXIFY)
 
@@ -235,11 +281,9 @@ def lexify(record: HttpRecord, rule: NoiseRule, rng: np.random.Generator) -> tup
     if rule.kind != LEXIFY:
         raise ValueError("lexify requires a Lexify rule")
     url = _split(record)
-    targets_of, mutate = _LEXIFY[rule.name]
-    targets = targets_of(url)
-    if not targets:
+    if rule.name not in applicable_rules(url):
         return record, False
-    return _record(record, record.id, mutate(url, targets, rng)), True
+    return _record(record, record.id, _apply(_LEXIFY[rule.name], url, rng)), True
 
 
 _ASSET_STEMS = ("app", "main", "vendor", "bundle", "chunk", "logo", "banner", "icon", "hero", "intro")
@@ -316,12 +360,13 @@ def inject(dataset: Dataset, kind: str, ratio: float, seed: int) -> Dataset:
         records = list(dataset.records)
         for idx in sorted(rng.choice(n, size=count, replace=False).tolist()):
             record = records[idx]
-            # one split answers which rules apply and feeds the drawn rule
+            # one split answers which rules apply and feeds the drawn rule,
+            # whose targets alone are listed
             url = _split(record)
-            applicable = url.applicable()
-            if applicable:
-                name, targets = _pick(applicable, rng)
-                records[idx] = _record(record, record.id, _LEXIFY[name][1](url, targets, rng))
+            names = applicable_rules(url)
+            if names:
+                new_url = _apply(_LEXIFY[_pick(names, rng)], url, rng)
+                records[idx] = _record(record, record.id, new_url)
         return Dataset(records=_renumber(records), source=dataset.source + f"+lexify{ratio:g}")
 
     if kind == INTERFERE:

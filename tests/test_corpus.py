@@ -3,7 +3,7 @@
 import pytest
 
 from apiminer.corpus import CorpusSpec, synth_corpus
-from apiminer.records import write_dataset
+from apiminer.records import HttpRecord, write_dataset
 
 
 class TestDefaultCorpus:
@@ -33,6 +33,15 @@ class TestDefaultCorpus:
         assert write_dataset(a) == write_dataset(b)
         c = synth_corpus(CorpusSpec(seed=43))
         assert write_dataset(a) != write_dataset(c)
+
+    @pytest.mark.parametrize("spec", [CorpusSpec(), CorpusSpec(45, 4, seed=3)])
+    def test_records_hold_what_the_constructor_holds(self, spec):
+        # the corpus builds its tuples without HttpRecord's checks
+        for record in synth_corpus(spec).records:
+            built = HttpRecord(*record)
+            assert type(record) is HttpRecord
+            assert tuple(record) == tuple(built)
+            assert [type(v) for v in record] == [type(v) for v in built]
 
     def test_records_are_api_shaped(self):
         ds = synth_corpus(CorpusSpec())

@@ -2,6 +2,7 @@
 
 import hashlib
 import re
+from urllib.parse import unquote, urlsplit, urlunsplit
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from apiminer.noise import (
     TOKEN_MUTATION_RULES,
     NoiseRule,
     SplitUrl,
+    applicable_rules,
     inject,
     interfere_sample,
     lexify,
@@ -129,9 +131,31 @@ class TestLexifyRules:
         _, applied = lexify(rec(url="/api/search?q=x"), rule("Space Encoding"), rng())
         assert not applied
 
+    @pytest.mark.parametrize("name, space", [("Space Encoding", "%20"), ("Plus Encoding", "+")])
+    def test_only_a_spaced_value_is_a_target(self, name, space):
+        bare = rec(url="/api/x?a b")
+        out, applied = lexify(bare, rule(name), rng())
+        assert not applied and out.url == bare.url
+        for seed in range(4):
+            out, applied = lexify(rec(url="/api/x?a b&q=a b"), rule(name), rng(seed))
+            assert applied and out.url == f"/api/x?a b&q=a{space}b"
+
     def test_hex_encoding(self):
         out, applied = lexify(rec(url="/api/search?q=test"), rule("Hex Encoding"), rng())
         assert applied and out.url == "/api/search?q=%74%65%73%74"
+
+    def test_hex_encoding_escapes_utf8_bytes(self):
+        out, applied = lexify(rec(url="/api/search?q=\u4e2d"), rule("Hex Encoding"), rng())
+        assert applied and out.url == "/api/search?q=%e4%b8%ad"
+
+    @given(value=st.text(min_size=1, max_size=8).filter(str.isalnum), seed=st.integers(0, 2**32))
+    @example(value="\u4e2d", seed=0)
+    @example(value="caf\u00e9", seed=0)
+    def test_hex_encoded_value_decodes_to_itself(self, value, seed):
+        out, applied = lexify(rec(url=f"/api/search?q={value}"), rule("Hex Encoding"), rng(seed))
+        assert applied
+        key, _, new = out.url.partition("?")[2].partition("=")
+        assert key == "q" and unquote(new) == value
 
     def test_label_and_identity_preserved(self):
         r = rec(url="/api/user?a=1&b=2", label="EP_07")
@@ -200,10 +224,10 @@ class TestApplicability:
 
     @given(url=st.lists(URL_PIECES, max_size=12).map("".join), seed=st.integers(0, 2**32))
     def test_applicable_rules_are_the_rules_lexify_applies(self, url, seed):
-        # inject draws from SplitUrl.applicable(); lexify reads the same targets
+        # inject draws from applicable_rules(); lexify reads the same conditions
         record = rec(url=url)
         applied = [name for name in LEXIFY_RULES if lexify(record, rule(name), rng(seed))[1]]
-        assert [name for name, _ in SplitUrl(url).applicable()] == applied
+        assert applicable_rules(SplitUrl(url)) == applied
 
 
 # URLs urlsplit rejects: an unclosed IPv6 bracket, and a host that NFKC
@@ -215,6 +239,47 @@ URL_TEXT = st.text(max_size=16) | st.lists(
     URL_PIECES | st.sampled_from(["http://", "https://h", "[", "]", "::1", ":80", "@", "\uff03", "\uff1f"]),
     max_size=8,
 ).map("".join)
+
+
+# one URL for each way SplitUrl cuts and rebuild joins: relative, a '//'
+# path, an upper-case scheme, userinfo and a port, an empty '?' and '#', and
+# leading white space
+SPLIT_CASES = (
+    "/api/v1/items?page=2#top", "//h/a", "HTTPS://H/a", "https://u:p@h:8080/a-b/",
+    "https://h?", "https://h/a#", " https://h/a", "\t/a", "https://h", "http:///a",
+)
+# paths and queries rebuild is given: none, empty, rooted, not rooted, '//'
+NEW_PARTS = (None, "", "/", "/a//b/", "a/b", "//x", "tmp=0", "a b&c")
+
+
+def assert_split_is_urllibs(url: str, path: str | None, query: str | None):
+    """SplitUrl cuts ``url`` as urlsplit does (or raises as it does), and
+    rebuild joins the parts with ``path`` and ``query`` as urlunsplit does."""
+    try:
+        parts = urlsplit(url)
+    except ValueError:
+        with pytest.raises(ValueError):
+            SplitUrl(url)
+        return
+    split = SplitUrl(url)
+    assert split.parts == tuple(parts)
+    assert split.rebuild() == urlunsplit(parts)
+    new = parts._replace(
+        path=parts.path if path is None else path, query=parts.query if query is None else query
+    )
+    assert split.rebuild(path=path, query=query) == urlunsplit(new)
+
+
+class TestSplitUrl:
+    @given(url=URL_TEXT, path=st.sampled_from(NEW_PARTS), query=st.sampled_from(NEW_PARTS))
+    def test_split_and_rebuild_are_urllibs(self, url, path, query):
+        assert_split_is_urllibs(url, path, query)
+
+    @pytest.mark.parametrize("url", SPLIT_CASES)
+    def test_each_case_splits_and_rebuilds_as_urllib(self, url):
+        for path in NEW_PARTS:
+            for query in NEW_PARTS:
+                assert_split_is_urllibs(url, path, query)
 
 
 def split_url_error(record: HttpRecord) -> str:
@@ -259,22 +324,26 @@ class TestMalformedUrls:
             assert isinstance(noisy, Dataset)
 
 
-# sha256 of write_dataset(inject(synth_corpus(CorpusSpec(20, 50, seed=42)), ...)):
-# any change to the noise lab's draws, mutations or JSONL form moves these
+# sha256 of write_dataset(inject(synth_corpus(CorpusSpec(20, requests, seed=42)), ...))
+# by (requests, kind, ratio, seed): any change to the noise lab's draws,
+# mutations or JSONL form moves these.  The 300-request cells are the deep
+# benchmark workload's captures.
 PINNED_CAPTURES = {
-    (LEXIFY, 0.05, 3): "302866a3294261ff3673232c19229b48d98cd0c967f3a19cb88a9ac87fe8eb8d",
-    (LEXIFY, 0.5, 1): "ed06a37cb9a77aeeb51fdf737e6c7d4edeb69049e4f70ba12cc645ea2d1876b2",
-    (LEXIFY, 0.95, 2): "ec7901218a9959a868b8b231146d4c1a1cf11aa635532f50912cc9d2526baaa2",
-    (INTERFERE, 0.25, 2): "b25703cecf3ee256969a3ee4d1b84fed5dffb6c94f3720b561d40aa2c8bf38fe",
-    (INTERFERE, 0.95, 1): "0e3d1ad7fb888a2ee37ac0128bdac42fcd062f18a5ea82275cd9c50c21fa3928",
+    (50, LEXIFY, 0.05, 3): "302866a3294261ff3673232c19229b48d98cd0c967f3a19cb88a9ac87fe8eb8d",
+    (50, LEXIFY, 0.5, 1): "ed06a37cb9a77aeeb51fdf737e6c7d4edeb69049e4f70ba12cc645ea2d1876b2",
+    (50, LEXIFY, 0.95, 2): "ec7901218a9959a868b8b231146d4c1a1cf11aa635532f50912cc9d2526baaa2",
+    (50, INTERFERE, 0.25, 2): "b25703cecf3ee256969a3ee4d1b84fed5dffb6c94f3720b561d40aa2c8bf38fe",
+    (50, INTERFERE, 0.95, 1): "0e3d1ad7fb888a2ee37ac0128bdac42fcd062f18a5ea82275cd9c50c21fa3928",
+    (300, LEXIFY, 0.5, 1): "960294f0868889ef44ee21acf843f9c7e4c5e77511d2f159f82b444864d00745",
+    (300, LEXIFY, 0.5, 2): "d91282b7a3a89ba4e43f44f81959d9c5a6c2bbedcf3a204f9977927a5c9ab197",
 }
 
 
 class TestInject:
     @pytest.mark.parametrize("cell", sorted(PINNED_CAPTURES))
     def test_generated_captures_are_pinned(self, cell):
-        kind, ratio, seed = cell
-        noisy = inject(synth_corpus(CorpusSpec(20, 50, seed=42)), kind, ratio, seed)
+        requests, kind, ratio, seed = cell
+        noisy = inject(synth_corpus(CorpusSpec(20, requests, seed=42)), kind, ratio, seed)
         digest = hashlib.sha256(write_dataset(noisy).encode()).hexdigest()
         assert digest == PINNED_CAPTURES[cell]
 
