@@ -326,7 +326,7 @@ def _unit_interval(text: str) -> float:
 
 
 def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None, help="global seed")
+    p.add_argument("--seed", type=int, default=None, help="seeds --force-kmeans (and bench's corpus)")
     p.add_argument("--theta", type=_unit_interval, default=None, help="similarity edge threshold")
     p.add_argument("--tau", type=_unit_interval, default=None, help="sanity-gate threshold")
     p.add_argument("--disable-nf", action="store_true", help="skip the traffic filter")

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -11,13 +10,10 @@ import numpy as np
 from .records import structured_payload
 from .normalize import NormalizedRequest
 
-API_KEYWORDS = {"api", "v1", "v2", "v3", "rest", "graphql"}
 COMMON_QUERY_KEYS = {"page", "limit", "offset", "sort", "filter", "q", "id"}
 WRITE_VERBS = {"POST", "PUT", "PATCH", "DELETE"}
 
 FEATURE_NAMES = (
-    "path_depth",
-    "api_keyword_count",
     "query_param_count",
     "common_key_count",
     "has_query",
@@ -30,11 +26,10 @@ FEATURE_NAMES = (
 
 
 def extract_features(nr: NormalizedRequest) -> tuple[float, ...]:
-    """Raw (pre-scaling) 10-component feature vector for one request."""
+    """Raw (pre-scaling) feature vector for one request, one component per
+    name of ``FEATURE_NAMES``."""
     record = nr.record
     return (
-        float(len(nr.segments)),
-        float(sum(1 for s in nr.segments if s in API_KEYWORDS)),
         *_query_facts(nr.raw_query_keys),
         math.log1p(max(0, record.body_size)),
         float(record.body_field_count or 0),
@@ -65,37 +60,13 @@ def scale_features(matrix: np.ndarray) -> np.ndarray:
     return (matrix - lo) / span
 
 
-@dataclass
-class SimilarityGraph:
-    """Thresholded similarity graph over the distinct feature rows of a group.
-
-    Node ``a`` stands for ``counts[a]`` requests with identical feature rows.
-    ``A`` holds the similarity between distinct rows and has a zero diagonal;
-    ``self_sim[a]`` is the similarity between two copies of row ``a`` (1 for
-    a non-zero row, 0 for a zero row, whose copies stay isolated).  The graph
-    is the n-request graph with every copy of a row expanded to its own node,
-    and ``n`` is that request count.
-    """
-
-    A: np.ndarray
-    # node of each of the n requests
-    node_of: np.ndarray
-    self_sim: np.ndarray
-    n: int = field(init=False)
-    # requests per node
-    counts: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.n = len(self.node_of)
-        self.counts = np.bincount(self.node_of, minlength=self.A.shape[0]).astype(float)
-
-
-def build_graph(features: np.ndarray, theta: float, node_of: np.ndarray) -> SimilarityGraph:
+def build_graph(features: np.ndarray, theta: float) -> np.ndarray:
     """Thresholded cosine-derived similarity graph on scaled feature rows.
 
     s(i, j) = (1 + cos(x_i, x_j)) / 2; pairs involving a zero vector get
-    s = 0.  Entries below theta are cut; the diagonal is zero.  ``features``
-    holds distinct rows and ``node_of`` gives the row of each request.
+    s = 0.  Entries below theta are cut; the diagonal is zero.  Given a
+    group's distinct rows, its components are those of the graph over every
+    request, except that the copies of a zero row stay one component.
     """
     if not (0.0 < theta < 1.0):
         raise ValueError("theta must be in (0,1)")
@@ -111,7 +82,7 @@ def build_graph(features: np.ndarray, theta: float, node_of: np.ndarray) -> Simi
     sim[sim < theta] = 0.0
     np.fill_diagonal(sim, 0.0)
     sim = (sim + sim.T) / 2.0
-    return SimilarityGraph(A=sim, node_of=node_of, self_sim=(~zero_mask).astype(float))
+    return sim
 
 
 def connected_components(A: np.ndarray) -> np.ndarray:
@@ -138,13 +109,9 @@ def connected_components(A: np.ndarray) -> np.ndarray:
     return labels
 
 
-def select_k(graph: SimilarityGraph) -> int:
-    """Cluster count: connected components, clamped to [1, min(8, n)].
-
-    Components are those of the graph over distinct rows: the copies of a row
-    share one embedding, so they can never fill more than one cluster.
-    """
-    if graph.n < 1:
+def select_k(A: np.ndarray) -> int:
+    """Cluster count for the k-means ablation: the graph's connected
+    components, at most 8."""
+    if A.shape[0] < 1:
         raise ValueError("graph must have at least one node")
-    count = int(connected_components(graph.A).max()) + 1
-    return max(1, min(count, min(8, graph.n)))
+    return min(int(connected_components(A).max()) + 1, 8)

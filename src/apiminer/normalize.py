@@ -131,6 +131,51 @@ def normalize(
     return NormalizedRequest(record, segments, _query_keys(query, share))
 
 
+# a query key that takes one value across a capture, at this many (method,
+# depth, first two segments) sites or more, tells no endpoint from another
+# (DUST: Bar-Yossef, Keidar & Schonfeld, WWW 2007)
+NEUTRAL_KEY_SITES = 3
+
+
+class QueryKeyCensus:
+    """For each query key of a capture: whether it has taken one value so
+    far, and up to ``NEUTRAL_KEY_SITES`` of the sites it appears at."""
+
+    def __init__(self) -> None:
+        # key -> its one ``key=value`` pair so far; None once a second differs
+        self._pair: dict[str, str | None] = {}
+        self._sites: dict[str, set[tuple]] = {}
+
+    def count(self, nr: NormalizedRequest, query: str) -> None:
+        """Count the query of a request ``normalize`` made from ``query``."""
+        site = (nr.record.method, len(nr.segments), *nr.segments[:2])
+        # raw_query_keys holds the key of each non-empty pair, in order
+        for key, pair in zip(nr.raw_query_keys, filter(None, query.split("&"))):
+            seen = self._pair.setdefault(key, pair)
+            if seen is None:
+                continue
+            if seen != pair:
+                self._pair[key] = None
+                continue
+            sites = self._sites.setdefault(key, set())
+            if len(sites) < NEUTRAL_KEY_SITES:
+                sites.add(site)
+
+    def drop_neutral(self, normalized: list[NormalizedRequest]) -> None:
+        """Drop the keys neutral over everything counted from each request's
+        ``raw_query_keys``."""
+        neutral = {
+            key for key, pair in self._pair.items()
+            if pair is not None and len(self._sites[key]) >= NEUTRAL_KEY_SITES
+        }
+        if not neutral:
+            return
+        for nr in normalized:
+            keys = nr.raw_query_keys
+            if keys and not neutral.isdisjoint(keys):
+                nr.raw_query_keys = tuple([key for key in keys if key not in neutral])
+
+
 def canonical_path(nr: NormalizedRequest) -> str:
     if not nr.segments:
         return "/"

@@ -1,21 +1,20 @@
 """Stage-2 refinement: split template groups into behavioral endpoint clusters.
 
-Each group of three or more requests is refined by spectral clustering:
-seeded k-means on the top eigenvectors of its similarity graph's normalized
-adjacency (Ng, Jordan & Weiss, NIPS 2001), with the connected components
-giving the cluster count, then clusters under ``MIN_CLUSTER_FRACTION`` of
-the group are merged into the nearest big one.  The graph and its
-eigenvectors are computed over a group's distinct feature rows, each
-weighted by the number of requests that share it; the requests of one row
-share one embedding, so identical requests are never split.
-``RefinerConfig.force_kmeans`` runs k-means on the scaled features instead,
-the paper's ablation of the graph.
+Each group of three or more requests is cut into the connected components
+of its thresholded similarity graph, then clusters under
+``MIN_CLUSTER_FRACTION`` of the group are merged into the nearest big one.
+The graph is built over a group's distinct feature rows; the requests of one
+row are one node, so identical requests are never split.  For a graph of k
+components, the top k eigenvectors of its normalized adjacency are the
+components' indicators (von Luxburg, 2007), so spectral clustering would
+only re-derive them.  The graph path draws no random numbers and does not
+depend on the order of the group's requests.  ``RefinerConfig.force_kmeans``
+runs seeded k-means on the scaled features instead, with k the component
+count, the paper's ablation of the graph.
 
-Two answers are known before the work that would give them.  A group whose
-requests off its most common feature row are too few to form a cluster of
-their own is one cluster, with no scaling and no graph, under either path.
-A group whose graph is one component is one cluster, with no eigensolve and
-no k-means.
+A group whose requests off its most common feature row are too few to form
+a cluster of their own is one cluster, with no scaling and no graph, under
+either path.
 """
 
 from __future__ import annotations
@@ -26,12 +25,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .records import Dataset
-from .normalize import NormalizedRequest, normalize, canonical_path
+from .normalize import NormalizedRequest, QueryKeyCensus, canonical_path, normalize, split_url
 from .denoise import DEFAULT_TAU, filter_traffic
 from .templates import PathTemplate, TemplateGroup, mine
 from .features import (
-    SimilarityGraph,
     build_graph,
+    connected_components,
     extract_features,
     scale_features,
     select_k,
@@ -42,7 +41,6 @@ GRAPH_REFINED = "GraphRefined"
 # marks clusters made under force_kmeans; the string is kept for clusters.json
 KMEANS_ABLATION = "KMeansFallback"
 
-EMBEDDING_DIM = 8
 # clusters smaller than this fraction of a refined group are reabsorbed into
 # the nearest surviving cluster (guards against splinter clusters created by a
 # handful of lexically perturbed requests)
@@ -54,6 +52,7 @@ class RefinerConfig:
     theta: float = 0.85
     # k-means on the scaled features in place of the graph (ablation)
     force_kmeans: bool = False
+    # seeds the k-means ablation; the graph path draws no random numbers
     global_seed: int = 0
 
 
@@ -95,52 +94,6 @@ def kmeans_assign(
     return labels
 
 
-def spectral_init(graph: SimilarityGraph, dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Top-d eigenvectors of the symmetrically normalized adjacency.
-
-    The eigenvectors are those of the expanded n-request graph that take one
-    value on all copies of a row, computed from a matrix over the distinct
-    rows: D^-1/2 (sqrt(m) A sqrt(m) + diag((m-1) s)) D^-1/2, with degree
-    D = A m + (m-1) s.  Scaling each row by 1/sqrt(m) gives the value on one
-    copy.  The expanded graph's other eigenvectors differ between copies of
-    a row and have eigenvalues <= 0, which get weight 0 below, so they are
-    the zero columns that pad Z to d columns.
-
-    Degenerate eigensolves (isolated graph, numerical failure) fall back to
-    unit-variance random coordinates from the supplied rng.
-    """
-    n = graph.n
-    rows = graph.A.shape[0]
-    dim = min(dim, n)
-    m = graph.counts
-    root = np.sqrt(m)
-    copies = (m - 1) * graph.self_sim
-    degree = graph.A @ m + copies
-    if not np.any(degree > 0):
-        return rng.standard_normal((rows, dim))
-    d_inv_sqrt = np.zeros(rows)
-    d_inv_sqrt[degree > 0] = 1.0 / np.sqrt(degree[degree > 0])
-    weighted = root[:, None] * graph.A * root[None, :] + np.diag(copies)
-    norm_adj = d_inv_sqrt[:, None] * weighted * d_inv_sqrt[None, :]
-    try:
-        eigvals, eigvecs = np.linalg.eigh(norm_adj)
-    except np.linalg.LinAlgError:
-        return rng.standard_normal((rows, dim))
-    # eigenvectors are unit-norm over n entries; weight each coordinate by the
-    # (non-negative part of the) eigenvalue it belongs to, then rescale so rows
-    # sit at O(1) magnitude.  Negative-eigenvalue directions carry no cluster
-    # structure and would otherwise contribute spiky coordinates that hijack
-    # farthest-point seeding.
-    order = np.argsort(eigvals)[::-1][:dim]
-    weights = np.sqrt(np.clip(eigvals[order], 0.0, None))
-    Z = eigvecs[:, order] / root[:, None] * weights[None, :] * np.sqrt(n)
-    if not np.all(np.isfinite(Z)):
-        return rng.standard_normal((rows, dim))
-    if Z.shape[1] < dim:
-        Z = np.hstack([Z, np.zeros((rows, dim - Z.shape[1]))])
-    return Z
-
-
 def _group_rng(global_seed: int, template: PathTemplate) -> np.random.Generator:
     key = f"{global_seed}:{template.method}:{template.render()}".encode()
     digest = hashlib.sha256(key).digest()
@@ -148,7 +101,12 @@ def _group_rng(global_seed: int, template: PathTemplate) -> np.random.Generator:
 
 
 def _reabsorb_small(labels: np.ndarray, X: np.ndarray, min_size: int) -> np.ndarray:
-    """Merge clusters below min_size into the nearest surviving centroid."""
+    """Merge clusters below min_size into the nearest surviving centroid.
+
+    The smallest small cluster goes first, into the nearest big one; ties in
+    size or distance go to the cluster with the smallest row of ``X``, so the
+    result does not depend on how the labels are numbered.
+    """
     labels = labels.copy()
     while True:
         ids, counts = np.unique(labels, return_counts=True)
@@ -156,10 +114,12 @@ def _reabsorb_small(labels: np.ndarray, X: np.ndarray, min_size: int) -> np.ndar
         big = [c for c, cnt in zip(ids, counts) if cnt >= min_size]
         if not small or not big:
             return labels
-        target_c = small[0]
+        size = dict(zip(ids, counts))
+        first_row = {c: min(map(tuple, X[labels == c].tolist())) for c in ids}
+        target_c = min(small, key=lambda c: (size[c], first_row[c]))
         target = X[labels == target_c].mean(axis=0)
         d = {c: np.linalg.norm(target - X[labels == c].mean(axis=0)) for c in big}
-        dest = min(sorted(d), key=lambda c: d[c])
+        dest = min(big, key=lambda c: (d[c], first_row[c]))
         labels[labels == target_c] = dest
 
 
@@ -185,7 +145,7 @@ def refine_group(group: TemplateGroup, config: RefinerConfig | None = None) -> l
     provenance = KMEANS_ABLATION if config.force_kmeans else GRAPH_REFINED
     min_size = max(2, int(np.ceil(MIN_CLUSTER_FRACTION * n)))
     if n - np.bincount(node_of).max() < min_size:
-        # the copies of a row share a k-means label, so the cluster holding
+        # the copies of a row share a label, so the cluster holding
         # the most common row has at least n - min_size + 1 >= min_size
         # members (n >= 3) and every other cluster fewer than min_size: with
         # one big cluster, reabsorption merges the rest into it
@@ -193,18 +153,14 @@ def refine_group(group: TemplateGroup, config: RefinerConfig | None = None) -> l
     # min and max over the distinct rows are those over every request, so
     # each request's scaled row is its distinct row scaled
     distinct = scale_features(distinct_raw)
-    graph = build_graph(distinct, config.theta, node_of)
-    k = select_k(graph)
-    if k == 1:
-        # one component is one cluster: k-means with one centroid labels
-        # every request 0, and reabsorption leaves a lone cluster alone
-        return [_cluster(group, members, provenance)]
+    graph = build_graph(distinct, config.theta)
     X = distinct[node_of]
-    rng = _group_rng(config.global_seed, group.template)
     if config.force_kmeans:
-        labels = kmeans_assign(X, k, rng)
+        rng = _group_rng(config.global_seed, group.template)
+        labels = kmeans_assign(X, select_k(graph), rng)
     else:
-        labels = kmeans_assign(spectral_init(graph, EMBEDDING_DIM, rng)[node_of], k, rng)
+        # the copies of a row are one node, so they share a component
+        labels = connected_components(graph)[node_of]
     labels = _reabsorb_small(labels, X, min_size)
 
     clusters = [
@@ -250,20 +206,31 @@ def prepare_traffic(
     disable_noise_filter: bool = False,
 ) -> Traffic:
     """The first two stages of discovery: filter the traffic at the gate
-    threshold ``tau``, normalize what it keeps.
+    threshold ``tau``, normalize what it keeps, and drop from the kept
+    requests' query keys those ``QueryKeyCensus`` finds neutral.
 
     The normalized requests share one object per distinct path segment and
     query key; the table that shares them lives for this call only.
     """
     shared: dict[str, str] = {}
-    if disable_noise_filter:
-        return Traffic([normalize(record, None, shared) for record in dataset.records], [])
     normalized: list[NormalizedRequest] = []
-    # the filter hands each kept record over with the URL split it read
-    outcome = filter_traffic(
-        dataset, tau, lambda record, split: normalized.append(normalize(record, split, shared))
-    )
-    return Traffic(normalized, outcome.dropped)
+    census = QueryKeyCensus()
+
+    def keep(record, split: tuple[str, str]) -> None:
+        nr = normalize(record, split, shared)
+        normalized.append(nr)
+        if nr.raw_query_keys:
+            census.count(nr, split[1])
+
+    if disable_noise_filter:
+        for record in dataset.records:
+            keep(record, split_url(record))
+        dropped = []
+    else:
+        # the filter hands each kept record over with the URL split it read
+        dropped = filter_traffic(dataset, tau, keep).dropped
+    census.drop_neutral(normalized)
+    return Traffic(normalized, dropped)
 
 
 def discover(

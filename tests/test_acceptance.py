@@ -131,13 +131,14 @@ class TestCriterion5LexifyRobustness:
         for seed in range(1, 6):
             fgas.append(run_pipeline(inject(corpus, LEXIFY, 0.5, seed)).fga)
         drop = clean_report.fga - sum(fgas) / len(fgas)
-        assert drop <= 12.0
-        print(f"\ncriterion 5 pass: Lexify 0.5 mean FGA drop {drop:.2f} (<=12)")
+        # the paper's bound on the FGA drop under noise
+        assert drop <= 8.11
+        print(f"\ncriterion 5 pass: Lexify 0.5 mean FGA drop {drop:.2f} (<=8.11)")
 
     def test_high_ratio_cells(self, corpus):
-        # spectral k-means keeps these endpoints whole; the gradient-trained
-        # embedding it replaced scored 78.05 and 76.19 on them
-        pinned = {(0.75, 3): 85.0, (0.95, 1): 82.9}
+        # the highest-noise cells: a neutral key appended by Lexify or a
+        # splintered component must not break an endpoint here
+        pinned = {(0.75, 3): 100.0, (0.95, 1): 100.0, (0.95, 2): 100.0}
         for (ratio, seed), floor in pinned.items():
             fga = run_pipeline(inject(corpus, LEXIFY, ratio, seed)).fga
             assert fga >= floor, (ratio, seed, fga)
@@ -239,6 +240,33 @@ class TestNearWordEndpoints:
         rep = run_pipeline(Dataset(records))
         assert rep.fga == 100.0
         print(f"\nnear-word pass: {len(self.WORDS)} endpoints one edit apart, FGA {rep.fga:.2f}")
+
+
+def range_drawn_bodies(dataset):
+    """Each body's size and field count scaled by one factor from U(0.4, 1.6)."""
+    rng = np.random.default_rng(5)
+    records = []
+    for record in dataset.records:
+        if record.body_size > 0:
+            f = rng.uniform(0.4, 1.6)
+            record = record._replace(
+                body_size=max(1, int(record.body_size * f)),
+                body_field_count=max(1, round((record.body_field_count or 0) * f)),
+            )
+        records.append(record)
+    return Dataset(records)
+
+
+class TestRangeDrawnBodies:
+    @pytest.mark.parametrize("seed", [1, 7, 42])
+    def test_write_endpoints_stay_whole(self, seed):
+        # body sizes spread over a range put a write endpoint's requests in
+        # several components of its graph; reabsorption must join them
+        ranged = range_drawn_bodies(synth_corpus(CorpusSpec(20, 50, seed)))
+        clean = run_pipeline(ranged).fga
+        noisy = run_pipeline(inject(ranged, LEXIFY, 0.5, 1)).fga
+        assert (clean, noisy) == (100.0, 100.0)
+        print(f"\nrange-drawn bodies pass: seed {seed}, FGA {clean:.2f} clean, {noisy:.2f} Lexify 0.5")
 
 
 class TestCriterion9AblationDirection:

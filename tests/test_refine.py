@@ -1,15 +1,20 @@
-"""Second-stage refinement: spectral embedding, k-means, the k-means ablation."""
+"""Second-stage refinement: connected components, reabsorption, the k-means ablation."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from apiminer.features import SimilarityGraph, build_graph, extract_features, scale_features, select_k
+from apiminer.features import (
+    build_graph,
+    connected_components,
+    extract_features,
+    scale_features,
+    select_k,
+)
 from apiminer.normalize import normalize
 from apiminer.records import HttpRecord, IngestError
 from apiminer.refine import (
-    EMBEDDING_DIM,
     GRAPH_REFINED,
     KMEANS_ABLATION,
     MIN_CLUSTER_FRACTION,
@@ -20,7 +25,6 @@ from apiminer.refine import (
     kmeans_assign,
     prepare_traffic,
     refine_group,
-    spectral_init,
     _cluster,
     _distinct_rows,
     _group_rng,
@@ -28,6 +32,7 @@ from apiminer.refine import (
 )
 from apiminer.records import Dataset
 from apiminer.templates import TemplateGroup, PathTemplate, mine
+from test_features import bfs_components
 
 
 class TestSeedingAndKMeans:
@@ -51,61 +56,6 @@ class TestSeedingAndKMeans:
         assert labels[0] != labels[10]
 
 
-class TestTraining:
-    def two_clique_graph(self, n_per=8):
-        X = np.array([[1.0, 0.0]] * n_per + [[0.0, 1.0]] * n_per)
-        return build_graph(X, 0.85, np.arange(len(X))), n_per
-
-    def test_hard_assignment_recovers_cliques(self):
-        graph, n_per = self.two_clique_graph()
-        rng = np.random.default_rng(0)
-        hard = kmeans_assign(spectral_init(graph, 8, rng), 2, rng)
-        assert len(set(hard[:n_per].tolist())) == 1
-        assert len(set(hard[n_per:].tolist())) == 1
-        assert hard[0] != hard[-1]
-
-    def test_spectral_init_shape_and_determinism(self):
-        graph, _ = self.two_clique_graph()
-        Z1 = spectral_init(graph, 4, np.random.default_rng(0))
-        Z2 = spectral_init(graph, 4, np.random.default_rng(0))
-        assert Z1.shape == (16, 4)
-        assert np.array_equal(Z1, Z2)
-
-    def test_spectral_init_isolated_graph_falls_back(self):
-        graph = SimilarityGraph(A=np.zeros((5, 5)), node_of=np.arange(5), self_sim=np.zeros(5))
-        Z = spectral_init(graph, 3, np.random.default_rng(0))
-        assert Z.shape == (5, 3)
-        assert np.all(np.isfinite(Z))
-
-
-def random_weighted(rng, u=None):
-    """Random distinct-row problem: A (general diagonal), self_sim, counts, node_of."""
-    u = u or int(rng.integers(2, 7))
-    A = rng.random((u, u))
-    A = (A + A.T) / 2
-    s = rng.random(u)
-    counts = rng.integers(1, 5, u).astype(float)
-    node_of = np.repeat(np.arange(u), counts.astype(int))
-    return A, s, counts, node_of
-
-
-def expand(A, s, node_of):
-    """The n-request adjacency: copies of a row are linked by s, A's diagonal is the self-pair."""
-    full = A[np.ix_(node_of, node_of)]
-    same = node_of[:, None] == node_of[None, :]
-    full[same] = np.broadcast_to(s[node_of][:, None], full.shape)[same]
-    np.fill_diagonal(full, np.diagonal(A)[node_of])
-    return full
-
-
-def dense_spectral(A, dim):
-    """Reference n-row spectral init (every degree positive)."""
-    d = 1 / np.sqrt(A.sum(axis=1))
-    eigvals, eigvecs = np.linalg.eigh(d[:, None] * A * d[None, :])
-    order = np.argsort(eigvals)[::-1][:dim]
-    return eigvecs[:, order] * np.sqrt(np.clip(eigvals[order], 0, None)) * np.sqrt(len(A))
-
-
 def same_partition(a, b):
     """Equal label arrays up to a renaming of the labels."""
     pairs = set(zip(a.tolist(), b.tolist()))
@@ -113,46 +63,23 @@ def same_partition(a, b):
 
 
 class TestWeightedRows:
-    """Distinct rows with multiplicities give the expanded n-row computation."""
-
-    def test_spectral_init_matches_expanded(self):
-        rng = np.random.default_rng(25)
-        for _ in range(20):
-            u = int(rng.integers(2, 7))
-            A, _, m, node_of = random_weighted(rng, u)
-            np.fill_diagonal(A, 0.0)
-            s = (rng.random(u) < 0.8).astype(float)
-            graph = SimilarityGraph(A=A, node_of=node_of, self_sim=s)
-            Z = spectral_init(graph, 8, np.random.default_rng(0))[node_of]
-            Z_full = dense_spectral(expand(A, s, node_of), 8)
-            assert Z.shape == Z_full.shape
-            for j in range(Z.shape[1]):
-                # columns agree up to sign; the expanded init's zero-weight
-                # columns are zero here too
-                a, b = Z[:, j], Z_full[:, j]
-                sign = 1.0 if a @ b >= 0 else -1.0
-                assert np.allclose(a, sign * b, atol=1e-6)
+    """Distinct rows give the partition of the graph over every request."""
 
     def test_clustering_matches_expanded_rows(self):
-        # the graph path of refine_group on distinct rows against k-means on
-        # the spectral embedding of the expanded n-request graph
+        # the graph path of refine_group on distinct rows against the
+        # components of the graph over every request (no zero rows here,
+        # whose copies would each be a component of their own there)
         rng = np.random.default_rng(26)
-        for trial in range(20):
+        for _ in range(20):
             u = int(rng.integers(2, 6))
             base = rng.random((u, 4)) + 0.1 * (rng.random((u, 4)) < 0.5)
             X = base[rng.permutation(np.repeat(np.arange(u), rng.integers(2, 20, u)))]
             distinct, node_of = _distinct_rows([tuple(row) for row in X])
-            graph = build_graph(distinct, 0.85, node_of)
-            full = build_graph(X, 0.85, np.arange(len(X)))
+            graph = build_graph(distinct, 0.85)
+            full = build_graph(X, 0.85)
             assert select_k(graph) == select_k(full)
-            k = select_k(graph)
-            rows_rng, full_rng = np.random.default_rng(trial), np.random.default_rng(trial)
-            Z = spectral_init(graph, 8, rows_rng)[node_of]
-            Z_full = spectral_init(full, 8, full_rng)
-            # embeddings agree up to an orthogonal map, so compare Gram matrices
-            assert np.allclose(Z @ Z.T, Z_full @ Z_full.T, atol=1e-8)
-            labels = kmeans_assign(Z, k, rows_rng)
-            assert same_partition(labels, kmeans_assign(Z_full, k, full_rng))
+            labels = connected_components(graph)[node_of]
+            assert same_partition(labels, np.array(bfs_components(full)))
 
     def test_distinct_rows_in_first_occurrence_order(self):
         rows = [(2.0, 0.0), (1.0, 0.0), (2.0, 0.0), (0.0, 0.0), (1.0, 0.0)]
@@ -241,19 +168,19 @@ class TestRefineGroup:
         assert [c.member_ids for c in clusters] == [[0, 1, 2, 3, 4]]
         assert clusters[0].provenance == GRAPH_REFINED
 
-    def test_single_component_needs_no_eigensolve(self, monkeypatch):
+    def test_single_component_draws_no_random_numbers(self, monkeypatch):
         # body size up, field count down: five distinct rows linked in a chain
         urls = [f"/api/v1/things/{i}" for i in range(5)]
         bodies = [(100, 5, 2), (150, 4, 2), (200, 3, 2), (250, 2, 2), (300, 1, 2)]
         group = group_from_urls(urls, method="POST", bodies=bodies)
         X = scale_features(np.array([extract_features(nr) for nr in group.members]))
         assert len(np.unique(X, axis=0)) == 5
-        assert select_k(build_graph(X, RefinerConfig().theta, np.arange(5))) == 1
+        assert select_k(build_graph(X, RefinerConfig().theta)) == 1
 
         def unreachable(*args):
-            raise AssertionError("a connected graph was embedded")
+            raise AssertionError("the graph path drew random numbers")
 
-        monkeypatch.setattr("apiminer.refine.spectral_init", unreachable)
+        monkeypatch.setattr("apiminer.refine._group_rng", unreachable)
         monkeypatch.setattr("apiminer.refine.kmeans_assign", unreachable)
         clusters = refine_group(group)
         assert [c.member_ids for c in clusters] == [[0, 1, 2, 3, 4]]
@@ -287,7 +214,7 @@ class TestRefineGroup:
         def unreachable(*args):
             raise AssertionError("a group with a dominant row was refined")
 
-        for name in ("scale_features", "build_graph", "spectral_init", "kmeans_assign"):
+        for name in ("scale_features", "build_graph", "connected_components", "kmeans_assign"):
             monkeypatch.setattr(f"apiminer.refine.{name}", unreachable)
         clusters = refine_group(group, RefinerConfig(force_kmeans=force_kmeans))
         assert [c.member_ids for c in clusters] == [list(range(20))]
@@ -383,9 +310,24 @@ def test_reabsorption_of_a_dominated_group_leaves_one_cluster(data, node_of):
     assert len(set(labels.tolist())) == 1
 
 
+@pytest.mark.parametrize("a_first", [True, False])
+def test_reabsorption_does_not_follow_label_numbers(a_first):
+    # P and Q are big; A (8 rows at 4.5) is nearer P, B (3 rows at 5.5)
+    # nearer Q.  B merges first, as the smaller, whichever label comes first:
+    # A first would draw P's centroid to 1.29 and then B into P (31/20)
+    X = np.array([[0.0]] * 20 + [[10.0]] * 20 + [[4.5]] * 8 + [[5.5]] * 3)
+    a, b = (2, 3) if a_first else (3, 2)
+    labels = np.array([0] * 20 + [1] * 20 + [a] * 8 + [b] * 3)
+    merged = _reabsorb_small(labels, X, 11)
+    # A joins P (label 0) and B joins Q (label 1)
+    assert np.bincount(merged).tolist() == [28, 23]
+    assert np.array_equal(merged, reference_reabsorb(labels, X, 11))
+
+
 def reference_reabsorb(labels, X, min_size):
-    """Merge the first small cluster into the nearest big one until none is
-    small or none is big, with every cluster's centroid computed."""
+    """Merge the smallest small cluster into the nearest big one until none
+    is small or none is big, with every cluster's centroid computed; ties go
+    to the cluster whose sorted rows come first."""
     labels = labels.copy()
     while True:
         ids, counts = np.unique(labels, return_counts=True)
@@ -393,28 +335,30 @@ def reference_reabsorb(labels, X, min_size):
         big = [c for c, cnt in zip(ids, counts) if cnt >= min_size]
         if not small or not big:
             return labels
+        rows = {c: sorted(X[labels == c].tolist()) for c in ids}
+        size = dict(zip(ids, counts))
+        first = sorted(small, key=lambda c: (size[c], rows[c]))[0]
         centroids = {c: X[labels == c].mean(axis=0) for c in ids}
-        d = {c: np.linalg.norm(centroids[small[0]] - centroids[c]) for c in big}
-        labels[labels == small[0]] = min(sorted(d), key=lambda c: d[c])
+        d = {c: np.linalg.norm(centroids[first] - centroids[c]) for c in big}
+        labels[labels == first] = sorted(big, key=lambda c: (d[c], rows[c]))[0]
 
 
 def reference_refine(group, config):
     """refine_group with no shortcut: scaling over every request, the graph,
-    k-means for any k and reabsorption on every group of three or more."""
+    components by breadth-first search or k-means for any k, and
+    reabsorption on every group of three or more."""
     members = group.members
     n = len(members)
     if n < 3:
         return [_cluster(group, members, PASSTHROUGH)]
     X = scale_features(np.array([extract_features(nr) for nr in members]))
     distinct, node_of = unique_scaled_rows(X)
-    graph = build_graph(distinct, config.theta, node_of)
-    k = select_k(graph)
-    rng = _group_rng(config.global_seed, group.template)
+    graph = build_graph(distinct, config.theta)
     if config.force_kmeans:
-        labels, provenance = kmeans_assign(X, k, rng), KMEANS_ABLATION
+        rng = _group_rng(config.global_seed, group.template)
+        labels, provenance = kmeans_assign(X, select_k(graph), rng), KMEANS_ABLATION
     else:
-        Z = spectral_init(graph, EMBEDDING_DIM, rng)[node_of]
-        labels, provenance = kmeans_assign(Z, k, rng), GRAPH_REFINED
+        labels, provenance = np.array(bfs_components(graph))[node_of], GRAPH_REFINED
     labels = reference_reabsorb(labels, X, min_cluster_size(n))
     clusters = [
         _cluster(group, [members[i] for i in np.nonzero(labels == c)[0]], provenance)
@@ -504,3 +448,48 @@ class TestDiscover:
         clusters = discover(prepare_traffic(Dataset(records=records)))
         keys = [(c.template.method, c.template.render()) for c in clusters]
         assert keys == sorted(keys)
+
+
+class TestNeutralQueryKeys:
+    """A key with one value across the capture, at three or more (method,
+    depth, first two segments) sites, is dropped from the query keys."""
+
+    @staticmethod
+    def keys(urls, disable_noise_filter=False):
+        records = [
+            HttpRecord(id=i, method="GET", url=url, content_type="application/json")
+            for i, url in enumerate(urls)
+        ]
+        traffic = prepare_traffic(Dataset(records), disable_noise_filter=disable_noise_filter)
+        return [nr.raw_query_keys for nr in traffic.normalized]
+
+    # three sites: two first-two-segment prefixes at depth 4, and depth 5
+    SITES = ("/api/v1/users/1", "/api/v2/orders/2", "/api/v1/users/3/cart")
+
+    @pytest.mark.parametrize("disable_noise_filter", [False, True])
+    def test_constant_key_at_three_sites_is_dropped(self, disable_noise_filter):
+        urls = [f"{path}?tmp=0&page={i}" for i, path in enumerate(self.SITES)]
+        assert self.keys(urls, disable_noise_filter) == [("page",)] * 3
+        # a request whose only key is neutral ends with no query keys at all
+        assert self.keys([f"{path}?tmp=0" for path in self.SITES]) == [()] * 3
+
+    def test_constant_key_at_one_site_stays(self):
+        # format=json on one endpoint, however many requests carry it
+        urls = [f"/api/v1/reports/{i}?format=json" for i in range(10)]
+        assert self.keys(urls) == [("format",)] * 10
+
+    def test_constant_key_at_two_sites_stays(self):
+        urls = [f"{path}?tmp=0" for path in self.SITES[:2]] * 3
+        assert self.keys(urls) == [("tmp",)] * 6
+
+    def test_key_with_two_values_stays(self):
+        urls = [f"{path}?tmp=0" for path in self.SITES] + ["/api/v1/users/4?tmp=1"]
+        assert self.keys(urls) == [("tmp",)] * 4
+        # a bare key and the key with an empty value are two values
+        urls = [f"{path}?tmp" for path in self.SITES] + ["/api/v1/users/4?tmp="]
+        assert self.keys(urls) == [("tmp",)] * 4
+
+    def test_keys_of_dropped_records_are_not_counted(self):
+        # the third site is a static file the filter drops
+        urls = [f"{path}?tmp=0" for path in self.SITES[:2]] + ["/assets/app.js?tmp=0"]
+        assert self.keys(urls) == [("tmp",)] * 2
