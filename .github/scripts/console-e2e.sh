@@ -16,16 +16,34 @@
 # on a Lexify 0.5 capture of 6,000 requests, discover writes the same
 # clusters at --seed 1 and --seed 2 (the graph path draws no random numbers),
 # runs under --force-kmeans, and gives the same partition for the capture's
-# lines shuffled.
+# lines shuffled; so does a capture whose one level holds more than
+# MAX_CHILDREN tokens, some of them repeated, which collapses to its wildcard.
 #
 # Usage: bash .github/scripts/console-e2e.sh DIR   (needs `apiminer` on PATH)
 set -e
 cd "$1"
 python - <<'PY'
-import json, os, random
+import itertools, json, os, random, string
 from apiminer.corpus import CorpusSpec, synth_corpus
 from apiminer.noise import INTERFERE, LEXIFY, inject
 from apiminer.records import Dataset, HttpRecord, write_dataset
+from apiminer.templates import MAX_CHILDREN
+
+
+def write_shuffled(name, lines, seed):
+    """NAME.jsonl, NAME-shuffled.jsonl with its lines shuffled, and
+    NAME-shuffled.json: the line each shuffled one came from, since a JSONL
+    request's id is its line number."""
+    order = list(range(len(lines)))
+    random.Random(seed).shuffle(order)
+    with open(f"{name}.jsonl", "w", encoding="utf-8") as out:
+        out.writelines(lines)
+    with open(f"{name}-shuffled.jsonl", "w", encoding="utf-8") as out:
+        out.writelines(lines[i] for i in order)
+    with open(f"{name}-shuffled.json", "w", encoding="utf-8") as out:
+        json.dump(order, out)
+
+
 corpus = synth_corpus(CorpusSpec(6, 12))
 with open("capture.jsonl", "w", encoding="utf-8") as out:
     out.write(write_dataset(corpus))
@@ -41,16 +59,18 @@ with open("branches.jsonl", "w", encoding="utf-8") as out:
     out.write(write_dataset(branches))
 with open("expected-branches.jsonl", "w", encoding="utf-8") as out:
     out.write(write_dataset(inject(branches, LEXIFY, 1.0, 0)))
-lines = write_dataset(inject(synth_corpus(CorpusSpec(20, 300)), LEXIFY, 0.5, 1)).splitlines(True)
-with open("order.jsonl", "w", encoding="utf-8") as out:
-    out.writelines(lines)
-# a JSONL request's id is its line number: keep the line each shuffled one came from
-order = list(range(len(lines)))
-random.Random(1004).shuffle(order)
-with open("order-shuffled.jsonl", "w", encoding="utf-8") as out:
-    out.writelines(lines[i] for i in order)
-with open("order-shuffled.json", "w", encoding="utf-8") as out:
-    json.dump(order, out)
+write_shuffled(
+    "order", write_dataset(inject(synth_corpus(CorpusSpec(20, 300)), LEXIFY, 0.5, 1)).splitlines(True), 1004
+)
+# letter-pair tokens such as "abab", each at least two edits from any other
+pairs = itertools.product(string.ascii_lowercase, repeat=2)
+tokens = ["".join(pair) * 2 for pair in itertools.islice(pairs, MAX_CHILDREN + 6)]
+collapse = Dataset([
+    HttpRecord(i, "GET", f"https://app.example.com/api/{t}/items",
+               content_type="application/json", label=f"EP_{t}")
+    for i, t in enumerate(tokens + tokens[::5] + tokens[::7])
+])
+write_shuffled("collapse", write_dataset(collapse).splitlines(True), 7)
 os.mkdir("spaced")
 with open("capture.jsonl", encoding="utf-8") as src:
     with open("spaced/capture.jsonl", "w", encoding="utf-8") as out:
@@ -107,14 +127,19 @@ apiminer discover --in order.jsonl --seed 2 --out order-seed-2.json
 cmp order-seed-1.json order-seed-2.json
 apiminer discover --in order.jsonl --force-kmeans --out order-kmeans.json
 apiminer discover --in order-shuffled.jsonl --out order-shuffled-clusters.json
+apiminer discover --in collapse.jsonl --out collapse-clusters.json
+apiminer discover --in collapse-shuffled.jsonl --out collapse-shuffled-clusters.json
 python - <<'PY'
 import json
-with open("order-shuffled.json", encoding="utf-8") as handle:
-    order = json.load(handle)
 
 def member_sets(path, original=lambda i: i):
     with open(path, encoding="utf-8") as handle:
         return sorted(sorted(original(i) for i in c["member_ids"]) for c in json.load(handle))
 
-assert member_sets("order-shuffled-clusters.json", order.__getitem__) == member_sets("order-seed-1.json")
+for name, expected in (("order", "order-seed-1.json"), ("collapse", "collapse-clusters.json")):
+    with open(f"{name}-shuffled.json", encoding="utf-8") as handle:
+        order = json.load(handle)
+    assert member_sets(f"{name}-shuffled-clusters.json", order.__getitem__) == member_sets(expected), name
+with open("collapse-clusters.json", encoding="utf-8") as handle:
+    assert "/api/{*}/items" in {c["template"] for c in json.load(handle)}
 PY

@@ -25,17 +25,32 @@ FEATURE_NAMES = (
 )
 
 
-def extract_features(nr: NormalizedRequest) -> tuple[float, ...]:
-    """Raw (pre-scaling) feature vector for one request, one component per
-    name of ``FEATURE_NAMES``."""
+def row_input(nr: NormalizedRequest) -> tuple:
+    """The fields a request's feature row reads: its query keys, body size,
+    body field count, body nesting depth, method and content type.
+    Requests that agree on them share a row."""
     record = nr.record
     return (
-        *_query_facts(nr.raw_query_keys),
-        math.log1p(max(0, record.body_size)),
-        float(record.body_field_count or 0),
-        float(record.body_nesting_depth or 0),
-        1.0 if record.method in WRITE_VERBS else 0.0,
-        1.0 if structured_payload(record.content_type) else 0.0,
+        nr.raw_query_keys,
+        record.body_size,
+        record.body_field_count,
+        record.body_nesting_depth,
+        record.method,
+        record.content_type,
+    )
+
+
+def extract_features(nr: NormalizedRequest) -> tuple[float, ...]:
+    """Raw (pre-scaling) feature vector for one request, one component per
+    name of ``FEATURE_NAMES``, computed from its ``row_input`` alone."""
+    keys, body_size, field_count, nesting_depth, method, content_type = row_input(nr)
+    return (
+        *_query_facts(keys),
+        math.log1p(max(0, body_size)),
+        float(field_count or 0),
+        float(nesting_depth or 0),
+        1.0 if method in WRITE_VERBS else 0.0,
+        1.0 if structured_payload(content_type) else 0.0,
     )
 
 

@@ -5,11 +5,11 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
-from urllib.parse import urlsplit, urlunsplit
+from urllib.parse import urlsplit, uses_netloc
 
 import numpy as np
 
-from .normalize import _plain_path_start, malformed_url
+from .normalize import malformed_url, path_start
 from .records import Dataset, HttpRecord, _new_tuple
 
 LEXIFY = "Lexify"
@@ -21,15 +21,16 @@ class SplitUrl:
     Lexify rule reads: the query's non-empty ``&`` pairs, the path's non-empty
     segments, and whether the path ends in a slash after a segment.
 
-    A URL ``normalize._plain_path_start`` accepts is cut at its first '#' and
-    '?' and where its path begins, which is all ``urlsplit`` does to it; every
-    other URL goes through ``urlsplit``, and its ``ValueError`` with it.
+    A URL that ``split_url`` cuts by hand (``normalize.path_start``) is cut
+    here the same way, at its first '#' and '?' and where its path begins, so
+    the noise lab and ``discover`` read the same path; every other URL goes
+    through ``urlsplit``, and its ``ValueError`` with it.
     """
 
     __slots__ = ("parts", "pairs", "segments", "trailing")
 
     def __init__(self, url: str):
-        start = _plain_path_start(url)
+        start = path_start(url)
         if start is None:
             self.parts = tuple(urlsplit(url))
         else:
@@ -44,16 +45,19 @@ class SplitUrl:
         self.trailing = path.endswith("/") and len(self.segments) > 0
 
     def rebuild(self, path: str | None = None, query: str | None = None) -> str:
-        """The URL with ``path`` and ``query`` in place of its own, as
-        ``urlunsplit`` joins it."""
+        """The URL with ``path`` and ``query`` in place of its own, joined as
+        ``urlunsplit`` joins it on CPython 3.10 and 3.11.
+
+        Later versions put '//' before a path that starts with '//' when
+        there is no netloc, which would turn slash noise into an authority.
+        """
         scheme, netloc, old_path, old_query, fragment = self.parts
-        path = old_path if path is None else path
+        url = old_path if path is None else path
         query = old_query if query is None else query
-        if not netloc or path[:1] not in ("", "/"):
-            return urlunsplit((scheme, netloc, path, query, fragment))
-        # urlunsplit's own join when there is a netloc and the path needs no
-        # '/' put before it
-        url = "//" + netloc + path
+        if netloc or (scheme and scheme in uses_netloc and url[:2] != "//"):
+            if url and url[:1] != "/":
+                url = "/" + url
+            url = "//" + netloc + url
         if scheme:
             url = scheme + ":" + url
         if query:

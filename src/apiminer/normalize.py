@@ -84,6 +84,20 @@ def _plain_path_start(url: str) -> int | None:
     return origin.end() if origin else None
 
 
+def path_start(url: str) -> int | None:
+    """Where the path begins in a URL that ``split_url`` cuts by hand at its
+    first '#' and '?', else None.
+
+    Those are the URLs ``_plain_path_start`` accepts, and a schemeless '//…'
+    URL, whose leading slashes are slash noise on a relative path rather than
+    a network-path reference with an authority component.
+    """
+    start = _plain_path_start(url)
+    if start is None and url.startswith("//") and "://" not in url.split("?", 1)[0]:
+        return 0
+    return start
+
+
 def malformed_url(record: HttpRecord, exc: ValueError) -> IngestError:
     """The error for a record whose URL ``urlsplit`` rejects with ``exc``."""
     return IngestError(f"record {record.id}: malformed url {record.url!r}: {exc}")
@@ -97,11 +111,7 @@ def split_url(record: HttpRecord) -> tuple[str, str]:
     ``urlsplit`` gives; every other URL goes through ``urlsplit``.
     """
     url = record.url
-    start = _plain_path_start(url)
-    if start is None and url.startswith("//") and "://" not in url.split("?", 1)[0]:
-        # schemeless '//…' is leading slash noise on a relative path, not a
-        # network-path reference with an authority component
-        start = 0
+    start = path_start(url)
     if start is not None:
         path, _, query = url[start:].partition("#")[0].partition("?")
         return path, query

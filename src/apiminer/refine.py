@@ -4,13 +4,14 @@ Each group of three or more requests is cut into the connected components
 of its thresholded similarity graph, then clusters under
 ``MIN_CLUSTER_FRACTION`` of the group are merged into the nearest big one.
 The graph is built over a group's distinct feature rows; the requests of one
-row are one node, so identical requests are never split.  For a graph of k
-components, the top k eigenvectors of its normalized adjacency are the
-components' indicators (von Luxburg, 2007), so spectral clustering would
-only re-derive them.  The graph path draws no random numbers and does not
-depend on the order of the group's requests.  ``RefinerConfig.force_kmeans``
-runs seeded k-means on the scaled features instead, with k the component
-count, the paper's ablation of the graph.
+row are one node, so identical requests are never split.  Features are
+extracted once per distinct ``features.row_input``, the fields a row
+reads.  For a graph of k components, the top k eigenvectors of its
+normalized adjacency are the components' indicators (von Luxburg, 2007), so
+spectral clustering would only re-derive them.  The graph path draws no
+random numbers and does not depend on the order of the group's requests.
+``RefinerConfig.force_kmeans`` runs seeded k-means on the scaled features
+instead, with k the component count, the paper's ablation of the graph.
 
 A group whose requests off its most common feature row are too few to form
 a cluster of their own is one cluster, with no scaling and no graph, under
@@ -32,6 +33,7 @@ from .features import (
     build_graph,
     connected_components,
     extract_features,
+    row_input,
     scale_features,
     select_k,
 )
@@ -131,6 +133,25 @@ def _distinct_rows(rows: list[tuple[float, ...]]) -> tuple[np.ndarray, np.ndarra
     return np.array(list(node)), np.array(node_of)
 
 
+def _feature_rows(members: list[NormalizedRequest]) -> tuple[np.ndarray, np.ndarray]:
+    """``_distinct_rows`` of the members' feature rows, with one
+    ``extract_features`` call per distinct ``row_input``."""
+    index: dict[tuple, int] = {}
+    firsts: list[NormalizedRequest] = []
+    input_of = []
+    for nr in members:
+        key = row_input(nr)
+        i = index.get(key)
+        if i is None:
+            i = index[key] = len(firsts)
+            firsts.append(nr)
+        input_of.append(i)
+    # a row first occurs at the first request of the first input giving it,
+    # so the inputs' distinct rows are in the members' order of first occurrence
+    distinct_raw, node_of_input = _distinct_rows([extract_features(nr) for nr in firsts])
+    return distinct_raw, node_of_input[input_of]
+
+
 def refine_group(group: TemplateGroup, config: RefinerConfig | None = None) -> list[EndpointCluster]:
     """Split one template group into endpoint clusters per the two-stage scheme."""
     config = config or RefinerConfig()
@@ -141,7 +162,7 @@ def refine_group(group: TemplateGroup, config: RefinerConfig | None = None) -> l
     if n < 3:
         return [_cluster(group, members, PASSTHROUGH)]
 
-    distinct_raw, node_of = _distinct_rows([extract_features(nr) for nr in members])
+    distinct_raw, node_of = _feature_rows(members)
     provenance = KMEANS_ABLATION if config.force_kmeans else GRAPH_REFINED
     min_size = max(2, int(np.ceil(MIN_CLUSTER_FRACTION * n)))
     if n - np.bincount(node_of).max() < min_size:

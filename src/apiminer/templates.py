@@ -6,8 +6,14 @@ single wildcard template per (method, depth).  Near-miss spellings are
 resolved by count: at each node a spelling within edit distance 1 of one
 that occurs at least twice as often joins that spelling's child, so
 single-character token corruption does not shatter an endpoint, and two
-frequent words one edit apart stay two endpoints.  Counts do not depend on
-line order; the one rule left that does is the MAX_CHILDREN collapse.
+frequent words one edit apart stay two endpoints.  A level with more than
+MAX_CHILDREN resolved tokens keeps children for the most frequent ones.
+Mining reads counts and spellings, never line order.
+
+Within a leaf a request joins a template when it matches SIM_THRESHOLD of
+its positions, and the TREE_DEPTH routed positions always count as matches.
+So a leaf of depth at most TREE_DEPTH / SIM_THRESHOLD (2 x TREE_DEPTH) is
+one template, made in one pass over its members.
 """
 
 from __future__ import annotations
@@ -23,7 +29,8 @@ from .normalize import NormalizedRequest
 TREE_DEPTH = 4
 # share of positions that must match for a request to join a leaf's template
 SIM_THRESHOLD = 0.5
-# children per tree node before that level collapses to its wildcard branch
+# children per tree node; the tokens of a level past its MAX_CHILDREN most
+# frequent go down its wildcard branch
 MAX_CHILDREN = 64
 
 _UUID_RE = re.compile(
@@ -146,22 +153,30 @@ def _resolve(counts: dict[str, int]) -> dict[str, str]:
 
 
 def _split(members: list[NormalizedRequest], level: int = 0):
-    """Route members through one tree level; yield the member list of each leaf."""
+    """Route members through one tree level; yield the member list of each leaf.
+
+    Children are kept for the MAX_CHILDREN resolved tokens with the highest
+    total count, ties by spelling; the rest of the level goes down the
+    wildcard branch with the variable spellings.  Each leaf lists its
+    members in arrival order.
+    """
     if level == min(TREE_DEPTH, len(members[0].segments)):
         yield members
         return
-    counts = Counter(nr.segments[level] for nr in members)
+    column = [nr.segments[level] for nr in members]
+    counts = Counter(column)
     resolved = _resolve({s: n for s, n in counts.items() if not _looks_variable_loosely(s)})
+    if len(resolved) > MAX_CHILDREN:
+        totals = Counter()
+        for spelling, token in resolved.items():
+            totals[token] += counts[spelling]
+        kept = set(sorted(totals, key=lambda t: (-totals[t], t))[:MAX_CHILDREN])
+        resolved = {s: t for s, t in resolved.items() if t in kept}
     children: dict[str, list[NormalizedRequest]] = {}
     wildcard: list[NormalizedRequest] = []
-    collapsed = False
-    for nr in members:
-        token = resolved.get(nr.segments[level])
-        if token is not None and token not in children and len(children) >= MAX_CHILDREN:
-            # branching cap reached: this level collapses to its wildcard
-            # branch for every later member
-            collapsed = True
-        if token is None or collapsed:
+    for nr, spelling in zip(members, column):
+        token = resolved.get(spelling)
+        if token is None:
             wildcard.append(nr)
         else:
             children.setdefault(token, []).append(nr)
@@ -178,7 +193,7 @@ def mine(requests: list[NormalizedRequest]) -> list[TemplateGroup]:
     a leaf a request joins the best-matching template (position-match ratio
     >= SIM_THRESHOLD) or starts a new one.  Positions that disagree across
     members become wildcards.  The groups do not depend on the order of
-    ``requests``, except through the MAX_CHILDREN collapse.
+    ``requests``; each lists its members in that order.
     """
     partitions: dict[tuple[str, int], list[NormalizedRequest]] = {}
     for nr in requests:
@@ -198,8 +213,20 @@ def _leaf_templates(members: list[NormalizedRequest]) -> list[tuple[list, list]]
     """The (pattern, members) templates of one leaf.
 
     Members join in the order of their segments, not of their arrival; each
-    template lists its members in arrival order.
+    template lists its members in arrival order.  A pattern keeps a
+    position's spelling when every member of the template spells it so and
+    ``is_variable_segment`` rejects it, else holds a wildcard there.
     """
+    depth = len(members[0].segments)
+    if min(TREE_DEPTH, depth) >= SIM_THRESHOLD * depth:
+        # the routed positions count as hits, so every match ratio reaches
+        # the threshold and every member joins the first template
+        pattern = [
+            None if column.count(column[0]) < len(column) or is_variable_segment(column[0])
+            else column[0]
+            for column in zip(*(nr.segments for nr in members))
+        ]
+        return [(pattern, members)]
     templates: list[tuple[list, list[int]]] = []
     for i, nr in sorted(enumerate(members), key=lambda item: item[1].segments):
         segments = nr.segments

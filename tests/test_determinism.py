@@ -1,5 +1,6 @@
-"""Partitions depend neither on how many threads the BLAS library runs nor
-on the order of the capture's records."""
+"""Partitions depend neither on how many threads the BLAS library runs, nor
+on the order of the capture's records, nor on the Lexify rules that
+normalization absorbs."""
 
 import json
 import os
@@ -10,10 +11,13 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
+import numpy as np
+
 import apiminer
 from apiminer.corpus import CorpusSpec, synth_corpus
-from apiminer.noise import INTERFERE, LEXIFY, inject
-from apiminer.records import Dataset, write_dataset
+from apiminer.noise import INTERFERE, LEXIFY, NoiseRule, inject, lexify
+from apiminer.normalize import normalize
+from apiminer.records import Dataset, HttpRecord, write_dataset
 from apiminer.refine import discover, prepare_traffic
 
 SRC = str(Path(apiminer.__file__).resolve().parent.parent)
@@ -71,3 +75,52 @@ def test_discover_independent_of_record_order(
     noisy = inject(synth_corpus(CorpusSpec(endpoints, requests, corpus_seed)), kind, ratio, noise_seed)
     shuffled = data.draw(st.permutations(noisy.records))
     assert member_sets(Dataset(shuffled)) == member_sets(noisy)
+
+
+# The Lexify rules that normalization absorbs: slash noise and the case of a
+# segment.  The query rules are left out: they change the key=value pairs
+# QueryKeyCensus reads.  Case is absorbed for ASCII segments; the case
+# mapping of some other letters does not round-trip ('ß'.upper() is 'SS').
+ABSORBED_RULES = (
+    "Repeated Slash", "Trailing Slash Addition", "Trailing Slash Removal",
+    "Uppercase Token", "Lowercase Token",
+)
+ASCII_SEGMENTS = st.text(alphabet="abcXYZ019-._~", min_size=1, max_size=8) | st.sampled_from(
+    ["%7e", "%7E", "%2f", "%41b", "Users", "v1"]
+)
+URLS = st.builds(
+    lambda origin, segments, trailing, rest: origin + "/" + "/".join(segments) + trailing + rest,
+    st.sampled_from(["", "/", "https://h", "http://H:8080", "HTTPS://h"]),
+    st.lists(ASCII_SEGMENTS, max_size=6),
+    st.sampled_from(["", "/"]),
+    st.sampled_from(["", "?a=1&B=2&a=3", "?q", "#f", "?x=1#f"]),
+)
+
+
+def rewritten(dataset: Dataset, name: str, seed: int) -> Dataset:
+    """The dataset with rule ``name`` applied alone to every record it applies to."""
+    rng = np.random.default_rng(seed)
+    return Dataset([lexify(record, NoiseRule(name, LEXIFY), rng)[0] for record in dataset.records])
+
+
+@settings(max_examples=300, deadline=None)
+@given(url=URLS, name=st.sampled_from(ABSORBED_RULES), seed=st.integers(0, 2**16))
+def test_absorbed_rule_leaves_the_normalized_request(url, name, seed):
+    record = HttpRecord(id=0, method="GET", url=url)
+    (noisy,) = rewritten(Dataset([record]), name, seed).records
+    before, after = normalize(record), normalize(noisy)
+    assert after.segments == before.segments
+    assert after.raw_query_keys == before.raw_query_keys
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    corpus_seed=st.integers(0, 2**16),
+    noise_seed=st.integers(0, 2**16),
+    name=st.sampled_from(ABSORBED_RULES),
+)
+def test_absorbed_rule_leaves_the_partition(corpus_seed, noise_seed, name):
+    # Lexify noise first, so that some paths end in a slash or hold an
+    # upper-case token for the removal and lower-casing rules to act on
+    noisy = inject(synth_corpus(CorpusSpec(6, 12, corpus_seed)), LEXIFY, 0.5, noise_seed)
+    assert member_sets(rewritten(noisy, name, noise_seed)) == member_sets(noisy)

@@ -2,7 +2,7 @@
 
 import hashlib
 import re
-from urllib.parse import unquote, urlsplit, urlunsplit
+from urllib.parse import SplitResult, unquote, urlsplit, urlunsplit
 
 import numpy as np
 import pytest
@@ -23,7 +23,7 @@ from apiminer.noise import (
     lexify,
 )
 from apiminer.corpus import CorpusSpec, synth_corpus
-from apiminer.normalize import split_url
+from apiminer.normalize import normalize, path_start, split_url
 from apiminer.records import Dataset, HttpRecord, IngestError, write_dataset
 
 
@@ -252,11 +252,22 @@ SPLIT_CASES = (
 NEW_PARTS = (None, "", "/", "/a//b/", "a/b", "//x", "tmp=0", "a b&c")
 
 
+def expected_split(url: str) -> SplitResult:
+    """urlsplit's parts of ``url``, except for a schemeless '//…' URL, which
+    ``split_url`` reads as a relative path with slash noise: no netloc, and
+    the path and query ``split_url`` cuts."""
+    if url[:2] == "//" and path_start(url) == 0:
+        path, query = split_url(rec(url=url))
+        return SplitResult("", "", path, query, url.partition("#")[2])
+    return urlsplit(url)
+
+
 def assert_split_is_urllibs(url: str, path: str | None, query: str | None):
-    """SplitUrl cuts ``url`` as urlsplit does (or raises as it does), and
-    rebuild joins the parts with ``path`` and ``query`` as urlunsplit does."""
+    """SplitUrl cuts ``url`` as ``expected_split`` does (or raises as urlsplit
+    does), and rebuild joins the parts with ``path`` and ``query`` as
+    urlunsplit does on CPython 3.10 and 3.11."""
     try:
-        parts = urlsplit(url)
+        parts = expected_split(url)
     except ValueError:
         with pytest.raises(ValueError):
             SplitUrl(url)
@@ -280,6 +291,34 @@ class TestSplitUrl:
         for path in NEW_PARTS:
             for query in NEW_PARTS:
                 assert_split_is_urllibs(url, path, query)
+
+
+# schemeless '//…' URLs, which discover reads as relative paths
+SCHEMELESS_URLS = (
+    "//api/v1/users", "//api//v1/users/?page=1&q=a#top", "///x/y/", "//api", "//h:80/a?b#c",
+)
+
+
+class TestSchemelessUrls:
+    @pytest.mark.parametrize("url", SCHEMELESS_URLS)
+    def test_segments_are_discovers(self, url):
+        split = SplitUrl(url)
+        assert split.parts[:2] == ("", "")
+        assert split.segments == normalize(rec(url=url)).segments
+        assert split.rebuild() == url
+
+    @pytest.mark.parametrize("url", SCHEMELESS_URLS)
+    def test_segment_rules_target_discovers_segments(self, url):
+        # Underscore Injection targets each segment of 3 or more characters,
+        # the first one included, and rewrites the one drawn as discover reads it
+        segments = normalize(rec(url=url)).segments
+        targets = [i for i, s in enumerate(segments) if len(s) >= 3]
+        for seed in range(8):
+            noisy, applied = lexify(rec(url=url), rule("Underscore Injection"), rng(seed))
+            assert applied == bool(targets)
+            if applied:
+                moved = [i for i, (a, b) in enumerate(zip(segments, normalize(noisy).segments)) if a != b]
+                assert len(moved) == 1 and moved[0] in targets
 
 
 def split_url_error(record: HttpRecord) -> str:

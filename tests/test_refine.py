@@ -5,10 +5,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from apiminer import refine
 from apiminer.features import (
     build_graph,
     connected_components,
     extract_features,
+    row_input,
     scale_features,
     select_k,
 )
@@ -27,6 +29,7 @@ from apiminer.refine import (
     refine_group,
     _cluster,
     _distinct_rows,
+    _feature_rows,
     _group_rng,
     _reabsorb_small,
 )
@@ -115,6 +118,51 @@ def test_distinct_rows_match_unique_on_scaled_rows(picks, seed):
     assert np.array_equal(scale_features(distinct_raw), expected)
     assert np.array_equal(scale_features(distinct_raw)[node_of], X)
     assert node_of.tolist() == expected_node_of.tolist()
+
+
+# inputs that differ yet may give one row: a None and a 0 count, repeated
+# query keys, two read verbs, content types that differ only in case
+ROW_INPUTS = st.tuples(
+    st.sampled_from(["GET", "HEAD", "POST", "DELETE"]),
+    st.sampled_from(["", "?a=1", "?a=1&a=2", "?a=1&page=2", "?page=2&a=1&a=3"]),
+    st.sampled_from(["application/json", "Application/JSON", "text/plain", None]),
+    st.sampled_from([0, 1, 100]),
+    st.sampled_from([None, 0, 2]),
+    st.sampled_from([None, 0, 1]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(ROW_INPUTS, min_size=1, max_size=40))
+def test_feature_rows_are_the_distinct_rows_of_every_request(inputs):
+    members = [
+        normalize(HttpRecord(
+            id=i, method=method, url=f"/api/v1/things{query}", content_type=content_type,
+            body_size=size, body_field_count=fields, body_nesting_depth=depth,
+        ))
+        for i, (method, query, content_type, size, fields, depth) in enumerate(inputs)
+    ]
+    distinct_raw, node_of = _feature_rows(members)
+    expected_raw, expected_node_of = _distinct_rows([extract_features(nr) for nr in members])
+    assert np.array_equal(distinct_raw, expected_raw)
+    assert distinct_raw.dtype == expected_raw.dtype
+    assert node_of.tolist() == expected_node_of.tolist()
+
+
+def test_refine_extracts_one_row_per_distinct_input(monkeypatch):
+    bodies = [(10, 1, 1), (10, 1, 1), (20, 2, 1), (10, 1, 1), (20, 2, 1), (30, 3, 2)]
+    group = group_from_urls([f"/api/v1/things/{i}" for i in range(6)], bodies=bodies)
+    calls = []
+
+    def counting(nr):
+        calls.append(nr.record.id)
+        return extract_features(nr)
+
+    monkeypatch.setattr(refine, "extract_features", counting)
+    refine_group(group)
+    assert len({row_input(nr) for nr in group.members}) == 3
+    # the first request of each distinct input, in order
+    assert calls == [0, 2, 5]
 
 
 def group_from_urls(urls, method="GET", bodies=None):

@@ -11,15 +11,19 @@ from hypothesis import example, given, settings, strategies as st
 from apiminer import templates
 from apiminer.corpus import CorpusSpec, synth_corpus
 from apiminer.noise import INTERFERE, LEXIFY, LEXIFY_RULES, NoiseRule, inject, lexify
-from apiminer.normalize import normalize
+from apiminer.normalize import NormalizedRequest, normalize
 from apiminer.records import Dataset, HttpRecord
 from apiminer.refine import prepare_traffic
 from apiminer.templates import (
     MAX_CHILDREN,
     is_variable_segment,
+    SIM_THRESHOLD,
+    TREE_DEPTH,
     mine,
     _edit_distance_at_most_one,
+    _leaf_templates,
     _looks_variable_loosely,
+    _match_ratio,
 )
 
 
@@ -167,24 +171,107 @@ class TestGrouping:
         assert len(groups) == 1
         assert sorted(groups[0].member_ids) == [0, 1, 2]
 
+    # letter-pair tokens such as "abab" differ from each other in two or more
+    # places, so none is routed into another's child by a near match; they
+    # sort by spelling in this order
+    COLLAPSE_TOKENS = [
+        "".join(pair) * 2
+        for pair in itertools.islice(
+            itertools.product("abcdefghijklmnopqrstuvwxyz", repeat=2), MAX_CHILDREN + 2
+        )
+    ]
+    # every token once, and the last token, which sorts last, once more
+    COLLAPSE_URLS = [f"/api/{t}/x" for t in COLLAPSE_TOKENS] + [f"/api/{COLLAPSE_TOKENS[-1]}/x"]
+
     def test_max_children_collapses_level(self):
-        # letter-pair tokens such as "abab" differ from each other in two or
-        # more places, so none is routed into another's child by a near match
-        pairs = itertools.product("abcdefghijklmnopqrstuvwxyz", repeat=2)
-        tokens = ["".join(pair) * 2 for pair in itertools.islice(pairs, MAX_CHILDREN + 1)]
-        # the first token again, once the level has collapsed
-        urls = [f"/api/{t}/x" for t in tokens] + [f"/api/{tokens[0]}/x"]
-        groups = mine_urls(urls)
-        # the first MAX_CHILDREN tokens become children; the next one, and
-        # every later request, go down the wildcard branch
+        groups = mine_urls(self.COLLAPSE_URLS)
+        # the twice-seen token keeps its child, as do the MAX_CHILDREN - 1
+        # once-seen tokens first by spelling; the two once-seen tokens last
+        # by spelling go down the wildcard branch, wherever they arrive
         assert len(groups) == MAX_CHILDREN + 1
         collapsed = [g for g in groups if g.template.render() == "/api/{*}/x"]
-        assert [g.member_ids for g in collapsed] == [[MAX_CHILDREN, MAX_CHILDREN + 1]]
+        assert [g.member_ids for g in collapsed] == [[MAX_CHILDREN - 1, MAX_CHILDREN]]
+        last = [g for g in groups if g.template.render() == f"/api/{self.COLLAPSE_TOKENS[-1]}/x"]
+        assert [g.member_ids for g in last] == [[MAX_CHILDREN + 1, MAX_CHILDREN + 2]]
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.permutations(range(MAX_CHILDREN + 3)))
+    def test_collapsed_level_does_not_depend_on_line_order(self, order):
+        requests = [nr(u, rid=i) for i, u in enumerate(self.COLLAPSE_URLS)]
+        expected = id_groups(mine(requests))
+        assert id_groups(mine([requests[i] for i in order])) == expected
 
     def test_zero_depth_paths_grouped(self):
         groups = mine_urls(["/", "/"])
         assert len(groups) == 1
         assert groups[0].template.render() == "/"
+
+
+def reference_leaf_templates(members):
+    """Every leaf through the join loop: in the order of their segments,
+    members join the best-matching template or start one."""
+    joined_templates = []
+    for i, request in sorted(enumerate(members), key=lambda item: item[1].segments):
+        segments = request.segments
+        best, best_ratio = None, -1.0
+        for entry in joined_templates:
+            ratio = _match_ratio(entry[0], segments)
+            if ratio > best_ratio:
+                best, best_ratio = entry, ratio
+        if best is None or best_ratio < SIM_THRESHOLD:
+            best = ([None if is_variable_segment(s) else s for s in segments], [])
+            joined_templates.append(best)
+        pattern = best[0]
+        for j, segment in enumerate(segments):
+            if pattern[j] != segment:
+                pattern[j] = None
+        best[1].append(i)
+    return [(pattern, [members[i] for i in sorted(joined)]) for pattern, joined in joined_templates]
+
+
+LEAF_WORDS = ("users", "user", "items", "v1", "api", "7", "123", "abcdef0123", "x_1_2_3")
+
+
+@st.composite
+def leaves(draw):
+    """The members of one leaf: requests of one depth, 0 to 12, each position
+    drawn from a few spellings of that position."""
+    depth = draw(st.integers(0, 12))
+    columns = [draw(st.lists(st.sampled_from(LEAF_WORDS), min_size=1, max_size=3)) for _ in range(depth)]
+    size = draw(st.integers(1, 12))
+    return [
+        NormalizedRequest(HttpRecord(id=i, method="GET", url="/"), [draw(st.sampled_from(c)) for c in columns])
+        for i in range(size)
+    ]
+
+
+class TestLeafTemplates:
+    @settings(max_examples=300, deadline=None)
+    @given(leaves())
+    def test_leaf_templates_match_the_join_loop(self, members):
+        got = _leaf_templates(members)
+        expected = reference_leaf_templates(members)
+        assert [pattern for pattern, _ in got] == [pattern for pattern, _ in expected]
+        assert [[m.record.id for m in joined] for _, joined in got] == [
+            [m.record.id for m in joined] for _, joined in expected
+        ]
+
+    def test_leaves_up_to_twice_the_routing_depth_are_one_template(self):
+        # every match ratio is at least the routed share of the positions
+        assert min(TREE_DEPTH, 2 * TREE_DEPTH) >= SIM_THRESHOLD * 2 * TREE_DEPTH
+        members = [
+            NormalizedRequest(HttpRecord(id=i, method="GET", url="/"), list(segments))
+            for i, segments in enumerate(["abcdefgh", "abcdefgh", "zbcdvwxy"])
+        ]
+        ((pattern, joined),) = _leaf_templates(members)
+        assert pattern == [None, "b", "c", "d", None, None, None, None]
+        assert joined == members
+        # one position deeper, the third request matches 4 of 9 positions and
+        # starts a template of its own
+        deeper = [
+            NormalizedRequest(m.record, [*m.segments, tail]) for m, tail in zip(members, "iij")
+        ]
+        assert [joined for _, joined in _leaf_templates(deeper)] == [deeper[:2], deeper[2:]]
 
 
 class TestCountResolution:
