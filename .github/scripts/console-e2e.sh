@@ -14,10 +14,11 @@
 # --kind lexify for a capture with a url urlsplit rejects; discover mines the
 # same templates from a Lexify 0.95 capture and from its lines reversed;
 # on a Lexify 0.5 capture of 6,000 requests, discover writes the same
-# clusters at --seed 1 and --seed 2 (the graph path draws no random numbers),
-# runs under --force-kmeans, and gives the same partition for the capture's
-# lines shuffled; so does a capture whose one level holds more than
-# MAX_CHILDREN tokens, some of them repeated, which collapses to its wildcard.
+# clusters with a config file that holds only a seed (which seeds bench's
+# corpus alone) as with none, and gives the same partition for the capture's
+# lines shuffled, on the graph path and under --force-kmeans; so does a
+# capture whose one level holds more than MAX_CHILDREN tokens, some of them
+# repeated, which collapses to its wildcard.
 #
 # Usage: bash .github/scripts/console-e2e.sh DIR   (needs `apiminer` on PATH)
 set -e
@@ -122,11 +123,13 @@ apiminer discover --in sweep-reversed.jsonl --out sweep-reversed.json \
   --dump-templates sweep-reversed-templates.tsv
 # templates.tsv holds the mined templates only, which refinement cannot move
 cmp <(sort sweep-templates.tsv) <(sort sweep-reversed-templates.tsv)
-apiminer discover --in order.jsonl --seed 1 --out order-seed-1.json
-apiminer discover --in order.jsonl --seed 2 --out order-seed-2.json
-cmp order-seed-1.json order-seed-2.json
+apiminer discover --in order.jsonl --out order-clusters.json
+echo '{"seed": 3}' > seed-config.json
+apiminer --config seed-config.json discover --in order.jsonl --out order-seed-config.json
+cmp order-clusters.json order-seed-config.json
 apiminer discover --in order.jsonl --force-kmeans --out order-kmeans.json
 apiminer discover --in order-shuffled.jsonl --out order-shuffled-clusters.json
+apiminer discover --in order-shuffled.jsonl --force-kmeans --out order-shuffled-kmeans.json
 apiminer discover --in collapse.jsonl --out collapse-clusters.json
 apiminer discover --in collapse-shuffled.jsonl --out collapse-shuffled-clusters.json
 python - <<'PY'
@@ -136,10 +139,14 @@ def member_sets(path, original=lambda i: i):
     with open(path, encoding="utf-8") as handle:
         return sorted(sorted(original(i) for i in c["member_ids"]) for c in json.load(handle))
 
-for name, expected in (("order", "order-seed-1.json"), ("collapse", "collapse-clusters.json")):
+for name, shuffled, expected in (
+    ("order", "order-shuffled-clusters.json", "order-clusters.json"),
+    ("order", "order-shuffled-kmeans.json", "order-kmeans.json"),
+    ("collapse", "collapse-shuffled-clusters.json", "collapse-clusters.json"),
+):
     with open(f"{name}-shuffled.json", encoding="utf-8") as handle:
         order = json.load(handle)
-    assert member_sets(f"{name}-shuffled-clusters.json", order.__getitem__) == member_sets(expected), name
+    assert member_sets(shuffled, order.__getitem__) == member_sets(expected), shuffled
 with open("collapse-clusters.json", encoding="utf-8") as handle:
     assert "/api/{*}/items" in {c["template"] for c in json.load(handle)}
 PY

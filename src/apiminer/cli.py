@@ -93,7 +93,7 @@ def _pipeline_settings(args: argparse.Namespace) -> tuple[float, RefinerConfig]:
     """The gate threshold and refiner settings, each flag ``main`` left unset
     at its built-in default."""
     tau = DEFAULT_TAU if args.tau is None else args.tau
-    given = {"theta": args.theta, "force_kmeans": args.force_kmeans, "global_seed": args.seed}
+    given = {"theta": args.theta, "force_kmeans": args.force_kmeans}
     return tau, RefinerConfig(**{name: value for name, value in given.items() if value is not None})
 
 
@@ -326,7 +326,6 @@ def _unit_interval(text: str) -> float:
 
 
 def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None, help="seeds --force-kmeans (and bench's corpus)")
     p.add_argument("--theta", type=_unit_interval, default=None, help="similarity edge threshold")
     p.add_argument("--tau", type=_unit_interval, default=None, help="sanity-gate threshold")
     p.add_argument("--disable-nf", action="store_true", help="skip the traffic filter")
@@ -373,6 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("lexify", "interfere", "both"), default="both")
     p.add_argument("--ratios", default="0.05,0.25,0.5,0.75,0.95")
     p.add_argument("--seeds", default="1")
+    p.add_argument("--seed", type=int, default=None, help="seeds the synthetic corpus")
     _add_pipeline_flags(p)
     return parser
 
@@ -388,10 +388,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         file_config = _load_config_file(args.config)
         # the config file gives the pipeline flags of discover and bench their
-        # defaults; noise and evaluate read their --seed from the flag alone
+        # defaults; its seed seeds bench's corpus, so discover, which has no
+        # --seed, ignores it, and noise and evaluate read --seed from the flag
         if args.command in ("discover", "bench"):
             for name, value in file_config.items():
-                if getattr(args, name) is None:
+                if hasattr(args, name) and getattr(args, name) is None:
                     setattr(args, name, value)
         # looked up per call, so that a wrapped cmd_* function is the one run
         return globals()[f"cmd_{args.command}"](args)

@@ -50,8 +50,9 @@ class FilterOutcome:
 
 def rule_signal(record: HttpRecord, path: str) -> str | None:
     """First matching drop reason in cascade order, or None; ``path`` is the
-    record's URL path as ``split_url`` gives it."""
-    last_segment = path.rsplit("/", 1)[-1]
+    record's URL path as ``split_url`` gives it.  The extension is read from
+    the last non-empty segment, so a trailing slash does not hide it."""
+    last_segment = path.rstrip("/").rsplit("/", 1)[-1]
     if "." in last_segment:
         ext = last_segment.rsplit(".", 1)[-1].lower()
         if ext in DEFAULT_STATIC_EXTENSIONS:

@@ -1,4 +1,5 @@
-"""Lightweight per-request semantic features and the similarity graph."""
+"""Lightweight per-request semantic features, the similarity graph over
+scaled feature rows, and its connected components."""
 
 from __future__ import annotations
 
@@ -76,12 +77,13 @@ def scale_features(matrix: np.ndarray) -> np.ndarray:
 
 
 def build_graph(features: np.ndarray, theta: float) -> np.ndarray:
-    """Thresholded cosine-derived similarity graph on scaled feature rows.
+    """Boolean adjacency of the thresholded similarity graph on scaled rows.
 
-    s(i, j) = (1 + cos(x_i, x_j)) / 2; pairs involving a zero vector get
-    s = 0.  Entries below theta are cut; the diagonal is zero.  Given a
-    group's distinct rows, its components are those of the graph over every
-    request, except that the copies of a zero row stay one component.
+    Rows i and j are joined when s = (1 + cos(x_i, x_j)) / 2 >= theta, in
+    either order, since the two products can round apart.  A zero row joins
+    nothing, and no row joins itself.  Given a group's distinct rows, its
+    components are those of the graph over every request, except that the
+    copies of a zero row stay one component.
     """
     if not (0.0 < theta < 1.0):
         raise ValueError("theta must be in (0,1)")
@@ -89,19 +91,17 @@ def build_graph(features: np.ndarray, theta: float) -> np.ndarray:
     safe = norms.copy()
     safe[safe == 0] = 1.0
     unit = features / safe[:, None]
-    cos = unit @ unit.T
-    sim = (1.0 + cos) / 2.0
-    zero_mask = norms == 0
-    sim[zero_mask, :] = 0.0
-    sim[:, zero_mask] = 0.0
-    sim[sim < theta] = 0.0
-    np.fill_diagonal(sim, 0.0)
-    sim = (sim + sim.T) / 2.0
-    return sim
+    joined = (1.0 + unit @ unit.T) / 2.0 >= theta
+    joined |= joined.T
+    nonzero = norms > 0
+    joined &= nonzero[:, None] & nonzero[None, :]
+    np.fill_diagonal(joined, False)
+    return joined
 
 
 def connected_components(A: np.ndarray) -> np.ndarray:
-    """Component label per node of the thresholded graph (union-find)."""
+    """Component label per node of the graph (union-find), numbered in order
+    of each component's first node."""
     n = A.shape[0]
     parent = list(range(n))
 
@@ -122,11 +122,3 @@ def connected_components(A: np.ndarray) -> np.ndarray:
         r = find(i)
         labels[i] = roots.setdefault(r, len(roots))
     return labels
-
-
-def select_k(A: np.ndarray) -> int:
-    """Cluster count for the k-means ablation: the graph's connected
-    components, at most 8."""
-    if A.shape[0] < 1:
-        raise ValueError("graph must have at least one node")
-    return min(int(connected_components(A).max()) + 1, 8)

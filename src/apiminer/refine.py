@@ -8,10 +8,12 @@ row are one node, so identical requests are never split.  Features are
 extracted once per distinct ``features.row_input``, the fields a row
 reads.  For a graph of k components, the top k eigenvectors of its
 normalized adjacency are the components' indicators (von Luxburg, 2007), so
-spectral clustering would only re-derive them.  The graph path draws no
-random numbers and does not depend on the order of the group's requests.
-``RefinerConfig.force_kmeans`` runs seeded k-means on the scaled features
-instead, with k the component count, the paper's ablation of the graph.
+spectral clustering would only re-derive them.
+``RefinerConfig.force_kmeans`` runs k-means on the scaled features instead,
+the paper's ablation of the graph, with k the component count (at most
+``MAX_K``) and seeds drawn by farthest-first traversal from the smallest
+distinct row.  Neither path draws random numbers, and each depends only on
+the group's set of feature rows, not on the order of its requests.
 
 A group whose requests off its most common feature row are too few to form
 a cluster of their own is one cluster, with no scaling and no graph, under
@@ -20,7 +22,6 @@ either path.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +36,6 @@ from .features import (
     extract_features,
     row_input,
     scale_features,
-    select_k,
 )
 
 PASSTHROUGH = "Passthrough"
@@ -48,14 +48,17 @@ KMEANS_ABLATION = "KMeansFallback"
 # handful of lexically perturbed requests)
 MIN_CLUSTER_FRACTION = 0.2
 
+# the k-means ablation cuts a group into its graph's components, at most this many
+MAX_K = 8
+# Lloyd iterations the k-means ablation runs at most
+KMEANS_MAX_ITERS = 50
+
 
 @dataclass
 class RefinerConfig:
     theta: float = 0.85
     # k-means on the scaled features in place of the graph (ablation)
     force_kmeans: bool = False
-    # seeds the k-means ablation; the graph path draws no random numbers
-    global_seed: int = 0
 
 
 @dataclass
@@ -66,24 +69,26 @@ class EndpointCluster:
     provenance: str = PASSTHROUGH
 
 
-def farthest_point_indices(X: np.ndarray, k: int, rng: np.random.Generator) -> list[int]:
-    """Deterministic farthest-point seeding; first pick comes from the rng."""
-    chosen = [int(rng.integers(X.shape[0]))]
-    dist = np.linalg.norm(X - X[chosen[0]], axis=1)
+def farthest_point_seeds(X: np.ndarray, k: int) -> np.ndarray:
+    """k seed rows by farthest-first traversal (Gonzalez, 1985) over the
+    distinct rows of X in sorted order: the smallest row first, then each
+    time the row farthest from those chosen, the smaller row on a tie.  The
+    seeds depend only on the set of X's rows."""
+    rows = np.unique(X, axis=0)
+    chosen = [0]
+    dist = np.linalg.norm(rows - rows[0], axis=1)
     while len(chosen) < k:
         nxt = int(np.argmax(dist))
         chosen.append(nxt)
-        dist = np.minimum(dist, np.linalg.norm(X - X[nxt], axis=1))
-    return chosen
+        dist = np.minimum(dist, np.linalg.norm(rows - rows[nxt], axis=1))
+    return rows[chosen]
 
 
-def kmeans_assign(
-    X: np.ndarray, k: int, rng: np.random.Generator, max_iters: int = 50
-) -> np.ndarray:
-    """Plain Lloyd iterations with farthest-point seeding."""
-    centroids = X[farthest_point_indices(X, k, rng)].copy()
+def kmeans_assign(X: np.ndarray, k: int) -> np.ndarray:
+    """Plain Lloyd iterations from ``farthest_point_seeds``."""
+    centroids = farthest_point_seeds(X, k)
     labels = np.zeros(X.shape[0], dtype=int)
-    for it in range(max_iters):
+    for it in range(KMEANS_MAX_ITERS):
         d2 = np.sum((X[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
         new_labels = np.argmin(d2, axis=1)
         if it > 0 and np.array_equal(new_labels, labels):
@@ -94,12 +99,6 @@ def kmeans_assign(
             if mask.any():
                 centroids[c] = X[mask].mean(axis=0)
     return labels
-
-
-def _group_rng(global_seed: int, template: PathTemplate) -> np.random.Generator:
-    key = f"{global_seed}:{template.method}:{template.render()}".encode()
-    digest = hashlib.sha256(key).digest()
-    return np.random.default_rng(int.from_bytes(digest[:8], "little"))
 
 
 def _reabsorb_small(labels: np.ndarray, X: np.ndarray, min_size: int) -> np.ndarray:
@@ -174,14 +173,13 @@ def refine_group(group: TemplateGroup, config: RefinerConfig | None = None) -> l
     # min and max over the distinct rows are those over every request, so
     # each request's scaled row is its distinct row scaled
     distinct = scale_features(distinct_raw)
-    graph = build_graph(distinct, config.theta)
+    # the copies of a row are one node, so they share a component
+    components = connected_components(build_graph(distinct, config.theta))
     X = distinct[node_of]
     if config.force_kmeans:
-        rng = _group_rng(config.global_seed, group.template)
-        labels = kmeans_assign(X, select_k(graph), rng)
+        labels = kmeans_assign(X, min(int(components.max()) + 1, MAX_K))
     else:
-        # the copies of a row are one node, so they share a component
-        labels = connected_components(graph)[node_of]
+        labels = components[node_of]
     labels = _reabsorb_small(labels, X, min_size)
 
     clusters = [

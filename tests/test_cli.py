@@ -236,11 +236,13 @@ class TestMain:
                      "--seed", "3"]) == 0
         assert main(["noise", "--in", capture, "--kind", "lexify", "--ratio", "0.5"]) == 0
         first, second, evaluate, noise = seen
-        assert (first["seed"], first["force_kmeans"], first["tau"]) == (5, True, 0.5)
+        # discover has no seed: the config file's seeds bench's corpus alone
+        assert "seed" not in first
+        assert (first["force_kmeans"], first["tau"]) == (True, 0.5)
         assert (first["disable_nf"], first["dump_templates"]) == (True, "t.tsv")
         assert second == {
             "config": None, "command": "discover", "input": capture, "format": "jsonl",
-            "out": "-", "seed": None, "theta": None, "tau": None, "disable_nf": False,
+            "out": "-", "theta": None, "tau": None, "disable_nf": False,
             "disable_templates": False, "force_kmeans": None, "dump_templates": None,
             "dump_normalized": None, "emit_dropped": None,
         }
@@ -337,6 +339,17 @@ class TestConfigPrecedence:
         assert main([*argv, "--seed", "5", "--out", str(from_flag)]) == 0
         rows = from_file.read_text(encoding="utf-8").splitlines()[1:]
         assert rows and all(row.startswith("synth-seed5,") for row in rows)
+        assert from_file.read_bytes() == from_flag.read_bytes()
+
+    def test_config_seed_leaves_discover_as_it_is(self, tmp_path, corpus_file):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": 5, "force_kmeans": True}), encoding="utf-8")
+        from_file, from_flag = tmp_path / "file.json", tmp_path / "flag.json"
+        capture = str(corpus_file)
+        assert main(["--config", str(config), "discover", "--in", capture,
+                     "--out", str(from_file)]) == 0
+        assert main(["discover", "--in", capture, "--force-kmeans", "--out", str(from_flag)]) == 0
+        assert '"provenance": "KMeansFallback"' in from_flag.read_text(encoding="utf-8")
         assert from_file.read_bytes() == from_flag.read_bytes()
 
 
@@ -535,6 +548,14 @@ class TestMalformedInput:
     def test_noise_flags(self, corpus_file, capsys, flags, message):
         argv = ["noise", "--in", str(corpus_file), "--kind", "lexify", *flags]
         self.assert_rejected(argv, message, capsys)
+
+    def test_discover_takes_no_seed(self, corpus_file, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["discover", "--in", str(corpus_file), "--seed", "1"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert sum(line.startswith("usage: ") for line in err) == 1
+        assert err[-1] == "apiminer: error: unrecognized arguments: --seed 1"
 
     @pytest.mark.parametrize("flags", [["--lambda", "0.1"], ["--theta", "2"], ["--tau", "x"]])
     def test_pipeline_flags(self, corpus_file, capsys, flags):

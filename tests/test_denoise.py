@@ -67,6 +67,14 @@ class TestRuleCascade:
     def test_clean_api_call_passes_rules(self):
         assert rule(rec()) is None
 
+    @pytest.mark.parametrize("url", ["/img.png", "/img.png/", "/img.png//"])
+    def test_trailing_slash_does_not_hide_extension(self, url):
+        # Lexify's Trailing Slash Addition must not carry a static file past the filter
+        assert filter_traffic(Dataset([rec(url=url)])).dropped == [(0, STATIC_EXTENSION)]
+
+    def test_api_path_with_trailing_slash_kept(self):
+        assert filter_traffic(Dataset([rec(url="/api/v1/items/")])).kept == [0]
+
 
 class TestGate:
     def test_feature_vector(self):

@@ -18,7 +18,7 @@ from apiminer.corpus import CorpusSpec, synth_corpus
 from apiminer.noise import INTERFERE, LEXIFY, NoiseRule, inject, lexify
 from apiminer.normalize import normalize
 from apiminer.records import Dataset, HttpRecord, write_dataset
-from apiminer.refine import discover, prepare_traffic
+from apiminer.refine import RefinerConfig, discover, prepare_traffic
 
 SRC = str(Path(apiminer.__file__).resolve().parent.parent)
 
@@ -46,17 +46,19 @@ def test_partitions_independent_of_blas_threads(tmp_path):
     assert documents[0] == documents[1]
 
 
-def member_sets(dataset: Dataset) -> set[frozenset[int]]:
-    return {frozenset(c.member_ids) for c in discover(prepare_traffic(dataset))}
+def member_sets(dataset: Dataset, force_kmeans: bool = False) -> set[frozenset[int]]:
+    config = RefinerConfig(force_kmeans=force_kmeans)
+    return {frozenset(c.member_ids) for c in discover(prepare_traffic(dataset), config)}
 
 
 def test_deep_capture_partition_independent_of_record_order():
-    # a capture whose partition moved under this shuffle when refinement ran
-    # k-means on a spectral embedding
+    # refinement reads a group's set of feature rows, so no shuffle of the
+    # deep Lexify-0.5-s1 capture moves its partition, on either path
     noisy = inject(synth_corpus(CorpusSpec(20, 300, 42)), LEXIFY, 0.5, 1)
     shuffled = list(noisy.records)
     random.Random(1004).shuffle(shuffled)
-    assert member_sets(Dataset(shuffled)) == member_sets(noisy)
+    for force_kmeans in (False, True):
+        assert member_sets(Dataset(shuffled), force_kmeans) == member_sets(noisy, force_kmeans)
 
 
 @settings(max_examples=40, deadline=None)
@@ -67,14 +69,15 @@ def test_deep_capture_partition_independent_of_record_order():
     kind=st.sampled_from([LEXIFY, INTERFERE]),
     ratio=st.sampled_from([0.0, 0.25, 0.5, 0.95]),
     noise_seed=st.integers(0, 2**16),
+    force_kmeans=st.booleans(),
     data=st.data(),
 )
 def test_discover_independent_of_record_order(
-    endpoints, requests, corpus_seed, kind, ratio, noise_seed, data
+    endpoints, requests, corpus_seed, kind, ratio, noise_seed, force_kmeans, data
 ):
     noisy = inject(synth_corpus(CorpusSpec(endpoints, requests, corpus_seed)), kind, ratio, noise_seed)
     shuffled = data.draw(st.permutations(noisy.records))
-    assert member_sets(Dataset(shuffled)) == member_sets(noisy)
+    assert member_sets(Dataset(shuffled), force_kmeans) == member_sets(noisy, force_kmeans)
 
 
 # The Lexify rules that normalization absorbs: slash noise and the case of a

@@ -11,7 +11,6 @@ from apiminer.features import (
     connected_components,
     extract_features,
     scale_features,
-    select_k,
 )
 from apiminer.normalize import normalize
 from apiminer.records import HttpRecord
@@ -80,35 +79,39 @@ class TestScaleFeatures:
 
 
 class TestBuildGraph:
-    def test_identical_vectors_weight_one(self):
+    def test_identical_vectors_joined(self):
         X = np.array([[1.0, 1.0], [1.0, 1.0]])
         g = build_graph(X, 0.9)
-        assert g[0, 1] == pytest.approx(1.0)
+        assert g.dtype == bool
+        assert g[0, 1]
 
     def test_orthogonal_vectors_half_similarity(self):
         X = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert build_graph(X, 0.4)[0, 1] == pytest.approx(0.5)
-        assert build_graph(X, 0.6)[0, 1] == 0.0
+        assert build_graph(X, 0.4)[0, 1]
+        # s = 0.5 exactly: at the threshold, an edge
+        assert build_graph(X, 0.5)[0, 1]
+        assert not build_graph(X, 0.6)[0, 1]
 
     def test_zero_vector_isolated(self):
-        X = np.array([[0.0, 0.0], [1.0, 1.0]])
+        X = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
         g = build_graph(X, 0.1)
-        assert g[0, 1] == 0.0
+        assert not g[0].any() and not g[:, 0].any()
+        # two zero rows are not joined either
+        assert not g[0, 2]
 
     def test_matches_brute_force_similarity(self):
         rng = np.random.default_rng(3)
         X = np.abs(rng.standard_normal((4, 5)))
         theta = 0.9
         g = build_graph(X, theta)
+        assert g.dtype == bool
         for i in range(4):
             for j in range(4):
                 if i == j:
-                    assert g[i, j] == 0.0
+                    assert not g[i, j]
                     continue
                 cos = float(X[i] @ X[j] / (np.linalg.norm(X[i]) * np.linalg.norm(X[j])))
-                s = (1 + cos) / 2
-                expected = s if s >= theta else 0.0
-                assert g[i, j] == pytest.approx(expected)
+                assert g[i, j] == ((1 + cos) / 2 >= theta)
 
     def test_theta_bounds(self):
         with pytest.raises(ValueError):
@@ -140,9 +143,8 @@ class TestComponents:
         rng = np.random.default_rng(11)
         for _ in range(20):
             n = 12
-            A = (rng.random((n, n)) < 0.15).astype(float)
-            A = np.triu(A, 1)
-            A = A + A.T
+            A = np.triu(rng.random((n, n)) < 0.15, 1)
+            A = A | A.T
             mine = connected_components(A)
             oracle = bfs_components(A)
             # same partition up to relabelling
@@ -150,26 +152,6 @@ class TestComponents:
             pairing = {}
             for m, o in zip(mine.tolist(), oracle):
                 assert pairing.setdefault(m, o) == o
-
-    def test_select_k_fully_connected(self):
-        X = np.ones((5, 3))
-        assert select_k(build_graph(X, 0.5)) == 1
-
-    def test_select_k_two_cliques(self):
-        X = np.array([[1.0, 0.0]] * 3 + [[0.0, 1.0]] * 3)
-        assert select_k(build_graph(X, 0.85)) == 2
-
-    def test_select_k_clamped_to_eight(self):
-        X = np.zeros((20, 2))  # all isolated -> 20 components
-        assert select_k(build_graph(X, 0.5)) == 8
-
-    def test_select_k_clamped_by_n(self):
-        X = np.zeros((3, 2))
-        assert select_k(build_graph(X, 0.5)) == 3
-
-    def test_empty_graph_rejected(self):
-        with pytest.raises(ValueError):
-            select_k(np.zeros((0, 0)))
 
 
 class TestDistinctRowGraph:
@@ -181,5 +163,8 @@ class TestDistinctRowGraph:
     def test_zero_row_copies_are_components(self):
         # the zero row is one component, however many copies it has, plus one
         # component of the rest; on all six rows each zero-row copy is its own
-        assert select_k(build_graph(self.distinct, 0.85)) == 2
-        assert select_k(build_graph(self.X, 0.85)) == 4
+        def count(A):
+            return int(connected_components(A).max()) + 1
+
+        assert count(build_graph(self.distinct, 0.85)) == 2
+        assert count(build_graph(self.X, 0.85)) == 4

@@ -1,8 +1,10 @@
 """Second-stage refinement: connected components, reabsorption, the k-means ablation."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from apiminer import refine
@@ -12,25 +14,24 @@ from apiminer.features import (
     extract_features,
     row_input,
     scale_features,
-    select_k,
 )
 from apiminer.normalize import normalize
 from apiminer.records import HttpRecord, IngestError
 from apiminer.refine import (
     GRAPH_REFINED,
     KMEANS_ABLATION,
+    MAX_K,
     MIN_CLUSTER_FRACTION,
     PASSTHROUGH,
     RefinerConfig,
     discover,
-    farthest_point_indices,
+    farthest_point_seeds,
     kmeans_assign,
     prepare_traffic,
     refine_group,
     _cluster,
     _distinct_rows,
     _feature_rows,
-    _group_rng,
     _reabsorb_small,
 )
 from apiminer.records import Dataset
@@ -39,24 +40,40 @@ from test_features import bfs_components
 
 
 class TestSeedingAndKMeans:
-    def test_farthest_point_deterministic(self):
-        X = np.random.default_rng(2).standard_normal((10, 3))
-        a = farthest_point_indices(X, 4, np.random.default_rng(5))
-        b = farthest_point_indices(X, 4, np.random.default_rng(5))
-        assert a == b
+    def test_farthest_point_starts_at_smallest_row(self):
+        X = np.array([[1.0, 0.0], [0.0, 5.0], [0.0, 1.0], [1.0, 0.0]])
+        # sorted distinct rows [0, 1], [0, 5], [1, 0]; [0, 5] is farthest from [0, 1]
+        assert farthest_point_seeds(X, 2).tolist() == [[0.0, 1.0], [0.0, 5.0]]
 
     def test_farthest_point_spreads(self):
         X = np.array([[0.0], [0.1], [10.0]])
-        chosen = farthest_point_indices(X, 2, np.random.default_rng(0))
-        assert 2 in chosen  # the far point is always picked second
+        assert farthest_point_seeds(X, 2).tolist() == [[0.0], [10.0]]
+
+    def test_farthest_point_tie_takes_smaller_row(self):
+        X = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+        assert farthest_point_seeds(X, 3).tolist() == [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]]
 
     def test_kmeans_separates_blobs(self):
         rng = np.random.default_rng(4)
         X = np.vstack([rng.normal(0, 0.05, (10, 2)), rng.normal(5, 0.05, (10, 2))])
-        labels = kmeans_assign(X, 2, np.random.default_rng(0))
+        labels = kmeans_assign(X, 2)
         assert len(set(labels[:10].tolist())) == 1
         assert len(set(labels[10:].tolist())) == 1
         assert labels[0] != labels[10]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=hnp.arrays(float, st.tuples(st.integers(1, 12), st.integers(1, 3)),
+                    elements=st.integers(0, 3).map(float)),
+    data=st.data(),
+)
+def test_seed_rows_depend_only_on_the_set_of_rows(rows, data):
+    # any permutation of X, with any row repeated, gives the same seeds
+    k = data.draw(st.integers(1, len(np.unique(rows, axis=0))))
+    copies = data.draw(st.lists(st.integers(1, 3), min_size=len(rows), max_size=len(rows)))
+    order = data.draw(st.permutations(np.repeat(np.arange(len(rows)), copies).tolist()))
+    assert np.array_equal(farthest_point_seeds(rows[order], k), farthest_point_seeds(rows, k))
 
 
 def same_partition(a, b):
@@ -80,7 +97,7 @@ class TestWeightedRows:
             distinct, node_of = _distinct_rows([tuple(row) for row in X])
             graph = build_graph(distinct, 0.85)
             full = build_graph(X, 0.85)
-            assert select_k(graph) == select_k(full)
+            assert connected_components(graph).max() == connected_components(full).max()
             labels = connected_components(graph)[node_of]
             assert same_partition(labels, np.array(bfs_components(full)))
 
@@ -223,12 +240,11 @@ class TestRefineGroup:
         group = group_from_urls(urls, method="POST", bodies=bodies)
         X = scale_features(np.array([extract_features(nr) for nr in group.members]))
         assert len(np.unique(X, axis=0)) == 5
-        assert select_k(build_graph(X, RefinerConfig().theta)) == 1
+        assert connected_components(build_graph(X, RefinerConfig().theta)).max() == 0
 
         def unreachable(*args):
-            raise AssertionError("the graph path drew random numbers")
+            raise AssertionError("the graph path ran k-means")
 
-        monkeypatch.setattr("apiminer.refine._group_rng", unreachable)
         monkeypatch.setattr("apiminer.refine.kmeans_assign", unreachable)
         clusters = refine_group(group)
         assert [c.member_ids for c in clusters] == [[0, 1, 2, 3, 4]]
@@ -403,8 +419,8 @@ def reference_refine(group, config):
     distinct, node_of = unique_scaled_rows(X)
     graph = build_graph(distinct, config.theta)
     if config.force_kmeans:
-        rng = _group_rng(config.global_seed, group.template)
-        labels, provenance = kmeans_assign(X, select_k(graph), rng), KMEANS_ABLATION
+        k = min(len(set(bfs_components(graph))), MAX_K)
+        labels, provenance = kmeans_assign(X, k), KMEANS_ABLATION
     else:
         labels, provenance = np.array(bfs_components(graph))[node_of], GRAPH_REFINED
     labels = reference_reabsorb(labels, X, min_cluster_size(n))
@@ -429,13 +445,51 @@ PICKS = st.builds(
     picks=PICKS,
     theta=st.sampled_from([0.6, 0.85, 0.95]),
     force_kmeans=st.booleans(),
-    seed=st.integers(0, 3),
 )
-def test_refine_group_matches_full_path(picks, theta, force_kmeans, seed):
+def test_refine_group_matches_full_path(picks, theta, force_kmeans):
     urls = [f"/api/v1/things/{i}{PROFILES[p][0]}" for i, p in enumerate(picks)]
     group = group_from_urls(urls, method="POST", bodies=[PROFILES[p][1] for p in picks])
-    config = RefinerConfig(theta=theta, force_kmeans=force_kmeans, global_seed=seed)
+    config = RefinerConfig(theta=theta, force_kmeans=force_kmeans)
     assert refine_group(group, config) == reference_refine(group, config)
+
+
+def kmeans_ks(group, theta):
+    """The k ``refine_group`` hands ``kmeans_assign`` under force_kmeans."""
+    ks = []
+
+    def recording(X, k):
+        ks.append(k)
+        return kmeans_assign(X, k)
+
+    with mock.patch.object(refine, "kmeans_assign", recording):
+        refine_group(group, RefinerConfig(theta=theta, force_kmeans=True))
+    return ks
+
+
+def test_kmeans_k_capped_at_max_k():
+    # twelve bodies of different shapes, two requests each: at theta 0.9999
+    # few distinct rows are joined, so the graph has more than MAX_K components
+    bodies = [(2**i, i % 5, i % 3) for i in range(12)] * 2
+    group = group_from_urls([f"/api/v1/things/{i}" for i in range(24)], bodies=bodies)
+    X = scale_features(np.array([extract_features(nr) for nr in group.members]))
+    assert len(set(bfs_components(build_graph(np.unique(X, axis=0), 0.9999)))) > MAX_K
+    assert kmeans_ks(group, 0.9999) == [MAX_K]
+
+
+@settings(max_examples=60, deadline=None)
+@given(picks=PICKS, theta=st.sampled_from([0.6, 0.85, 0.95, 0.9999]))
+def test_kmeans_k_over_distinct_rows_is_k_over_every_request(picks, theta):
+    urls = [f"/api/v1/things/{i}{PROFILES[p][0]}" for i, p in enumerate(picks)]
+    group = group_from_urls(urls, method="POST", bodies=[PROFILES[p][1] for p in picks])
+    ks = kmeans_ks(group, theta)
+    # a group with a dominant row is one cluster without k-means
+    assume(ks)
+    X = scale_features(np.array([extract_features(nr) for nr in group.members]))
+    zero = np.linalg.norm(X, axis=1) == 0
+    # the components of the graph over every request, where each copy of the
+    # zero row is one, with those copies counted once, as one distinct row
+    components = len(set(bfs_components(build_graph(X[~zero], theta)))) + zero.any()
+    assert ks == [min(components, MAX_K)]
 
 
 class TestDiscover:
