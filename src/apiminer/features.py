@@ -1,5 +1,5 @@
-"""Lightweight per-request semantic features, the similarity graph over
-scaled feature rows, and its connected components."""
+"""Lightweight semantic features, one row per distinct ``row_input``, the
+similarity graph over scaled rows, and its connected components."""
 
 from __future__ import annotations
 
@@ -41,10 +41,10 @@ def row_input(nr: NormalizedRequest) -> tuple:
     )
 
 
-def extract_features(nr: NormalizedRequest) -> tuple[float, ...]:
-    """Raw (pre-scaling) feature vector for one request, one component per
-    name of ``FEATURE_NAMES``, computed from its ``row_input`` alone."""
-    keys, body_size, field_count, nesting_depth, method, content_type = row_input(nr)
+def extract_features(key: tuple) -> tuple[float, ...]:
+    """Raw (pre-scaling) feature vector of the requests whose ``row_input``
+    is ``key``, one component per name of ``FEATURE_NAMES``."""
+    keys, body_size, field_count, nesting_depth, method, content_type = key
     return (
         *_query_facts(keys),
         math.log1p(max(0, body_size)),
@@ -100,25 +100,20 @@ def build_graph(features: np.ndarray, theta: float) -> np.ndarray:
 
 
 def connected_components(A: np.ndarray) -> np.ndarray:
-    """Component label per node of the graph (union-find), numbered in order
-    of each component's first node."""
+    """Component label per node of the graph, by breadth-first search one
+    frontier at a time, numbered in order of each component's first node."""
     n = A.shape[0]
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    rows, cols = np.nonzero(A)
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-    roots = {}
-    labels = np.empty(n, dtype=int)
-    for i in range(n):
-        r = find(i)
-        labels[i] = roots.setdefault(r, len(roots))
+    labels = np.full(n, -1)
+    count = 0
+    for start in range(n):
+        if labels[start] >= 0:
+            continue
+        reached = np.zeros(n, dtype=bool)
+        reached[start] = True
+        frontier = reached
+        while frontier.any():
+            frontier = A[frontier].any(axis=0) & ~reached
+            reached |= frontier
+        labels[reached] = count
+        count += 1
     return labels

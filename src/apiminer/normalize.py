@@ -27,31 +27,19 @@ class NormalizedRequest:
     raw_query_keys: tuple[str, ...] = ()
 
 
+_ESCAPE = re.compile(r"%([0-9A-Fa-f]{2})")
+
+
 def _decode_unreserved(path: str) -> str:
-    """Decode %XX escapes only when they encode an unreserved ASCII char.
+    """Decode %XX escapes (two ASCII hex digits, per RFC 3986) only when they
+    encode an unreserved ASCII char.
 
     Reserved escapes (e.g. %2F) are preserved so decoding can never create
     a new segment boundary.
     """
     if "%" not in path:
         return path
-    out = []
-    i = 0
-    while i < len(path):
-        ch = path[i]
-        if ch == "%" and i + 3 <= len(path):
-            hexpart = path[i + 1 : i + 3]
-            try:
-                decoded = chr(int(hexpart, 16))
-            except ValueError:
-                decoded = None
-            if decoded is not None and decoded in _UNRESERVED:
-                out.append(decoded)
-                i += 3
-                continue
-        out.append(ch)
-        i += 1
-    return "".join(out)
+    return _ESCAPE.sub(lambda m: c if (c := chr(int(m[1], 16))) in _UNRESERVED else m[0], path)
 
 
 def _query_keys(query: str, share) -> tuple[str, ...]:

@@ -3,17 +3,19 @@
 Each group of three or more requests is cut into the connected components
 of its thresholded similarity graph, then clusters under
 ``MIN_CLUSTER_FRACTION`` of the group are merged into the nearest big one.
-The graph is built over a group's distinct feature rows; the requests of one
-row are one node, so identical requests are never split.  Features are
-extracted once per distinct ``features.row_input``, the fields a row
-reads.  For a graph of k components, the top k eigenvectors of its
-normalized adjacency are the components' indicators (von Luxburg, 2007), so
-spectral clustering would only re-derive them.
-``RefinerConfig.force_kmeans`` runs k-means on the scaled features instead,
-the paper's ablation of the graph, with k the component count (at most
-``MAX_K``) and seeds drawn by farthest-first traversal from the smallest
-distinct row.  Neither path draws random numbers, and each depends only on
-the group's set of feature rows, not on the order of its requests.
+Refinement works on a group's distinct feature rows in sorted order and the
+count of requests on each: the requests of one row are one node, so
+identical requests are never split, and the labels go back to the requests
+once, at the end.  Features are extracted once per distinct
+``features.row_input``, the fields a row reads.  For a graph of k
+components, the top k eigenvectors of its normalized adjacency are the
+components' indicators (von Luxburg, 2007), so spectral clustering would
+only re-derive them.  ``RefinerConfig.force_kmeans`` runs k-means on the
+scaled rows instead, the paper's ablation of the graph, with k the
+component count (at most ``MAX_K``), seeds drawn by farthest-first
+traversal from the smallest row, and centroids weighted by the counts.
+Neither path draws random numbers, and each depends only on the group's
+rows and their counts, not on the order of its requests.
 
 A group whose requests off its most common feature row are too few to form
 a cluster of their own is one cluster, with no scaling and no graph, under
@@ -69,12 +71,10 @@ class EndpointCluster:
     provenance: str = PASSTHROUGH
 
 
-def farthest_point_seeds(X: np.ndarray, k: int) -> np.ndarray:
-    """k seed rows by farthest-first traversal (Gonzalez, 1985) over the
-    distinct rows of X in sorted order: the smallest row first, then each
-    time the row farthest from those chosen, the smaller row on a tie.  The
-    seeds depend only on the set of X's rows."""
-    rows = np.unique(X, axis=0)
+def farthest_point_seeds(rows: np.ndarray, k: int) -> np.ndarray:
+    """k seed rows by farthest-first traversal (Gonzalez, 1985) over distinct
+    rows in sorted order: the first row, then each time the row farthest
+    from those chosen, the earlier row on a tie."""
     chosen = [0]
     dist = np.linalg.norm(rows - rows[0], axis=1)
     while len(chosen) < k:
@@ -84,12 +84,18 @@ def farthest_point_seeds(X: np.ndarray, k: int) -> np.ndarray:
     return rows[chosen]
 
 
-def kmeans_assign(X: np.ndarray, k: int) -> np.ndarray:
-    """Plain Lloyd iterations from ``farthest_point_seeds``."""
-    centroids = farthest_point_seeds(X, k)
-    labels = np.zeros(X.shape[0], dtype=int)
+def _centroid(rows: np.ndarray, counts: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Mean of the requests on the masked rows, each row weighted by its count."""
+    return np.average(rows[mask], axis=0, weights=counts[mask])
+
+
+def kmeans_assign(rows: np.ndarray, counts: np.ndarray, k: int) -> np.ndarray:
+    """Plain Lloyd iterations from ``farthest_point_seeds`` on distinct sorted
+    rows, row i standing for ``counts[i]`` requests; a label per row."""
+    centroids = farthest_point_seeds(rows, k)
+    labels = np.zeros(len(rows), dtype=int)
     for it in range(KMEANS_MAX_ITERS):
-        d2 = np.sum((X[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+        d2 = np.sum((rows[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
         new_labels = np.argmin(d2, axis=1)
         if it > 0 and np.array_equal(new_labels, labels):
             break
@@ -97,58 +103,48 @@ def kmeans_assign(X: np.ndarray, k: int) -> np.ndarray:
         for c in range(k):
             mask = labels == c
             if mask.any():
-                centroids[c] = X[mask].mean(axis=0)
+                centroids[c] = _centroid(rows, counts, mask)
     return labels
 
 
-def _reabsorb_small(labels: np.ndarray, X: np.ndarray, min_size: int) -> np.ndarray:
-    """Merge clusters below min_size into the nearest surviving centroid.
+def _reabsorb_small(
+    labels: np.ndarray, rows: np.ndarray, counts: np.ndarray, min_size: int
+) -> np.ndarray:
+    """Merge clusters of fewer than min_size requests into the nearest
+    surviving centroid; ``labels`` and ``counts`` are per distinct sorted row.
 
     The smallest small cluster goes first, into the nearest big one; ties in
-    size or distance go to the cluster with the smallest row of ``X``, so the
-    result does not depend on how the labels are numbered.
+    size or distance go to the cluster with the smallest row, so the result
+    does not depend on how the labels are numbered.
     """
     labels = labels.copy()
     while True:
-        ids, counts = np.unique(labels, return_counts=True)
-        small = [c for c, cnt in zip(ids, counts) if cnt < min_size]
-        big = [c for c, cnt in zip(ids, counts) if cnt >= min_size]
+        # rows are sorted, so a cluster's first row is its smallest
+        first = dict(zip(*np.unique(labels, return_index=True)))
+        size = np.bincount(labels, weights=counts)
+        small = [c for c in first if size[c] < min_size]
+        big = [c for c in first if size[c] >= min_size]
         if not small or not big:
             return labels
-        size = dict(zip(ids, counts))
-        first_row = {c: min(map(tuple, X[labels == c].tolist())) for c in ids}
-        target_c = min(small, key=lambda c: (size[c], first_row[c]))
-        target = X[labels == target_c].mean(axis=0)
-        d = {c: np.linalg.norm(target - X[labels == c].mean(axis=0)) for c in big}
-        dest = min(big, key=lambda c: (d[c], first_row[c]))
+        target_c = min(small, key=lambda c: (size[c], first[c]))
+        target = _centroid(rows, counts, labels == target_c)
+        d = {c: np.linalg.norm(target - _centroid(rows, counts, labels == c)) for c in big}
+        dest = min(big, key=lambda c: (d[c], first[c]))
         labels[labels == target_c] = dest
 
 
-def _distinct_rows(rows: list[tuple[float, ...]]) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows in order of first occurrence, as one array, and the row
-    of each request."""
-    node: dict[tuple[float, ...], int] = {}
-    node_of = [node.setdefault(row, len(node)) for row in rows]
-    return np.array(list(node)), np.array(node_of)
-
-
 def _feature_rows(members: list[NormalizedRequest]) -> tuple[np.ndarray, np.ndarray]:
-    """``_distinct_rows`` of the members' feature rows, with one
-    ``extract_features`` call per distinct ``row_input``."""
+    """The members' distinct raw feature rows in sorted order, and the row
+    of each member, with one ``extract_features`` call per distinct
+    ``row_input``."""
     index: dict[tuple, int] = {}
-    firsts: list[NormalizedRequest] = []
-    input_of = []
-    for nr in members:
-        key = row_input(nr)
-        i = index.get(key)
-        if i is None:
-            i = index[key] = len(firsts)
-            firsts.append(nr)
-        input_of.append(i)
-    # a row first occurs at the first request of the first input giving it,
-    # so the inputs' distinct rows are in the members' order of first occurrence
-    distinct_raw, node_of_input = _distinct_rows([extract_features(nr) for nr in firsts])
-    return distinct_raw, node_of_input[input_of]
+    input_of = [index.setdefault(row_input(nr), len(index)) for nr in members]
+    input_rows = [extract_features(key) for key in index]
+    # tuples of floats sort as np.unique(axis=0) sorts rows, at a small
+    # fraction of its fixed cost on a group of a few rows
+    rows = sorted(set(input_rows))
+    position = {row: i for i, row in enumerate(rows)}
+    return np.array(rows), np.array([position[row] for row in input_rows])[input_of]
 
 
 def refine_group(group: TemplateGroup, config: RefinerConfig | None = None) -> list[EndpointCluster]:
@@ -161,10 +157,11 @@ def refine_group(group: TemplateGroup, config: RefinerConfig | None = None) -> l
     if n < 3:
         return [_cluster(group, members, PASSTHROUGH)]
 
-    distinct_raw, node_of = _feature_rows(members)
+    rows, node_of = _feature_rows(members)
+    counts = np.bincount(node_of)
     provenance = KMEANS_ABLATION if config.force_kmeans else GRAPH_REFINED
     min_size = max(2, int(np.ceil(MIN_CLUSTER_FRACTION * n)))
-    if n - np.bincount(node_of).max() < min_size:
+    if n - counts.max() < min_size:
         # the copies of a row share a label, so the cluster holding
         # the most common row has at least n - min_size + 1 >= min_size
         # members (n >= 3) and every other cluster fewer than min_size: with
@@ -172,15 +169,11 @@ def refine_group(group: TemplateGroup, config: RefinerConfig | None = None) -> l
         return [_cluster(group, members, provenance)]
     # min and max over the distinct rows are those over every request, so
     # each request's scaled row is its distinct row scaled
-    distinct = scale_features(distinct_raw)
-    # the copies of a row are one node, so they share a component
-    components = connected_components(build_graph(distinct, config.theta))
-    X = distinct[node_of]
+    rows = scale_features(rows)
+    labels = connected_components(build_graph(rows, config.theta))
     if config.force_kmeans:
-        labels = kmeans_assign(X, min(int(components.max()) + 1, MAX_K))
-    else:
-        labels = components[node_of]
-    labels = _reabsorb_small(labels, X, min_size)
+        labels = kmeans_assign(rows, counts, min(int(labels.max()) + 1, MAX_K))
+    labels = _reabsorb_small(labels, rows, counts, min_size)[node_of]
 
     clusters = [
         _cluster(group, [members[i] for i in np.nonzero(labels == c)[0]], provenance)

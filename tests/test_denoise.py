@@ -21,7 +21,7 @@ from apiminer.denoise import (
     rule_signal,
     sanity_score,
 )
-from apiminer.features import FEATURE_NAMES, extract_features
+from apiminer.features import FEATURE_NAMES, extract_features, row_input
 from apiminer.normalize import normalize, split_url
 from apiminer.records import STRUCTURED_CONTENT_PREFIXES, Dataset, HttpRecord, IngestError
 
@@ -288,5 +288,5 @@ class TestContentTypeFacts:
         for _ in range(2):
             assert rule(record) == reason
             assert gate_features(record, *split_url(record))[5] == structured
-            features = extract_features(normalize(record))
+            features = extract_features(row_input(normalize(record)))
             assert features[FEATURE_NAMES.index("has_structured_payload")] == structured

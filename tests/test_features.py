@@ -10,6 +10,7 @@ from apiminer.features import (
     build_graph,
     connected_components,
     extract_features,
+    row_input,
     scale_features,
 )
 from apiminer.normalize import normalize
@@ -24,14 +25,14 @@ def features_for(url, method="GET", content_type=None, body_size=0,
         body_size=body_size, body_field_count=body_field_count,
         body_nesting_depth=body_nesting_depth,
     )
-    return dict(zip(FEATURE_NAMES, extract_features(normalize(record)), strict=True))
+    return dict(zip(FEATURE_NAMES, extract_features(row_input(normalize(record))), strict=True))
 
 
 class TestExtractFeatures:
     def test_one_value_per_feature_name(self):
         for url in ("/", "/api/v1/items/42?page=2", "/x?a=1&a=2&b"):
             nr = normalize(HttpRecord(id=0, method="POST", url=url, body_size=7))
-            assert len(extract_features(nr)) == len(FEATURE_NAMES)
+            assert len(extract_features(row_input(nr))) == len(FEATURE_NAMES)
 
     def test_plain_get(self):
         x = features_for("/api/v1/items/42")
@@ -140,18 +141,28 @@ def bfs_components(A):
 
 class TestComponents:
     def test_against_bfs_oracle(self):
+        # both number components in order of their first node
         rng = np.random.default_rng(11)
-        for _ in range(20):
-            n = 12
-            A = np.triu(rng.random((n, n)) < 0.15, 1)
-            A = A | A.T
-            mine = connected_components(A)
-            oracle = bfs_components(A)
-            # same partition up to relabelling
-            assert len(set(mine)) == len(set(oracle))
-            pairing = {}
-            for m, o in zip(mine.tolist(), oracle):
-                assert pairing.setdefault(m, o) == o
+        for n in (1, 2, 12, 40):
+            for p in (0.0, 0.05, 0.15, 0.5):
+                A = np.triu(rng.random((n, n)) < p, 1)
+                A = A | A.T
+                assert connected_components(A).tolist() == bfs_components(A)
+
+    def test_numbered_by_first_node(self):
+        # a path 4-1-3 and a pair 0-2: component 0 holds node 0
+        A = np.zeros((5, 5), dtype=bool)
+        for i, j in [(4, 1), (1, 3), (0, 2)]:
+            A[i, j] = A[j, i] = True
+        assert connected_components(A).tolist() == [0, 1, 0, 1, 1]
+
+    def test_long_path_is_one_component(self):
+        # one frontier step per edge of the path
+        n = 50
+        A = np.zeros((n, n), dtype=bool)
+        order = np.random.default_rng(2).permutation(n)
+        A[order[:-1], order[1:]] = A[order[1:], order[:-1]] = True
+        assert connected_components(A).tolist() == [0] * n
 
 
 class TestDistinctRowGraph:

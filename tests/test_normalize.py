@@ -108,6 +108,23 @@ class TestSplitUrl:
             return
         assert split_url(rec(url)) == (parts.path, parts.query)
 
+    @pytest.mark.parametrize("path, decoded", [
+        ("/%41%7e%2D", "/A~-"),
+        ("/%4a%5f%2e", "/J_."),
+        # reserved, non-ASCII and malformed escapes stay as they are
+        ("/a%2Fb%3f%20", "/a%2Fb%3f%20"),
+        ("/%C3%A9", "/%C3%A9"),
+        ("/%4", "/%4"),
+        ("/%%41", "/%A"),
+        ("/%+1%-1% 1", "/%+1%-1% 1"),
+        # only ASCII hex digits form an escape (RFC 3986): not fullwidth or
+        # Arabic-Indic digits, which int(..., 16) reads as 4 and 1
+        ("/%\uff14\uff11", "/%\uff14\uff11"),
+        ("/%\u0664\u0661", "/%\u0664\u0661"),
+    ])
+    def test_decode_unreserved(self, path, decoded):
+        assert _decode_unreserved(path) == decoded
+
     def test_path_without_escapes_is_returned_as_is(self):
         path = "/api/a+b/c"
         assert _decode_unreserved(path) is path
@@ -147,8 +164,9 @@ class TestProperties:
 
 
 # cased letters, the final-sigma context (':' and '.' are case-ignorable),
-# characters whose lower case is longer ('İ'), and escapes
-PATH_CHARS = st.sampled_from("/Σσς İIıAa:.'%2F41") | st.characters()
+# characters whose lower case is longer ('İ'), escapes, and fullwidth and
+# Arabic-Indic digits, which are no hex digits in an escape
+PATH_CHARS = st.sampled_from("/Σσς İIıAa:.'%2F41\uff14\uff11\u0664\u0661") | st.characters()
 
 
 class TestLowerOnce:

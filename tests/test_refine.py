@@ -30,7 +30,6 @@ from apiminer.refine import (
     prepare_traffic,
     refine_group,
     _cluster,
-    _distinct_rows,
     _feature_rows,
     _reabsorb_small,
 )
@@ -39,27 +38,70 @@ from apiminer.templates import TemplateGroup, PathTemplate, mine
 from test_features import bfs_components
 
 
+def distinct(X):
+    """The distinct rows of X in sorted order, the row of each request, and
+    the count of requests on each row."""
+    rows, node_of = np.unique(X, axis=0, return_inverse=True)
+    node_of = node_of.reshape(-1)
+    return rows, node_of, np.bincount(node_of)
+
+
+def feature_matrix(members):
+    """Each member's raw feature row, one per request."""
+    return np.array([extract_features(row_input(nr)) for nr in members])
+
+
 class TestSeedingAndKMeans:
     def test_farthest_point_starts_at_smallest_row(self):
-        X = np.array([[1.0, 0.0], [0.0, 5.0], [0.0, 1.0], [1.0, 0.0]])
-        # sorted distinct rows [0, 1], [0, 5], [1, 0]; [0, 5] is farthest from [0, 1]
-        assert farthest_point_seeds(X, 2).tolist() == [[0.0, 1.0], [0.0, 5.0]]
+        # distinct rows in sorted order, as refine_group hands them over;
+        # [0, 5] is farthest from [0, 1]
+        rows = np.array([[0.0, 1.0], [0.0, 5.0], [1.0, 0.0]])
+        assert farthest_point_seeds(rows, 2).tolist() == [[0.0, 1.0], [0.0, 5.0]]
 
     def test_farthest_point_spreads(self):
-        X = np.array([[0.0], [0.1], [10.0]])
-        assert farthest_point_seeds(X, 2).tolist() == [[0.0], [10.0]]
+        rows = np.array([[0.0], [0.1], [10.0]])
+        assert farthest_point_seeds(rows, 2).tolist() == [[0.0], [10.0]]
 
     def test_farthest_point_tie_takes_smaller_row(self):
-        X = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-        assert farthest_point_seeds(X, 3).tolist() == [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]]
+        rows = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+        assert farthest_point_seeds(rows, 3).tolist() == [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]]
 
     def test_kmeans_separates_blobs(self):
         rng = np.random.default_rng(4)
         X = np.vstack([rng.normal(0, 0.05, (10, 2)), rng.normal(5, 0.05, (10, 2))])
-        labels = kmeans_assign(X, 2)
+        rows, node_of, counts = distinct(X)
+        labels = kmeans_assign(rows, counts, 2)[node_of]
         assert len(set(labels[:10].tolist())) == 1
         assert len(set(labels[10:].tolist())) == 1
         assert labels[0] != labels[10]
+
+    def test_counts_weigh_the_centroids(self):
+        # seeds 0 and 10, first labels [0, 0, 1, 1]; weighted, the centroids
+        # move to 3.6 and 9.6 and draw 6 over, unweighted to 2 and 8
+        rows = np.array([[0.0], [4.0], [6.0], [10.0]])
+        assert kmeans_assign(rows, np.array([1, 9, 1, 9]), 2).tolist() == [0, 0, 0, 1]
+        assert kmeans_assign(rows, np.array([1, 1, 1, 1]), 2).tolist() == [0, 0, 1, 1]
+
+
+def reference_kmeans(X, k):
+    """Lloyd on every request: farthest-first seeds over np.unique's sorted
+    distinct rows of X, then centroids as means over the requests."""
+    rows = np.unique(X, axis=0)
+    chosen = [0]
+    while len(chosen) < k:
+        dist = np.min([np.linalg.norm(rows - rows[c], axis=1) for c in chosen], axis=0)
+        chosen.append(int(np.argmax(dist)))
+    centroids = rows[chosen]
+    labels = np.zeros(len(X), dtype=int)
+    for it in range(refine.KMEANS_MAX_ITERS):
+        new_labels = np.argmin(((X[:, None, :] - centroids[None]) ** 2).sum(axis=2), axis=1)
+        if it > 0 and np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for c in range(k):
+            if (labels == c).any():
+                centroids[c] = X[labels == c].mean(axis=0)
+    return labels
 
 
 @settings(max_examples=200, deadline=None)
@@ -68,12 +110,16 @@ class TestSeedingAndKMeans:
                     elements=st.integers(0, 3).map(float)),
     data=st.data(),
 )
-def test_seed_rows_depend_only_on_the_set_of_rows(rows, data):
-    # any permutation of X, with any row repeated, gives the same seeds
+def test_weighted_lloyd_is_lloyd_on_every_request(rows, data):
+    # any permutation of X, with any row repeated: the labels of the distinct
+    # rows, weighted by their counts, are those of Lloyd over every request
     k = data.draw(st.integers(1, len(np.unique(rows, axis=0))))
     copies = data.draw(st.lists(st.integers(1, 3), min_size=len(rows), max_size=len(rows)))
     order = data.draw(st.permutations(np.repeat(np.arange(len(rows)), copies).tolist()))
-    assert np.array_equal(farthest_point_seeds(rows[order], k), farthest_point_seeds(rows, k))
+    X = rows[order]
+    distinct_rows, node_of, counts = distinct(X)
+    labels = kmeans_assign(distinct_rows, counts, k)[node_of]
+    assert np.array_equal(labels, reference_kmeans(X, k))
 
 
 def same_partition(a, b):
@@ -94,44 +140,36 @@ class TestWeightedRows:
             u = int(rng.integers(2, 6))
             base = rng.random((u, 4)) + 0.1 * (rng.random((u, 4)) < 0.5)
             X = base[rng.permutation(np.repeat(np.arange(u), rng.integers(2, 20, u)))]
-            distinct, node_of = _distinct_rows([tuple(row) for row in X])
-            graph = build_graph(distinct, 0.85)
+            rows, node_of, _ = distinct(X)
+            graph = build_graph(rows, 0.85)
             full = build_graph(X, 0.85)
             assert connected_components(graph).max() == connected_components(full).max()
             labels = connected_components(graph)[node_of]
             assert same_partition(labels, np.array(bfs_components(full)))
 
-    def test_distinct_rows_in_first_occurrence_order(self):
-        rows = [(2.0, 0.0), (1.0, 0.0), (2.0, 0.0), (0.0, 0.0), (1.0, 0.0)]
-        distinct, node_of = _distinct_rows(rows)
-        assert distinct.tolist() == [[2.0, 0.0], [1.0, 0.0], [0.0, 0.0]]
-        assert node_of.tolist() == [0, 1, 0, 2, 1]
-
-
-def unique_scaled_rows(X):
-    """Reference: distinct rows of the scaled matrix X by np.unique, in order
-    of first occurrence, and the row of each request."""
-    _, first, inverse = np.unique(X, axis=0, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return X[first[order]], rank[inverse.reshape(-1)]
+    def test_feature_rows_in_sorted_order(self):
+        # first occurrence would give (400, 6, 3), (0, 0, 0), (30, 1, 1)
+        bodies = [(400, 6, 3), (0, None, None), (400, 6, 3), (30, 1, 1), (0, None, None)]
+        group = group_from_urls([f"/api/v1/things/{i}" for i in range(5)], bodies=bodies)
+        rows, node_of = _feature_rows(group.members)
+        assert rows[:, 3].tolist() == [0.0, np.log1p(30), np.log1p(400)]
+        assert rows.tolist() == sorted(rows.tolist())
+        assert node_of.tolist() == [2, 0, 2, 1, 0]
 
 
 @settings(max_examples=60, deadline=None)
 @given(picks=st.lists(st.integers(0, 4), min_size=1, max_size=60), seed=st.integers(0, 2**16))
 def test_distinct_rows_match_unique_on_scaled_rows(picks, seed):
-    # feature rows of a mined group, deduplicated as tuples and scaled,
-    # against np.unique over the scaled n-row matrix
+    # feature rows of a mined group, deduplicated and scaled, against
+    # np.unique over the scaled n-row matrix
     rng = np.random.default_rng(seed)
     bodies = [(int(b), int(f), int(d)) for b, f, d in rng.integers(0, 3, (5, 3))]
     urls = [f"/api/v1/things/{i}{PROFILES[p][0]}" for i, p in enumerate(picks)]
     group = group_from_urls(urls, bodies=[bodies[p] for p in picks])
-    rows = [extract_features(nr) for nr in group.members]
-    distinct_raw, node_of = _distinct_rows(rows)
-    X = scale_features(np.array(rows))
-    expected, expected_node_of = unique_scaled_rows(X)
-    # scaling the distinct raw rows gives the distinct scaled rows
+    distinct_raw, node_of = _feature_rows(group.members)
+    X = scale_features(feature_matrix(group.members))
+    expected, expected_node_of, _ = distinct(X)
+    # scaling the distinct raw rows gives the distinct scaled rows, in order
     assert np.array_equal(scale_features(distinct_raw), expected)
     assert np.array_equal(scale_features(distinct_raw)[node_of], X)
     assert node_of.tolist() == expected_node_of.tolist()
@@ -160,7 +198,7 @@ def test_feature_rows_are_the_distinct_rows_of_every_request(inputs):
         for i, (method, query, content_type, size, fields, depth) in enumerate(inputs)
     ]
     distinct_raw, node_of = _feature_rows(members)
-    expected_raw, expected_node_of = _distinct_rows([extract_features(nr) for nr in members])
+    expected_raw, expected_node_of, _ = distinct(feature_matrix(members))
     assert np.array_equal(distinct_raw, expected_raw)
     assert distinct_raw.dtype == expected_raw.dtype
     assert node_of.tolist() == expected_node_of.tolist()
@@ -171,15 +209,15 @@ def test_refine_extracts_one_row_per_distinct_input(monkeypatch):
     group = group_from_urls([f"/api/v1/things/{i}" for i in range(6)], bodies=bodies)
     calls = []
 
-    def counting(nr):
-        calls.append(nr.record.id)
-        return extract_features(nr)
+    def counting(key):
+        calls.append(key)
+        return extract_features(key)
 
     monkeypatch.setattr(refine, "extract_features", counting)
     refine_group(group)
     assert len({row_input(nr) for nr in group.members}) == 3
-    # the first request of each distinct input, in order
-    assert calls == [0, 2, 5]
+    # each distinct input once, in order of first occurrence
+    assert calls == [row_input(group.members[i]) for i in (0, 2, 5)]
 
 
 def group_from_urls(urls, method="GET", bodies=None):
@@ -238,7 +276,7 @@ class TestRefineGroup:
         urls = [f"/api/v1/things/{i}" for i in range(5)]
         bodies = [(100, 5, 2), (150, 4, 2), (200, 3, 2), (250, 2, 2), (300, 1, 2)]
         group = group_from_urls(urls, method="POST", bodies=bodies)
-        X = scale_features(np.array([extract_features(nr) for nr in group.members]))
+        X = scale_features(feature_matrix(group.members))
         assert len(np.unique(X, axis=0)) == 5
         assert connected_components(build_graph(X, RefinerConfig().theta)).max() == 0
 
@@ -256,7 +294,7 @@ class TestRefineGroup:
         # different ids, one feature row: the group's answer is one cluster
         urls = [f"/api/v1/things/{i}?page={i}" for i in range(6)]
         group = group_from_urls(urls, method="PUT", bodies=[(80, 3, 1)] * 6)
-        assert len({extract_features(nr) for nr in group.members}) == 1
+        assert len(np.unique(feature_matrix(group.members), axis=0)) == 1
 
         def unreachable(*args):
             raise AssertionError("a one-row group was scaled or graphed")
@@ -273,7 +311,7 @@ class TestRefineGroup:
         urls = [f"/api/v1/things/{i}" for i in range(20)]
         bodies = [(80, 3, 1)] * 17 + [(900, 12, 4)] * 2 + [(0, None, None)]
         group = group_from_urls(urls, method="PUT", bodies=bodies)
-        assert len({extract_features(nr) for nr in group.members}) == 3
+        assert len(np.unique(feature_matrix(group.members), axis=0)) == 3
 
         def unreachable(*args):
             raise AssertionError("a group with a dominant row was refined")
@@ -338,7 +376,7 @@ def test_identical_feature_rows_share_a_cluster(picks, theta):
     group = group_from_urls(urls, method="POST", bodies=bodies)
     clusters = refine_group(group, RefinerConfig(theta=theta))
     cluster_of = {i: c for c, cl in enumerate(clusters) for i in cl.member_ids}
-    X = scale_features(np.vstack([extract_features(nr) for nr in group.members]))
+    X = scale_features(feature_matrix(group.members))
     for a, i in enumerate(group.member_ids):
         for b, j in enumerate(group.member_ids):
             if np.array_equal(X[a], X[b]):
@@ -363,15 +401,24 @@ def dominated_rows(draw):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), node_of=dominated_rows())
 def test_reabsorption_of_a_dominated_group_leaves_one_cluster(data, node_of):
-    # the lemma refine_group answers such groups by: labels constant on the
-    # copies of a row, any X, one label after reabsorption
-    node_of = np.array(node_of)
+    # the lemma refine_group answers such groups by: any label per row, any
+    # rows, one label after reabsorption
+    counts = np.bincount(node_of)
     n = len(node_of)
-    assert n - np.bincount(node_of).max() < min_cluster_size(n)
-    row_label = data.draw(hnp.arrays(int, int(node_of.max()) + 1, elements=st.integers(0, 7)))
-    X = data.draw(hnp.arrays(float, (n, 3), elements=st.floats(-1e6, 1e6)))
-    labels = _reabsorb_small(row_label[node_of], X, min_cluster_size(n))
+    assert n - counts.max() < min_cluster_size(n)
+    row_label = data.draw(hnp.arrays(int, len(counts), elements=st.integers(0, 7)))
+    rows = data.draw(hnp.arrays(float, (len(counts), 3), elements=st.floats(-1e6, 1e6)))
+    labels = _reabsorb_small(row_label, rows, counts, min_cluster_size(n))
     assert len(set(labels.tolist())) == 1
+
+
+def reabsorb_on_rows(labels, X, min_size):
+    """``_reabsorb_small`` on the distinct rows of X, given labels constant
+    on the copies of a row, with its labels read back per request."""
+    rows, node_of, counts = distinct(X)
+    row_label = np.zeros(len(rows), dtype=int)
+    row_label[node_of] = labels
+    return _reabsorb_small(row_label, rows, counts, min_size)[node_of]
 
 
 @pytest.mark.parametrize("a_first", [True, False])
@@ -382,7 +429,7 @@ def test_reabsorption_does_not_follow_label_numbers(a_first):
     X = np.array([[0.0]] * 20 + [[10.0]] * 20 + [[4.5]] * 8 + [[5.5]] * 3)
     a, b = (2, 3) if a_first else (3, 2)
     labels = np.array([0] * 20 + [1] * 20 + [a] * 8 + [b] * 3)
-    merged = _reabsorb_small(labels, X, 11)
+    merged = reabsorb_on_rows(labels, X, 11)
     # A joins P (label 0) and B joins Q (label 1)
     assert np.bincount(merged).tolist() == [28, 23]
     assert np.array_equal(merged, reference_reabsorb(labels, X, 11))
@@ -409,18 +456,18 @@ def reference_reabsorb(labels, X, min_size):
 
 def reference_refine(group, config):
     """refine_group with no shortcut: scaling over every request, the graph,
-    components by breadth-first search or k-means for any k, and
-    reabsorption on every group of three or more."""
+    components by breadth-first search or Lloyd over every request for any
+    k, and reabsorption over every request on every group of three or more."""
     members = group.members
     n = len(members)
     if n < 3:
         return [_cluster(group, members, PASSTHROUGH)]
-    X = scale_features(np.array([extract_features(nr) for nr in members]))
-    distinct, node_of = unique_scaled_rows(X)
-    graph = build_graph(distinct, config.theta)
+    X = scale_features(feature_matrix(members))
+    rows, node_of, _ = distinct(X)
+    graph = build_graph(rows, config.theta)
     if config.force_kmeans:
         k = min(len(set(bfs_components(graph))), MAX_K)
-        labels, provenance = kmeans_assign(X, k), KMEANS_ABLATION
+        labels, provenance = reference_kmeans(X, k), KMEANS_ABLATION
     else:
         labels, provenance = np.array(bfs_components(graph))[node_of], GRAPH_REFINED
     labels = reference_reabsorb(labels, X, min_cluster_size(n))
@@ -453,13 +500,25 @@ def test_refine_group_matches_full_path(picks, theta, force_kmeans):
     assert refine_group(group, config) == reference_refine(group, config)
 
 
+@settings(max_examples=80, deadline=None)
+@given(picks=PICKS, theta=st.sampled_from([0.6, 0.85, 0.95]), data=st.data())
+def test_refine_group_ignores_member_order(picks, theta, data):
+    # the same clusters, to the last field, under any order of the members
+    urls = [f"/api/v1/things/{i}{PROFILES[p][0]}" for i, p in enumerate(picks)]
+    group = group_from_urls(urls, method="POST", bodies=[PROFILES[p][1] for p in picks])
+    shuffled = TemplateGroup(group.template, data.draw(st.permutations(group.members)))
+    for force_kmeans in (False, True):
+        config = RefinerConfig(theta=theta, force_kmeans=force_kmeans)
+        assert refine_group(shuffled, config) == refine_group(group, config)
+
+
 def kmeans_ks(group, theta):
     """The k ``refine_group`` hands ``kmeans_assign`` under force_kmeans."""
     ks = []
 
-    def recording(X, k):
+    def recording(rows, counts, k):
         ks.append(k)
-        return kmeans_assign(X, k)
+        return kmeans_assign(rows, counts, k)
 
     with mock.patch.object(refine, "kmeans_assign", recording):
         refine_group(group, RefinerConfig(theta=theta, force_kmeans=True))
@@ -471,7 +530,7 @@ def test_kmeans_k_capped_at_max_k():
     # few distinct rows are joined, so the graph has more than MAX_K components
     bodies = [(2**i, i % 5, i % 3) for i in range(12)] * 2
     group = group_from_urls([f"/api/v1/things/{i}" for i in range(24)], bodies=bodies)
-    X = scale_features(np.array([extract_features(nr) for nr in group.members]))
+    X = scale_features(feature_matrix(group.members))
     assert len(set(bfs_components(build_graph(np.unique(X, axis=0), 0.9999)))) > MAX_K
     assert kmeans_ks(group, 0.9999) == [MAX_K]
 
@@ -484,7 +543,7 @@ def test_kmeans_k_over_distinct_rows_is_k_over_every_request(picks, theta):
     ks = kmeans_ks(group, theta)
     # a group with a dominant row is one cluster without k-means
     assume(ks)
-    X = scale_features(np.array([extract_features(nr) for nr in group.members]))
+    X = scale_features(feature_matrix(group.members))
     zero = np.linalg.norm(X, axis=1) == 0
     # the components of the graph over every request, where each copy of the
     # zero row is one, with those copies counted once, as one distinct row
