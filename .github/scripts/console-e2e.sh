@@ -18,7 +18,9 @@
 # corpus alone) as with none, and gives the same partition for the capture's
 # lines shuffled, on the graph path and under --force-kmeans; so does a
 # capture whose one level holds more than MAX_CHILDREN tokens, some of them
-# repeated, which collapses to its wildcard.
+# repeated, which collapses to its wildcard; a capture that json.dumps wrote
+# with ensure_ascii=False, a raw U+2028 in each label and a raw U+0085 in each
+# url, is ingested to the bytes the writer gives in process and discovered.
 #
 # Usage: bash .github/scripts/console-e2e.sh DIR   (needs `apiminer` on PATH)
 set -e
@@ -72,6 +74,20 @@ collapse = Dataset([
     for i, t in enumerate(tokens + tokens[::5] + tokens[::7])
 ])
 write_shuffled("collapse", write_dataset(collapse).splitlines(True), 7)
+breaks = Dataset([
+    HttpRecord(i, "GET", f"/api/v1/items\x85/{i}", content_type="application/json",
+               label=f"EP\u2028{i % 2}")
+    for i in range(12)
+])
+with open("expected-breaks.jsonl", "w", encoding="utf-8") as out:
+    out.write(write_dataset(breaks))
+text = "".join(
+    json.dumps(json.loads(line), ensure_ascii=False) + "\n"
+    for line in write_dataset(breaks).splitlines()
+)
+assert "\u2028" in text and "\x85" in text
+with open("breaks.jsonl", "w", encoding="utf-8") as out:
+    out.write(text)
 os.mkdir("spaced")
 with open("capture.jsonl", encoding="utf-8") as src:
     with open("spaced/capture.jsonl", "w", encoding="utf-8") as out:
@@ -87,6 +103,9 @@ for name in clusters.json normalized.tsv templates.tsv report.json; do
 done
 apiminer ingest --in spaced/capture.jsonl --out ingested.jsonl
 cmp ingested.jsonl capture.jsonl
+apiminer ingest --in breaks.jsonl --out breaks-ingested.jsonl
+cmp breaks-ingested.jsonl expected-breaks.jsonl
+apiminer discover --in breaks.jsonl --out breaks-clusters.json
 apiminer noise --in capture.jsonl --kind interfere --ratio 0.95 --seed 1 --out interfere.jsonl
 cmp interfere.jsonl expected-interfere.jsonl
 apiminer noise --in capture.jsonl --kind lexify --ratio 0.5 --seed 3 --out lexify.jsonl

@@ -264,16 +264,13 @@ RULE_REGISTRY = tuple(
 def _record(record: HttpRecord, rid: int, url: str) -> HttpRecord:
     """``record`` with the given id and URL, every other field shared.
 
-    The fields of an ``HttpRecord`` already passed its checks, which would
-    return them unchanged, so its tuple is built directly; a record of any
-    other type goes through the constructor.
+    A record's fields already passed the constructor's checks, which would
+    return them unchanged, so the tuple is built directly.
     """
     _, method, _, headers, content_type, body_size, fields, depth, label = record
-    if type(record) is HttpRecord:
-        return _new_tuple(
-            HttpRecord, (rid, method, url, headers, content_type, body_size, fields, depth, label)
-        )
-    return HttpRecord(rid, method, url, headers, content_type, body_size, fields, depth, label)
+    return _new_tuple(
+        HttpRecord, (rid, method, url, headers, content_type, body_size, fields, depth, label)
+    )
 
 
 def lexify(record: HttpRecord, rule: NoiseRule, rng: np.random.Generator) -> tuple[HttpRecord, bool]:

@@ -72,16 +72,21 @@ def _plain_path_start(url: str) -> int | None:
     return origin.end() if origin else None
 
 
+# a '://' before the query and the fragment
+_AUTHORITY = re.compile(r"[^?#]*://")
+
+
 def path_start(url: str) -> int | None:
     """Where the path begins in a URL that ``split_url`` cuts by hand at its
     first '#' and '?', else None.
 
     Those are the URLs ``_plain_path_start`` accepts, and a schemeless '//…'
-    URL, whose leading slashes are slash noise on a relative path rather than
-    a network-path reference with an authority component.
+    URL with no '://' before its first '?' or '#', whose leading slashes are
+    slash noise on a relative path rather than a network-path reference with
+    an authority component.
     """
     start = _plain_path_start(url)
-    if start is None and url.startswith("//") and "://" not in url.split("?", 1)[0]:
+    if start is None and url.startswith("//") and not _AUTHORITY.match(url):
         return 0
     return start
 

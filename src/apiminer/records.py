@@ -84,14 +84,41 @@ class _RecordFields(NamedTuple):
 _new_tuple = tuple.__new__
 
 
+def _record_error(rid, name: str, expected: str, value) -> IngestError:
+    return IngestError(f"record {rid}: {name} must be {expected}, got {value!r}")
+
+
+_NONE = type(None)
+_HEADER_PAIRS = "a list of [name, value] string pairs"
+_HEADER_TUPLES = "a tuple or list of (name, value) string pairs"
+# Each field's name, the exact types it may hold (those ``parse_jsonl``
+# reads back) and their wording in an error.
+_FIELD_TYPES = (
+    ("id", (int,), "an integer"),
+    ("method", (str,), "a string"),
+    ("url", (str,), "a string"),
+    ("headers", (tuple, list), _HEADER_TUPLES),
+    ("content_type", (str, _NONE), "a string or None"),
+    ("body_size", (int,), "an integer"),
+    ("body_field_count", (int, _NONE), "an integer or None"),
+    ("body_nesting_depth", (int, _NONE), "an integer or None"),
+    ("label", (str, _NONE), "a string or None"),
+)
+
+
 class HttpRecord(_RecordFields):
     """One captured request, immutable once built.
 
     Every way of making one (the constructor, ``_make``, ``_replace``,
-    unpickling) goes through ``__new__``, which upper-cases the method,
-    checks that each count fits 64 bits, clamps a negative body size to 0
-    and clears the structure counts of an empty body.  Headers given as a
-    list are stored as a tuple of pairs.
+    unpickling) goes through ``__new__``.  It takes exactly the types that
+    ``parse_jsonl`` reads back: an ``int`` id and body size (not a bool or
+    any other subclass), ``str`` method and url, a ``str`` or None content
+    type and label, an ``int`` or None for each structure count, and headers
+    as a tuple or list of two-item (str, str) pairs.  Any other value raises
+    ``IngestError`` naming the record and the field.  It then upper-cases
+    the method, stores the headers as a tuple of tuples, checks that each
+    count fits 64 bits, clamps a negative body size to 0 and clears the
+    structure counts of an empty body.
     """
 
     __slots__ = ()
@@ -108,16 +135,24 @@ class HttpRecord(_RecordFields):
         body_nesting_depth: int | None = None,
         label: str | None = None,
     ):
+        values = (id, method, url, headers, content_type, body_size,
+                  body_field_count, body_nesting_depth, label)
+        for (name, types, expected), value in zip(_FIELD_TYPES, values):
+            if type(value) not in types:
+                raise _record_error(id, name, expected, value)
+        for pair in headers:
+            if type(pair) not in (tuple, list) or list(map(type, pair)) != [str, str]:
+                raise _record_error(id, "headers", _HEADER_TUPLES, headers)
+        if type(headers) is not tuple or not all(type(pair) is tuple for pair in headers):
+            headers = tuple(map(tuple, headers))
         upper = method.upper()
         if upper != method:
             # an upper-case method keeps its object, which a capture may share
             method = upper
-        if type(headers) is not tuple:
-            headers = tuple(tuple(h) for h in headers)
         counts = _held_counts(body_size, body_field_count, body_nesting_depth)
         if counts is None:
             name, value = _count_out_of_range(body_size, body_field_count, body_nesting_depth)
-            raise IngestError(f"record {id}: {name} must be a 64-bit integer, got {value!r}")
+            raise _record_error(id, name, "a 64-bit integer", value)
         body_size, fields, depth = counts
         return _new_tuple(
             cls, (id, method, url, headers, content_type, body_size, fields, depth, label)
@@ -287,9 +322,6 @@ def parse_har(data: bytes) -> Dataset:
     return Dataset(records=records, source="har", skipped=skipped)
 
 
-_HEADER_PAIRS = "a list of [name, value] string pairs"
-
-
 def _field_error(lineno: int, name: str, expected: str, value) -> IngestError:
     return IngestError(
         f"malformed JSONL object at line {lineno}: {name} must be {expected}, got {value!r}"
@@ -329,16 +361,25 @@ _LINE_BLOCK = 1 << 16
 
 
 def _lines(text: str, block: int = _LINE_BLOCK):
-    """The lines of ``text.splitlines()``, split a block at a time so that
-    no list of every line is held at once.
+    """The lines of ``text``, ended by '\n', '\r\n' or '\r' (where JSON Lines
+    ends a line), split a block at a time so that no list of every line is
+    held at once.
 
-    Each block ends just past a '\n', where ``splitlines`` ends a line too,
-    so the blocks' lines are the text's lines.
+    ``str.splitlines`` would also break at characters that a JSON string may
+    hold unescaped, such as U+2028.  Each block ends just past a '\n', so no
+    '\r\n' straddles two blocks and the blocks' lines are the text's lines.
     """
     start = 0
     while start < len(text):
         end = text.find("\n", start + block) + 1 or len(text)
-        yield from text[start:end].splitlines()
+        chunk = text[start:end]
+        if "\r" in chunk:
+            chunk = chunk.replace("\r\n", "\n").replace("\r", "\n")
+        lines = chunk.split("\n")
+        if not lines[-1]:
+            # the chunk's last line ended it
+            lines.pop()
+        yield from lines
         start = end
 
 
@@ -540,82 +581,34 @@ def read_labels(text: str) -> tuple[dict[int, str], int]:
     return ground_truth, requests
 
 
-_ENCODE_LINE = json.JSONEncoder(separators=(",", ":")).encode
-
-
-def _line_object(record) -> dict:
-    """A record's line as the dict ``_ENCODE_LINE`` writes: keys in a fixed
-    order, each optional field only when it is not None."""
-    rid, method, url, headers, content_type, body_size, fields, depth, label = record
-    out = {"id": rid, "method": method, "url": url, "headers": [list(h) for h in headers]}
-    if content_type is not None:
-        out["content_type"] = content_type
-    out["body_size"] = body_size
-    if fields is not None:
-        out["body_field_count"] = fields
-    if depth is not None:
-        out["body_nesting_depth"] = depth
-    if label is not None:
-        out["label"] = label
-    return out
-
-
-def _header_text(headers) -> str | None:
-    """The JSON text of a tuple of (str, str) pairs, or None for any other
-    headers value."""
-    if type(headers) is not tuple:
-        return None
-    parts = []
-    for pair in headers:
-        if type(pair) is not tuple or len(pair) != 2:
-            return None
-        name, value = pair
-        if type(name) is not str or type(value) is not str:
-            return None
-        parts.append("[" + _string(name) + "," + _string(value) + "]")
-    return "[" + ",".join(parts) + "]"
+def _header_text(headers: tuple[tuple[str, str], ...]) -> str:
+    """The JSON text of a record's headers."""
+    pairs = ["[" + _string(name) + "," + _string(value) + "]" for name, value in headers]
+    return "[" + ",".join(pairs) + "]"
 
 
 def write_dataset(dataset: Dataset) -> str:
     """Emit the canonical JSONL form, each line ended by a newline.
 
     Fields go in a fixed order; id, method, url, headers and body_size are
-    always written, the other fields only when they are not None.  The
-    ``.records`` of records with ids 0..n-1 and no lone surrogate read back
-    equal through ``parse_jsonl``; a lone surrogate is written as its escape,
-    which ``parse_jsonl`` rejects.
-
-    A record whose ints and strings are exactly ``int`` and ``str`` and
-    whose headers are a tuple of (str, str) pairs, as a checked or parsed
-    record holds them, is laid out here; any other is written by the JSON
-    encoder.  Both give the encoder's text.
+    always written, the other fields only when they are not None.  Each
+    line is laid out here, in the key order and bytes of the JSON encoder
+    with separators (",", ":"): strings through the ASCII string escaper,
+    ints through ``str``, and each distinct header tuple's text made once
+    per call.  The ``.records`` of records with ids 0..n-1 and no lone
+    surrogate read back equal through ``parse_jsonl``; a lone surrogate is
+    written as its escape, which ``parse_jsonl`` rejects.
     """
     lines = []
     append = lines.append
     string = _string
-    # by id: a header value may be unhashable, and the records keep each
-    # headers object alive for the call
-    header_texts: dict[int, str | None] = {}
+    # by id: the records keep each headers object alive for the call
+    header_texts: dict[int, str] = {}
     for record in dataset.records:
         rid, method, url, headers, content_type, body_size, fields, depth, label = record
-        key = id(headers)
-        if key in header_texts:
-            head = header_texts[key]
-        else:
-            head = header_texts[key] = _header_text(headers)
-        if (
-            head is None
-            or type(rid) is not int
-            or type(method) is not str
-            or type(url) is not str
-            or type(body_size) is not int
-            or (content_type is not None and type(content_type) is not str)
-            or (fields is not None and type(fields) is not int)
-            or (depth is not None and type(depth) is not int)
-            or (label is not None and type(label) is not str)
-        ):
-            append(_ENCODE_LINE(_line_object(record)))
-            continue
+        head = header_texts.get(id(headers))
+        if head is None:
+            head = header_texts[id(headers)] = _header_text(headers)
         line = '{"id":' + str(rid) + ',"method":' + string(method) + ',"url":' + string(url)
         line += ',"headers":' + head
         if content_type is not None:

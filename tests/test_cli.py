@@ -17,6 +17,7 @@ from apiminer.records import (
     _CANONICAL_LINE, Dataset, HttpRecord, IngestError, parse_har, parse_jsonl, read_labels,
     write_dataset,
 )
+from test_records import jsonl_lines
 
 
 @pytest.fixture
@@ -587,7 +588,8 @@ def padded(lines):
 
 
 # text with what a JSON string escapes (quotes, backslashes, control
-# characters, U+2028, which also ends a line) and text past ASCII
+# characters, U+2028, which str.splitlines takes for a line end) and text
+# past ASCII
 WRITTEN_TEXT = st.text(
     alphabet=st.sampled_from('a/_"\\\x00\t\x1f\x7f\u00e9\u2028\U0001f600') | st.characters(),
     max_size=6,
@@ -665,7 +667,7 @@ def respaced(text: str) -> str:
     """``text`` with each line that json.loads reads written again by
     json.dumps, which puts a space after each colon and comma."""
     lines = []
-    for line in text.splitlines():
+    for line in jsonl_lines(text):
         try:
             lines.append(json.dumps(json.loads(line)))
         except (ValueError, RecursionError):
@@ -816,7 +818,7 @@ class TestInputFuzz:
         # of the lines the readers split a text into, one that the pattern
         # matches holds in its groups each field of the request that the
         # checked path reads from the line re-spaced, which it never matches
-        for line in text.splitlines():
+        for line in jsonl_lines(text):
             match = _CANONICAL_LINE.fullmatch(line)
             if match is None:
                 continue
@@ -853,7 +855,7 @@ class TestInputFuzz:
         # the text twice over, so that each value repeats
         text = f"{text}\n{text}"
         spaced = respaced(text)
-        assert not any(_CANONICAL_LINE.fullmatch(line) for line in spaced.splitlines())
+        assert not any(_CANONICAL_LINE.fullmatch(line) for line in jsonl_lines(spaced))
         try:
             dataset = parse_jsonl(text)
         except IngestError as exc:

@@ -82,6 +82,11 @@ class TestSplitUrl:
         assert split_url(rec("//api/v1/users/12?x=1#f")) == ("//api/v1/users/12", "x=1")
         assert split_url(rec("//h/p?next=http://x")) == ("//h/p", "next=http://x")
 
+    def test_a_fragment_does_not_change_how_a_schemeless_url_reads(self):
+        assert split_url(rec("//api/v1/users#x://y")) == ("//api/v1/users", "")
+        assert normalize(rec("//api/v1/users#x://y")).segments == ["api", "v1", "users"]
+        assert normalize(rec("//api/v1/users")).segments == ["api", "v1", "users"]
+
     def test_normalize_reads_a_given_split(self):
         record = rec("http://h/api/Users/12?id=1")
         assert normalize(record, split_url(record)) == normalize(record)
@@ -99,7 +104,7 @@ class TestSplitUrl:
     # '//' then a scheme: not the schemeless branch, and not a relative path
     @example("//http://")
     def test_split_is_urlsplits(self, url):
-        assume(not (url.startswith("//") and "://" not in url.split("?", 1)[0]))
+        assume(not (url.startswith("//") and not re.match(r"[^?#]*://", url)))
         try:
             parts = urlsplit(url)
         except ValueError:
