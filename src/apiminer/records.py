@@ -89,10 +89,9 @@ def _record_error(rid, name: str, expected: str, value) -> IngestError:
 
 
 _NONE = type(None)
-_HEADER_PAIRS = "a list of [name, value] string pairs"
 _HEADER_TUPLES = "a tuple or list of (name, value) string pairs"
-# Each field's name, the exact types it may hold (those ``parse_jsonl``
-# reads back) and their wording in an error.
+# Each field's name, the exact types it may hold (those a parsed record
+# holds) and their wording in an error.
 _FIELD_TYPES = (
     ("id", (int,), "an integer"),
     ("method", (str,), "a string"),
@@ -111,7 +110,7 @@ class HttpRecord(_RecordFields):
 
     Every way of making one (the constructor, ``_make``, ``_replace``,
     unpickling) goes through ``__new__``.  It takes exactly the types that
-    ``parse_jsonl`` reads back: an ``int`` id and body size (not a bool or
+    a parsed record holds: an ``int`` id and body size (not a bool or
     any other subclass), ``str`` method and url, a ``str`` or None content
     type and label, an ``int`` or None for each structure count, and headers
     as a tuple or list of two-item (str, str) pairs.  Any other value raises
@@ -140,10 +139,12 @@ class HttpRecord(_RecordFields):
         for (name, types, expected), value in zip(_FIELD_TYPES, values):
             if type(value) not in types:
                 raise _record_error(id, name, expected, value)
+        rebuild = type(headers) is not tuple
         for pair in headers:
             if type(pair) not in (tuple, list) or list(map(type, pair)) != [str, str]:
                 raise _record_error(id, "headers", _HEADER_TUPLES, headers)
-        if type(headers) is not tuple or not all(type(pair) is tuple for pair in headers):
+            rebuild = rebuild or type(pair) is not tuple
+        if rebuild:
             headers = tuple(map(tuple, headers))
         upper = method.upper()
         if upper != method:
@@ -322,6 +323,9 @@ def parse_har(data: bytes) -> Dataset:
     return Dataset(records=records, source="har", skipped=skipped)
 
 
+_HEADER_PAIRS = "a list of [name, value] string pairs"
+
+
 def _field_error(lineno: int, name: str, expected: str, value) -> IngestError:
     return IngestError(
         f"malformed JSONL object at line {lineno}: {name} must be {expected}, got {value!r}"
@@ -372,14 +376,8 @@ def _lines(text: str, block: int = _LINE_BLOCK):
     start = 0
     while start < len(text):
         end = text.find("\n", start + block) + 1 or len(text)
-        chunk = text[start:end]
-        if "\r" in chunk:
-            chunk = chunk.replace("\r\n", "\n").replace("\r", "\n")
-        lines = chunk.split("\n")
-        if not lines[-1]:
-            # the chunk's last line ended it
-            lines.pop()
-        yield from lines
+        chunk = text[start:end].replace("\r\n", "\n").replace("\r", "\n")
+        yield from chunk.removesuffix("\n").split("\n")
         start = end
 
 

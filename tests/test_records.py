@@ -368,12 +368,34 @@ WRITER_TEXT = st.text(
 # the default filter lets lone surrogates through
 SURROGATE_FREE_TEXT = st.text(st.sampled_from('"\\\x00\x1f\x7f\xe9\u2028\U0001f600/a') | st.characters(codec="utf-8"))
 COUNTS = st.integers(-(2**63 - 1), 2**63 - 1)
-# values of the types the constructor takes, and of others next to them
+# each field of a record, of the types the constructor takes
+RECORD_FIELDS = dict(
+    id=st.just(0),
+    method=st.sampled_from(["GET", "post"]) | SURROGATE_FREE_TEXT,
+    url=SURROGATE_FREE_TEXT,
+    headers=st.lists(st.tuples(SURROGATE_FREE_TEXT, SURROGATE_FREE_TEXT), max_size=2).map(tuple),
+    content_type=st.none() | SURROGATE_FREE_TEXT,
+    body_size=COUNTS,
+    body_field_count=st.none() | COUNTS,
+    body_nesting_depth=st.none() | COUNTS,
+    label=st.none() | SURROGATE_FREE_TEXT,
+)
+# values of other types, and of types next to the constructor's
 OTHER_VALUES = st.sampled_from([None, True, False, 1.5, 2.0, Count.TWO, Text("t"), b"x", ["x"]])
 LOOSE_TEXT = SURROGATE_FREE_TEXT | OTHER_VALUES
-LOOSE_INT = COUNTS | OTHER_VALUES
-LOOSE_PAIR = st.tuples(LOOSE_TEXT, LOOSE_TEXT) | st.lists(LOOSE_TEXT, max_size=3)
-LOOSE_HEADERS = st.lists(LOOSE_PAIR, max_size=2) | st.lists(LOOSE_PAIR, max_size=2).map(tuple) | OTHER_VALUES
+LOOSE_HEADERS = st.lists(st.tuples(LOOSE_TEXT, LOOSE_TEXT) | st.lists(LOOSE_TEXT, max_size=3), max_size=2)
+
+
+@st.composite
+def loose_fields(draw):
+    """A record's fields of the constructor's types, but for at most one,
+    whose name is returned with them and whose value is of another type or
+    next to its own."""
+    fields = draw(st.fixed_dictionaries(RECORD_FIELDS))
+    name = draw(st.sampled_from([None, *fields]))
+    if name is not None:
+        fields[name] = draw(OTHER_VALUES | LOOSE_HEADERS.map(tuple) if name == "headers" else OTHER_VALUES)
+    return name, fields
 
 
 class TestRoundTrip:
@@ -397,24 +419,25 @@ class TestRoundTrip:
     def test_empty_dataset_serializes_to_empty_string(self):
         assert write_dataset(Dataset()) == ""
 
-    @given(st.lists(st.tuples(
-        LOOSE_INT, st.sampled_from(["GET", "post"]) | LOOSE_TEXT, LOOSE_TEXT, LOOSE_HEADERS,
-        st.none() | LOOSE_TEXT, LOOSE_INT, st.none() | LOOSE_INT, st.none() | LOOSE_INT,
-        st.none() | LOOSE_TEXT,
-    ), max_size=4))
-    def test_records_round_trip_for_dense_ids_without_lone_surrogates(self, drawn):
-        # every record the constructor takes, of values of its types or others
-        records = []
-        for fields in drawn:
-            try:
-                record = HttpRecord(*fields)
-            except IngestError:
-                continue
-            records.append(record._replace(id=len(records)))
+    @given(st.lists(st.builds(HttpRecord, **RECORD_FIELDS), max_size=4))
+    def test_records_round_trip_for_dense_ids_without_lone_surrogates(self, records):
+        records = [r._replace(id=i) for i, r in enumerate(records)]
         again = parse_jsonl(write_dataset(Dataset(records, source="built")))
         assert again.records == records
         assert [list(map(type, r)) for r in again.records] == [list(map(type, r)) for r in records]
         assert again.source == "jsonl"
+
+    @given(loose_fields())
+    def test_a_record_of_loose_fields_is_refused_or_round_trips(self, drawn):
+        name, fields = drawn
+        try:
+            record = HttpRecord(**fields)
+        except IngestError as exc:
+            assert name is not None and f"record {fields['id']}: {name} must be " in str(exc)
+            return
+        again = parse_jsonl(write_dataset(Dataset([record])))
+        assert again.records == [record]
+        assert list(map(type, again.records[0])) == list(map(type, record))
 
     def test_ids_are_renumbered_from_zero(self):
         records = [HttpRecord(5, "GET", "/a"), HttpRecord(9, "GET", "/b")]
