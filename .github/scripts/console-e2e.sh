@@ -3,7 +3,9 @@
 # argument: discover and evaluate as separate processes on a small labeled
 # capture of 72 requests; both write the same outputs for the capture
 # re-spaced by json.dumps (read line by line, not by the canonical-line
-# pattern); ingest writes the re-spaced capture back to the canonical bytes;
+# pattern), for the capture with each line ended by '\r' alone, and for its
+# canonical and re-spaced lines interleaved; ingest writes each of the three
+# back to the canonical bytes;
 # noise writes the bytes the writer gives for the same injection in process,
 # also at Lexify ratio 1 on URLs that take each way the noise lab splits and
 # rebuilds a URL (relative, a '//' path, an upper-case scheme, userinfo and a
@@ -88,21 +90,30 @@ text = "".join(
 assert "\u2028" in text and "\x85" in text
 with open("breaks.jsonl", "w", encoding="utf-8") as out:
     out.write(text)
-os.mkdir("spaced")
 with open("capture.jsonl", encoding="utf-8") as src:
-    with open("spaced/capture.jsonl", "w", encoding="utf-8") as out:
-        out.writelines(json.dumps(json.loads(line)) + "\n" for line in src)
+    canonical = src.read().splitlines()
+forms = {
+    "spaced": [json.dumps(json.loads(line)) + "\n" for line in canonical],
+    "cr": [line + "\r" for line in canonical],
+    "mixed": [(json.dumps(json.loads(line)) if i % 2 else line) + "\n" for i, line in enumerate(canonical)],
+}
+for form, lines in forms.items():
+    os.mkdir(form)
+    with open(f"{form}/capture.jsonl", "w", encoding="utf-8", newline="") as out:
+        out.writelines(lines)
 PY
 dumps="--dump-normalized normalized.tsv --dump-templates templates.tsv"
 apiminer discover --in capture.jsonl --out clusters.json $dumps
 apiminer evaluate --in capture.jsonl --clusters clusters.json --out report.json
-(cd spaced && apiminer discover --in capture.jsonl --out clusters.json $dumps &&
-  apiminer evaluate --in capture.jsonl --clusters clusters.json --out report.json)
-for name in clusters.json normalized.tsv templates.tsv report.json; do
-  cmp "$name" "spaced/$name"
+for form in spaced cr mixed; do
+  (cd "$form" && apiminer discover --in capture.jsonl --out clusters.json $dumps &&
+    apiminer evaluate --in capture.jsonl --clusters clusters.json --out report.json)
+  for name in clusters.json normalized.tsv templates.tsv report.json; do
+    cmp "$name" "$form/$name"
+  done
+  apiminer ingest --in "$form/capture.jsonl" --out "$form/ingested.jsonl"
+  cmp "$form/ingested.jsonl" capture.jsonl
 done
-apiminer ingest --in spaced/capture.jsonl --out ingested.jsonl
-cmp ingested.jsonl capture.jsonl
 apiminer ingest --in breaks.jsonl --out breaks-ingested.jsonl
 cmp breaks-ingested.jsonl expected-breaks.jsonl
 apiminer discover --in breaks.jsonl --out breaks-clusters.json

@@ -140,7 +140,8 @@ def _load_clusters(path: str) -> list[EndpointCluster]:
         method = _cluster_field(entry, index, "method", "a string", _is_str)
         member_ids = _cluster_field(
             entry, index, "member_ids", "a list of integers",
-            lambda v: isinstance(v, list) and all(_is_int(i) for i in v),
+            # no bool, as _is_int, and no Python call per id
+            lambda v: isinstance(v, list) and all(type(i) is int for i in v),
         )
         paths = _cluster_field(
             entry, index, "representative_paths", "a list of strings",

@@ -147,6 +147,11 @@ def filter_traffic(
     with the ``split_url`` the filter read, so a caller can normalize the
     record without splitting its URL again.  A record is dropped by the
     gate when its ``sanity_score`` is below ``tau``.
+
+    A record's method, URL and content type fix both the rule cascade and
+    the gate, so a record with the same three as one this call dropped is
+    dropped for the same reason without its URL being split again.  Kept
+    records are not remembered: their URLs seldom repeat.
     """
     if not (0.0 < tau < 1.0):
         raise ValueError(f"tau must be in (0,1), got {tau}")
@@ -159,7 +164,14 @@ def filter_traffic(
     keeps_any_segment = min(LOGISTIC_WEIGHTS[1:]) >= 0 and not (
         _sigmoid_score(LOGISTIC_WEIGHTS, (1.0, 0.0, 1.0, 0.0, 0.0, 0.0)) < tau
     )
+    # (method, url, content_type) of each record dropped so far, to its reason
+    drops: dict[tuple[str, str, str | None], str] = {}
     for record in dataset.records:
+        key = (record.method, record.url, record.content_type)
+        reason = drops.get(key)
+        if reason is not None:
+            outcome.dropped.append((record.id, reason))
+            continue
         path, query = split_url(record)
         reason = rule_signal(record, path)
         if (
@@ -173,5 +185,6 @@ def filter_traffic(
             if on_kept is not None:
                 on_kept(record, (path, query))
         else:
+            drops[key] = reason
             outcome.dropped.append((record.id, reason))
     return outcome

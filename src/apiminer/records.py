@@ -332,17 +332,6 @@ def _field_error(lineno: int, name: str, expected: str, value) -> IngestError:
     )
 
 
-def _as_int(lineno: int, name: str, value) -> int | None:
-    """A JSONL count field that is not a plain int: None, a convertible value,
-    or an error.  ``HttpRecord`` checks that the number fits."""
-    if value is None:
-        return None
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise _field_error(lineno, name, "an integer", value) from None
-
-
 # The scanner json.loads runs once it has stripped the line and checked for a
 # BOM; a line it reads whole is decoded to the same object.
 _SCAN = json.scanner.make_scanner(json.decoder.JSONDecoder())
@@ -358,27 +347,6 @@ def _loads(line: str):
         pass
     # padding, a BOM, trailing data or an error: json.loads says which
     return json.loads(line)
-
-
-# Characters of text split into lines at a time; see ``_lines``.
-_LINE_BLOCK = 1 << 16
-
-
-def _lines(text: str, block: int = _LINE_BLOCK):
-    """The lines of ``text``, ended by '\n', '\r\n' or '\r' (where JSON Lines
-    ends a line), split a block at a time so that no list of every line is
-    held at once.
-
-    ``str.splitlines`` would also break at characters that a JSON string may
-    hold unescaped, such as U+2028.  Each block ends just past a '\n', so no
-    '\r\n' straddles two blocks and the blocks' lines are the text's lines.
-    """
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + block) + 1 or len(text)
-        chunk = text[start:end].replace("\r\n", "\n").replace("\r", "\n")
-        yield from chunk.removesuffix("\n").split("\n")
-        start = end
 
 
 # The text inside the quotes of a JSON string as ``write_dataset`` writes
@@ -411,6 +379,11 @@ _CANONICAL_LINE = re.compile(
     rf'(?:,"body_nesting_depth":(?P<body_nesting_depth>{_COUNT})|)'
     rf'(?:,"label":"(?P<label>{_PLAIN}*)"|)\}}'
 )
+# ``_CANONICAL_LINE`` at a line's start in the text, through the line's end
+# where JSON Lines ends a line: '\r\n', '\r', '\n' or the end of the text.
+# No part of the line's pattern matches '\r' or '\n', so this matches where
+# ``_CANONICAL_LINE`` matches the whole line.
+_CANONICAL_AT = re.compile(_CANONICAL_LINE.pattern + r"(?:\r\n|\r|\n|\Z)")
 
 
 def _unescape(text: str) -> str:
@@ -429,14 +402,42 @@ def _jsonl_requests(text: str, shared: dict, methods: dict):
     checked fields share one object per distinct value through ``shared``
     (each method, content type, label, header pair and header list) and
     ``methods`` (each method as given, to its upper-case form in ``shared``).
+
+    Lines end where JSON Lines ends them, at '\n', '\r\n' or '\r' (not at
+    every break ``str.splitlines`` knows, some of which a JSON string may
+    hold unescaped).  The pattern is matched at each line's offset in the
+    text, so a matched line makes no string of its own; the end of any other
+    line is found with ``str.find``, each '\n' and '\r' once.
     """
     share = shared.setdefault
-    canonical = _CANONICAL_LINE.fullmatch
-    for lineno, line in enumerate(_lines(text), start=1):
-        match = canonical(line)
+    canonical = _CANONICAL_AT.match
+    find = text.find
+    size = len(text)
+    pos = lineno = 0
+    # the first '\n' and the first '\r' at or past some earlier line start,
+    # or ``size`` if there is none; each is looked for again once passed
+    newline = carriage = -1
+    while pos < size:
+        lineno += 1
+        match = canonical(text, pos)
         if match is not None:
+            pos = match.end()
             yield match
             continue
+        if newline < pos:
+            newline = find("\n", pos)
+            if newline < 0:
+                newline = size
+        if carriage < pos:
+            carriage = find("\r", pos)
+            if carriage < 0:
+                carriage = size
+        if carriage < newline:
+            line = text[pos:carriage]
+            pos = carriage + 2 if newline == carriage + 1 else carriage + 1
+        else:
+            line = text[pos:newline]
+            pos = newline + 1
         if not line.strip():
             continue
         try:
@@ -486,15 +487,18 @@ def _jsonl_requests(text: str, shared: dict, methods: dict):
             ))
             if name is not None:
                 raise _field_error(lineno, name, _NO_SURROGATE, obj[name])
+        # a count is a JSON integer (not a bool, a float or a string) or null
         body_size = obj.get("body_size")
         if type(body_size) is not int:
-            body_size = _as_int(lineno, "body_size", body_size) or 0
+            if body_size is not None:
+                raise _field_error(lineno, "body_size", "an integer", body_size)
+            body_size = 0
         field_count = obj.get("body_field_count")
         if type(field_count) is not int and field_count is not None:
-            field_count = _as_int(lineno, "body_field_count", field_count)
+            raise _field_error(lineno, "body_field_count", "an integer", field_count)
         nesting = obj.get("body_nesting_depth")
         if type(nesting) is not int and nesting is not None:
-            nesting = _as_int(lineno, "body_nesting_depth", nesting)
+            raise _field_error(lineno, "body_nesting_depth", "an integer", nesting)
         counts = _held_counts(body_size, field_count, nesting)
         if counts is None:
             name, _ = _count_out_of_range(body_size, field_count, nesting)

@@ -19,7 +19,8 @@ rows and their counts, not on the order of its requests.
 
 A group whose requests off its most common feature row are too few to form
 a cluster of their own is one cluster, with no scaling and no graph, under
-either path.
+either path; a group whose requests share one ``row_input`` is one cluster
+before any feature row is made.
 """
 
 from __future__ import annotations
@@ -133,13 +134,12 @@ def _reabsorb_small(
         labels[labels == target_c] = dest
 
 
-def _feature_rows(members: list[NormalizedRequest]) -> tuple[np.ndarray, np.ndarray]:
-    """The members' distinct raw feature rows in sorted order, and the row
-    of each member, with one ``extract_features`` call per distinct
-    ``row_input``."""
-    index: dict[tuple, int] = {}
-    input_of = [index.setdefault(row_input(nr), len(index)) for nr in members]
-    input_rows = [extract_features(key) for key in index]
+def _feature_rows(inputs: dict[tuple, int], input_of: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct raw feature rows in sorted order, and the row of each
+    member, for members whose distinct ``row_input``s are the keys of
+    ``inputs`` and whose i-th has the key numbered ``input_of[i]``; one
+    ``extract_features`` call per key."""
+    input_rows = [extract_features(key) for key in inputs]
     # tuples of floats sort as np.unique(axis=0) sorts rows, at a small
     # fraction of its fixed cost on a group of a few rows
     rows = sorted(set(input_rows))
@@ -148,7 +148,13 @@ def _feature_rows(members: list[NormalizedRequest]) -> tuple[np.ndarray, np.ndar
 
 
 def refine_group(group: TemplateGroup, config: RefinerConfig | None = None) -> list[EndpointCluster]:
-    """Split one template group into endpoint clusters per the two-stage scheme."""
+    """Split one template group into endpoint clusters per the two-stage scheme.
+
+    A group of fewer than three requests passes through as one cluster.  So
+    does, with the refining path's provenance, a group whose requests share
+    one ``row_input`` (before any feature row or array is made) or whose
+    requests off its most common feature row are too few for a cluster.
+    """
     config = config or RefinerConfig()
     members = group.members
     n = len(members)
@@ -157,9 +163,14 @@ def refine_group(group: TemplateGroup, config: RefinerConfig | None = None) -> l
     if n < 3:
         return [_cluster(group, members, PASSTHROUGH)]
 
-    rows, node_of = _feature_rows(members)
-    counts = np.bincount(node_of)
     provenance = KMEANS_ABLATION if config.force_kmeans else GRAPH_REFINED
+    inputs: dict[tuple, int] = {}
+    input_of = [inputs.setdefault(row_input(nr), len(inputs)) for nr in members]
+    if len(inputs) == 1:
+        # one feature row, which the dominant-row exit below would find
+        return [_cluster(group, members, provenance)]
+    rows, node_of = _feature_rows(inputs, input_of)
+    counts = np.bincount(node_of)
     min_size = max(2, int(np.ceil(MIN_CLUSTER_FRACTION * n)))
     if n - counts.max() < min_size:
         # the copies of a row share a label, so the cluster holding

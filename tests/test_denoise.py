@@ -204,23 +204,81 @@ class TestGateShortcut:
         ]
         # patched per example: Hypothesis rejects function-scoped fixtures
         with mock.patch.object(denoise, "LOGISTIC_WEIGHTS", weights):
-            kept, dropped = [], []
-            for record in records:
-                try:
-                    path, query = split_url(record)
-                except IngestError:
-                    with pytest.raises(IngestError):
-                        filter_traffic(Dataset(records=records), tau)
-                    return
-                reason = rule_signal(record, path)
-                if reason is None and sanity_score(record, path, query) < tau:
-                    reason = LOGISTIC_GATE
-                if reason is None:
-                    kept.append(record.id)
-                else:
-                    dropped.append((record.id, reason))
+            expected = rules_then_score(records, tau)
+            if expected is None:
+                with pytest.raises(IngestError):
+                    filter_traffic(Dataset(records=records), tau)
+                return
             outcome = filter_traffic(Dataset(records=records), tau)
-        assert (outcome.kept, outcome.dropped) == (kept, dropped)
+        assert (outcome.kept, outcome.dropped) == expected
+
+
+def rules_then_score(records, tau):
+    """(kept ids, dropped (id, reason) pairs) of the plain per-record cascade,
+    then ``sanity_score < tau``; None if a URL does not split."""
+    kept, dropped = [], []
+    for record in records:
+        try:
+            path, query = split_url(record)
+        except IngestError:
+            return None
+        reason = rule_signal(record, path)
+        if reason is None and sanity_score(record, path, query) < tau:
+            reason = LOGISTIC_GATE
+        if reason is None:
+            kept.append(record.id)
+        else:
+            dropped.append((record.id, reason))
+    return kept, dropped
+
+
+class TestRepeatedDrops:
+    """A record with the method, URL and content type of one the same call
+    dropped is dropped for the same reason, without a second URL split."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pool=st.lists(REQUEST, min_size=3, max_size=3),
+        picks=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3)), max_size=12),
+        tau=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    @example(
+        pool=[("GET", "/app.js", "application/json"), ("POST", "/", "text/plain"),
+              ("GET", "/api/v1/items", "application/json")],
+        picks=[(0, 1), (1, 0), (2, 0), (0, 3), (1, 2), (2, 0), (0, 1)],
+        tau=DEFAULT_TAU,
+    )
+    def test_repeated_records_decided_as_the_cascade_decides_them(self, pool, picks, tau):
+        # a few triples, many records: the body size is no part of a decision
+        records = [
+            HttpRecord(id=i, method=pool[p][0], url=pool[p][1], content_type=pool[p][2],
+                       body_size=size)
+            for i, (p, size) in enumerate(picks)
+        ]
+        expected = rules_then_score(records, tau)
+        splits = []
+
+        def counted(record):
+            splits.append(record.id)
+            return split_url(record)
+
+        with mock.patch.object(denoise, "split_url", counted):
+            if expected is None:
+                with pytest.raises(IngestError):
+                    filter_traffic(Dataset(records=records), tau)
+                return
+            outcome = filter_traffic(Dataset(records=records), tau)
+        assert (outcome.kept, outcome.dropped) == expected
+        # one split per record, but for one whose triple an earlier record was dropped for
+        reasons = dict(outcome.dropped)
+        dropped_triples, expected_splits = set(), []
+        for record in records:
+            triple = (record.method, record.url, record.content_type)
+            if triple not in dropped_triples:
+                expected_splits.append(record.id)
+                if record.id in reasons:
+                    dropped_triples.add(triple)
+        assert splits == expected_splits
 
 
 class TestSegmentBound:

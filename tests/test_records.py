@@ -7,6 +7,7 @@ import json
 import pickle
 import re
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -15,12 +16,12 @@ from apiminer.records import (
     Dataset,
     HttpRecord,
     IngestError,
-    _lines,
     parse_har,
     parse_jsonl,
     read_labels,
     write_dataset,
 )
+from apiminer.corpus import CorpusSpec, synth_corpus
 from apiminer.metrics import report
 from apiminer.noise import INTERFERE, LEXIFY, inject
 from apiminer.refine import discover, prepare_traffic
@@ -186,17 +187,25 @@ class TestParseJsonl:
         with pytest.raises(IngestError, match=f"line 2: {field} must be"):
             parse_jsonl(text)
 
-    def test_convertible_counts_still_read(self):
-        line = '{"method": "GET", "url": "/x", "body_size": "12", "body_field_count": 2.0, "body_nesting_depth": true}'
-        record = parse_jsonl(line).records[0]
-        assert (record.body_size, record.body_field_count, record.body_nesting_depth) == (12, 2, 1)
+    @pytest.mark.parametrize("field", ["body_size", "body_field_count", "body_nesting_depth"])
+    @pytest.mark.parametrize("value", ["1.5", "2.0", "1e3", "1e300", "true", "false", '"7"', '"9223372036854775807"'])
+    def test_a_count_that_is_not_a_json_integer_is_refused(self, field, value):
+        # as the record refuses it: no bool, float or string is read as a count
+        text = '{"method": "GET", "url": "/x"}\n{"method": "GET", "url": "/y", "%s": %s}' % (field, value)
+        message = f"line 2: {field} must be an integer, got {json.loads(value)!r}"
+        for read in (parse_jsonl, read_labels):
+            with pytest.raises(IngestError, match=re.escape(message)):
+                read(text)
+        # null is a count left out
+        line = '{"method": "GET", "url": "/x", "%s": null}' % field
+        assert parse_jsonl(line).records == [HttpRecord(0, "GET", "/x")]
 
     @pytest.mark.parametrize("field", ["body_size", "body_field_count", "body_nesting_depth"])
     def test_counts_fit_64_bits(self, field):
         # a float holds neither 10**400 nor -10**400, and each count becomes one
-        for value in (2**63 - 1, -(2**63), "9223372036854775807"):
+        for value in (2**63 - 1, -(2**63)):
             parse_jsonl('{"method": "GET", "url": "/x", "%s": %s}' % (field, json.dumps(value)))
-        for value in (2**63, -(2**63) - 1, 10**400, "9" * 400, 1e300):
+        for value in (2**63, -(2**63) - 1, 10**400):
             with pytest.raises(IngestError, match=f"line 1: {field} must be a 64-bit integer"):
                 parse_jsonl('{"method": "GET", "url": "/x", "%s": %s}' % (field, json.dumps(value)))
 
@@ -618,14 +627,86 @@ def jsonl_lines(text: str) -> list[str]:
     return [line.removesuffix("\n").removesuffix("\r") for line in io.StringIO(text, newline="")]
 
 
+# records whose strings hold characters that str.splitlines breaks at
+LINE_RECORDS = [
+    HttpRecord(0, "GET", "/api/v1/\x85/items", label="EP\u20281"),
+    HttpRecord(1, "POST", "/api/v1/x", content_type="application/json", body_size=5,
+               body_field_count=1, body_nesting_depth=1, label="EP_2"),
+    HttpRecord(2, "GET", "/api/v1/a\u2029b\x1c\x1d\x1e\v\f"),
+]
+# each record's line as the writer writes it, re-spaced, and re-spaced with
+# raw characters past ASCII
+LINE_FORMS = [
+    [line, json.dumps(json.loads(line)), json.dumps(json.loads(line), ensure_ascii=False)]
+    for line in write_dataset(Dataset(LINE_RECORDS)).splitlines()
+]
+BLANK_LINES = ["", " ", "\t", "\x85", "\u2028", "\v\f"]
+LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def mixed_capture(draw):
+    """JSONL text of lines from ``LINE_FORMS`` and ``BLANK_LINES``, each ended
+    by '\n', '\r\n' or '\r' (the last maybe by none), and the records its
+    request lines stand for."""
+    text, records = "", []
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.booleans()):
+            text += draw(st.sampled_from(BLANK_LINES))
+        else:
+            i = draw(st.integers(0, len(LINE_RECORDS) - 1))
+            text += draw(st.sampled_from(LINE_FORMS[i]))
+            records.append(LINE_RECORDS[i]._replace(id=len(records)))
+        text += draw(LINE_ENDS)
+    return text.removesuffix(draw(st.sampled_from(["", "\n", "\r"]))), records
+
+
+def read_outcome(text):
+    """What ``parse_jsonl`` and ``read_labels`` make of ``text``, or the
+    message each raises."""
+    outcome = []
+    for read in (lambda t: parse_jsonl(t).records, read_labels):
+        try:
+            outcome.append(read(text))
+        except IngestError as exc:
+            outcome.append(str(exc))
+    return outcome
+
+
 class TestLines:
-    @given(
-        st.text(alphabet=st.sampled_from("ab{} \n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029") | st.characters()),
-        st.integers(0, 6),
-    )
-    def test_lines_end_only_where_json_lines_ends_them(self, text, block):
-        assert list(_lines(text, block)) == jsonl_lines(text)
-        assert list(_lines(text)) == jsonl_lines(text)
+    @given(mixed_capture())
+    def test_canonical_and_respaced_lines_read_under_every_line_end(self, capture):
+        text, records = capture
+        labels = {r.id: r.label for r in records if r.label is not None}
+        assert read_outcome(text) == [records, (labels, len(records))]
+
+    @given(st.lists(st.tuples(
+        st.sampled_from([form for forms in LINE_FORMS for form in forms] + BLANK_LINES)
+        | st.text(alphabet=st.sampled_from("ab{} \n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029") | st.characters()),
+        LINE_ENDS,
+    ), max_size=8).map(lambda lines: "".join(line + end for line, end in lines)))
+    def test_lines_end_only_where_json_lines_ends_them(self, text):
+        # records, counts and errors (with their line numbers) are those of
+        # the same lines ended by '\n'
+        assert read_outcome(text) == read_outcome("\n".join(jsonl_lines(text)))
+
+    @pytest.mark.parametrize("read", [parse_jsonl, read_labels])
+    @pytest.mark.parametrize("respaced", [False, True])
+    def test_a_capture_ended_by_carriage_returns_is_not_copied(self, read, respaced):
+        text = write_dataset(synth_corpus(CorpusSpec(20, 100, seed=42)))
+        if respaced:
+            text = "".join(json.dumps(json.loads(line)) + "\n" for line in text.splitlines())
+        peaks = []
+        for newline in ("\n", "\r"):
+            capture = text.replace("\n", newline)
+            tracemalloc.start()
+            try:
+                read(capture)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # the lines are read in place: a copy of the text would be 440 KiB
+        assert peaks[1] < peaks[0] + 32 * 1024, peaks
 
     @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85"])
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])

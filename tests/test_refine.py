@@ -51,6 +51,14 @@ def feature_matrix(members):
     return np.array([extract_features(row_input(nr)) for nr in members])
 
 
+def feature_rows(members):
+    """``_feature_rows`` of the members' distinct row inputs, as
+    ``refine_group`` numbers them."""
+    inputs = {}
+    input_of = [inputs.setdefault(row_input(nr), len(inputs)) for nr in members]
+    return _feature_rows(inputs, input_of)
+
+
 class TestSeedingAndKMeans:
     def test_farthest_point_starts_at_smallest_row(self):
         # distinct rows in sorted order, as refine_group hands them over;
@@ -151,7 +159,7 @@ class TestWeightedRows:
         # first occurrence would give (400, 6, 3), (0, 0, 0), (30, 1, 1)
         bodies = [(400, 6, 3), (0, None, None), (400, 6, 3), (30, 1, 1), (0, None, None)]
         group = group_from_urls([f"/api/v1/things/{i}" for i in range(5)], bodies=bodies)
-        rows, node_of = _feature_rows(group.members)
+        rows, node_of = feature_rows(group.members)
         assert rows[:, 3].tolist() == [0.0, np.log1p(30), np.log1p(400)]
         assert rows.tolist() == sorted(rows.tolist())
         assert node_of.tolist() == [2, 0, 2, 1, 0]
@@ -166,7 +174,7 @@ def test_distinct_rows_match_unique_on_scaled_rows(picks, seed):
     bodies = [(int(b), int(f), int(d)) for b, f, d in rng.integers(0, 3, (5, 3))]
     urls = [f"/api/v1/things/{i}{PROFILES[p][0]}" for i, p in enumerate(picks)]
     group = group_from_urls(urls, bodies=[bodies[p] for p in picks])
-    distinct_raw, node_of = _feature_rows(group.members)
+    distinct_raw, node_of = feature_rows(group.members)
     X = scale_features(feature_matrix(group.members))
     expected, expected_node_of, _ = distinct(X)
     # scaling the distinct raw rows gives the distinct scaled rows, in order
@@ -197,7 +205,7 @@ def test_feature_rows_are_the_distinct_rows_of_every_request(inputs):
         ))
         for i, (method, query, content_type, size, fields, depth) in enumerate(inputs)
     ]
-    distinct_raw, node_of = _feature_rows(members)
+    distinct_raw, node_of = feature_rows(members)
     expected_raw, expected_node_of, _ = distinct(feature_matrix(members))
     assert np.array_equal(distinct_raw, expected_raw)
     assert distinct_raw.dtype == expected_raw.dtype
@@ -303,6 +311,26 @@ class TestRefineGroup:
         monkeypatch.setattr("apiminer.refine.build_graph", unreachable)
         clusters = refine_group(group, RefinerConfig(force_kmeans=force_kmeans))
         assert [(c.member_ids, c.provenance) for c in clusters] == [(list(range(6)), provenance)]
+
+    @pytest.mark.parametrize("n", [3, 7])
+    @pytest.mark.parametrize("force_kmeans, provenance", [
+        (False, GRAPH_REFINED), (True, KMEANS_ABLATION),
+    ])
+    def test_one_row_input_group_makes_no_feature_row(self, monkeypatch, n, force_kmeans, provenance):
+        # ids and query values differ, every field a row reads is the same
+        urls = [f"/api/v1/things/{i}?page={i}" for i in range(n)]
+        group = group_from_urls(urls, method="PUT", bodies=[(80, 3, 1)] * n)
+        assert len({row_input(nr) for nr in group.members}) == 1
+
+        def unreachable(*args):
+            raise AssertionError("a group of one row input made feature rows")
+
+        for name in ("extract_features", "scale_features"):
+            monkeypatch.setattr(f"apiminer.refine.{name}", unreachable)
+        clusters = refine_group(group, RefinerConfig(force_kmeans=force_kmeans))
+        # the dominant-row exit's cluster
+        assert clusters == [_cluster(group, group.members, provenance)]
+        assert clusters[0].member_ids == list(range(n))
 
     @pytest.mark.parametrize("force_kmeans", [False, True])
     def test_dominant_row_group_builds_no_graph(self, monkeypatch, force_kmeans):
