@@ -22,7 +22,11 @@
 # capture whose one level holds more than MAX_CHILDREN tokens, some of them
 # repeated, which collapses to its wildcard; a capture that json.dumps wrote
 # with ensure_ascii=False, a raw U+2028 in each label and a raw U+0085 in each
-# url, is ingested to the bytes the writer gives in process and discovered.
+# url, is ingested to the bytes the writer gives in process and discovered;
+# a small HAR (a JSON POST with postData, a bodySize of -1 and one of null)
+# is ingested to the bytes the writer gives for parse_har in process, and a
+# HAR entry with a bodySize of 1.5 makes ingest exit 2 with one line naming
+# the entry and the field.
 #
 # Usage: bash .github/scripts/console-e2e.sh DIR   (needs `apiminer` on PATH)
 set -e
@@ -31,7 +35,7 @@ python - <<'PY'
 import itertools, json, os, random, string
 from apiminer.corpus import CorpusSpec, synth_corpus
 from apiminer.noise import INTERFERE, LEXIFY, inject
-from apiminer.records import Dataset, HttpRecord, write_dataset
+from apiminer.records import Dataset, HttpRecord, parse_har, write_dataset
 from apiminer.templates import MAX_CHILDREN
 
 
@@ -90,6 +94,24 @@ text = "".join(
 assert "\u2028" in text and "\x85" in text
 with open("breaks.jsonl", "w", encoding="utf-8") as out:
     out.write(text)
+body = json.dumps({"item": 7, "options": {"gift": True}})
+har = json.dumps({"log": {"entries": [
+    {"request": {"method": "post", "url": "https://app.example.com/api/v1/orders",
+                 "headers": [{"name": "Content-Type", "value": "application/json"}],
+                 "bodySize": len(body), "postData": {"mimeType": "application/json", "text": body}}},
+    {"request": {"method": "GET", "url": "https://app.example.com/api/v1/orders/7",
+                 "headers": [], "bodySize": -1}},
+    {"request": {"method": "GET", "url": "https://app.example.com/api/v1/orders/8?page=2",
+                 "headers": [{"name": "Accept", "value": "application/json"}], "bodySize": None}},
+]}}).encode()
+with open("capture.har", "wb") as out:
+    out.write(har)
+records = parse_har(har).records
+assert [(r.method, r.body_size, r.body_field_count, r.body_nesting_depth) for r in records] == [
+    ("POST", len(body), 2, 2), ("GET", 0, None, None), ("GET", 0, None, None)
+]
+with open("expected-har.jsonl", "w", encoding="utf-8") as out:
+    out.write(write_dataset(parse_har(har)))
 with open("capture.jsonl", encoding="utf-8") as src:
     canonical = src.read().splitlines()
 forms = {
@@ -117,6 +139,14 @@ done
 apiminer ingest --in breaks.jsonl --out breaks-ingested.jsonl
 cmp breaks-ingested.jsonl expected-breaks.jsonl
 apiminer discover --in breaks.jsonl --out breaks-clusters.json
+apiminer ingest --format har --in capture.har --out har-ingested.jsonl
+cmp har-ingested.jsonl expected-har.jsonl
+printf '%s\n' '{"log": {"entries": [{"request": {"method": "GET", "url": "/api/v1/x", "bodySize": 1.5}}]}}' > badsize.har
+code=0
+apiminer ingest --format har --in badsize.har --out badsize.jsonl 2> badsize.err || code=$?
+test "$code" -eq 2
+test "$(wc -l < badsize.err)" -eq 1
+grep -q "^error: malformed HAR entry at index 0: bodySize must be an integer, got 1.5$" badsize.err
 apiminer noise --in capture.jsonl --kind interfere --ratio 0.95 --seed 1 --out interfere.jsonl
 cmp interfere.jsonl expected-interfere.jsonl
 apiminer noise --in capture.jsonl --kind lexify --ratio 0.5 --seed 3 --out lexify.jsonl

@@ -32,36 +32,12 @@ class IngestError(ValueError):
     """Raised for malformed capture input."""
 
 
-# Counts must fit a signed 64-bit integer: the features turn each count into
-# a float, and no float holds an integer much past 10**308.
-_COUNT_MIN = -(2**63)
-_COUNT_MAX = 2**63 - 1
-_COUNT_FIELDS = ("body_size", "body_field_count", "body_nesting_depth")
-
-
-def _count_out_of_range(*counts) -> tuple[str, int]:
-    """The first of ``_COUNT_FIELDS`` whose value in ``counts`` does not fit,
-    with that value."""
-    for name, value in zip(_COUNT_FIELDS, counts):
-        if value is not None and not _COUNT_MIN <= value <= _COUNT_MAX:
-            return name, value
-    raise AssertionError("every count fits")
-
-
 def _held_counts(
     body_size: int, fields: int | None, depth: int | None
-) -> tuple[int, int | None, int | None] | None:
-    """The counts as a record holds them, or None if one does not fit 64 bits.
-
-    A negative body size is clamped to 0, and an empty body has no structure
-    counts: a field count or nesting depth it gives is cleared to 0.
-    """
-    if not (
-        _COUNT_MIN <= body_size <= _COUNT_MAX
-        and (fields is None or _COUNT_MIN <= fields <= _COUNT_MAX)
-        and (depth is None or _COUNT_MIN <= depth <= _COUNT_MAX)
-    ):
-        return None
+) -> tuple[int, int | None, int | None]:
+    """The counts as a record holds them: a negative body size is clamped to
+    0, and an empty body has no structure counts, so a field count or
+    nesting depth it gives is cleared to 0."""
     if body_size <= 0:
         # None stays None
         return 0, fields and 0, depth and 0
@@ -84,40 +60,111 @@ class _RecordFields(NamedTuple):
 _new_tuple = tuple.__new__
 
 
-def _record_error(rid, name: str, expected: str, value) -> IngestError:
-    return IngestError(f"record {rid}: {name} must be {expected}, got {value!r}")
+class _Fault(Exception):
+    """A field that breaks the record contract.  Its text names the field,
+    what it must be and the value given; each caller puts where the record
+    came from before it."""
+
+    def __init__(self, name: str, expected: str, value):
+        super().__init__(f"{name} must be {expected}, got {value!r}")
+        self.name = name
+        self.expected = expected
 
 
-_NONE = type(None)
-_HEADER_TUPLES = "a tuple or list of (name, value) string pairs"
-# Each field's name, the exact types it may hold (those a parsed record
-# holds) and their wording in an error.
-_FIELD_TYPES = (
-    ("id", (int,), "an integer"),
-    ("method", (str,), "a string"),
-    ("url", (str,), "a string"),
-    ("headers", (tuple, list), _HEADER_TUPLES),
-    ("content_type", (str, _NONE), "a string or None"),
-    ("body_size", (int,), "an integer"),
-    ("body_field_count", (int, _NONE), "an integer or None"),
-    ("body_nesting_depth", (int, _NONE), "an integer or None"),
-    ("label", (str, _NONE), "a string or None"),
-)
+_STRING = "a string"
+_INTEGER = "an integer"
+_PAIRS = "a list of (name, value) string pairs"
+# Counts must fit a signed 64-bit integer: the features turn each count into
+# a float, and no float holds an integer much past 10**308.
+_FITS = "a 64-bit integer"
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def _lone_surrogate(text: str | None) -> bool:
+    """Whether ``text`` holds a lone surrogate, which no UTF-8 output can
+    write; a string of ASCII holds none."""
+    return text is not None and not text.isascii() and _SURROGATE.search(text) is not None
+
+
+def _held_fields(
+    rid, method, url, headers, content_type, body_size, fields, depth, label, scan: bool
+) -> tuple:
+    """The fields of one record, in ``HttpRecord``'s order, as a record holds
+    them: the one check of the record contract.
+
+    Each field must be of exactly the types a parsed record holds: an
+    ``int`` id and body size (not a bool or any other subclass), ``str``
+    method and url, a ``str`` or None content type and label, an ``int`` or
+    None for each structure count, and headers as a tuple or list of
+    two-item (str, str) pairs.  Each count must fit 64 bits and, with
+    ``scan``, no string may hold a lone surrogate.  A field that breaks the
+    contract raises ``_Fault``.  The method is upper-cased (an upper-case
+    method keeps its object, which a capture may share), the headers are
+    held as a tuple of tuples, a negative body size is clamped to 0 and the
+    structure counts of an empty body are cleared to 0.
+    """
+    if type(rid) is not int:
+        raise _Fault("id", _INTEGER, rid)
+    if type(method) is not str:
+        raise _Fault("method", _STRING, method)
+    if type(url) is not str:
+        raise _Fault("url", _STRING, url)
+    held = headers
+    if type(headers) is not tuple:
+        if type(headers) is not list:
+            raise _Fault("headers", _PAIRS, headers)
+        held = None
+    for pair in headers:
+        if type(pair) is not tuple:
+            if type(pair) is not list:
+                raise _Fault("headers", _PAIRS, headers)
+            held = None
+        if len(pair) != 2 or type(pair[0]) is not str or type(pair[1]) is not str:
+            raise _Fault("headers", _PAIRS, headers)
+    if held is None:
+        held = tuple(map(tuple, headers))
+    if type(content_type) is not str and content_type is not None:
+        raise _Fault("content_type", _STRING, content_type)
+    if type(body_size) is not int:
+        raise _Fault("body_size", _INTEGER, body_size)
+    if not -(2**63) <= body_size < 2**63:
+        raise _Fault("body_size", _FITS, body_size)
+    if type(fields) is not int:
+        if fields is not None:
+            raise _Fault("body_field_count", _INTEGER, fields)
+    elif not -(2**63) <= fields < 2**63:
+        raise _Fault("body_field_count", _FITS, fields)
+    if type(depth) is not int:
+        if depth is not None:
+            raise _Fault("body_nesting_depth", _INTEGER, depth)
+    elif not -(2**63) <= depth < 2**63:
+        raise _Fault("body_nesting_depth", _FITS, depth)
+    if type(label) is not str and label is not None:
+        raise _Fault("label", _STRING, label)
+    if scan:
+        for name, value, texts in (
+            ("method", method, (method,)),
+            ("url", url, (url,)),
+            ("headers", headers, [text for pair in held for text in pair]),
+            ("content_type", content_type, (content_type,)),
+            ("label", label, (label,)),
+        ):
+            if any(map(_lone_surrogate, texts)):
+                raise _Fault(name, "a string without a lone surrogate", value)
+    upper = method.upper()
+    if upper != method:
+        method = upper
+    body_size, fields, depth = _held_counts(body_size, fields, depth)
+    return rid, method, url, held, content_type, body_size, fields, depth, label
 
 
 class HttpRecord(_RecordFields):
     """One captured request, immutable once built.
 
     Every way of making one (the constructor, ``_make``, ``_replace``,
-    unpickling) goes through ``__new__``.  It takes exactly the types that
-    a parsed record holds: an ``int`` id and body size (not a bool or
-    any other subclass), ``str`` method and url, a ``str`` or None content
-    type and label, an ``int`` or None for each structure count, and headers
-    as a tuple or list of two-item (str, str) pairs.  Any other value raises
-    ``IngestError`` naming the record and the field.  It then upper-cases
-    the method, stores the headers as a tuple of tuples, checks that each
-    count fits 64 bits, clamps a negative body size to 0 and clears the
-    structure counts of an empty body.
+    unpickling) goes through ``__new__``, which holds the fields as
+    ``_held_fields`` checks them.  A field that breaks the record contract
+    raises ``IngestError`` naming the record and the field.
     """
 
     __slots__ = ()
@@ -134,30 +181,13 @@ class HttpRecord(_RecordFields):
         body_nesting_depth: int | None = None,
         label: str | None = None,
     ):
-        values = (id, method, url, headers, content_type, body_size,
-                  body_field_count, body_nesting_depth, label)
-        for (name, types, expected), value in zip(_FIELD_TYPES, values):
-            if type(value) not in types:
-                raise _record_error(id, name, expected, value)
-        rebuild = type(headers) is not tuple
-        for pair in headers:
-            if type(pair) not in (tuple, list) or list(map(type, pair)) != [str, str]:
-                raise _record_error(id, "headers", _HEADER_TUPLES, headers)
-            rebuild = rebuild or type(pair) is not tuple
-        if rebuild:
-            headers = tuple(map(tuple, headers))
-        upper = method.upper()
-        if upper != method:
-            # an upper-case method keeps its object, which a capture may share
-            method = upper
-        counts = _held_counts(body_size, body_field_count, body_nesting_depth)
-        if counts is None:
-            name, value = _count_out_of_range(body_size, body_field_count, body_nesting_depth)
-            raise _record_error(id, name, "a 64-bit integer", value)
-        body_size, fields, depth = counts
-        return _new_tuple(
-            cls, (id, method, url, headers, content_type, body_size, fields, depth, label)
-        )
+        try:
+            return _new_tuple(cls, _held_fields(
+                id, method, url, headers, content_type, body_size,
+                body_field_count, body_nesting_depth, label, True,
+            ))
+        except _Fault as fault:
+            raise IngestError(f"record {id}: {fault}") from None
 
     @classmethod
     def _make(cls, iterable) -> HttpRecord:
@@ -218,32 +248,6 @@ def _har_error(index: int, name: str, expected: str, value) -> IngestError:
     )
 
 
-def _har_headers(index: int, headers) -> tuple[tuple[str, str], ...]:
-    if isinstance(headers, list) and all(
-        isinstance(h, dict)
-        and isinstance(h.get("name", ""), str)
-        and isinstance(h.get("value", ""), str)
-        for h in headers
-    ):
-        return tuple((h.get("name", ""), h.get("value", "")) for h in headers)
-    raise _har_error(index, "headers", "a list of {name, value} string objects", headers)
-
-
-_SURROGATE = re.compile("[\ud800-\udfff]")
-_NO_SURROGATE = "a string without a lone surrogate"
-
-
-def _surrogate_field(fields) -> str | None:
-    """The name of the first of ``fields``, (name, strings) pairs, with a
-    string that holds a lone surrogate, which no UTF-8 output can write; a
-    string of ASCII holds none."""
-    for name, texts in fields:
-        for text in texts:
-            if text is not None and not text.isascii() and _SURROGATE.search(text):
-                return name
-    return None
-
-
 def parse_har(data: bytes) -> Dataset:
     """Parse a HAR 1.2 document into a Dataset.
 
@@ -281,22 +285,23 @@ def parse_har(data: bytes) -> Dataset:
         if not url:
             skipped += 1
             continue
-        if not isinstance(url, str):
-            raise _har_error(index, "url", "a string", url)
-        method = request.get("method", "GET")
-        if not isinstance(method, str):
-            raise _har_error(index, "method", "a string", method)
-        headers = _har_headers(index, request.get("headers", []))
-        name = _surrogate_field(
-            (("url", [url]), ("method", [method]), ("headers", [t for h in headers for t in h]))
-        )
-        if name is not None:
-            raise _har_error(index, name, _NO_SURROGATE, request[name])
-        content_type = _header_lookup(headers, "Content-Type")
+        headers = request.get("headers", [])
+        if type(headers) is list:
+            # {name, value} objects as pairs; any other entry is None, which
+            # the check refuses as no pair
+            headers = [(h.get("name", ""), h.get("value", "")) if type(h) is dict else None
+                       for h in headers]
+        # null, as -1, is HAR's "unknown"
+        body_size = request.get("bodySize")
         try:
-            body_size = int(request.get("bodySize") or 0)
-        except (TypeError, ValueError, OverflowError):
-            raise _har_error(index, "bodySize", "an integer", request["bodySize"]) from None
+            rid, method, url, headers, _, body_size, _, _, _ = _held_fields(
+                len(records), request.get("method", "GET"), url, headers, None,
+                0 if body_size is None else body_size, None, None, None, True,
+            )
+        except _Fault as fault:
+            name = "bodySize" if fault.name == "body_size" else fault.name
+            raise _har_error(index, name, fault.expected, request[name]) from None
+        content_type = _header_lookup(headers, "Content-Type")
         field_count = None
         nesting = None
         post_data = request.get("postData")
@@ -305,31 +310,12 @@ def parse_har(data: bytes) -> Dataset:
                 raise _har_error(index, "postData", "an object", post_data)
             if content_type.lower().startswith(STRUCTURED_CONTENT_PREFIXES[0]):
                 field_count, nesting = _json_structure(post_data.get("text", ""))
-        try:
-            record = HttpRecord(
-                id=len(records),
-                method=method,
-                url=url,
-                headers=headers,
-                content_type=content_type,
-                body_size=body_size,
-                body_field_count=field_count,
-                body_nesting_depth=nesting,
-            )
-        except IngestError:
-            # the counts of a JSON body fit; only the declared size may not
-            raise _har_error(index, "bodySize", "a 64-bit integer", request["bodySize"]) from None
-        records.append(record)
+        # the checked fields with the content type, a checked header value, and
+        # the counts of a decoded body, a length and a depth, which fit 64 bits
+        records.append(_new_tuple(HttpRecord, (
+            rid, method, url, headers, content_type, body_size, field_count, nesting, None
+        )))
     return Dataset(records=records, source="har", skipped=skipped)
-
-
-_HEADER_PAIRS = "a list of [name, value] string pairs"
-
-
-def _field_error(lineno: int, name: str, expected: str, value) -> IngestError:
-    return IngestError(
-        f"malformed JSONL object at line {lineno}: {name} must be {expected}, got {value!r}"
-    )
 
 
 # The scanner json.loads runs once it has stripped the line and checked for a
@@ -366,10 +352,10 @@ _COUNT = r"-?(?:0|[1-9][0-9]{0,17})"
 # One line as ``write_dataset`` writes it, keys in its order, with one group
 # per field of ``HttpRecord`` after its id, in the same order: the text inside
 # the quotes of a string, the header list's JSON text, a count's digits.  A
-# line that matches decodes to an object that passes every check of
-# ``_jsonl_requests``.  The label is taken only when it has no escape, so that
-# the text is its value.  An optional part is written (?:part|), which the
-# regex engine runs faster than (?:part)?.
+# line that matches decodes to an object whose fields pass ``_held_fields``.
+# The label is taken only when it has no escape, so that the text is its
+# value.  An optional part is written (?:part|), which the regex engine runs
+# faster than (?:part)?.
 _CANONICAL_LINE = re.compile(
     rf'\{{"id":{_COUNT},"method":"(?P<method>{_TEXT})","url":"(?P<url>{_TEXT})"'
     rf',"headers":(?P<headers>\[(?:{_HEADER}(?:,{_HEADER})*|)\])'
@@ -391,17 +377,16 @@ def _unescape(text: str) -> str:
     return scanstring(text + '"', 0)[0]
 
 
-def _jsonl_requests(text: str, shared: dict, methods: dict):
+def _jsonl_requests(text: str, shared: dict):
     """Each request line of JSONL capture text: the ``_CANONICAL_LINE`` match
     of a line as ``write_dataset`` writes it, which passes every check, or
-    else the line's fields, checked, as ``HttpRecord`` holds them after its
-    id.  Blank lines yield nothing.
+    else the line's fields as ``_held_fields`` checks and holds them, after
+    the id.  Blank lines yield nothing.
 
-    A line that is not a request object, or a field of the wrong type or out
-    of range, raises ``IngestError`` naming the line and the field.  The
+    A line that is not a request object, or a field that breaks the record
+    contract, raises ``IngestError`` naming the line and the field.  The
     checked fields share one object per distinct value through ``shared``
-    (each method, content type, label, header pair and header list) and
-    ``methods`` (each method as given, to its upper-case form in ``shared``).
+    (each method, content type, label, header pair and header list).
 
     Lines end where JSON Lines ends them, at '\n', '\r\n' or '\r' (not at
     every break ``str.splitlines`` knows, some of which a JSON string may
@@ -453,61 +438,29 @@ def _jsonl_requests(text: str, shared: dict, methods: dict):
             raise IngestError(f"malformed JSONL object at line {lineno}: not an object")
         if "method" not in obj or "url" not in obj:
             raise IngestError(f"malformed JSONL object at line {lineno}: missing method/url")
-        method = obj["method"]
-        if type(method) is not str:
-            raise _field_error(lineno, "method", "a string", method)
-        upper = methods.get(method)
-        if upper is None:
-            upper = method.upper()
-            upper = methods[method] = share(upper, upper)
-        url = obj["url"]
-        if type(url) is not str:
-            raise _field_error(lineno, "url", "a string", url)
-        headers = obj.get("headers", [])
-        if type(headers) is not list:
-            raise _field_error(lineno, "headers", _HEADER_PAIRS, headers)
-        pairs = []
-        for h in headers:
-            if type(h) is not list or len(h) != 2 or type(h[0]) is not str or type(h[1]) is not str:
-                raise _field_error(lineno, "headers", _HEADER_PAIRS, headers)
-            pair = (h[0], h[1])
-            pairs.append(share(pair, pair))
-        pairs = tuple(pairs)
-        content_type = obj.get("content_type")
-        if content_type is not None and type(content_type) is not str:
-            raise _field_error(lineno, "content_type", "a string", content_type)
-        label = obj.get("label")
-        if label is not None and type(label) is not str:
-            raise _field_error(lineno, "label", "a string", label)
-        if not line.isascii() or "\\u" in line:
-            # a string may hold a character past ASCII
-            name = _surrogate_field((
-                ("method", [method]), ("url", [url]), ("headers", [t for p in pairs for t in p]),
-                ("content_type", [content_type]), ("label", [label]),
-            ))
-            if name is not None:
-                raise _field_error(lineno, name, _NO_SURROGATE, obj[name])
-        # a count is a JSON integer (not a bool, a float or a string) or null
-        body_size = obj.get("body_size")
-        if type(body_size) is not int:
-            if body_size is not None:
-                raise _field_error(lineno, "body_size", "an integer", body_size)
-            body_size = 0
-        field_count = obj.get("body_field_count")
-        if type(field_count) is not int and field_count is not None:
-            raise _field_error(lineno, "body_field_count", "an integer", field_count)
-        nesting = obj.get("body_nesting_depth")
-        if type(nesting) is not int and nesting is not None:
-            raise _field_error(lineno, "body_nesting_depth", "an integer", nesting)
-        counts = _held_counts(body_size, field_count, nesting)
-        if counts is None:
-            name, _ = _count_out_of_range(body_size, field_count, nesting)
-            raise _field_error(lineno, name, "a 64-bit integer", obj[name])
-        body_size, field_count, nesting = counts
+        get = obj.get
+        # a count is a JSON integer, or null, which leaves it out
+        body_size = get("body_size")
+        try:
+            fields = _held_fields(
+                0, obj["method"], obj["url"], get("headers", []), get("content_type"),
+                0 if body_size is None else body_size, get("body_field_count"),
+                get("body_nesting_depth"), get("label"),
+                # a string holds a character past ASCII, as itself or as an
+                # escape, only if the line does
+                not line.isascii() or "\\u" in line,
+            )
+        except _Fault as fault:
+            raise IngestError(f"malformed JSONL object at line {lineno}: {fault}") from None
+        _, method, url, headers, content_type, body_size, field_count, nesting, label = fields
+        pairs = shared.get(headers)
+        if pairs is None:
+            pairs = tuple([share(pair, pair) for pair in headers])
+            shared[pairs] = pairs
         yield (
-            upper,
+            share(method, method),
             url,
-            share(pairs, pairs),
+            pairs,
             share(content_type, content_type),
             body_size,
             field_count,
@@ -528,9 +481,9 @@ def parse_jsonl(text: str) -> Dataset:
     methods: dict[str, str] = {}
     # each header list's JSON text in a canonical line, to its shared pairs
     header_lists: dict[str, tuple[tuple[str, str], ...]] = {}
-    for rid, fields in enumerate(_jsonl_requests(text, shared, methods)):
+    for rid, fields in enumerate(_jsonl_requests(text, shared)):
         if type(fields) is tuple:
-            # checked, and held as HttpRecord.__new__ would hold them
+            # as ``_held_fields`` checks and holds them
             record = (rid,) + fields
         else:
             method, url, headers, content_type, body_size, field_count, nesting, label = (
@@ -575,7 +528,7 @@ def read_labels(text: str) -> tuple[dict[int, str], int]:
     """
     ground_truth: dict[int, str] = {}
     requests = 0
-    for fields in _jsonl_requests(text, {}, {}):
+    for fields in _jsonl_requests(text, {}):
         label = fields[-1] if type(fields) is tuple else fields["label"]
         if label is not None:
             ground_truth[requests] = label
@@ -597,9 +550,8 @@ def write_dataset(dataset: Dataset) -> str:
     line is laid out here, in the key order and bytes of the JSON encoder
     with separators (",", ":"): strings through the ASCII string escaper,
     ints through ``str``, and each distinct header tuple's text made once
-    per call.  The ``.records`` of records with ids 0..n-1 and no lone
-    surrogate read back equal through ``parse_jsonl``; a lone surrogate is
-    written as its escape, which ``parse_jsonl`` rejects.
+    per call.  The ``.records`` of records with ids 0..n-1 read back equal
+    through ``parse_jsonl``.
     """
     lines = []
     append = lines.append

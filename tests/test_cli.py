@@ -599,9 +599,11 @@ def padded(lines):
 
 # text with what a JSON string escapes (quotes, backslashes, control
 # characters, U+2028, which str.splitlines takes for a line end) and text
-# past ASCII
+# past ASCII, but no lone surrogate, which a record refuses (UTF-8 encodes
+# none)
 WRITTEN_TEXT = st.text(
-    alphabet=st.sampled_from('a/_"\\\x00\t\x1f\x7f\u00e9\u2028\U0001f600') | st.characters(),
+    alphabet=st.sampled_from('a/_"\\\x00\t\x1f\x7f\u00e9\u2028\U0001f600')
+    | st.characters(codec="utf-8"),
     max_size=6,
 )
 WRITTEN_COUNTS = st.integers(-(2**63), 2**63 - 1)
@@ -880,21 +882,20 @@ class TestInputFuzz:
 
     @FUZZ
     @given(record=WRITTEN_RECORDS)
-    @example(record=HttpRecord(0, "GET", "/x\ud800"))
+    @example(record=HttpRecord(0, "GET", "/x\U0001f600"))
     def test_written_lines_match_the_pattern(self, record):
         # every line write_dataset writes takes the pattern's path, but for
         # one whose label it escapes, that holds a count of 19 digits, or
-        # that holds a character past U+FFFF or a lone surrogate, which it
-        # writes as escaped surrogates (WRITTEN_TEXT can draw a lone one)
+        # that holds a character past U+FFFF, which it writes as escaped
+        # surrogates
         line = write_dataset(Dataset([record])).rstrip("\n")
         escaped = record.label is not None and json.dumps(record.label) != f'"{record.label}"'
         counts = (record.id, record.body_size, record.body_field_count, record.body_nesting_depth)
         long_count = any(abs(count) >= 10**18 for count in counts if count is not None)
         strings = [record.method, record.url, *(t for h in record.headers for t in h),
                    record.content_type, record.label]
-        surrogates = any(ord(ch) > 0xFFFF or "\ud800" <= ch <= "\udfff"
-                         for text in strings if text is not None for ch in text)
-        assert (_CANONICAL_LINE.fullmatch(line) is None) == (escaped or long_count or surrogates)
+        astral = any(ord(ch) > 0xFFFF for text in strings if text is not None for ch in text)
+        assert (_CANONICAL_LINE.fullmatch(line) is None) == (escaped or long_count or astral)
 
     def test_written_captures_match_the_pattern(self):
         # a typo in the pattern would send every line to the checked path

@@ -21,6 +21,7 @@ from apiminer.records import (
     read_labels,
     write_dataset,
 )
+from apiminer.cli import main
 from apiminer.corpus import CorpusSpec, synth_corpus
 from apiminer.metrics import report
 from apiminer.noise import INTERFERE, LEXIFY, inject
@@ -128,9 +129,26 @@ class TestParseHar:
         with pytest.raises(IngestError, match="log is not an object"):
             parse_har(b'{"log": []}')
 
-    def test_numeric_body_size_text_still_read(self):
-        ds = parse_har(har_doc([entry(body_size="12")]))
-        assert ds.records[0].body_size == 12
+    @pytest.mark.parametrize("value", ["1.5", "2.0", "1e3", "true", "false", '"7"'])
+    def test_a_body_size_that_is_not_a_json_integer_is_refused(self, tmp_path, capsys, value):
+        # as the JSONL reader and the record refuse it: no bool, float or
+        # string is read as a count
+        src = tmp_path / "bad.har"
+        src.write_bytes(b'{"log": {"entries": [{"request": {"url": "/x", "bodySize": %s}}]}}'
+                        % value.encode())
+        message = f"entry at index 0: bodySize must be an integer, got {json.loads(value)!r}"
+        with pytest.raises(IngestError, match=re.escape(message)):
+            parse_har(src.read_bytes())
+        assert main(["ingest", "--format", "har", "--in", str(src)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
+
+    def test_body_size_unknown_reads_as_zero_and_fits_64_bits(self):
+        # -1 and null are HAR's "unknown"
+        for body_size in (-1, None):
+            assert parse_har(har_doc([entry(body_size=body_size)])).records[0].body_size == 0
+        with pytest.raises(IngestError, match="entry at index 0: bodySize must be a 64-bit integer"):
+            parse_har(har_doc([entry(body_size=2**63)]))
 
     @pytest.mark.parametrize("levels", [600, 100_000])
     def test_deeply_nested_body_is_opaque(self, levels):
@@ -454,14 +472,16 @@ class TestRoundTrip:
         assert again.records == [r._replace(id=i) for i, r in enumerate(records)]
 
     @pytest.mark.parametrize("field", ["method", "url", "headers", "content_type", "label"])
-    def test_a_lone_surrogate_is_written_escaped_and_not_read(self, field):
-        record = HttpRecord(0, "GET", "/x", (("a", "b"),), "t", label="L")
+    def test_a_lone_surrogate_is_refused_by_the_record(self, field):
+        # no UTF-8 output can write one, and no reader reads its escape
+        record = HttpRecord(7, "GET", "/x", (("a", "b"),), "t", label="L")
         values = {"method": "G\ud800T", "url": "/x\udfff", "headers": (("a", "\udbff"),),
                   "content_type": "\udc00t", "label": "L\ud800"}
-        text = write_dataset(Dataset([record._replace(**{field: values[field]})]))
-        assert text.isascii()
-        with pytest.raises(IngestError, match=f"line 1: {field} must be a string without a lone"):
-            parse_jsonl(text)
+        message = f"record 7: {field} must be a string without a lone surrogate"
+        with pytest.raises(IngestError, match=message):
+            record._replace(**{field: values[field]})
+        with pytest.raises(IngestError, match=message):
+            HttpRecord(**{**record._asdict(), field: values[field]})
 
 
 # the JSON encoder's text with the writer's separators: the oracle of its layout
@@ -531,7 +551,7 @@ class TestWriter:
         records = [
             HttpRecord(0, "get", "/a\u00e9", SHARED_HEADERS, "application/json", 5, 2, 1, "A"),
             HttpRecord(1, "POST", "/b", [["x", "\x00"]], body_size=-3, body_field_count=4),
-            HttpRecord(2, "PUT", "/c\U0001f600", SHARED_HEADERS, label="C\ud800"),
+            HttpRecord(2, "PUT", "/c\U0001f600", SHARED_HEADERS, label="C\u2028"),
         ]
         assert write_dataset(Dataset(records)) == "".join(encoded_line(r) for r in records)
 

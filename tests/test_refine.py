@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from apiminer import refine
@@ -563,14 +563,29 @@ def test_kmeans_k_capped_at_max_k():
     assert kmeans_ks(group, 0.9999) == [MAX_K]
 
 
+@st.composite
+def kmeans_picks(draw):
+    """Profile picks that reach k-means: a most common profile and at least
+    two requests of other profiles, with the most common one holding at most
+    four times as many as all others together, so that no row holds
+    n - min_cluster_size(n) + 1 or more of the n requests."""
+    top = draw(st.integers(0, len(PROFILES) - 1))
+    others = draw(st.lists(
+        st.sampled_from([p for p in range(len(PROFILES)) if p != top]), min_size=2, max_size=25
+    ))
+    most = max(map(others.count, others))
+    copies = draw(st.integers(most, min(40, 4 * len(others))))
+    return draw(st.permutations([top] * copies + others))
+
+
 @settings(max_examples=60, deadline=None)
-@given(picks=PICKS, theta=st.sampled_from([0.6, 0.85, 0.95, 0.9999]))
+@given(picks=kmeans_picks(), theta=st.sampled_from([0.6, 0.85, 0.95, 0.9999]))
 def test_kmeans_k_over_distinct_rows_is_k_over_every_request(picks, theta):
     urls = [f"/api/v1/things/{i}{PROFILES[p][0]}" for i, p in enumerate(picks)]
     group = group_from_urls(urls, method="POST", bodies=[PROFILES[p][1] for p in picks])
+    n = len(picks)
+    assert max(map(picks.count, picks)) <= n - min_cluster_size(n)
     ks = kmeans_ks(group, theta)
-    # a group with a dominant row is one cluster without k-means
-    assume(ks)
     X = scale_features(feature_matrix(group.members))
     zero = np.linalg.norm(X, axis=1) == 0
     # the components of the graph over every request, where each copy of the
