@@ -26,7 +26,10 @@
 # a small HAR (a JSON POST with postData, a bodySize of -1 and one of null)
 # is ingested to the bytes the writer gives for parse_har in process, and a
 # HAR entry with a bodySize of 1.5 makes ingest exit 2 with one line naming
-# the entry and the field.
+# the entry and the field; the Interfere 0.95 capture, which mixes labelled
+# and unlabelled requests with and without a content type, is ingested to the
+# lines json.dumps writes for its records' fields in key order, an oracle that
+# shares no code with the writer.
 #
 # Usage: bash .github/scripts/console-e2e.sh DIR   (needs `apiminer` on PATH)
 set -e
@@ -61,6 +64,17 @@ with open("sweep.jsonl", "w", encoding="utf-8") as out:
 for name, kind, ratio, seed in (("interfere", INTERFERE, 0.95, 1), ("lexify", LEXIFY, 0.5, 3)):
     with open(f"expected-{name}.jsonl", "w", encoding="utf-8") as out:
         out.write(write_dataset(inject(corpus, kind, ratio, seed)))
+# each record's set fields in key order, headers as lists, as json.dumps
+# writes them with the writer's separators
+interfered = inject(corpus, INTERFERE, 0.95, 1).records
+assert {(r.label is None, r.content_type is None) for r in interfered} == {
+    (False, False), (True, False), (True, True)
+}
+with open("dumped-interfere.jsonl", "w", encoding="utf-8") as out:
+    for record in interfered:
+        fields = {k: v for k, v in record._asdict().items() if v is not None}
+        fields["headers"] = [list(pair) for pair in record.headers]
+        out.write(json.dumps(fields, separators=(",", ":")) + "\n")
 urls = ("/api/v1/items?page=2&q=a b", "//h/a", "HTTPS://H/a", "https://u:p@h:8080/a-b/",
         "https://h?", "https://h/a#")
 branches = Dataset([HttpRecord(i, "GET", url, label=f"EP_{i % 6}") for i, url in enumerate(urls * 4)])
@@ -147,6 +161,8 @@ apiminer ingest --format har --in badsize.har --out badsize.jsonl 2> badsize.err
 test "$code" -eq 2
 test "$(wc -l < badsize.err)" -eq 1
 grep -q "^error: malformed HAR entry at index 0: bodySize must be an integer, got 1.5$" badsize.err
+apiminer ingest --in expected-interfere.jsonl --out interfere-ingested.jsonl
+cmp interfere-ingested.jsonl dumped-interfere.jsonl
 apiminer noise --in capture.jsonl --kind interfere --ratio 0.95 --seed 1 --out interfere.jsonl
 cmp interfere.jsonl expected-interfere.jsonl
 apiminer noise --in capture.jsonl --kind lexify --ratio 0.5 --seed 3 --out lexify.jsonl

@@ -60,14 +60,28 @@ def _word(index: int) -> str:
     raise ValueError("endpoint_count exceeds the distinct-vocabulary budget")
 
 
-def _id_value(style: str, rng: np.random.Generator) -> str:
+def _id_texts(style: str, rng: np.random.Generator, count: int) -> list[str]:
+    """``count`` ids of ``style`` from one draw call.
+
+    The values are those ``count`` calls of one id each would draw: a batch
+    of integers is drawn as its scalars would be, and ``bytes(k * count)``
+    is ``count`` calls of ``bytes(k)`` laid end to end.
+    """
     if style == "int":
-        return str(int(rng.integers(100, 999999)))
+        # a scalar draw costs a quarter of a batch of one
+        if count == 1:
+            return [str(int(rng.integers(100, 999999)))]
+        return list(map(str, rng.integers(100, 999999, size=count).tolist()))
     if style == "uuid":
-        raw = rng.bytes(16).hex()
-        return f"{raw[0:8]}-{raw[8:12]}-{raw[12:16]}-{raw[16:20]}-{raw[20:32]}"
+        raw = rng.bytes(16 * count).hex()
+        return [
+            f"{raw[i:i + 8]}-{raw[i + 8:i + 12]}-{raw[i + 12:i + 16]}"
+            f"-{raw[i + 16:i + 20]}-{raw[i + 20:i + 32]}"
+            for i in range(0, 32 * count, 32)
+        ]
     if style == "hex":
-        return rng.bytes(8).hex()
+        raw = rng.bytes(8 * count).hex()
+        return [raw[i:i + 16] for i in range(0, 16 * count, 16)]
     raise ValueError(f"unknown id style {style!r}")
 
 
@@ -129,37 +143,61 @@ def _plan_endpoints(spec: CorpusSpec) -> list[_EndpointPlan]:
     return plans
 
 
+def _endpoint_urls(plan: _EndpointPlan, rng: np.random.Generator, count: int) -> list[str]:
+    """The URLs of an endpoint's ``count`` requests, in request order.
+
+    Each request draws its id, then its query value, from the endpoint's
+    own generator.  An endpoint that draws only one of the two draws all of
+    them in one call; one that draws both keeps a call per draw, because its
+    stream interleaves them.
+    """
+    head = _HOST + "/" + "/".join(plan.prefix)
+    tail = "" if plan.tail is None else "/" + plan.tail
+    ids = values = None
+    if plan.has_id and plan.query_keys:
+        ids, values = [], []
+        for _ in range(count):
+            ids += _id_texts(plan.id_style, rng, 1)
+            values.append(int(rng.integers(1, 500)))
+    elif plan.has_id:
+        ids = _id_texts(plan.id_style, rng, count)
+    elif plan.query_keys:
+        values = rng.integers(1, 500, size=count).tolist()
+    paths = [head + "/" + text + tail for text in ids] if ids is not None else [head + tail] * count
+    if values is None:
+        return paths
+    keys = tuple(enumerate(plan.query_keys))
+    return [
+        path + "?" + "&".join(f"{k}={value + n}" for n, k in keys)
+        for path, value in zip(paths, values)
+    ]
+
+
 def synth_corpus(spec: CorpusSpec) -> Dataset:
     """Deterministic labeled corpus: endpoint_count templates, fixed request
     count each, interleaved round-robin the way mixed live traffic arrives."""
     plans = _plan_endpoints(spec)
-    per_endpoint_rngs = [
-        np.random.default_rng(spec.seed * 1_000_003 + i) for i in range(len(plans))
+    count = spec.requests_per_endpoint
+    urls = [
+        _endpoint_urls(plan, np.random.default_rng(spec.seed * 1_000_003 + e), count)
+        for e, plan in enumerate(plans)
+    ]
+    # each body profile's counts as HttpRecord's checks hold them: no
+    # structure counts for an empty body
+    bodies = [
+        [(size, fields or None, nesting or None) for size, fields, nesting in plan.body_profiles]
+        for plan in plans
     ]
 
     records: list[HttpRecord] = []
-    for j in range(spec.requests_per_endpoint):
-        for e, plan in enumerate(plans):
-            erng = per_endpoint_rngs[e]
-            segments = list(plan.prefix)
-            if plan.has_id:
-                segments.append(_id_value(plan.id_style, erng))
-            if plan.tail is not None:
-                segments.append(plan.tail)
-            path = "/" + "/".join(segments)
-            if plan.query_keys:
-                value_seed = int(erng.integers(1, 500))
-                query = "&".join(f"{k}={value_seed + n}" for n, k in enumerate(plan.query_keys))
-                url = f"{_HOST}{path}?{query}"
-            else:
-                url = f"{_HOST}{path}"
-            body_size, fields, nesting = plan.body_profiles[j % len(plan.body_profiles)]
+    append = records.append
+    for j in range(count):
+        for plan, column, profiles in zip(plans, urls, bodies):
+            body_size, fields, nesting = profiles[j % len(profiles)]
             # the fields as HttpRecord's checks hold them: an upper-case
-            # method, the one header tuple, small counts, and no structure
-            # counts for an empty body
-            fields_held = (
-                len(records), plan.method, url, _JSON_HEADERS, "application/json",
-                body_size, fields or None, nesting or None, plan.label,
-            )
-            records.append(_new_tuple(HttpRecord, fields_held))
+            # method, the one header tuple and small counts
+            append(_new_tuple(HttpRecord, (
+                len(records), plan.method, column[j], _JSON_HEADERS, "application/json",
+                body_size, fields, nesting, plan.label,
+            )))
     return Dataset(records=records, source=f"synth-seed{spec.seed}")

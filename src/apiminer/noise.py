@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 from urllib.parse import urlsplit, uses_netloc
 
@@ -197,21 +198,48 @@ _LEXIFY: dict[str, _Rule] = {
 }
 
 
-def applicable_rules(url: SplitUrl) -> list[str]:
-    """The names of the Lexify rules that apply to ``url``, in
-    ``LEXIFY_RULES`` order."""
-    names = []
-    for name, (on, holds, _) in _LEXIFY.items():
-        if on == "url":
-            if holds(url):
-                names.append(name)
-            continue
-        # any(map(holds, items)), without building a map per rule and URL
-        for item in getattr(url, on):
+def _rule_bits(on: str):
+    """A cached function from one item (a path segment or query pair) to
+    the bits of the ``on`` rules whose condition holds for it, rule i in
+    ``LEXIFY_RULES`` order at bit i."""
+    rules = [(1 << i, holds) for i, (kind, holds, _) in enumerate(_LEXIFY.values()) if kind == on]
+
+    @lru_cache(maxsize=4096)
+    def bits(item: str) -> int:
+        mask = 0
+        for bit, holds in rules:
             if holds(item):
-                names.append(name)
-                break
-    return names
+                mask |= bit
+        return mask
+
+    return bits
+
+
+_segment_bits = _rule_bits("segments")
+_pair_bits = _rule_bits("pairs")
+_URL_RULES = tuple(
+    (1 << i, holds) for i, (on, holds, _) in enumerate(_LEXIFY.values()) if on == "url"
+)
+
+
+@lru_cache(maxsize=1 << len(_LEXIFY))
+def _rule_names(mask: int) -> tuple[str, ...]:
+    return tuple(name for i, name in enumerate(_LEXIFY) if mask >> i & 1)
+
+
+def applicable_rules(url: SplitUrl) -> tuple[str, ...]:
+    """The names of the Lexify rules that apply to ``url``, in
+    ``LEXIFY_RULES`` order: the rule bits of each of its segments and
+    pairs, computed once per distinct one, and of the whole URL."""
+    mask = 0
+    for bits in map(_segment_bits, url.segments):
+        mask |= bits
+    for bits in map(_pair_bits, url.pairs):
+        mask |= bits
+    for bit, holds in _URL_RULES:
+        if holds(url):
+            mask |= bit
+    return _rule_names(mask)
 
 
 def _apply(rule: _Rule, url: SplitUrl, rng: np.random.Generator) -> str:
@@ -321,11 +349,20 @@ def _draw_interference(category: str, rng: np.random.Generator) -> tuple[str, st
     return method, path, content_type
 
 
+# one header tuple per family content type, which its records share
+_FAMILY_HEADERS = {
+    content_type: (("Content-Type", content_type),) if content_type else ()
+    for family in _INTERFERE_FAMILIES.values()
+    for _, _, content_type in family
+}
+
+
 def _interference_record(record_id: int, method: str, url: str, content_type: str | None) -> HttpRecord:
     # an upper-case method, a header tuple and an empty body, as
     # HttpRecord's checks hold them
-    headers = (("Content-Type", content_type),) if content_type else ()
-    return _new_tuple(HttpRecord, (record_id, method, url, headers, content_type, 0, None, None, None))
+    return _new_tuple(HttpRecord, (
+        record_id, method, url, _FAMILY_HEADERS[content_type], content_type, 0, None, None, None
+    ))
 
 
 def interfere_sample(category: NoiseRule, rng: np.random.Generator, record_id: int = 0) -> HttpRecord:
@@ -358,7 +395,8 @@ def inject(dataset: Dataset, kind: str, ratio: float, seed: int) -> Dataset:
         return dataset
 
     if kind == LEXIFY:
-        records = list(dataset.records)
+        # each record with its index as its id
+        records = _renumber(dataset.records)
         for idx in sorted(rng.choice(n, size=count, replace=False).tolist()):
             record = records[idx]
             # one split answers which rules apply and feeds the drawn rule,
@@ -367,8 +405,8 @@ def inject(dataset: Dataset, kind: str, ratio: float, seed: int) -> Dataset:
             names = applicable_rules(url)
             if names:
                 new_url = _apply(_LEXIFY[_pick(names, rng)], url, rng)
-                records[idx] = _record(record, record.id, new_url)
-        return Dataset(records=_renumber(records), source=dataset.source + f"+lexify{ratio:g}")
+                records[idx] = _record(record, idx, new_url)
+        return Dataset(records=records, source=dataset.source + f"+lexify{ratio:g}")
 
     if kind == INTERFERE:
         drawn = [
@@ -376,16 +414,20 @@ def inject(dataset: Dataset, kind: str, ratio: float, seed: int) -> Dataset:
             for _ in range(count)
         ]
         positions = sorted(rng.integers(0, n + 1, size=count).tolist())
-        # each extra is built once, at the id it keeps: the j-th goes before
-        # the record at positions[j], or after the last record
+        # one pass, each record built once at its final id: the j-th extra
+        # goes before the record at positions[j], or after the last record,
+        # and a record follows the extras placed before it
         merged: list[HttpRecord] = []
+        append = merged.append
         j = 0
         for idx in range(n + 1):
             while j < count and positions[j] == idx:
-                merged.append(_interference_record(len(merged), *drawn[j]))
+                append(_interference_record(idx + j, *drawn[j]))
                 j += 1
             if idx < n:
-                merged.append(dataset.records[idx])
-        return Dataset(records=_renumber(merged), source=dataset.source + f"+interfere{ratio:g}")
+                record = dataset.records[idx]
+                rid = idx + j
+                append(record if record.id == rid else _record(record, rid, record.url))
+        return Dataset(records=merged, source=dataset.source + f"+interfere{ratio:g}")
 
     raise ValueError(f"unknown noise kind {kind!r}")

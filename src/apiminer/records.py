@@ -251,8 +251,9 @@ def _har_error(index: int, name: str, expected: str, value) -> IngestError:
 def parse_har(data: bytes) -> Dataset:
     """Parse a HAR 1.2 document into a Dataset.
 
-    Only the request side of each entry is consumed.  Entries lacking a
-    request URL are skipped and counted in ``Dataset.skipped``.
+    Only the request side of each entry is consumed.  An entry whose
+    request URL is missing, null or empty is skipped and counted in
+    ``Dataset.skipped``; any other URL that is not a string is an error.
     """
     try:
         doc = json.loads(data.decode("utf-8"))
@@ -282,7 +283,7 @@ def parse_har(data: bytes) -> Dataset:
         if not isinstance(request, dict):
             raise _har_error(index, "request", "an object", request)
         url = request.get("url")
-        if not url:
+        if url is None or url == "":
             skipped += 1
             continue
         headers = request.get("headers", [])
@@ -547,32 +548,42 @@ def write_dataset(dataset: Dataset) -> str:
 
     Fields go in a fixed order; id, method, url, headers and body_size are
     always written, the other fields only when they are not None.  Each
-    line is laid out here, in the key order and bytes of the JSON encoder
-    with separators (",", ":"): strings through the ASCII string escaper,
-    ints through ``str``, and each distinct header tuple's text made once
-    per call.  The ``.records`` of records with ids 0..n-1 read back equal
-    through ``parse_jsonl``.
+    line is laid out here, by one f-string, in the key order and bytes of
+    the JSON encoder with separators (",", ":"): strings through the ASCII
+    string escaper, ints as ``str`` writes them.  Each distinct method,
+    content type and label is escaped once per call, in a table of its own
+    field, and each distinct header tuple's text is made once per call.
+    The ``.records`` of records with ids 0..n-1 read back equal through
+    ``parse_jsonl``.
     """
-    lines = []
-    append = lines.append
     string = _string
+    # each field's text after its key, by value; an absent field writes none
+    methods: dict[str, str] = {}
+    content_types: dict[str | None, str] = {None: ""}
+    labels: dict[str | None, str] = {None: ""}
     # by id: the records keep each headers object alive for the call
     header_texts: dict[int, str] = {}
+    lines = []
+    append = lines.append
     for record in dataset.records:
         rid, method, url, headers, content_type, body_size, fields, depth, label = record
+        method_text = methods.get(method)
+        if method_text is None:
+            method_text = methods[method] = string(method)
         head = header_texts.get(id(headers))
         if head is None:
             head = header_texts[id(headers)] = _header_text(headers)
-        line = '{"id":' + str(rid) + ',"method":' + string(method) + ',"url":' + string(url)
-        line += ',"headers":' + head
-        if content_type is not None:
-            line += ',"content_type":' + string(content_type)
-        line += ',"body_size":' + str(body_size)
-        if fields is not None:
-            line += ',"body_field_count":' + str(fields)
+        type_text = content_types.get(content_type)
+        if type_text is None:
+            type_text = content_types[content_type] = ',"content_type":' + string(content_type)
+        label_text = labels.get(label)
+        if label_text is None:
+            label_text = labels[label] = ',"label":' + string(label)
+        counts = "" if fields is None else f',"body_field_count":{fields}'
         if depth is not None:
-            line += ',"body_nesting_depth":' + str(depth)
-        if label is not None:
-            line += ',"label":' + string(label)
-        append(line + "}")
-    return "\n".join(lines) + ("\n" if lines else "")
+            counts += f',"body_nesting_depth":{depth}'
+        append(
+            f'{{"id":{rid},"method":{method_text},"url":{string(url)},"headers":{head}'
+            f'{type_text},"body_size":{body_size}{counts}{label_text}}}\n'
+        )
+    return "".join(lines)

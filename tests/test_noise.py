@@ -227,7 +227,7 @@ class TestApplicability:
         # inject draws from applicable_rules(); lexify reads the same conditions
         record = rec(url=url)
         applied = [name for name in LEXIFY_RULES if lexify(record, rule(name), rng(seed))[1]]
-        assert applicable_rules(SplitUrl(url)) == applied
+        assert applicable_rules(SplitUrl(url)) == tuple(applied)
 
 
 # URLs urlsplit rejects: an unclosed IPv6 bracket, and a host that NFKC
@@ -366,26 +366,53 @@ class TestMalformedUrls:
             assert isinstance(noisy, Dataset)
 
 
-# sha256 of write_dataset(inject(synth_corpus(CorpusSpec(20, requests, seed=42)), ...))
-# by (requests, kind, ratio, seed): any change to the noise lab's draws,
-# mutations or JSONL form moves these.  The 300-request cells are the deep
-# benchmark workload's captures.
+# sha256 of write_dataset(inject(synth_corpus(CorpusSpec(endpoints, requests,
+# seed=42)), ...)) by (endpoints, requests, kind, ratio, seed): any change to
+# the corpus's or noise lab's draws, mutations or JSONL form moves these.  The
+# 20 x 300 cells are the deep benchmark workload's captures, and the
+# 180 x 30 cells the wide workload's.
 PINNED_CAPTURES = {
-    (50, LEXIFY, 0.05, 3): "302866a3294261ff3673232c19229b48d98cd0c967f3a19cb88a9ac87fe8eb8d",
-    (50, LEXIFY, 0.5, 1): "ed06a37cb9a77aeeb51fdf737e6c7d4edeb69049e4f70ba12cc645ea2d1876b2",
-    (50, LEXIFY, 0.95, 2): "ec7901218a9959a868b8b231146d4c1a1cf11aa635532f50912cc9d2526baaa2",
-    (50, INTERFERE, 0.25, 2): "b25703cecf3ee256969a3ee4d1b84fed5dffb6c94f3720b561d40aa2c8bf38fe",
-    (50, INTERFERE, 0.95, 1): "0e3d1ad7fb888a2ee37ac0128bdac42fcd062f18a5ea82275cd9c50c21fa3928",
-    (300, LEXIFY, 0.5, 1): "960294f0868889ef44ee21acf843f9c7e4c5e77511d2f159f82b444864d00745",
-    (300, LEXIFY, 0.5, 2): "d91282b7a3a89ba4e43f44f81959d9c5a6c2bbedcf3a204f9977927a5c9ab197",
+    (20, 50, LEXIFY, 0.05, 3): "302866a3294261ff3673232c19229b48d98cd0c967f3a19cb88a9ac87fe8eb8d",
+    (20, 50, LEXIFY, 0.5, 1): "ed06a37cb9a77aeeb51fdf737e6c7d4edeb69049e4f70ba12cc645ea2d1876b2",
+    (20, 50, LEXIFY, 0.95, 2): "ec7901218a9959a868b8b231146d4c1a1cf11aa635532f50912cc9d2526baaa2",
+    (20, 50, INTERFERE, 0.25, 2): "b25703cecf3ee256969a3ee4d1b84fed5dffb6c94f3720b561d40aa2c8bf38fe",
+    (20, 50, INTERFERE, 0.95, 1): "0e3d1ad7fb888a2ee37ac0128bdac42fcd062f18a5ea82275cd9c50c21fa3928",
+    (20, 300, LEXIFY, 0.5, 1): "960294f0868889ef44ee21acf843f9c7e4c5e77511d2f159f82b444864d00745",
+    (20, 300, LEXIFY, 0.5, 2): "d91282b7a3a89ba4e43f44f81959d9c5a6c2bbedcf3a204f9977927a5c9ab197",
+    (180, 30, INTERFERE, 0.95, 1): "c678829c6302021b439253adb7e47dbfc34009aef8119800017ad1a00b03d4bc",
+    (180, 30, INTERFERE, 0.95, 2): "f8b1ecc9837ac4b6b26740a1d6156d180cbc951e5c215a27c3bcc2020b024af2",
+    (180, 30, INTERFERE, 0.95, 3): "0d84f1781ef13a5576987f08b2e269251fa29482271fea2b1c15e598b8c84dc3",
 }
+
+
+def merged_then_renumbered(dataset, ratio, seed):
+    """Interfere's records built in two passes: the drawn extras merged in
+    at their positions, then each record whose index is not its id rebuilt
+    through the checked constructor with its index as its id."""
+    n = len(dataset.records)
+    count = int(round(ratio * n))
+    if count == 0:
+        return dataset.records
+    generator = np.random.default_rng(seed)
+    extras = [
+        interfere_sample(NoiseRule(
+            INTERFERE_CATEGORIES[int(generator.integers(len(INTERFERE_CATEGORIES)))], INTERFERE
+        ), generator)
+        for _ in range(count)
+    ]
+    positions = sorted(generator.integers(0, n + 1, size=count).tolist())
+    merged = list(dataset.records)
+    # from the last position back, so each insertion leaves the earlier ones
+    for position, extra in reversed(list(zip(positions, extras))):
+        merged.insert(position, extra)
+    return [r if r.id == i else r._replace(id=i) for i, r in enumerate(merged)]
 
 
 class TestInject:
     @pytest.mark.parametrize("cell", sorted(PINNED_CAPTURES))
     def test_generated_captures_are_pinned(self, cell):
-        requests, kind, ratio, seed = cell
-        noisy = inject(synth_corpus(CorpusSpec(20, requests, seed=42)), kind, ratio, seed)
+        endpoints, requests, kind, ratio, seed = cell
+        noisy = inject(synth_corpus(CorpusSpec(endpoints, requests, seed=42)), kind, ratio, seed)
         digest = hashlib.sha256(write_dataset(noisy).encode()).hexdigest()
         assert digest == PINNED_CAPTURES[cell]
 
@@ -419,6 +446,24 @@ class TestInject:
         out = inject(small_dataset(10), "Interfere", 0.5, seed=3)
         assert [r.id for r in out.records] == list(range(15))
         assert set(out.ground_truth) <= set(range(15))
+
+    @given(
+        ids=st.lists(st.integers(0, 30), unique=True, max_size=12),
+        ratio=st.floats(0, 1),
+        seed=st.integers(0, 2**32),
+    )
+    @example(ids=list(range(8)), ratio=0.95, seed=1)
+    @example(ids=[5, 1, 2, 9], ratio=1.0, seed=0)
+    def test_interfere_is_merge_then_renumber(self, ids, ratio, seed):
+        dataset = Dataset([rec(rid=rid, url=f"/api/v1/items/{rid}") for rid in ids])
+        expected = merged_then_renumbered(dataset, ratio, seed)
+        noisy = inject(dataset, INTERFERE, ratio, seed)
+        assert noisy.records == expected
+        assert [list(map(type, r)) for r in noisy.records] == [list(map(type, r)) for r in expected]
+        # a record whose id does not move is the input's own object
+        kept = [r for r in noisy.records if r.label is not None]
+        for old, new in zip(dataset.records, kept):
+            assert (new is old) == (new.id == old.id)
 
     def test_deterministic(self):
         a = inject(small_dataset(), LEXIFY, 0.5, seed=7)

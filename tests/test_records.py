@@ -93,6 +93,25 @@ class TestParseHar:
         assert len(ds.records) == 1
         assert ds.skipped == 1
 
+    def test_a_null_or_empty_url_is_skipped_and_counted(self):
+        ds = parse_har(har_doc([entry(url=None), entry(), entry(url="")]))
+        assert [r.url for r in ds.records] == [entry()["request"]["url"]]
+        assert ds.skipped == 2
+
+    @pytest.mark.parametrize("value", ["0", "false", "[]", "{}", "5", "1.5", "true", '["/x"]'])
+    def test_a_url_that_is_not_a_string_is_refused(self, tmp_path, capsys, value):
+        # only a missing, null or empty URL is skipped: a falsy number, bool,
+        # list or object is no more a URL than a truthy one
+        src = tmp_path / "bad.har"
+        src.write_bytes(b'{"log": {"entries": [{"request": {"url": "/a"}}, {"request": {"url": %s}}]}}'
+                        % value.encode())
+        message = f"malformed HAR entry at index 1: url must be a string, got {json.loads(value)!r}"
+        with pytest.raises(IngestError, match=re.escape(message) + "$"):
+            parse_har(src.read_bytes())
+        assert main(["ingest", "--format", "har", "--in", str(src)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
+
     def test_malformed_json_reports_byte_offset(self):
         with pytest.raises(IngestError, match=r"byte offset \d+"):
             parse_har(b'{"log": {"entries": [}}')
@@ -537,6 +556,31 @@ def writer_records(draw):
     return records
 
 
+# a few strings that each field draws from, so one string is the method of
+# one record, the content type of another and the label of a third
+SHARED_TEXT = st.sampled_from(["GET", "a", "", '"', "\u00e9", "\U0001f600", "\x00"])
+
+
+@st.composite
+def pooled_records(draw):
+    """Two to six records whose strings come from ``SHARED_TEXT``."""
+    count = draw(st.integers(2, 6))
+    return [
+        held(
+            rid,
+            draw(SHARED_TEXT),
+            draw(SHARED_TEXT),
+            draw(st.lists(st.tuples(SHARED_TEXT, SHARED_TEXT), max_size=2).map(tuple)),
+            draw(st.none() | SHARED_TEXT),
+            draw(st.integers(0, 3)),
+            draw(st.none() | st.integers(0, 3)),
+            draw(st.none() | st.integers(0, 3)),
+            draw(st.none() | SHARED_TEXT),
+        )
+        for rid in range(count)
+    ]
+
+
 class TestWriter:
     """``write_dataset`` writes each line as the JSON encoder writes the dict
     of its fields."""
@@ -545,6 +589,13 @@ class TestWriter:
     @example([HttpRecord(0, "GET", "/a", SHARED_HEADERS, label="A"),
               HttpRecord(1, "POST", "/b", SHARED_HEADERS, body_size=2)])
     def test_lines_are_the_encoders(self, records):
+        assert write_dataset(Dataset(records)) == "".join(encoded_line(r) for r in records)
+
+    @given(pooled_records())
+    @example([held(0, "a", "/x", (), "GET", 0, None, None, "a"),
+              held(1, "GET", "/y", (), "a", 1, 1, None, "GET")])
+    def test_a_string_shared_by_fields_is_written_as_each_field(self, records):
+        # each field keeps its own table of escaped values
         assert write_dataset(Dataset(records)) == "".join(encoded_line(r) for r in records)
 
     def test_checked_records_are_the_encoders_lines(self):
