@@ -23,13 +23,18 @@
 # repeated, which collapses to its wildcard; a capture that json.dumps wrote
 # with ensure_ascii=False, a raw U+2028 in each label and a raw U+0085 in each
 # url, is ingested to the bytes the writer gives in process and discovered;
-# a small HAR (a JSON POST with postData, a bodySize of -1 and one of null)
-# is ingested to the bytes the writer gives for parse_har in process, and a
+# a small HAR (a JSON POST with postData, one with postData and a bodySize
+# of -1, which reads as its text's UTF-8 length, a GET with a bodySize of -1
+# and one with null) is ingested to the bytes the writer gives for parse_har
+# in process, and a
 # HAR entry with a bodySize of 1.5 makes ingest exit 2 with one line naming
 # the entry and the field; the Interfere 0.95 capture, which mixes labelled
 # and unlabelled requests with and without a content type, is ingested to the
 # lines json.dumps writes for its records' fields in key order, an oracle that
-# shares no code with the writer.
+# shares no code with the writer; discover, run as the child of a Python
+# step, writes one cluster of every request for a capture of one POST
+# endpoint with 16,000 distinct body sizes, and its resident memory peaks
+# under 300 MB.
 #
 # Usage: bash .github/scripts/console-e2e.sh DIR   (needs `apiminer` on PATH)
 set -e
@@ -109,6 +114,7 @@ assert "\u2028" in text and "\x85" in text
 with open("breaks.jsonl", "w", encoding="utf-8") as out:
     out.write(text)
 body = json.dumps({"item": 7, "options": {"gift": True}})
+unsized = json.dumps({"note": "café", "lines": [{"sku": 3}]}, ensure_ascii=False)
 har = json.dumps({"log": {"entries": [
     {"request": {"method": "post", "url": "https://app.example.com/api/v1/orders",
                  "headers": [{"name": "Content-Type", "value": "application/json"}],
@@ -117,12 +123,16 @@ har = json.dumps({"log": {"entries": [
                  "headers": [], "bodySize": -1}},
     {"request": {"method": "GET", "url": "https://app.example.com/api/v1/orders/8?page=2",
                  "headers": [{"name": "Accept", "value": "application/json"}], "bodySize": None}},
+    {"request": {"method": "POST", "url": "https://app.example.com/api/v1/orders",
+                 "headers": [{"name": "Content-Type", "value": "application/json"}],
+                 "bodySize": -1, "postData": {"mimeType": "application/json", "text": unsized}}},
 ]}}).encode()
 with open("capture.har", "wb") as out:
     out.write(har)
 records = parse_har(har).records
 assert [(r.method, r.body_size, r.body_field_count, r.body_nesting_depth) for r in records] == [
-    ("POST", len(body), 2, 2), ("GET", 0, None, None), ("GET", 0, None, None)
+    ("POST", len(body), 2, 2), ("GET", 0, None, None), ("GET", 0, None, None),
+    ("POST", len(unsized.encode("utf-8")), 2, 3),
 ]
 with open("expected-har.jsonl", "w", encoding="utf-8") as out:
     out.write(write_dataset(parse_har(har)))
@@ -225,4 +235,23 @@ for name, shuffled, expected in (
     assert member_sets(shuffled, order.__getitem__) == member_sets(expected), shuffled
 with open("collapse-clusters.json", encoding="utf-8") as handle:
     assert "/api/{*}/items" in {c["template"] for c in json.load(handle)}
+PY
+python - <<'PY'
+import json, resource, subprocess
+from apiminer.records import Dataset, HttpRecord, write_dataset
+
+n = 16000
+large = Dataset([
+    HttpRecord(i, "POST", "/api/v1/orders", content_type="application/json",
+               body_size=100 + i, body_field_count=3, body_nesting_depth=1, label="EP_orders")
+    for i in range(n)
+])
+with open("large.jsonl", "w", encoding="utf-8") as out:
+    out.write(write_dataset(large))
+subprocess.run(["apiminer", "discover", "--in", "large.jsonl", "--out", "large-clusters.json"], check=True)
+# kilobytes on Linux: the peak of the one child this step ran
+peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+assert peak_mb <= 300, f"discover on {n} distinct rows peaked at {peak_mb:.0f} MB"
+with open("large-clusters.json", encoding="utf-8") as handle:
+    assert [c["member_count"] for c in json.load(handle)] == [n]
 PY

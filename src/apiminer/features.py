@@ -1,5 +1,6 @@
-"""Lightweight semantic features, one row per distinct ``row_input``, the
-similarity graph over scaled rows, and its connected components."""
+"""Lightweight semantic features, one row per distinct ``row_input``, and the
+connected components of the similarity graph over scaled rows, found from
+the rows themselves in memory linear in their number."""
 
 from __future__ import annotations
 
@@ -76,44 +77,40 @@ def scale_features(matrix: np.ndarray) -> np.ndarray:
     return (matrix - lo) / span
 
 
-def build_graph(features: np.ndarray, theta: float) -> np.ndarray:
-    """Boolean adjacency of the thresholded similarity graph on scaled rows.
+# a frontier is compared with the rows no component holds yet in blocks of at
+# most this many rows, and fewer when a block would pass this many similarities
+BLOCK_ROWS = 512
+BLOCK_CELLS = 2**20
 
-    Rows i and j are joined when s = (1 + cos(x_i, x_j)) / 2 >= theta, in
-    either order, since the two products can round apart.  A zero row joins
-    nothing, and no row joins itself.  Given a group's distinct rows, its
+
+def connected_components(rows: np.ndarray, theta: float) -> np.ndarray:
+    """Component label per row of the thresholded similarity graph on scaled
+    rows, numbered in order of each component's first row.
+
+    Rows i and j are joined when s = (1 + cos(x_i, x_j)) / 2 >= theta; a zero
+    row joins nothing.  The search is breadth-first from each row no
+    component holds yet: a step compares a block of the frontier's unit rows
+    with the rows still unreached, so no n x n array is made and a row is
+    compared no more once reached.  Given a group's distinct rows, its
     components are those of the graph over every request, except that the
     copies of a zero row stay one component.
     """
     if not (0.0 < theta < 1.0):
         raise ValueError("theta must be in (0,1)")
-    norms = np.linalg.norm(features, axis=1)
-    safe = norms.copy()
-    safe[safe == 0] = 1.0
-    unit = features / safe[:, None]
-    joined = (1.0 + unit @ unit.T) / 2.0 >= theta
-    joined |= joined.T
-    nonzero = norms > 0
-    joined &= nonzero[:, None] & nonzero[None, :]
-    np.fill_diagonal(joined, False)
-    return joined
-
-
-def connected_components(A: np.ndarray) -> np.ndarray:
-    """Component label per node of the graph, by breadth-first search one
-    frontier at a time, numbered in order of each component's first node."""
-    n = A.shape[0]
-    labels = np.full(n, -1)
-    count = 0
-    for start in range(n):
-        if labels[start] >= 0:
-            continue
-        reached = np.zeros(n, dtype=bool)
-        reached[start] = True
-        frontier = reached
-        while frontier.any():
-            frontier = A[frontier].any(axis=0) & ~reached
-            reached |= frontier
-        labels[reached] = count
-        count += 1
-    return labels
+    norms = np.linalg.norm(rows, axis=1)
+    # each row is named by its component's first row; a zero row by itself
+    first = np.arange(len(rows))
+    left = np.flatnonzero(norms > 0)
+    unit = rows[left] / norms[left, None]
+    while len(left):
+        start = left[0]
+        frontier, unit, left = unit[:1], unit[1:], left[1:]
+        while len(frontier) and len(left):
+            size = max(1, min(BLOCK_ROWS, BLOCK_CELLS // len(left)))
+            block, frontier = frontier[:size], frontier[size:]
+            joined = ((1.0 + block @ unit.T) / 2.0 >= theta).any(axis=0)
+            if joined.any():
+                first[left[joined]] = start
+                frontier = np.concatenate((frontier, unit[joined]))
+                unit, left = unit[~joined], left[~joined]
+    return np.unique(first, return_inverse=True)[1]

@@ -251,7 +251,9 @@ def _har_error(index: int, name: str, expected: str, value) -> IngestError:
 def parse_har(data: bytes) -> Dataset:
     """Parse a HAR 1.2 document into a Dataset.
 
-    Only the request side of each entry is consumed.  An entry whose
+    Only the request side of each entry is consumed.  A ``bodySize`` of -1
+    or null, HAR's "unknown", reads as the UTF-8 length of ``postData.text``
+    when that is a string, and as 0 otherwise.  An entry whose
     request URL is missing, null or empty is skipped and counted in
     ``Dataset.skipped``; any other URL that is not a string is an error.
     """
@@ -292,12 +294,16 @@ def parse_har(data: bytes) -> Dataset:
             # the check refuses as no pair
             headers = [(h.get("name", ""), h.get("value", "")) if type(h) is dict else None
                        for h in headers]
-        # null, as -1, is HAR's "unknown"
         body_size = request.get("bodySize")
+        post_data = request.get("postData")
+        if body_size is None or (type(body_size) is int and body_size == -1):
+            # HAR's "unknown": the UTF-8 length of the posted text, if any
+            text = post_data.get("text") if type(post_data) is dict else None
+            body_size = len(text.encode("utf-8", "surrogatepass")) if type(text) is str else 0
         try:
             rid, method, url, headers, _, body_size, _, _, _ = _held_fields(
                 len(records), request.get("method", "GET"), url, headers, None,
-                0 if body_size is None else body_size, None, None, None, True,
+                body_size, None, None, None, True,
             )
         except _Fault as fault:
             name = "bodySize" if fault.name == "body_size" else fault.name
@@ -305,7 +311,6 @@ def parse_har(data: bytes) -> Dataset:
         content_type = _header_lookup(headers, "Content-Type")
         field_count = None
         nesting = None
-        post_data = request.get("postData")
         if body_size > 0 and post_data and content_type:
             if not isinstance(post_data, dict):
                 raise _har_error(index, "postData", "an object", post_data)

@@ -1,7 +1,8 @@
 """Stage-2 refinement: split template groups into behavioral endpoint clusters.
 
 Each group of three or more requests is cut into the connected components
-of its thresholded similarity graph, then clusters under
+of its thresholded similarity graph, found from the scaled rows without an
+n x n array (``features.connected_components``), then clusters under
 ``MIN_CLUSTER_FRACTION`` of the group are merged into the nearest big one.
 Refinement works on a group's distinct feature rows in sorted order and the
 count of requests on each: the requests of one row are one node, so
@@ -34,7 +35,6 @@ from .normalize import NormalizedRequest, QueryKeyCensus, canonical_path, normal
 from .denoise import DEFAULT_TAU, filter_traffic
 from .templates import PathTemplate, TemplateGroup, mine
 from .features import (
-    build_graph,
     connected_components,
     extract_features,
     row_input,
@@ -181,7 +181,7 @@ def refine_group(group: TemplateGroup, config: RefinerConfig | None = None) -> l
     # min and max over the distinct rows are those over every request, so
     # each request's scaled row is its distinct row scaled
     rows = scale_features(rows)
-    labels = connected_components(build_graph(rows, config.theta))
+    labels = connected_components(rows, config.theta)
     if config.force_kmeans:
         labels = kmeans_assign(rows, counts, min(int(labels.max()) + 1, MAX_K))
     labels = _reabsorb_small(labels, rows, counts, min_size)[node_of]

@@ -1,13 +1,16 @@
 """Per-request semantic features, similarity graph, component counting."""
 
 import math
+from contextlib import nullcontext
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from apiminer import features
 from apiminer.features import (
     FEATURE_NAMES,
-    build_graph,
     connected_components,
     extract_features,
     row_input,
@@ -79,44 +82,24 @@ class TestScaleFeatures:
         assert np.all(scaled[:, 0] == 0.0)
 
 
-class TestBuildGraph:
-    def test_identical_vectors_joined(self):
-        X = np.array([[1.0, 1.0], [1.0, 1.0]])
-        g = build_graph(X, 0.9)
-        assert g.dtype == bool
-        assert g[0, 1]
+def reference_graph(features, theta):
+    """Independent oracle: the dense boolean adjacency of the thresholded
+    similarity graph, from every pair's similarity in one n x n product.
 
-    def test_orthogonal_vectors_half_similarity(self):
-        X = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert build_graph(X, 0.4)[0, 1]
-        # s = 0.5 exactly: at the threshold, an edge
-        assert build_graph(X, 0.5)[0, 1]
-        assert not build_graph(X, 0.6)[0, 1]
-
-    def test_zero_vector_isolated(self):
-        X = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
-        g = build_graph(X, 0.1)
-        assert not g[0].any() and not g[:, 0].any()
-        # two zero rows are not joined either
-        assert not g[0, 2]
-
-    def test_matches_brute_force_similarity(self):
-        rng = np.random.default_rng(3)
-        X = np.abs(rng.standard_normal((4, 5)))
-        theta = 0.9
-        g = build_graph(X, theta)
-        assert g.dtype == bool
-        for i in range(4):
-            for j in range(4):
-                if i == j:
-                    assert not g[i, j]
-                    continue
-                cos = float(X[i] @ X[j] / (np.linalg.norm(X[i]) * np.linalg.norm(X[j])))
-                assert g[i, j] == ((1 + cos) / 2 >= theta)
-
-    def test_theta_bounds(self):
-        with pytest.raises(ValueError):
-            build_graph(np.ones((2, 2)), 0.0)
+    Rows i and j are joined when s = (1 + cos(x_i, x_j)) / 2 >= theta, in
+    either order, since the two products can round apart.  A zero row joins
+    nothing, and no row joins itself.
+    """
+    norms = np.linalg.norm(features, axis=1)
+    safe = norms.copy()
+    safe[safe == 0] = 1.0
+    unit = features / safe[:, None]
+    joined = (1.0 + unit @ unit.T) / 2.0 >= theta
+    joined |= joined.T
+    nonzero = norms > 0
+    joined &= nonzero[:, None] & nonzero[None, :]
+    np.fill_diagonal(joined, False)
+    return joined
 
 
 def bfs_components(A):
@@ -139,30 +122,98 @@ def bfs_components(A):
     return labels
 
 
+def components(rows, theta):
+    return connected_components(np.array(rows, dtype=float), theta).tolist()
+
+
+class TestEdges:
+    def test_identical_vectors_joined(self):
+        assert components([[1.0, 1.0], [1.0, 1.0]], 0.9) == [0, 0]
+
+    def test_orthogonal_vectors_half_similarity(self):
+        X = [[1.0, 0.0], [0.0, 1.0]]
+        assert components(X, 0.4) == [0, 0]
+        # s = 0.5 exactly: at the threshold, an edge
+        assert components(X, 0.5) == [0, 0]
+        assert components(X, 0.6) == [0, 1]
+
+    @pytest.mark.parametrize("theta", [0.1, 0.5, 0.9])
+    def test_zero_vector_isolated(self, theta):
+        # at theta <= 0.5 a zero row's unit vector would score 0.5 against
+        # any row; two zero rows are not joined either
+        assert components([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0]], theta) == [0, 1, 2]
+
+    def test_matches_brute_force_similarity(self):
+        rng = np.random.default_rng(3)
+        for theta in (0.9, 0.95, 0.99):
+            X = np.abs(rng.standard_normal((12, 5)))
+            A = np.zeros((12, 12), dtype=bool)
+            for i in range(12):
+                for j in range(12):
+                    cos = float(X[i] @ X[j] / (np.linalg.norm(X[i]) * np.linalg.norm(X[j])))
+                    A[i, j] = i != j and (1 + cos) / 2 >= theta
+            assert connected_components(X, theta).tolist() == bfs_components(A)
+
+    @pytest.mark.parametrize("theta", [-0.5, 0.0, 1.0, 1.5, float("nan")])
+    def test_theta_bounds(self, theta):
+        with pytest.raises(ValueError):
+            connected_components(np.ones((2, 2)), theta)
+
+
+@st.composite
+def scaled_rows(draw):
+    """Scaled rows with ties: raw values rounded to 0-2 decimals, rows
+    repeated from a small pool, and the zero row among them."""
+    width = draw(st.integers(1, 6))
+    decimals = draw(st.integers(0, 2))
+    value = st.floats(0, 10).map(lambda v: round(v, decimals))
+    pool = draw(st.lists(st.lists(value, min_size=width, max_size=width), min_size=1, max_size=12))
+    pool.append([0.0] * width)
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40))
+    return scale_features(np.array([pool[i] for i in picks]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    rows=scaled_rows(),
+    theta=st.sampled_from([0.5, 0.85]) | st.floats(0.01, 0.5) | st.floats(0.5, 0.99),
+    small_blocks=st.booleans(),
+)
+def test_components_are_those_of_the_dense_graph(rows, theta, small_blocks):
+    # small blocks split every frontier step into products of a row or two
+    with mock.patch.multiple(features, BLOCK_ROWS=2, BLOCK_CELLS=3) if small_blocks else nullcontext():
+        labels = connected_components(rows, theta)
+    assert labels.tolist() == bfs_components(reference_graph(rows, theta))
+
+
 class TestComponents:
     def test_against_bfs_oracle(self):
-        # both number components in order of their first node
+        # both number components in order of their first row
         rng = np.random.default_rng(11)
-        for n in (1, 2, 12, 40):
-            for p in (0.0, 0.05, 0.15, 0.5):
-                A = np.triu(rng.random((n, n)) < p, 1)
-                A = A | A.T
-                assert connected_components(A).tolist() == bfs_components(A)
+        for n in (1, 2, 12, 40, 120):
+            for theta in (0.3, 0.85, 0.95, 0.999):
+                X = scale_features(rng.random((n, 4)) * (rng.random((n, 4)) < 0.6))
+                A = reference_graph(X, theta)
+                assert connected_components(X, theta).tolist() == bfs_components(A)
 
     def test_numbered_by_first_node(self):
-        # a path 4-1-3 and a pair 0-2: component 0 holds node 0
-        A = np.zeros((5, 5), dtype=bool)
-        for i, j in [(4, 1), (1, 3), (0, 2)]:
-            A[i, j] = A[j, i] = True
-        assert connected_components(A).tolist() == [0, 1, 0, 1, 1]
+        # a path 4-1-3 and a pair 0-2: component 0 holds row 0
+        X = np.array([[1.0, 0.0], [0.02, 1.0], [1.0, 0.01], [0.04, 1.0], [0.0, 1.0]])
+        assert sorted(zip(*np.nonzero(np.triu(reference_graph(X, 0.9998))))) == [(0, 2), (1, 3), (1, 4)]
+        assert components(X, 0.9998) == [0, 1, 0, 1, 1]
 
-    def test_long_path_is_one_component(self):
-        # one frontier step per edge of the path
+    @pytest.mark.parametrize("block_rows, block_cells", [(512, 2**20), (1, 1)])
+    def test_long_path_is_one_component(self, block_rows, block_cells):
+        # points 1.8 degrees apart on a quarter circle, taken in a shuffled
+        # order: each joins only its neighbours, one frontier step per edge
         n = 50
-        A = np.zeros((n, n), dtype=bool)
-        order = np.random.default_rng(2).permutation(n)
-        A[order[:-1], order[1:]] = A[order[1:], order[:-1]] = True
-        assert connected_components(A).tolist() == [0] * n
+        angle = np.linspace(0.0, np.pi / 2, n)
+        X = np.empty((n, 2))
+        X[np.random.default_rng(2).permutation(n)] = np.column_stack((np.cos(angle), np.sin(angle)))
+        A = reference_graph(X, 0.9995)
+        assert A.sum() == 2 * (n - 1)
+        with mock.patch.multiple(features, BLOCK_ROWS=block_rows, BLOCK_CELLS=block_cells):
+            assert connected_components(X, 0.9995).tolist() == [0] * n
 
 
 class TestDistinctRowGraph:
@@ -174,8 +225,5 @@ class TestDistinctRowGraph:
     def test_zero_row_copies_are_components(self):
         # the zero row is one component, however many copies it has, plus one
         # component of the rest; on all six rows each zero-row copy is its own
-        def count(A):
-            return int(connected_components(A).max()) + 1
-
-        assert count(build_graph(self.distinct, 0.85)) == 2
-        assert count(build_graph(self.X, 0.85)) == 4
+        assert components(self.distinct, 0.85) == [0, 1, 1]
+        assert components(self.X, 0.85) == [0, 1, 2, 1, 3, 1]

@@ -156,11 +156,11 @@ def test_bytes_retained_per_request(kind):
     assert prepared <= prepared_bound, f"prepare_traffic holds {prepared:.0f} B per request"
 
 
-# Refinement works on a group's distinct rows: 2,000 requests with as many
-# body sizes hold one 2,000-row graph and no per-request matrix beside it.
-# Measured with CPython 3.11 and numpy 2.4: 35 MiB on either path; 339 MiB
-# when refinement also kept a per-request matrix and a union-find walked
-# every edge of the graph in Python.
+# Refinement works on a group's distinct rows and finds their components
+# without a pairwise array: 8,000 requests with as many body sizes hold
+# arrays of 8,000 rows and a block of similarities.  Measured with CPython
+# 3.11 and numpy 2.4: 3.9 MiB on either path; a dense 8,000 x 8,000
+# similarity graph takes 552 MiB.
 REFINE_PEAK_BOUND = 64 * 2**20
 
 
@@ -170,7 +170,7 @@ def test_refining_many_distinct_rows_peak(force_kmeans):
         normalize(HttpRecord(id=i, method="POST", url="/api/v1/orders",
                              content_type="application/json", body_size=100 + i,
                              body_field_count=3, body_nesting_depth=1))
-        for i in range(2000)
+        for i in range(8000)
     ]
     (group,) = mine(members)
     gc.collect()
@@ -180,5 +180,5 @@ def test_refining_many_distinct_rows_peak(force_kmeans):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sum(len(c.member_ids) for c in clusters) == 2000
+    assert sum(len(c.member_ids) for c in clusters) == 8000
     assert peak <= REFINE_PEAK_BOUND, f"refine_group peaked at {peak / 2**20:.0f} MiB"

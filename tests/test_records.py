@@ -148,10 +148,10 @@ class TestParseHar:
         with pytest.raises(IngestError, match="log is not an object"):
             parse_har(b'{"log": []}')
 
-    @pytest.mark.parametrize("value", ["1.5", "2.0", "1e3", "true", "false", '"7"'])
+    @pytest.mark.parametrize("value", ["1.5", "2.0", "1e3", "-1.0", "true", "false", '"7"'])
     def test_a_body_size_that_is_not_a_json_integer_is_refused(self, tmp_path, capsys, value):
         # as the JSONL reader and the record refuse it: no bool, float or
-        # string is read as a count
+        # string is read as a count, nor is -1.0 read as HAR's "unknown" -1
         src = tmp_path / "bad.har"
         src.write_bytes(b'{"log": {"entries": [{"request": {"url": "/x", "bodySize": %s}}]}}'
                         % value.encode())
@@ -162,12 +162,38 @@ class TestParseHar:
         err = capsys.readouterr().err
         assert message in err and err.count("\n") == 1
 
-    def test_body_size_unknown_reads_as_zero_and_fits_64_bits(self):
-        # -1 and null are HAR's "unknown"
+    def test_body_size_unknown_without_text_reads_as_zero_and_fits_64_bits(self):
+        # -1 and null are HAR's "unknown"; with no posted text there is no size
         for body_size in (-1, None):
-            assert parse_har(har_doc([entry(body_size=body_size)])).records[0].body_size == 0
+            for e in (entry(body_size=body_size), entry(body="", body_size=body_size)):
+                assert parse_har(har_doc([e])).records[0].body_size == 0
+            e = entry(body_size=body_size)
+            for post_data in ({}, {"text": None}, {"text": 7}, "x", None):
+                e["request"]["postData"] = post_data
+                assert parse_har(har_doc([e])).records[0].body_size == 0
         with pytest.raises(IngestError, match="entry at index 0: bodySize must be a 64-bit integer"):
             parse_har(har_doc([entry(body_size=2**63)]))
+
+    @pytest.mark.parametrize("body_size", [-1, None])
+    def test_body_size_unknown_reads_the_posted_text(self, tmp_path, body_size):
+        # a JSON POST exported without its size keeps its size and counts
+        body = '{"name": "é", "tags": ["a"], "meta": {"k": 1}}'
+        headers = [("Content-Type", "application/json")]
+        doc = har_doc([
+            entry("POST", "/api/v1/orders", headers, body, body_size),
+            entry("POST", "/api/v1/orders", headers, body, len(body.encode("utf-8"))),
+            # a lone surrogate is three bytes under surrogatepass
+            entry("POST", "/api/v1/notes", [("Content-Type", "text/plain")], "a\ud800", body_size),
+        ])
+        unknown, known, lone = parse_har(doc).records
+        assert unknown.body_size == len(body.encode("utf-8")) == 47
+        counts = (unknown.body_field_count, unknown.body_nesting_depth)
+        assert counts == (known.body_field_count, known.body_nesting_depth) != (None, None)
+        assert lone.body_size == 4
+        src, out = tmp_path / "c.har", tmp_path / "c.jsonl"
+        src.write_bytes(doc)
+        assert main(["ingest", "--format", "har", "--in", str(src), "--out", str(out)]) == 0
+        assert parse_jsonl(out.read_text(encoding="utf-8")).records[0] == unknown
 
     @pytest.mark.parametrize("levels", [600, 100_000])
     def test_deeply_nested_body_is_opaque(self, levels):

@@ -9,7 +9,6 @@ from hypothesis.extra import numpy as hnp
 
 from apiminer import refine
 from apiminer.features import (
-    build_graph,
     connected_components,
     extract_features,
     row_input,
@@ -35,7 +34,7 @@ from apiminer.refine import (
 )
 from apiminer.records import Dataset
 from apiminer.templates import TemplateGroup, PathTemplate, mine
-from test_features import bfs_components
+from test_features import bfs_components, reference_graph
 
 
 def distinct(X):
@@ -149,11 +148,10 @@ class TestWeightedRows:
             base = rng.random((u, 4)) + 0.1 * (rng.random((u, 4)) < 0.5)
             X = base[rng.permutation(np.repeat(np.arange(u), rng.integers(2, 20, u)))]
             rows, node_of, _ = distinct(X)
-            graph = build_graph(rows, 0.85)
-            full = build_graph(X, 0.85)
-            assert connected_components(graph).max() == connected_components(full).max()
-            labels = connected_components(graph)[node_of]
-            assert same_partition(labels, np.array(bfs_components(full)))
+            full = np.array(bfs_components(reference_graph(X, 0.85)))
+            labels = connected_components(rows, 0.85)[node_of]
+            assert labels.max() == full.max()
+            assert same_partition(labels, full)
 
     def test_feature_rows_in_sorted_order(self):
         # first occurrence would give (400, 6, 3), (0, 0, 0), (30, 1, 1)
@@ -286,7 +284,7 @@ class TestRefineGroup:
         group = group_from_urls(urls, method="POST", bodies=bodies)
         X = scale_features(feature_matrix(group.members))
         assert len(np.unique(X, axis=0)) == 5
-        assert connected_components(build_graph(X, RefinerConfig().theta)).max() == 0
+        assert connected_components(X, RefinerConfig().theta).max() == 0
 
         def unreachable(*args):
             raise AssertionError("the graph path ran k-means")
@@ -308,7 +306,7 @@ class TestRefineGroup:
             raise AssertionError("a one-row group was scaled or graphed")
 
         monkeypatch.setattr("apiminer.refine.scale_features", unreachable)
-        monkeypatch.setattr("apiminer.refine.build_graph", unreachable)
+        monkeypatch.setattr("apiminer.refine.connected_components", unreachable)
         clusters = refine_group(group, RefinerConfig(force_kmeans=force_kmeans))
         assert [(c.member_ids, c.provenance) for c in clusters] == [(list(range(6)), provenance)]
 
@@ -344,7 +342,7 @@ class TestRefineGroup:
         def unreachable(*args):
             raise AssertionError("a group with a dominant row was refined")
 
-        for name in ("scale_features", "build_graph", "connected_components", "kmeans_assign"):
+        for name in ("scale_features", "connected_components", "kmeans_assign"):
             monkeypatch.setattr(f"apiminer.refine.{name}", unreachable)
         clusters = refine_group(group, RefinerConfig(force_kmeans=force_kmeans))
         assert [c.member_ids for c in clusters] == [list(range(20))]
@@ -492,7 +490,7 @@ def reference_refine(group, config):
         return [_cluster(group, members, PASSTHROUGH)]
     X = scale_features(feature_matrix(members))
     rows, node_of, _ = distinct(X)
-    graph = build_graph(rows, config.theta)
+    graph = reference_graph(rows, config.theta)
     if config.force_kmeans:
         k = min(len(set(bfs_components(graph))), MAX_K)
         labels, provenance = reference_kmeans(X, k), KMEANS_ABLATION
@@ -559,7 +557,7 @@ def test_kmeans_k_capped_at_max_k():
     bodies = [(2**i, i % 5, i % 3) for i in range(12)] * 2
     group = group_from_urls([f"/api/v1/things/{i}" for i in range(24)], bodies=bodies)
     X = scale_features(feature_matrix(group.members))
-    assert len(set(bfs_components(build_graph(np.unique(X, axis=0), 0.9999)))) > MAX_K
+    assert len(set(bfs_components(reference_graph(np.unique(X, axis=0), 0.9999)))) > MAX_K
     assert kmeans_ks(group, 0.9999) == [MAX_K]
 
 
@@ -590,7 +588,7 @@ def test_kmeans_k_over_distinct_rows_is_k_over_every_request(picks, theta):
     zero = np.linalg.norm(X, axis=1) == 0
     # the components of the graph over every request, where each copy of the
     # zero row is one, with those copies counted once, as one distinct row
-    components = len(set(bfs_components(build_graph(X[~zero], theta)))) + zero.any()
+    components = len(set(bfs_components(reference_graph(X[~zero], theta)))) + zero.any()
     assert ks == [min(components, MAX_K)]
 
 
