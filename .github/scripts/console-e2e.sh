@@ -34,7 +34,11 @@
 # shares no code with the writer; discover, run as the child of a Python
 # step, writes one cluster of every request for a capture of one POST
 # endpoint with 16,000 distinct body sizes, and its resident memory peaks
-# under 300 MB.
+# under 300 MB; on a capture of 35.6 MB (210,600 requests: CorpusSpec(180,
+# 600, 42) under Interfere 0.95) discover runs, and evaluate, the one child
+# of the Python step after it, peaks under 70 MB resident, since it reads the
+# capture in blocks and holds its labels, not its bytes or text (it peaked at
+# 97 MB holding both).
 #
 # Usage: bash .github/scripts/console-e2e.sh DIR   (needs `apiminer` on PATH)
 set -e
@@ -254,4 +258,27 @@ peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
 assert peak_mb <= 300, f"discover on {n} distinct rows peaked at {peak_mb:.0f} MB"
 with open("large-clusters.json", encoding="utf-8") as handle:
     assert [c["member_count"] for c in json.load(handle)] == [n]
+PY
+python - <<'PY'
+import subprocess
+from apiminer.corpus import CorpusSpec, synth_corpus
+from apiminer.noise import INTERFERE, inject
+from apiminer.records import write_dataset
+
+with open("shared.jsonl", "w", encoding="utf-8") as out:
+    out.write(write_dataset(inject(synth_corpus(CorpusSpec(180, 600, 42)), INTERFERE, 0.95, 1)))
+subprocess.run(["apiminer", "discover", "--in", "shared.jsonl", "--out", "shared-clusters.json"],
+               check=True)
+PY
+python - <<'PY'
+import json, os, resource, subprocess
+
+assert os.path.getsize("shared.jsonl") > 35 * 10**6
+subprocess.run(["apiminer", "evaluate", "--in", "shared.jsonl", "--clusters", "shared-clusters.json",
+                "--out", "shared-report.json"], check=True)
+# kilobytes on Linux: the peak of the one child this step ran
+peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+assert peak_mb < 70, f"evaluate on a 35.6 MB capture peaked at {peak_mb:.0f} MB"
+with open("shared-report.json", encoding="utf-8") as handle:
+    assert json.load(handle)["fga"] > 0
 PY

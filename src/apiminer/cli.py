@@ -19,15 +19,11 @@ from .metrics import CSV_HEADER, NoLabeledDataError, report
 from .templates import PathTemplate
 
 
-def _read_text(path: str) -> str:
+def _read_json(path: str):
     try:
-        return Path(path).read_bytes().decode("utf-8")
+        text = Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise IngestError(f"{path} is not valid UTF-8 at byte {exc.start}") from exc
-
-
-def _read_json(path: str):
-    text = _read_text(path)
     try:
         return json.loads(text)
     except ValueError as exc:
@@ -41,7 +37,8 @@ def _read_dataset(path: str, fmt: str) -> Dataset:
     if fmt == "har":
         return parse_har(Path(path).read_bytes())
     if fmt == "jsonl":
-        return parse_jsonl(_read_text(path))
+        with open(path, "rb") as capture:
+            return parse_jsonl(capture)
     raise IngestError(f"unknown input format {fmt!r}")
 
 
@@ -229,7 +226,8 @@ def cmd_evaluate(args) -> int:
             f"evaluate reads labels from a JSONL capture; --format {args.format} carries none"
         )
     # the capture is checked line by line, but no record is built
-    ground_truth, requests = read_labels(_read_text(args.input))
+    with open(args.input, "rb") as capture:
+        ground_truth, requests = read_labels(capture)
     if not ground_truth:
         raise NoLabeledDataError(
             "evaluation requires a labeled dataset: no record carries a label"

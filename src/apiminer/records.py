@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii as _string
-from typing import NamedTuple
+from typing import BinaryIO, NamedTuple
 
 
 STRUCTURED_CONTENT_PREFIXES = (
@@ -383,11 +383,75 @@ def _unescape(text: str) -> str:
     return scanstring(text + '"', 0)[0]
 
 
-def _jsonl_requests(text: str, shared: dict):
-    """Each request line of JSONL capture text: the ``_CANONICAL_LINE`` match
-    of a line as ``write_dataset`` writes it, which passes every check, or
-    else the line's fields as ``_held_fields`` checks and holds them, after
-    the id.  Blank lines yield nothing.
+# The bytes a capture file is read by at a time.
+BLOCK_SIZE = 64 * 1024
+
+
+def _text_blocks(capture: str | BinaryIO):
+    """The text of a JSONL capture, one block at a time: the text itself, or
+    a binary file read ``BLOCK_SIZE`` bytes at a time and decoded as UTF-8
+    block by block.
+
+    A block of the file is cut after its last '\n', or after its last '\r'
+    unless that '\r' is the last byte read, which may start a '\r\n': so
+    each block but the last ends a line, and no '\r\n' is split.  UTF-8
+    puts neither byte inside a character, so each block decodes alone.  A
+    line longer than a block is kept whole in the bytes carried to the next
+    block.  A byte that is not UTF-8 raises ``IngestError`` naming the file
+    and the byte's offset from its start.
+    """
+    if isinstance(capture, str):
+        yield capture
+        return
+    read = capture.read
+    # the bytes read since the last cut, which start at ``offset``
+    carried: list[bytes | memoryview] = []
+    offset = 0
+    while data := read(BLOCK_SIZE):
+        cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, len(data) - 1)) + 1
+        if not cut:
+            carried.append(data)
+            continue
+        # a view, so that the bytes before the cut are copied once, into the
+        # block, which is decoded, and its text parsed, without the bytes read
+        carried.append(memoryview(data)[:cut])
+        block = b"".join(carried)
+        carried = [data[cut:]]
+        del data
+        text = _decoded(block, offset, capture)
+        offset += len(block)
+        del block
+        yield text
+    last = b"".join(carried)
+    if last:
+        yield _decoded(last, offset, capture)
+
+
+def _decoded(block: bytes, offset: int, capture: BinaryIO) -> str:
+    """The text of a block of a capture file read from ``offset``."""
+    try:
+        return block.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        name = getattr(capture, "name", "capture")
+        raise IngestError(f"{name} is not valid UTF-8 at byte {offset + exc.start}") from exc
+
+
+def _jsonl_requests(capture: str | BinaryIO, shared: dict):
+    """Each request line of a JSONL capture, its text or a binary file, as
+    ``_block_requests`` yields them, block by block of ``_text_blocks``,
+    with lines counted across blocks."""
+    lineno = 0
+    for text in _text_blocks(capture):
+        lineno = yield from _block_requests(text, shared, lineno)
+
+
+def _block_requests(text: str, shared: dict, lineno: int):
+    """Each request line of a block of JSONL capture text, which holds whole
+    lines, the first of them line ``lineno + 1``: the ``_CANONICAL_LINE``
+    match of a line as ``write_dataset`` writes it, which passes every
+    check, or else the line's fields as ``_held_fields`` checks and holds
+    them, after the id.  A line of nothing but spaces and tabs yields
+    nothing.  Returns the number of the block's last line.
 
     A line that is not a request object, or a field that breaks the record
     contract, raises ``IngestError`` naming the line and the field.  The
@@ -404,7 +468,7 @@ def _jsonl_requests(text: str, shared: dict):
     canonical = _CANONICAL_AT.match
     find = text.find
     size = len(text)
-    pos = lineno = 0
+    pos = 0
     # the first '\n' and the first '\r' at or past some earlier line start,
     # or ``size`` if there is none; each is looked for again once passed
     newline = carriage = -1
@@ -429,7 +493,8 @@ def _jsonl_requests(text: str, shared: dict):
         else:
             line = text[pos:newline]
             pos = newline + 1
-        if not line.strip():
+        # json.loads strips no other white space from a line
+        if not line.strip(" \t"):
             continue
         try:
             obj = _loads(line)
@@ -473,10 +538,13 @@ def _jsonl_requests(text: str, shared: dict):
             nesting,
             share(label, label),
         )
+    return lineno
 
 
-def parse_jsonl(text: str) -> Dataset:
-    """Parse JSONL capture text, one request object per non-blank line.
+def parse_jsonl(capture: str | BinaryIO) -> Dataset:
+    """Parse a JSONL capture, its text or a binary file, one request object
+    per line that is not blank.  A file is read in blocks of ``BLOCK_SIZE``
+    bytes, so neither its bytes nor its whole text are held.
 
     The records of one capture share one object per distinct method,
     content type, label, header pair and header list.
@@ -487,7 +555,7 @@ def parse_jsonl(text: str) -> Dataset:
     methods: dict[str, str] = {}
     # each header list's JSON text in a canonical line, to its shared pairs
     header_lists: dict[str, tuple[tuple[str, str], ...]] = {}
-    for rid, fields in enumerate(_jsonl_requests(text, shared)):
+    for rid, fields in enumerate(_jsonl_requests(capture, shared)):
         if type(fields) is tuple:
             # as ``_held_fields`` checks and holds them
             record = (rid,) + fields
@@ -524,17 +592,17 @@ def parse_jsonl(text: str) -> Dataset:
     return Dataset(records=records, source="jsonl")
 
 
-def read_labels(text: str) -> tuple[dict[int, str], int]:
-    """The ground truth of JSONL capture text and its number of requests,
-    without building a record.
+def read_labels(capture: str | BinaryIO) -> tuple[dict[int, str], int]:
+    """The ground truth of a JSONL capture, its text or a binary file, and
+    its number of requests, without building a record.
 
     Of a line as ``write_dataset`` writes it, only the label is read.  Every
     other line is checked as ``parse_jsonl`` checks it, so the two raise the
-    same ``IngestError`` for the same text.
+    same ``IngestError`` for the same capture.
     """
     ground_truth: dict[int, str] = {}
     requests = 0
-    for fields in _jsonl_requests(text, {}):
+    for fields in _jsonl_requests(capture, {}):
         label = fields[-1] if type(fields) is tuple else fields["label"]
         if label is not None:
             ground_truth[requests] = label

@@ -1,12 +1,13 @@
 """Command-line surface: subcommand round-trips, exit codes, determinism."""
 
 import argparse
+import io
 import json
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from apiminer import cli, denoise, refine
+from apiminer import cli, denoise, records, refine
 from apiminer import normalize as normalize_module
 from apiminer.cli import _load_clusters, _load_config_file, _pipeline_settings, main
 from apiminer.corpus import CorpusSpec, synth_corpus
@@ -17,7 +18,7 @@ from apiminer.records import (
     _CANONICAL_LINE, Dataset, HttpRecord, IngestError, parse_har, parse_jsonl, read_labels,
     write_dataset,
 )
-from test_records import jsonl_lines
+from test_records import LINE_RECORDS, jsonl_lines, read_outcome
 
 
 @pytest.fixture
@@ -962,3 +963,88 @@ class TestInputFuzz:
             return
         members = [i for c in clusters for i in c.member_ids]
         assert sorted(members) == filter_traffic(dataset).kept
+
+
+BLOCK_SIZES = [1, 2, 7, 64]
+
+
+@st.composite
+def line_ended_captures(draw):
+    """Text of ``CAPTURE_TEXTS``, maybe re-spaced, each line ended by '\n',
+    '\r\n' or '\r', the last maybe by none."""
+    text = draw(CAPTURE_TEXTS)
+    if draw(st.booleans()):
+        text = respaced(text)
+    lines = text.split("\n")
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines),
+                         max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text.removesuffix(draw(st.sampled_from(["", "\n", "\r"])))
+
+
+class TestBlocks:
+    """A capture file reads as its text, whatever size of block it is read by."""
+
+    @FUZZ
+    @given(text=line_ended_captures())
+    def test_a_file_reads_as_its_text(self, monkeypatch, text):
+        expected = read_outcome(text)
+        for size in BLOCK_SIZES:
+            monkeypatch.setattr(records, "BLOCK_SIZE", size)
+            assert read_outcome(text.encode()) == expected, size
+
+    @pytest.mark.parametrize("size", BLOCK_SIZES)
+    def test_line_ends_split_across_blocks(self, monkeypatch, size):
+        lines = write_dataset(Dataset(LINE_RECORDS)).splitlines()
+        # the first line padded so that its '\r\n' is split between two reads
+        first = lines[0] + " " * ((size - 1 - len(lines[0])) % size)
+        # a blank line, and the last line re-spaced, with its characters past
+        # ASCII raw, and ended by '\r'
+        respaced_last = json.dumps(json.loads(lines[2]), ensure_ascii=False)
+        text = first + "\r\n" + " \t\r" + lines[1] + "\n" + respaced_last + "\r"
+        data = text.encode()
+        assert data.index(b"\r\n") % size == size - 1 and not text.isascii()
+        assert max(map(len, lines)) > size
+        monkeypatch.setattr(records, "BLOCK_SIZE", size)
+        labels = {r.id: r.label for r in LINE_RECORDS if r.label is not None}
+        assert read_outcome(data) == read_outcome(text) == [LINE_RECORDS, (labels, 3)]
+        # a split '\r\n' would end two lines
+        message = "malformed JSONL object at line 5: Expecting value"
+        assert read_outcome(data + b"not json") == [message, message]
+
+    def test_a_malformed_line_in_a_later_block_names_its_line(self, monkeypatch):
+        text = write_dataset(synth_corpus(CorpusSpec(2, 5))) + "not json\n"
+        monkeypatch.setattr(records, "BLOCK_SIZE", 64)
+        assert len(text) > 8 * 64
+        for read in (parse_jsonl, read_labels):
+            with pytest.raises(IngestError, match="^malformed JSONL object at line 11: Expecting value"):
+                read(io.BytesIO(text.encode()))
+
+    def test_a_byte_past_utf8_in_a_later_block_is_named_by_its_offset(self, monkeypatch, tmp_path, capsys):
+        head = write_dataset(synth_corpus(CorpusSpec(2, 5))).encode()
+        data = head + b'{"method": "GET", "url": "/\xff"}\n'
+        monkeypatch.setattr(records, "BLOCK_SIZE", 64)
+        message = f"is not valid UTF-8 at byte {len(head) + 27}"
+        for read in (parse_jsonl, read_labels):
+            with pytest.raises(IngestError, match=f"^capture {message}$"):
+                read(io.BytesIO(data))
+        src = tmp_path / "bad.jsonl"
+        src.write_bytes(data)
+        assert main(["ingest", "--in", str(src), "--out", str(tmp_path / "out.jsonl")]) == 2
+        assert capsys.readouterr().err == f"error: {src} {message}\n"
+
+    @pytest.mark.parametrize("size", [7, records.BLOCK_SIZE])
+    def test_ingest_writes_the_canonical_bytes(self, tmp_path, monkeypatch, size):
+        canonical = write_dataset(inject(synth_corpus(CorpusSpec(20, 80)), LEXIFY, 0.5, 1))
+        ends = ["\n", "\r\n", "\r"]
+        # canonical and re-spaced lines, each end in turn
+        text = "".join(
+            (json.dumps(json.loads(line)) if i % 2 else line) + ends[i % 3]
+            for i, line in enumerate(canonical.splitlines())
+        )
+        assert len(text) > 3 * records.BLOCK_SIZE
+        src, out = tmp_path / "capture.jsonl", tmp_path / "ingested.jsonl"
+        src.write_bytes(text.encode())
+        monkeypatch.setattr(records, "BLOCK_SIZE", size)
+        assert main(["ingest", "--in", str(src), "--out", str(out)]) == 0
+        assert out.read_bytes() == canonical.encode()

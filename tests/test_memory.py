@@ -1,6 +1,6 @@
 """Memory per request: values shared per capture, kept-only traffic, the
-bytes a parsed capture and its traffic retain, and the peak of refining one
-group of many distinct rows."""
+bytes a parsed capture and its traffic retain, the peak of reading a capture
+file, and the peak of refining one group of many distinct rows."""
 
 import gc
 import json
@@ -14,7 +14,7 @@ from apiminer.corpus import CorpusSpec, synth_corpus
 from apiminer.denoise import filter_traffic
 from apiminer.noise import INTERFERE, LEXIFY, inject
 from apiminer.normalize import normalize
-from apiminer.records import HttpRecord, parse_jsonl, write_dataset
+from apiminer.records import BLOCK_SIZE, HttpRecord, parse_jsonl, read_labels, write_dataset
 from apiminer.refine import RefinerConfig, discover, prepare_traffic, refine_group
 from apiminer.templates import mine
 
@@ -154,6 +154,36 @@ def test_bytes_retained_per_request(kind):
     parsed_bound, prepared_bound = RETAINED_BOUNDS[kind]
     assert parsed <= parsed_bound, f"parse_jsonl holds {parsed:.0f} B per request"
     assert prepared <= prepared_bound, f"prepare_traffic holds {prepared:.0f} B per request"
+
+
+def _read_peak(read):
+    """What ``read()`` returns, the bytes tracemalloc counts as held once it
+    returns, and the most it held while reading."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = read()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held - base, peak - base
+
+
+def test_a_capture_file_is_read_in_blocks(tmp_path):
+    path = tmp_path / "capture.jsonl"
+    path.write_text(capture(INTERFERE, requests=400), encoding="utf-8")
+    size = path.stat().st_size
+    assert size >= 32 * BLOCK_SIZE
+    with open(path, "rb") as handle:
+        labels, held, peak = _read_peak(lambda: read_labels(handle))
+    # the bytes and text of a block or two besides the labels: measured with
+    # CPython 3.11, 2.5 blocks
+    assert peak - held <= 4 * BLOCK_SIZE, f"{(peak - held) / BLOCK_SIZE:.1f} blocks"
+    # the file's bytes and its text at once
+    whole, _, whole_peak = _read_peak(lambda: read_labels(path.read_bytes().decode("utf-8")))
+    assert whole == labels
+    assert whole_peak >= 2 * size
 
 
 # Refinement works on a group's distinct rows and finds their components

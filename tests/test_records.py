@@ -644,6 +644,11 @@ def canonical_capture(count=3) -> str:
 class TestReadLabels:
     @pytest.mark.parametrize("line, message", [
         ("not json", "line 4: Expecting value"),
+        # white space to str.strip, but not to json.loads
+        ("\x0c", "line 4: Expecting value"),
+        ("\x1e", "line 4: Expecting value"),
+        ("\xa0", "line 4: Expecting value"),
+        ("\u2028", "line 4: Expecting value"),
         ('{"id":3,"method":"GET","url":"/x","headers":[],"body_size":' + "9" * 20 + "}",
          "line 4: body_size must be a 64-bit integer"),
     ])
@@ -737,7 +742,8 @@ LINE_FORMS = [
     [line, json.dumps(json.loads(line)), json.dumps(json.loads(line), ensure_ascii=False)]
     for line in write_dataset(Dataset(LINE_RECORDS)).splitlines()
 ]
-BLANK_LINES = ["", " ", "\t", "\x85", "\u2028", "\v\f"]
+# blank to JSON Lines: nothing but the white space json.loads strips
+BLANK_LINES = ["", " ", "\t", " \t "]
 LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
 
 
@@ -758,13 +764,13 @@ def mixed_capture(draw):
     return text.removesuffix(draw(st.sampled_from(["", "\n", "\r"]))), records
 
 
-def read_outcome(text):
-    """What ``parse_jsonl`` and ``read_labels`` make of ``text``, or the
-    message each raises."""
+def read_outcome(capture):
+    """What ``parse_jsonl`` and ``read_labels`` make of capture text, or of
+    bytes read as a file, or the message each raises."""
     outcome = []
     for read in (lambda t: parse_jsonl(t).records, read_labels):
         try:
-            outcome.append(read(text))
+            outcome.append(read(io.BytesIO(capture) if isinstance(capture, bytes) else capture))
         except IngestError as exc:
             outcome.append(str(exc))
     return outcome
@@ -787,22 +793,38 @@ class TestLines:
         # the same lines ended by '\n'
         assert read_outcome(text) == read_outcome("\n".join(jsonl_lines(text)))
 
-    @pytest.mark.parametrize("read", [parse_jsonl, read_labels])
-    @pytest.mark.parametrize("respaced", [False, True])
-    def test_a_capture_ended_by_carriage_returns_is_not_copied(self, read, respaced):
+    @staticmethod
+    def newline_peaks(read, respaced, as_file):
+        """The peaks tracemalloc counts while ``read`` reads a capture with
+        its lines ended by '\n', and by '\r': as text, or as a file."""
         text = write_dataset(synth_corpus(CorpusSpec(20, 100, seed=42)))
         if respaced:
             text = "".join(json.dumps(json.loads(line)) + "\n" for line in text.splitlines())
         peaks = []
         for newline in ("\n", "\r"):
             capture = text.replace("\n", newline)
+            if as_file:
+                capture = io.BytesIO(capture.encode())
             tracemalloc.start()
             try:
                 read(capture)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
+        return peaks
+
+    @pytest.mark.parametrize("read", [parse_jsonl, read_labels])
+    @pytest.mark.parametrize("respaced", [False, True])
+    def test_a_capture_ended_by_carriage_returns_is_not_copied(self, read, respaced):
+        peaks = self.newline_peaks(read, respaced, as_file=False)
         # the lines are read in place: a copy of the text would be 440 KiB
+        assert peaks[1] < peaks[0] + 32 * 1024, peaks
+
+    @pytest.mark.parametrize("read", [parse_jsonl, read_labels])
+    @pytest.mark.parametrize("respaced", [False, True])
+    def test_a_file_ended_by_carriage_returns_is_not_copied(self, read, respaced):
+        # each block is cut after its last '\r' as after its last '\n'
+        peaks = self.newline_peaks(read, respaced, as_file=True)
         assert peaks[1] < peaks[0] + 32 * 1024, peaks
 
     @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85"])
