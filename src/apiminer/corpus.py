@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .noise import _Draws
 from .records import Dataset, HttpRecord, _new_tuple
 
 _HOST = "https://app.example.com"
@@ -60,6 +61,23 @@ def _word(index: int) -> str:
     raise ValueError("endpoint_count exceeds the distinct-vocabulary budget")
 
 
+# raw 32-bit words of a uuid and of a hex id: ``rng.bytes(k)`` is k / 4
+# words, each as its little-endian bytes
+_ID_WORDS = {"uuid": 4, "hex": 2}
+
+
+def _hex_ids(style: str, raw: str) -> list[str]:
+    """The ``uuid`` or ``hex`` ids whose bytes, laid end to end, are the hex
+    text ``raw``: 16 bytes each for a uuid, 8 for a hex id."""
+    if style == "hex":
+        return [raw[i:i + 16] for i in range(0, len(raw), 16)]
+    return [
+        f"{raw[i:i + 8]}-{raw[i + 8:i + 12]}-{raw[i + 12:i + 16]}"
+        f"-{raw[i + 16:i + 20]}-{raw[i + 20:i + 32]}"
+        for i in range(0, len(raw), 32)
+    ]
+
+
 def _id_texts(style: str, rng: np.random.Generator, count: int) -> list[str]:
     """``count`` ids of ``style`` from one draw call.
 
@@ -68,20 +86,21 @@ def _id_texts(style: str, rng: np.random.Generator, count: int) -> list[str]:
     is ``count`` calls of ``bytes(k)`` laid end to end.
     """
     if style == "int":
-        # a scalar draw costs a quarter of a batch of one
-        if count == 1:
-            return [str(int(rng.integers(100, 999999)))]
         return list(map(str, rng.integers(100, 999999, size=count).tolist()))
-    if style == "uuid":
-        raw = rng.bytes(16 * count).hex()
-        return [
-            f"{raw[i:i + 8]}-{raw[i + 8:i + 12]}-{raw[i + 12:i + 16]}"
-            f"-{raw[i + 16:i + 20]}-{raw[i + 20:i + 32]}"
-            for i in range(0, 32 * count, 32)
-        ]
-    if style == "hex":
-        raw = rng.bytes(8 * count).hex()
-        return [raw[i:i + 16] for i in range(0, 16 * count, 16)]
+    if style in _ID_WORDS:
+        return _hex_ids(style, rng.bytes(4 * _ID_WORDS[style] * count).hex())
+    raise ValueError(f"unknown id style {style!r}")
+
+
+def _drawn_id(style: str, draws: _Draws) -> str:
+    """One id of ``style``, the one ``_id_texts(style, rng, 1)`` would draw."""
+    if style == "int":
+        # integers(100, 999999)
+        return str(100 + draws.below(999899))
+    if style in _ID_WORDS:
+        word = draws.word
+        raw = b"".join([word().to_bytes(4, "little") for _ in range(_ID_WORDS[style])])
+        return _hex_ids(style, raw.hex())[0]
     raise ValueError(f"unknown id style {style!r}")
 
 
@@ -148,17 +167,19 @@ def _endpoint_urls(plan: _EndpointPlan, rng: np.random.Generator, count: int) ->
 
     Each request draws its id, then its query value, from the endpoint's
     own generator.  An endpoint that draws only one of the two draws all of
-    them in one call; one that draws both keeps a call per draw, because its
-    stream interleaves them.
+    them in one call; one that draws both decodes them, in the order the
+    scalar calls would draw them, from the generator's raw words.
     """
     head = _HOST + "/" + "/".join(plan.prefix)
     tail = "" if plan.tail is None else "/" + plan.tail
     ids = values = None
     if plan.has_id and plan.query_keys:
+        draws = _Draws(rng)
         ids, values = [], []
         for _ in range(count):
-            ids += _id_texts(plan.id_style, rng, 1)
-            values.append(int(rng.integers(1, 500)))
+            ids.append(_drawn_id(plan.id_style, draws))
+            # integers(1, 500)
+            values.append(1 + draws.below(499))
     elif plan.has_id:
         ids = _id_texts(plan.id_style, rng, count)
     elif plan.query_keys:

@@ -83,33 +83,105 @@ def _join(segments: list[str], trailing: bool) -> str:
     return path
 
 
-def _pick(targets: Sequence, rng: np.random.Generator):
-    return targets[int(rng.integers(len(targets)))]
+# raw words a decoder draws from its generator at a time
+DRAW_CHUNK = 256
 
 
-def _shuffle_query(url: SplitUrl, _targets, rng: np.random.Generator) -> str:
+class _Draws:
+    """The values numpy's scalar ``rng.integers(n)`` and ``rng.permutation(n)``
+    calls would give, decoded from the generator's raw 32-bit words, which
+    are drawn ``DRAW_CHUNK`` at a time.
+
+    numpy bounds a draw below ``n < 2**32`` by Lemire's method on the
+    generator's 32-bit stream (``buffered_bounded_lemire_uint32``), and
+    shuffles by Fisher-Yates with masked rejection on the same stream
+    (``random_interval``), so a batch of words yields the same values as
+    the scalar calls, at a fraction of their cost.  ``sync`` then leaves
+    the generator where those calls would have.
+    """
+
+    __slots__ = ("_rng", "_state", "_words", "_next", "_spent")
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self._state = rng.bit_generator.state
+        # the current chunk, the index of its next word, and the words of
+        # the chunks before it
+        self._words: list[int] = []
+        self._next = 0
+        self._spent = 0
+
+    def word(self) -> int:
+        """The generator's next raw 32-bit word."""
+        i = self._next
+        if i == len(self._words):
+            self._spent += i
+            self._words = self._rng.integers(0, 1 << 32, size=DRAW_CHUNK, dtype=np.uint64).tolist()
+            i = 0
+        self._next = i + 1
+        return self._words[i]
+
+    def below(self, n: int) -> int:
+        """What ``rng.integers(n)`` gives, for 1 <= n < 2**32."""
+        if n == 1:
+            return 0
+        while True:
+            m = self.word() * n
+            low = m & 0xFFFFFFFF
+            # numpy rejects a low half below (2**32 - n) % n, which is below n
+            if low >= n or low >= (0x100000000 - n) % n:
+                return m >> 32
+
+    def order(self, n: int) -> list[int]:
+        """What ``rng.permutation(n)`` gives, as a list."""
+        items = list(range(n))
+        for i in range(n - 1, 0, -1):
+            # the smallest mask of low bits that covers i
+            mask = (1 << i.bit_length()) - 1
+            j = self.word() & mask
+            while j > i:
+                j = self.word() & mask
+            items[i], items[j] = items[j], items[i]
+        return items
+
+    def sync(self) -> None:
+        """Leave the generator as the scalar calls would have: its state
+        when the decoder began, advanced by the words the draws used.  The
+        decoder draws nothing after it."""
+        rng = self._rng
+        rng.bit_generator.state = self._state
+        used = self._spent + self._next
+        if used:
+            rng.integers(0, 1 << 32, size=used, dtype=np.uint64)
+
+
+def _pick(targets: Sequence, draws: _Draws):
+    return targets[draws.below(len(targets))]
+
+
+def _shuffle_query(url: SplitUrl, _targets, draws: _Draws) -> str:
     pairs = url.pairs
-    order = list(rng.permutation(len(pairs)))
+    order = draws.order(len(pairs))
     if order == sorted(order):
         order = order[::-1]
     return url.rebuild(query="&".join(pairs[i] for i in order))
 
 
-def _append_neutral(url: SplitUrl, _targets, _rng) -> str:
+def _append_neutral(url: SplitUrl, _targets, _draws) -> str:
     return url.rebuild(query="&".join([*url.pairs, "tmp=0"]))
 
 
-def _duplicate_pair(url: SplitUrl, positions: Sequence[int], rng: np.random.Generator) -> str:
-    return url.rebuild(query="&".join([*url.pairs, url.pairs[_pick(positions, rng)]]))
+def _duplicate_pair(url: SplitUrl, positions: Sequence[int], draws: _Draws) -> str:
+    return url.rebuild(query="&".join([*url.pairs, url.pairs[_pick(positions, draws)]]))
 
 
-def _edit_segment(edit: Callable[[str, np.random.Generator], str]):
+def _edit_segment(edit: Callable[[str, _Draws], str]):
     """Mutation that rewrites one drawn segment position with ``edit``."""
 
-    def mutate(url: SplitUrl, positions: Sequence[int], rng: np.random.Generator) -> str:
+    def mutate(url: SplitUrl, positions: Sequence[int], draws: _Draws) -> str:
         segments = list(url.segments)
-        pos = _pick(positions, rng)
-        segments[pos] = edit(segments[pos], rng)
+        pos = _pick(positions, draws)
+        segments[pos] = edit(segments[pos], draws)
         return url.rebuild(path=_join(segments, url.trailing))
 
     return mutate
@@ -118,9 +190,9 @@ def _edit_segment(edit: Callable[[str, np.random.Generator], str]):
 def _edit_value(edit: Callable[[str], str]):
     """Mutation that rewrites the value of one drawn query pair with ``edit``."""
 
-    def mutate(url: SplitUrl, positions: Sequence[int], rng: np.random.Generator) -> str:
+    def mutate(url: SplitUrl, positions: Sequence[int], draws: _Draws) -> str:
         pairs = list(url.pairs)
-        pos = _pick(positions, rng)
+        pos = _pick(positions, draws)
         key, _, value = pairs[pos].partition("=")
         pairs[pos] = key + "=" + edit(value)
         return url.rebuild(query="&".join(pairs))
@@ -129,14 +201,14 @@ def _edit_value(edit: Callable[[str], str]):
 
 
 def _set_trailing(trailing: bool):
-    def mutate(url: SplitUrl, _targets, _rng) -> str:
+    def mutate(url: SplitUrl, _targets, _draws) -> str:
         return url.rebuild(path=_join(url.segments, trailing))
 
     return mutate
 
 
-def _inject_dot(segment: str, rng: np.random.Generator) -> str:
-    cut = 1 + int(rng.integers(len(segment) - 1))
+def _inject_dot(segment: str, draws: _Draws) -> str:
+    cut = 1 + draws.below(len(segment) - 1)
     return segment[:cut] + "." + segment[cut:]
 
 
@@ -150,8 +222,8 @@ class _Rule(NamedTuple):
     # "segments" or "pairs"
     on: str
     holds: Callable[..., bool]
-    # (url, targets, rng) -> the new URL, with the rule's own draws from rng
-    mutate: Callable[[SplitUrl, Sequence[int], np.random.Generator], str]
+    # (url, targets, draws) -> the new URL, with the rule's own draws
+    mutate: Callable[[SplitUrl, Sequence[int], _Draws], str]
 
 
 # Each Lexify rule with its one condition.  A rule on segments or pairs
@@ -162,25 +234,25 @@ _LEXIFY: dict[str, _Rule] = {
     "Neutral Query Parameter": _Rule("url", lambda u: True, _append_neutral),
     "Duplicate Query Key": _Rule("pairs", lambda p: True, _duplicate_pair),
     "Underscore Injection": _Rule(
-        "segments", lambda s: len(s) >= 3, _edit_segment(lambda s, rng: s + "_")
+        "segments", lambda s: len(s) >= 3, _edit_segment(lambda s, _draws: s + "_")
     ),
     "Hyphen Duplication": _Rule(
-        "segments", lambda s: "-" in s, _edit_segment(lambda s, rng: s.replace("-", "--", 1))
+        "segments", lambda s: "-" in s, _edit_segment(lambda s, _draws: s.replace("-", "--", 1))
     ),
     "Dot Injection": _Rule(
         "segments", lambda s: len(s) >= 4 and "." not in s, _edit_segment(_inject_dot)
     ),
     # doubles the slash that precedes the drawn segment
-    "Repeated Slash": _Rule("segments", lambda s: True, _edit_segment(lambda s, rng: "/" + s)),
+    "Repeated Slash": _Rule("segments", lambda s: True, _edit_segment(lambda s, _draws: "/" + s)),
     "Trailing Slash Addition": _Rule(
         "url", lambda u: bool(u.segments) and not u.trailing, _set_trailing(True)
     ),
     "Trailing Slash Removal": _Rule("url", lambda u: u.trailing, _set_trailing(False)),
     "Uppercase Token": _Rule(
-        "segments", lambda s: s != s.upper(), _edit_segment(lambda s, rng: s.upper())
+        "segments", lambda s: s != s.upper(), _edit_segment(lambda s, _draws: s.upper())
     ),
     "Lowercase Token": _Rule(
-        "segments", lambda s: s != s.lower(), _edit_segment(lambda s, rng: s.lower())
+        "segments", lambda s: s != s.lower(), _edit_segment(lambda s, _draws: s.lower())
     ),
     "Space Encoding": _Rule(
         "pairs", lambda p: " " in _value(p), _edit_value(lambda v: v.replace(" ", "%20"))
@@ -242,11 +314,11 @@ def applicable_rules(url: SplitUrl) -> tuple[str, ...]:
     return _rule_names(mask)
 
 
-def _apply(rule: _Rule, url: SplitUrl, rng: np.random.Generator) -> str:
+def _apply(rule: _Rule, url: SplitUrl, draws: _Draws) -> str:
     """The URL ``rule`` makes of ``url``, which it applies to."""
     on, holds, mutate = rule
     targets = () if on == "url" else [i for i, item in enumerate(getattr(url, on)) if holds(item)]
-    return mutate(url, targets, rng)
+    return mutate(url, targets, draws)
 
 
 LEXIFY_RULES = tuple(_LEXIFY)
@@ -312,7 +384,10 @@ def lexify(record: HttpRecord, rule: NoiseRule, rng: np.random.Generator) -> tup
     url = _split(record)
     if rule.name not in applicable_rules(url):
         return record, False
-    return _record(record, record.id, _apply(_LEXIFY[rule.name], url, rng)), True
+    draws = _Draws(rng)
+    new_url = _apply(_LEXIFY[rule.name], url, draws)
+    draws.sync()
+    return _record(record, record.id, new_url), True
 
 
 _ASSET_STEMS = ("app", "main", "vendor", "bundle", "chunk", "logo", "banner", "icon", "hero", "intro")
@@ -340,11 +415,11 @@ _INTERFERE_FAMILIES: dict[str, list[tuple[str, str, str | None]]] = {
 }
 
 
-def _draw_interference(category: str, rng: np.random.Generator) -> tuple[str, str, str | None]:
+def _draw_interference(category: str, draws: _Draws) -> tuple[str, str, str | None]:
     """(method, url, content type) of one request drawn from a category family."""
-    method, path, content_type = _INTERFERE_FAMILIES[category][int(rng.integers(2))]
+    method, path, content_type = _INTERFERE_FAMILIES[category][draws.below(2)]
     if "{stem}" in path:
-        stem = _ASSET_STEMS[int(rng.integers(len(_ASSET_STEMS)))]
+        stem = _ASSET_STEMS[draws.below(len(_ASSET_STEMS))]
         path = path.replace("{stem}", stem)
     return method, path, content_type
 
@@ -369,7 +444,10 @@ def interfere_sample(category: NoiseRule, rng: np.random.Generator, record_id: i
     """Draw one fresh, unlabeled interference record from a category family."""
     if category.kind != INTERFERE:
         raise ValueError("interfere_sample requires an Interfere category")
-    return _interference_record(record_id, *_draw_interference(category.name, rng))
+    draws = _Draws(rng)
+    drawn = _draw_interference(category.name, draws)
+    draws.sync()
+    return _interference_record(record_id, *drawn)
 
 
 def _renumber(records: list[HttpRecord]) -> list[HttpRecord]:
@@ -397,22 +475,28 @@ def inject(dataset: Dataset, kind: str, ratio: float, seed: int) -> Dataset:
     if kind == LEXIFY:
         # each record with its index as its id
         records = _renumber(dataset.records)
-        for idx in sorted(rng.choice(n, size=count, replace=False).tolist()):
+        chosen = sorted(rng.choice(n, size=count, replace=False).tolist())
+        draws = _Draws(rng)
+        for idx in chosen:
             record = records[idx]
             # one split answers which rules apply and feeds the drawn rule,
             # whose targets alone are listed
             url = _split(record)
             names = applicable_rules(url)
             if names:
-                new_url = _apply(_LEXIFY[_pick(names, rng)], url, rng)
+                new_url = _apply(_LEXIFY[_pick(names, draws)], url, draws)
                 records[idx] = _record(record, idx, new_url)
         return Dataset(records=records, source=dataset.source + f"+lexify{ratio:g}")
 
     if kind == INTERFERE:
+        draws = _Draws(rng)
         drawn = [
-            _draw_interference(INTERFERE_CATEGORIES[int(rng.integers(len(INTERFERE_CATEGORIES)))], rng)
+            _draw_interference(INTERFERE_CATEGORIES[draws.below(len(INTERFERE_CATEGORIES))], draws)
             for _ in range(count)
         ]
+        # the positions are one batch call, drawn from where the requests'
+        # scalar draws would leave the generator
+        draws.sync()
         positions = sorted(rng.integers(0, n + 1, size=count).tolist())
         # one pass, each record built once at its final id: the j-th extra
         # goes before the record at positions[j], or after the last record,

@@ -598,14 +598,17 @@ def read_labels(capture: str | BinaryIO) -> tuple[dict[int, str], int]:
 
     Of a line as ``write_dataset`` writes it, only the label is read.  Every
     other line is checked as ``parse_jsonl`` checks it, so the two raise the
-    same ``IngestError`` for the same capture.
+    same ``IngestError`` for the same capture.  The labels share one object
+    per distinct label, as ``parse_jsonl``'s do.
     """
     ground_truth: dict[int, str] = {}
     requests = 0
-    for fields in _jsonl_requests(capture, {}):
+    shared: dict = {}
+    share = shared.setdefault
+    for fields in _jsonl_requests(capture, shared):
         label = fields[-1] if type(fields) is tuple else fields["label"]
         if label is not None:
-            ground_truth[requests] = label
+            ground_truth[requests] = share(label, label)
         requests += 1
     return ground_truth, requests
 

@@ -9,6 +9,10 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from apiminer.noise import (
+    _ASSET_STEMS,
+    _INTERFERE_FAMILIES,
+    _LEXIFY,
+    DRAW_CHUNK,
     INTERFERE,
     INTERFERE_CATEGORIES,
     LEXIFY,
@@ -17,6 +21,8 @@ from apiminer.noise import (
     TOKEN_MUTATION_RULES,
     NoiseRule,
     SplitUrl,
+    _apply,
+    _Draws,
     applicable_rules,
     inject,
     interfere_sample,
@@ -169,8 +175,6 @@ class TestLexifyRules:
 
 class TestInterfereSample:
     def test_every_category_unlabeled_and_in_family(self):
-        from apiminer.noise import _INTERFERE_FAMILIES
-
         for name in INTERFERE_CATEGORIES:
             cat = NoiseRule(name, INTERFERE)
             sample = interfere_sample(cat, rng(5), record_id=9)
@@ -195,6 +199,52 @@ class TestInterfereSample:
     def test_background_families_have_no_content_type(self):
         cat = NoiseRule("Health Check Endpoint", INTERFERE)
         assert interfere_sample(cat, rng(1)).content_type is None
+
+
+# a draw below a bound, or ("order", n) for a permutation of n; bounds past
+# 2**31 make numpy reject up to half the words it draws
+DRAW_CALLS = (
+    st.integers(1, 2**32 - 1)
+    | st.integers(2**31 + 1, 2**32 - 1)
+    | st.integers(1, 64)
+    | st.tuples(st.just("order"), st.integers(0, 40))
+)
+
+
+def words_used(draws: _Draws) -> int:
+    return draws._spent + draws._next
+
+
+class TestDraws:
+    """``_Draws`` gives what numpy's scalar calls give, and leaves the
+    generator where they leave it; a numpy release that bounds or shuffles
+    by another method fails here."""
+
+    @given(seed=st.integers(0, 2**64 - 1), calls=st.lists(DRAW_CALLS, max_size=40))
+    @example(seed=0, calls=[3 * 2**30] * 40 + [("order", 40)] * 8)
+    # a bound of one, and a permutation of none or one, take no word
+    @example(seed=1, calls=[1, ("order", 0), ("order", 1), 1])
+    def test_draws_are_the_scalar_calls(self, seed, calls):
+        decoded, scalar = rng(seed), rng(seed)
+        draws = _Draws(decoded)
+        for call in calls:
+            if isinstance(call, tuple):
+                assert draws.order(call[1]) == scalar.permutation(call[1]).tolist()
+            else:
+                assert draws.below(call) == int(scalar.integers(call))
+        draws.sync()
+        assert decoded.bit_generator.state == scalar.bit_generator.state
+        assert int(decoded.integers(2**32 - 1)) == int(scalar.integers(2**32 - 1))
+
+    def test_rejected_words_are_skipped_as_numpy_skips_them(self):
+        # at 3 * 2**30 numpy rejects about one word in four
+        decoded, scalar = rng(5), rng(5)
+        draws = _Draws(decoded)
+        values = [draws.below(3 * 2**30) for _ in range(2 * DRAW_CHUNK)]
+        assert values == [int(scalar.integers(3 * 2**30)) for _ in values]
+        assert words_used(draws) > len(values) + DRAW_CHUNK // 4
+        draws.sync()
+        assert decoded.bit_generator.state == scalar.bit_generator.state
 
 
 def small_dataset(n=10):
@@ -369,14 +419,39 @@ class TestMalformedUrls:
 # sha256 of write_dataset(inject(synth_corpus(CorpusSpec(endpoints, requests,
 # seed=42)), ...)) by (endpoints, requests, kind, ratio, seed): any change to
 # the corpus's or noise lab's draws, mutations or JSONL form moves these.  The
-# 20 x 300 cells are the deep benchmark workload's captures, and the
-# 180 x 30 cells the wide workload's.
+# 20 x 50 cells are the sweep benchmark workload's 30 captures, the 20 x 300
+# cells the deep workload's, and the 180 x 30 cells the wide workload's.
 PINNED_CAPTURES = {
+    (20, 50, LEXIFY, 0.05, 1): "b6671ce37192cc656a00a1ef7352c2958659c265429496cc6e6fb4afc138af71",
+    (20, 50, LEXIFY, 0.05, 2): "c12fd79f5c0700a74ef4acd71ccb7adce43659ff432d36df1d97dec411a688b2",
     (20, 50, LEXIFY, 0.05, 3): "302866a3294261ff3673232c19229b48d98cd0c967f3a19cb88a9ac87fe8eb8d",
+    (20, 50, LEXIFY, 0.25, 1): "c4db879854d664b67b07d15d304d54ca688ff4369448ea74949b32bb098afff7",
+    (20, 50, LEXIFY, 0.25, 2): "43bbbe24da4fc71926b5d7c0cbde694e3f7a49c3aecc5f791a6dabbe4cc3fbdc",
+    (20, 50, LEXIFY, 0.25, 3): "3409d89d2a2eecbf3e398237a7ec7c05f359743729a2fe5a986699adaa80ed19",
     (20, 50, LEXIFY, 0.5, 1): "ed06a37cb9a77aeeb51fdf737e6c7d4edeb69049e4f70ba12cc645ea2d1876b2",
+    (20, 50, LEXIFY, 0.5, 2): "3d554a6e1e9deb661c7a392e39a379b44b54dca1cd01e9668146c04da002b9b6",
+    (20, 50, LEXIFY, 0.5, 3): "faf3beeaa2f9c347978afb078ba54ab89bdb6d1ba293690294359df381c688b5",
+    (20, 50, LEXIFY, 0.75, 1): "6c53c326d31fbdef42b1c6764f82a026dd73fd97a166f31e6fa87c2af75e5fb3",
+    (20, 50, LEXIFY, 0.75, 2): "1ec2d345388f5e1bc6c55ac57120eddc87c265e7ac369f687857961a63cfd6b7",
+    (20, 50, LEXIFY, 0.75, 3): "6af22e33b3eab78a6e171ca85590fe3847f1896a18f83700d5439412ed49fabb",
+    (20, 50, LEXIFY, 0.95, 1): "df46f02b8851ace5a7b2c37c37c31eb98565aea19aa20798bfaf771e13bbffd8",
     (20, 50, LEXIFY, 0.95, 2): "ec7901218a9959a868b8b231146d4c1a1cf11aa635532f50912cc9d2526baaa2",
+    (20, 50, LEXIFY, 0.95, 3): "123bf39daddcb092c3372157c0e27c02209133a32e472b49b44810d6077d613e",
+    (20, 50, INTERFERE, 0.05, 1): "5f49f35dc0d716263fae1a64a14d039b4630c1ff0c69536f67d6417090c3181f",
+    (20, 50, INTERFERE, 0.05, 2): "ebd2953d763d765ac518ce8d385f76b65920d0af226cc5378218b2351830ab52",
+    (20, 50, INTERFERE, 0.05, 3): "e4e511cb2680dfe718ecaba980fbf7ec5169fab9482c1f917a17a57153f4cd72",
+    (20, 50, INTERFERE, 0.25, 1): "1a937316aeb329693dbbaf4ec94943b0b7d8468eca51bb53323ee10f7d70c684",
     (20, 50, INTERFERE, 0.25, 2): "b25703cecf3ee256969a3ee4d1b84fed5dffb6c94f3720b561d40aa2c8bf38fe",
+    (20, 50, INTERFERE, 0.25, 3): "0e28b4540cc639e287dfae6de1172fb4f1c5ecdebef5294d80774f3267162d05",
+    (20, 50, INTERFERE, 0.5, 1): "f0eb825f83604dcc8e14b6ef5f06e72b71e7db674ac1bef32977ad172362a157",
+    (20, 50, INTERFERE, 0.5, 2): "6b349fa8fdd901ae39254a7a4aa7927f3930eb64201032b46314c881a6b7548b",
+    (20, 50, INTERFERE, 0.5, 3): "608772437bb30d3b9dabef73bbc40dca7d2e30b0abfde68b9817c2ad5e437d1a",
+    (20, 50, INTERFERE, 0.75, 1): "28fc1ecd698f28a4a0df98768852520fe99eb315996f63648ec3db714ff8c6e6",
+    (20, 50, INTERFERE, 0.75, 2): "cbf98d83d539050de1e862049e082dd136ac5b65cea32d721197bc58742238ab",
+    (20, 50, INTERFERE, 0.75, 3): "9f97c431b10ab6abb3218728418c4bdf3b5d75fa6f33b98c957c70d5e28993ae",
     (20, 50, INTERFERE, 0.95, 1): "0e3d1ad7fb888a2ee37ac0128bdac42fcd062f18a5ea82275cd9c50c21fa3928",
+    (20, 50, INTERFERE, 0.95, 2): "cce0b0a65ab050a7602b3f766b675debef3764e35ba15ef625abe1af865bc0ac",
+    (20, 50, INTERFERE, 0.95, 3): "538f5195c11bcb349476107811fad70f250ab87bbea67a3cbee6ec11ef887ef2",
     (20, 300, LEXIFY, 0.5, 1): "960294f0868889ef44ee21acf843f9c7e4c5e77511d2f159f82b444864d00745",
     (20, 300, LEXIFY, 0.5, 2): "d91282b7a3a89ba4e43f44f81959d9c5a6c2bbedcf3a204f9977927a5c9ab197",
     (180, 30, INTERFERE, 0.95, 1): "c678829c6302021b439253adb7e47dbfc34009aef8119800017ad1a00b03d4bc",
@@ -386,26 +461,76 @@ PINNED_CAPTURES = {
 
 
 def merged_then_renumbered(dataset, ratio, seed):
-    """Interfere's records built in two passes: the drawn extras merged in
-    at their positions, then each record whose index is not its id rebuilt
-    through the checked constructor with its index as its id."""
+    """Interfere's records built in two passes, each category, family member
+    and asset stem drawn by a scalar call of its own: the drawn extras
+    merged in at their positions, then each record whose index is not its
+    id rebuilt through the checked constructor with its index as its id."""
     n = len(dataset.records)
     count = int(round(ratio * n))
     if count == 0:
         return dataset.records
     generator = np.random.default_rng(seed)
-    extras = [
-        interfere_sample(NoiseRule(
-            INTERFERE_CATEGORIES[int(generator.integers(len(INTERFERE_CATEGORIES)))], INTERFERE
-        ), generator)
-        for _ in range(count)
-    ]
+    extras = []
+    for _ in range(count):
+        category = INTERFERE_CATEGORIES[int(generator.integers(len(INTERFERE_CATEGORIES)))]
+        method, path, content_type = _INTERFERE_FAMILIES[category][int(generator.integers(2))]
+        if "{stem}" in path:
+            path = path.replace("{stem}", _ASSET_STEMS[int(generator.integers(len(_ASSET_STEMS)))])
+        headers = (("Content-Type", content_type),) if content_type else ()
+        extras.append(HttpRecord(0, method, path, headers, content_type))
     positions = sorted(generator.integers(0, n + 1, size=count).tolist())
     merged = list(dataset.records)
     # from the last position back, so each insertion leaves the earlier ones
     for position, extra in reversed(list(zip(positions, extras))):
         merged.insert(position, extra)
     return [r if r.id == i else r._replace(id=i) for i, r in enumerate(merged)]
+
+
+class ScalarDraws:
+    """The draws of a Lexify mutation, each a scalar numpy call of its own."""
+
+    def __init__(self, generator):
+        self.generator = generator
+
+    def below(self, n):
+        return int(self.generator.integers(n))
+
+    def order(self, n):
+        return self.generator.permutation(n).tolist()
+
+
+def scalar_lexify(dataset, ratio, seed):
+    """Lexify's records with every draw a scalar call: the records chosen,
+    then for each in index order its rule and the rule's own draws (the
+    rules' mutations are those ``inject`` applies, tested above)."""
+    n = len(dataset.records)
+    count = int(round(ratio * n))
+    if count == 0:
+        return dataset.records
+    records = [r if r.id == i else r._replace(id=i) for i, r in enumerate(dataset.records)]
+    generator = np.random.default_rng(seed)
+    draws = ScalarDraws(generator)
+    for idx in sorted(generator.choice(n, size=count, replace=False).tolist()):
+        url = SplitUrl(records[idx].url)
+        names = applicable_rules(url)
+        if names:
+            name = names[draws.below(len(names))]
+            records[idx] = records[idx]._replace(url=_apply(_LEXIFY[name], url, draws))
+    return records
+
+
+SEGMENTS = st.sampled_from(
+    ["api", "v1", "audit-logs", "Items", "ORDERS", "12", "a", "price-rules", "search", "x.json"]
+)
+PAIRS = st.sampled_from(["page=2", "page=3", "q=a b", "k=", "sort", "id=7", "term=x", "tmp=0"])
+# URLs whose queries hold 2 to 6 pairs, so Query Order Shuffle applies to
+# each, and whose long segments take Dot Injection
+LEXIFY_URLS = st.builds(
+    lambda segments, pairs, slash: "/" + "/".join(segments) + slash + "?" + "&".join(pairs),
+    st.lists(SEGMENTS, min_size=1, max_size=5),
+    st.lists(PAIRS, min_size=2, max_size=6),
+    st.sampled_from(["", "/"]),
+)
 
 
 class TestInject:
@@ -464,6 +589,16 @@ class TestInject:
         kept = [r for r in noisy.records if r.label is not None]
         for old, new in zip(dataset.records, kept):
             assert (new is old) == (new.id == old.id)
+
+    @given(
+        urls=st.lists(LEXIFY_URLS, min_size=1, max_size=12),
+        ratio=st.floats(0, 1),
+        seed=st.integers(0, 2**32),
+    )
+    @example(urls=["/api/v1/audit-logs?page=2&q=a b&sort&id=7&term=x&k="] * 6, ratio=1.0, seed=3)
+    def test_lexify_draws_are_the_scalar_calls(self, urls, ratio, seed):
+        dataset = Dataset([rec(rid=i, url=url) for i, url in enumerate(urls)])
+        assert inject(dataset, LEXIFY, ratio, seed).records == scalar_lexify(dataset, ratio, seed)
 
     def test_deterministic(self):
         a = inject(small_dataset(), LEXIFY, 0.5, seed=7)

@@ -2,6 +2,7 @@
 
 import copy
 import enum
+import gc
 import io
 import json
 import pickle
@@ -664,6 +665,18 @@ class TestReadLabels:
         assert read_labels(text) == ({0: "EP_0", 1: "EP_1", 2: "EP_0", 3: "EP_1"}, 4)
         assert read_labels(text) == (parse_jsonl(text).ground_truth, 4)
 
+    @pytest.mark.parametrize("as_file", [False, True])
+    def test_each_distinct_label_is_one_object(self, as_file):
+        # canonical lines, then the same lines re-spaced, which the checked
+        # path reads
+        lines = canonical_capture(6).splitlines()
+        text = "".join(line + "\n" for line in lines) + "".join(
+            json.dumps(json.loads(line)) + "\n" for line in lines
+        )
+        labels, requests = read_labels(io.BytesIO(text.encode()) if as_file else text)
+        assert requests == 12 and sorted(set(labels.values())) == ["EP_0", "EP_1"]
+        assert len({id(label) for label in labels.values()}) == 2
+
     @pytest.mark.parametrize("label", ['"EP_1"', '"EP\\u005f1"'])
     def test_label_reads_as_its_value(self, label):
         # written as is, the pattern reads it; escaped, the checked path does
@@ -805,6 +818,9 @@ class TestLines:
             capture = text.replace("\n", newline)
             if as_file:
                 capture = io.BytesIO(capture.encode())
+            # the garbage of earlier tests, collected now rather than during
+            # one of the two measured reads
+            gc.collect()
             tracemalloc.start()
             try:
                 read(capture)
