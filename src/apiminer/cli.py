@@ -49,8 +49,9 @@ def _write_text(path: str | None, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _is_seed(value) -> bool:
+    # numpy seeds its generators from non-negative integers only
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 def _is_str(value) -> bool:
@@ -65,7 +66,7 @@ def _in_unit_interval(value) -> bool:
 _CONFIG_KEYS = {
     "tau": ("a number in (0, 1)", _in_unit_interval),
     "theta": ("a number in (0, 1)", _in_unit_interval),
-    "seed": ("an integer", _is_int),
+    "seed": ("a non-negative integer", _is_seed),
     "force_kmeans": ("true or false", lambda value: isinstance(value, bool)),
 }
 
@@ -137,7 +138,7 @@ def _load_clusters(path: str) -> list[EndpointCluster]:
         method = _cluster_field(entry, index, "method", "a string", _is_str)
         member_ids = _cluster_field(
             entry, index, "member_ids", "a list of integers",
-            # no bool, as _is_int, and no Python call per id
+            # no bool, and no Python call per id
             lambda v: isinstance(v, list) and all(type(i) is int for i in v),
         )
         paths = _cluster_field(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,46 +62,23 @@ def _word(index: int) -> str:
     raise ValueError("endpoint_count exceeds the distinct-vocabulary budget")
 
 
-# raw 32-bit words of a uuid and of a hex id: ``rng.bytes(k)`` is k / 4
-# words, each as its little-endian bytes
-_ID_WORDS = {"uuid": 4, "hex": 2}
-
-
-def _hex_ids(style: str, raw: str) -> list[str]:
-    """The ``uuid`` or ``hex`` ids whose bytes, laid end to end, are the hex
-    text ``raw``: 16 bytes each for a uuid, 8 for a hex id."""
-    if style == "hex":
-        return [raw[i:i + 16] for i in range(0, len(raw), 16)]
-    return [
-        f"{raw[i:i + 8]}-{raw[i + 8:i + 12]}-{raw[i + 12:i + 16]}"
-        f"-{raw[i + 16:i + 20]}-{raw[i + 20:i + 32]}"
-        for i in range(0, len(raw), 32)
-    ]
-
-
-def _id_texts(style: str, rng: np.random.Generator, count: int) -> list[str]:
-    """``count`` ids of ``style`` from one draw call.
-
-    The values are those ``count`` calls of one id each would draw: a batch
-    of integers is drawn as its scalars would be, and ``bytes(k * count)``
-    is ``count`` calls of ``bytes(k)`` laid end to end.
-    """
-    if style == "int":
-        return list(map(str, rng.integers(100, 999999, size=count).tolist()))
-    if style in _ID_WORDS:
-        return _hex_ids(style, rng.bytes(4 * _ID_WORDS[style] * count).hex())
-    raise ValueError(f"unknown id style {style!r}")
+# ``rng.bytes(k)`` is k / 4 raw 32-bit words, each as its little-endian
+# bytes: 4 words for a uuid, 2 for a hex id
+_FOUR_WORDS = struct.Struct("<4I").pack
+_TWO_WORDS = struct.Struct("<2I").pack
 
 
 def _drawn_id(style: str, draws: _Draws) -> str:
-    """One id of ``style``, the one ``_id_texts(style, rng, 1)`` would draw."""
+    """One id of ``style``, the one an ``integers(100, 999999)``,
+    ``bytes(16)`` or ``bytes(8)`` call would draw."""
+    word = draws.word
     if style == "int":
-        # integers(100, 999999)
         return str(100 + draws.below(999899))
-    if style in _ID_WORDS:
-        word = draws.word
-        raw = b"".join([word().to_bytes(4, "little") for _ in range(_ID_WORDS[style])])
-        return _hex_ids(style, raw.hex())[0]
+    if style == "uuid":
+        raw = _FOUR_WORDS(word(), word(), word(), word()).hex()
+        return f"{raw[:8]}-{raw[8:12]}-{raw[12:16]}-{raw[16:20]}-{raw[20:]}"
+    if style == "hex":
+        return _TWO_WORDS(word(), word()).hex()
     raise ValueError(f"unknown id style {style!r}")
 
 
@@ -165,33 +143,23 @@ def _plan_endpoints(spec: CorpusSpec) -> list[_EndpointPlan]:
 def _endpoint_urls(plan: _EndpointPlan, rng: np.random.Generator, count: int) -> list[str]:
     """The URLs of an endpoint's ``count`` requests, in request order.
 
-    Each request draws its id, then its query value, from the endpoint's
-    own generator.  An endpoint that draws only one of the two draws all of
-    them in one call; one that draws both decodes them, in the order the
-    scalar calls would draw them, from the generator's raw words.
+    Each request draws its id, if it has one, then its query value, if it
+    has query keys, from the endpoint's own generator: decoded by ``_Draws``
+    from the generator's raw words, as the scalar calls would draw them.
     """
     head = _HOST + "/" + "/".join(plan.prefix)
     tail = "" if plan.tail is None else "/" + plan.tail
-    ids = values = None
-    if plan.has_id and plan.query_keys:
-        draws = _Draws(rng)
-        ids, values = [], []
-        for _ in range(count):
-            ids.append(_drawn_id(plan.id_style, draws))
-            # integers(1, 500)
-            values.append(1 + draws.below(499))
-    elif plan.has_id:
-        ids = _id_texts(plan.id_style, rng, count)
-    elif plan.query_keys:
-        values = rng.integers(1, 500, size=count).tolist()
-    paths = [head + "/" + text + tail for text in ids] if ids is not None else [head + tail] * count
-    if values is None:
-        return paths
     keys = tuple(enumerate(plan.query_keys))
-    return [
-        path + "?" + "&".join(f"{k}={value + n}" for n, k in keys)
-        for path, value in zip(paths, values)
-    ]
+    draws = _Draws(rng)
+    urls = []
+    for _ in range(count):
+        url = head + "/" + _drawn_id(plan.id_style, draws) + tail if plan.has_id else head + tail
+        if keys:
+            # integers(1, 500)
+            value = 1 + draws.below(499)
+            url += "?" + "&".join(f"{k}={value + n}" for n, k in keys)
+        urls.append(url)
+    return urls
 
 
 def synth_corpus(spec: CorpusSpec) -> Dataset:

@@ -466,6 +466,8 @@ def inject(dataset: Dataset, kind: str, ratio: float, seed: int) -> Dataset:
     """
     if not (0.0 <= ratio <= 1.0):
         raise ValueError("ratio must be in [0,1]")
+    if kind not in (LEXIFY, INTERFERE):
+        raise ValueError(f"unknown noise kind {kind!r}")
     n = len(dataset.records)
     count = int(round(ratio * n))
     rng = np.random.default_rng(seed)
@@ -488,30 +490,28 @@ def inject(dataset: Dataset, kind: str, ratio: float, seed: int) -> Dataset:
                 records[idx] = _record(record, idx, new_url)
         return Dataset(records=records, source=dataset.source + f"+lexify{ratio:g}")
 
-    if kind == INTERFERE:
-        draws = _Draws(rng)
-        drawn = [
-            _draw_interference(INTERFERE_CATEGORIES[draws.below(len(INTERFERE_CATEGORIES))], draws)
-            for _ in range(count)
-        ]
-        # the positions are one batch call, drawn from where the requests'
-        # scalar draws would leave the generator
-        draws.sync()
-        positions = sorted(rng.integers(0, n + 1, size=count).tolist())
-        # one pass, each record built once at its final id: the j-th extra
-        # goes before the record at positions[j], or after the last record,
-        # and a record follows the extras placed before it
-        merged: list[HttpRecord] = []
-        append = merged.append
-        j = 0
-        for idx in range(n + 1):
-            while j < count and positions[j] == idx:
-                append(_interference_record(idx + j, *drawn[j]))
-                j += 1
-            if idx < n:
-                record = dataset.records[idx]
-                rid = idx + j
-                append(record if record.id == rid else _record(record, rid, record.url))
-        return Dataset(records=merged, source=dataset.source + f"+interfere{ratio:g}")
-
-    raise ValueError(f"unknown noise kind {kind!r}")
+    # Interfere
+    draws = _Draws(rng)
+    drawn = [
+        _draw_interference(INTERFERE_CATEGORIES[draws.below(len(INTERFERE_CATEGORIES))], draws)
+        for _ in range(count)
+    ]
+    # the positions are one batch call, drawn from where the requests'
+    # scalar draws would leave the generator
+    draws.sync()
+    positions = sorted(rng.integers(0, n + 1, size=count).tolist())
+    # one pass, each record built once at its final id: the j-th extra
+    # goes before the record at positions[j], or after the last record,
+    # and a record follows the extras placed before it
+    merged: list[HttpRecord] = []
+    append = merged.append
+    j = 0
+    for idx in range(n + 1):
+        while j < count and positions[j] == idx:
+            append(_interference_record(idx + j, *drawn[j]))
+            j += 1
+        if idx < n:
+            record = dataset.records[idx]
+            rid = idx + j
+            append(record if record.id == rid else _record(record, rid, record.url))
+    return Dataset(records=merged, source=dataset.source + f"+interfere{ratio:g}")

@@ -626,40 +626,28 @@ def write_dataset(dataset: Dataset) -> str:
     always written, the other fields only when they are not None.  Each
     line is laid out here, by one f-string, in the key order and bytes of
     the JSON encoder with separators (",", ":"): strings through the ASCII
-    string escaper, ints as ``str`` writes them.  Each distinct method,
-    content type and label is escaped once per call, in a table of its own
-    field, and each distinct header tuple's text is made once per call.
-    The ``.records`` of records with ids 0..n-1 read back equal through
-    ``parse_jsonl``.
+    string escaper, ints as ``str`` writes them.  Each string field is
+    escaped where its line is laid out, and each distinct header tuple's
+    text is made once per call.  The ``.records`` of records with ids
+    0..n-1 read back equal through ``parse_jsonl``.
     """
     string = _string
-    # each field's text after its key, by value; an absent field writes none
-    methods: dict[str, str] = {}
-    content_types: dict[str | None, str] = {None: ""}
-    labels: dict[str | None, str] = {None: ""}
     # by id: the records keep each headers object alive for the call
     header_texts: dict[int, str] = {}
     lines = []
     append = lines.append
     for record in dataset.records:
         rid, method, url, headers, content_type, body_size, fields, depth, label = record
-        method_text = methods.get(method)
-        if method_text is None:
-            method_text = methods[method] = string(method)
         head = header_texts.get(id(headers))
         if head is None:
             head = header_texts[id(headers)] = _header_text(headers)
-        type_text = content_types.get(content_type)
-        if type_text is None:
-            type_text = content_types[content_type] = ',"content_type":' + string(content_type)
-        label_text = labels.get(label)
-        if label_text is None:
-            label_text = labels[label] = ',"label":' + string(label)
+        type_text = "" if content_type is None else ',"content_type":' + string(content_type)
+        label_text = "" if label is None else ',"label":' + string(label)
         counts = "" if fields is None else f',"body_field_count":{fields}'
         if depth is not None:
             counts += f',"body_nesting_depth":{depth}'
         append(
-            f'{{"id":{rid},"method":{method_text},"url":{string(url)},"headers":{head}'
+            f'{{"id":{rid},"method":{string(method)},"url":{string(url)},"headers":{head}'
             f'{type_text},"body_size":{body_size}{counts}{label_text}}}\n'
         )
     return "".join(lines)

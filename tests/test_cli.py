@@ -378,7 +378,8 @@ class TestMalformedInput:
         ({"tau": "0.5"}, "tau must be a number in (0, 1), got '0.5'"),
         ({"tau": 2}, "tau must be a number in (0, 1)"),
         ({"theta": True}, "theta must be a number in (0, 1)"),
-        ({"seed": 1.5}, "seed must be an integer"),
+        ({"seed": 1.5}, "config file: seed must be a non-negative integer, got 1.5"),
+        ({"seed": -3}, "config file: seed must be a non-negative integer, got -3"),
         ({"force_kmeans": "yes"}, "force_kmeans must be true or false"),
         ({"lam": 0.1}, "unknown key 'lam'"),
         ([1], "config file must hold a single JSON object"),

@@ -90,8 +90,9 @@ class TestDefaultCorpus:
 
 
 class TestPerEndpointDraws:
-    """Each endpoint draws its ids, or its query values, in one call; the
-    corpus is the one drawn a call per value."""
+    """Each endpoint decodes its ids and query values, request by request,
+    from its generator's raw words; the corpus is the one drawn a call per
+    value."""
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -103,6 +104,9 @@ class TestPerEndpointDraws:
     # an id and a query value
     @example(endpoints=182, requests=5, seed=42)
     @example(endpoints=1, requests=1, seed=0)
+    # 70 uuids are 280 raw words: each uuid endpoint crosses the edge of
+    # its decoder's first DRAW_CHUNK words
+    @example(endpoints=20, requests=70, seed=42)
     def test_the_corpus_is_the_one_drawn_a_call_per_value(self, endpoints, requests, seed):
         spec = CorpusSpec(endpoints, requests, seed)
         records = synth_corpus(spec).records

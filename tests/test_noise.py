@@ -612,6 +612,10 @@ class TestInject:
             inject(small_dataset(), LEXIFY, 1.5, seed=1)
         with pytest.raises(ValueError):
             inject(small_dataset(), "Garble", 0.5, seed=1)
+        # the kind is checked also where no record would change
+        for ratio in (0.0, 0.05):
+            with pytest.raises(ValueError):
+                inject(small_dataset(), "Lexfy", ratio, seed=1)
 
 
 def assert_checked(record):

@@ -622,7 +622,7 @@ class TestWriter:
     @example([held(0, "a", "/x", (), "GET", 0, None, None, "a"),
               held(1, "GET", "/y", (), "a", 1, 1, None, "GET")])
     def test_a_string_shared_by_fields_is_written_as_each_field(self, records):
-        # each field keeps its own table of escaped values
+        # one string may be a method in one record and a label in another
         assert write_dataset(Dataset(records)) == "".join(encoded_line(r) for r in records)
 
     def test_checked_records_are_the_encoders_lines(self):
