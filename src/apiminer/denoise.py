@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -21,6 +22,10 @@ DEFAULT_STATIC_EXTENSIONS = frozenset(
 )
 DEFAULT_STATIC_PATH_MARKERS = (
     "/static/", "/assets/", "/images/", "/img/", "/fonts/", "/media/", "/cdn-cgi/",
+)
+# any marker; its closing slash, which every marker has, may be the path's end
+_STATIC_PATH_MARKER_RE = re.compile(
+    "|".join(re.escape(m[:-1]) + r"(?:/|\Z)" for m in DEFAULT_STATIC_PATH_MARKERS)
 )
 DEFAULT_NON_API_CONTENT_TYPES = (
     "text/html", "image/", "font/", "audio/", "video/",
@@ -51,18 +56,16 @@ class FilterOutcome:
 def rule_signal(record: HttpRecord, path: str) -> str | None:
     """First matching drop reason in cascade order, or None; ``path`` is the
     record's URL path as ``split_url`` gives it.  The extension is read from
-    the last non-empty segment, so a trailing slash does not hide it."""
-    last_segment = path.rstrip("/").rsplit("/", 1)[-1]
+    the last non-empty segment, so a trailing slash does not hide it, and is
+    looked for only in a path that holds a ``.``.  A marker also matches at
+    the end of the path without its closing slash (``/x/static``)."""
+    last_segment = path.rstrip("/").rsplit("/", 1)[-1] if "." in path else ""
     if "." in last_segment:
         ext = last_segment.rsplit(".", 1)[-1].lower()
         if ext in DEFAULT_STATIC_EXTENSIONS:
             return STATIC_EXTENSION
-    lowered = path.lower()
-    if not lowered.endswith("/"):
-        lowered = lowered + "/"
-    for marker in DEFAULT_STATIC_PATH_MARKERS:
-        if marker in lowered:
-            return STATIC_PATH_PATTERN
+    if _STATIC_PATH_MARKER_RE.search(path.lower()):
+        return STATIC_PATH_PATTERN
     return _content_type_reason(record.content_type)
 
 

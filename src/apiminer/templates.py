@@ -158,20 +158,26 @@ def _split(members: list[NormalizedRequest], level: int = 0):
     Children are kept for the MAX_CHILDREN resolved tokens with the highest
     total count, ties by spelling; the rest of the level goes down the
     wildcard branch with the variable spellings.  Each leaf lists its
-    members in arrival order.
+    members in arrival order.  A level that sends them all down one branch
+    hands ``members`` itself to the next level.
     """
     if level == min(TREE_DEPTH, len(members[0].segments)):
         yield members
         return
     column = [nr.segments[level] for nr in members]
     counts = Counter(column)
-    resolved = _resolve({s: n for s, n in counts.items() if not _looks_variable_loosely(s)})
+    # an all-digit spelling is variable (is_variable_segment's first rule)
+    fixed = {s: n for s, n in counts.items() if not (s.isdigit() or _looks_variable_loosely(s))}
+    resolved = _resolve(fixed)
     if len(resolved) > MAX_CHILDREN:
         totals = Counter()
         for spelling, token in resolved.items():
             totals[token] += counts[spelling]
         kept = set(sorted(totals, key=lambda t: (-totals[t], t))[:MAX_CHILDREN])
         resolved = {s: t for s, t in resolved.items() if t in kept}
+    if not resolved or (len(resolved) == len(counts) and len(set(resolved.values())) == 1):
+        yield from _split(members, level + 1)
+        return
     children: dict[str, list[NormalizedRequest]] = {}
     wildcard: list[NormalizedRequest] = []
     for nr, spelling in zip(members, column):

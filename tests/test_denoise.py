@@ -9,6 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 from apiminer import denoise
 from apiminer.denoise import (
     DEFAULT_NON_API_CONTENT_TYPES,
+    DEFAULT_STATIC_EXTENSIONS,
+    DEFAULT_STATIC_PATH_MARKERS,
     DEFAULT_TAU,
     LOGISTIC_GATE,
     LOGISTIC_WEIGHTS,
@@ -74,6 +76,63 @@ class TestRuleCascade:
 
     def test_api_path_with_trailing_slash_kept(self):
         assert filter_traffic(Dataset([rec(url="/api/v1/items/")])).kept == [0]
+
+
+def reference_rule_signal(record, path):
+    """The rule cascade read plainly: the last segment's extension, then each
+    marker in turn over the lowered path with a closing slash, then the
+    content type."""
+    last_segment = path.rstrip("/").rsplit("/", 1)[-1]
+    if "." in last_segment:
+        if last_segment.rsplit(".", 1)[-1].lower() in DEFAULT_STATIC_EXTENSIONS:
+            return STATIC_EXTENSION
+    lowered = path.lower()
+    if not lowered.endswith("/"):
+        lowered = lowered + "/"
+    for marker in DEFAULT_STATIC_PATH_MARKERS:
+        if marker in lowered:
+            return STATIC_PATH_PATTERN
+    if record.content_type is None:
+        return MISSING_CONTENT_TYPE
+    if record.content_type.lower().startswith(DEFAULT_NON_API_CONTENT_TYPES):
+        return NON_API_CONTENT_TYPE
+    return None
+
+
+# marker names in any case (and "ſtatic", which only a case-blind match
+# would take for "static"), spellings with dots in them, and free text
+RULE_SEGMENTS = (
+    st.sampled_from([m.strip("/") for m in DEFAULT_STATIC_PATH_MARKERS]).flatmap(
+        lambda name: st.sampled_from([name, name.upper(), name.title()])
+    )
+    | st.sampled_from(["ſtatic", "İmg", "v1.js", "X.JS", "a.b.png", "file.", ".css", ".", "..",
+                       "items", "12.3", "app.min.Js", "static.js"])
+    | st.text(alphabet="aJs./-\n", max_size=6)
+    | st.text(max_size=4)
+)
+RULE_PATHS = st.builds(
+    lambda lead, segments, tail: lead + "/".join(segments) + tail,
+    st.sampled_from(["", "/", "//"]),
+    st.lists(RULE_SEGMENTS, max_size=6),
+    st.sampled_from(["", "/", "//", "/static", "/STATIC", "/cdn-cgi"]),
+)
+
+
+class TestRuleCascadeReference:
+    @settings(max_examples=500, deadline=None)
+    @given(RULE_PATHS, st.sampled_from([None, "application/json", "text/html", "Image/png"]))
+    @example("/v1.js/items", "application/json")
+    @example("/cdn-cgi/trace", None)
+    @example("/X.JS/", "application/json")
+    @example("", "application/json")
+    @example("", None)
+    # the only dot is the path's first character
+    @example(".css", "application/json")
+    # a closing newline is no end of the path for the marker
+    @example("/x/static\n", "application/json")
+    def test_rule_signal_is_the_plain_cascade(self, path, content_type):
+        record = rec(content_type=content_type)
+        assert rule_signal(record, path) == reference_rule_signal(record, path)
 
 
 class TestGate:

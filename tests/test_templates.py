@@ -3,6 +3,7 @@
 import itertools
 import random
 import string
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from apiminer.templates import (
     _leaf_templates,
     _looks_variable_loosely,
     _match_ratio,
+    _resolve,
 )
 
 
@@ -272,6 +274,93 @@ class TestLeafTemplates:
             NormalizedRequest(m.record, [*m.segments, tail]) for m, tail in zip(members, "iij")
         ]
         assert [joined for _, joined in _leaf_templates(deeper)] == [deeper[:2], deeper[2:]]
+
+
+def copying_split(members, level=0):
+    """The tree router that copies every level: each member goes to the list
+    of its resolved token or to the wildcard list, even when one list takes
+    them all, and every spelling is asked ``_looks_variable_loosely``."""
+    if level == min(TREE_DEPTH, len(members[0].segments)):
+        yield members
+        return
+    column = [request.segments[level] for request in members]
+    counts = Counter(column)
+    resolved = _resolve({s: n for s, n in counts.items() if not _looks_variable_loosely(s)})
+    if len(resolved) > MAX_CHILDREN:
+        totals = Counter()
+        for spelling, token in resolved.items():
+            totals[token] += counts[spelling]
+        kept = set(sorted(totals, key=lambda t: (-totals[t], t))[:MAX_CHILDREN])
+        resolved = {s: t for s, t in resolved.items() if t in kept}
+    children, wildcard = {}, []
+    for request, spelling in zip(members, column):
+        token = resolved.get(spelling)
+        if token is None:
+            wildcard.append(request)
+        else:
+            children.setdefault(token, []).append(request)
+    for child in (*children.values(), wildcard):
+        if child:
+            yield from copying_split(child, level + 1)
+
+
+def copying_mine(requests):
+    """``mine`` over ``copying_split``: (method, rendered template, member ids)."""
+    partitions = {}
+    for request in requests:
+        partitions.setdefault((request.record.method, len(request.segments)), []).append(request)
+    groups = [
+        (method, templates.PathTemplate(method, tuple(pattern)).render(),
+         [m.record.id for m in joined])
+        for (method, _), members in partitions.items()
+        for leaf in copying_split(members)
+        for pattern, joined in _leaf_templates(leaf)
+    ]
+    return sorted(groups, key=lambda g: (g[0], g[1], min(g[2])))
+
+
+# ids (ASCII and not), near-miss words and fixed tokens
+ROUTE_WORDS = ("users", "user", "items", "itemz", "api", "v1", "7", "123", "٣", "²",
+               "abcdef0123", "x_1_2_3", "12.3")
+
+
+def requests_of(paths):
+    return [
+        NormalizedRequest(HttpRecord(id=i, method=method, url="/"), list(segments))
+        for i, (method, segments) in enumerate(paths)
+    ]
+
+
+@st.composite
+def routed_paths(draw):
+    """(method, segments) of 1-24 requests of depth 0-6, and up to
+    MAX_CHILDREN + 2 distinct tokens at the second level of /api/*/x."""
+    segments = st.lists(st.sampled_from(ROUTE_WORDS), max_size=6)
+    paths = draw(st.lists(st.tuples(st.sampled_from(["GET", "POST"]), segments),
+                          min_size=1, max_size=24))
+    tokens = TestGrouping.COLLAPSE_TOKENS
+    wide = draw(st.integers(0, len(tokens) + 2))
+    return paths + [("GET", ["api", tokens[i % len(tokens)], "x"]) for i in range(wide)]
+
+
+class TestOneBranchLevels:
+    @settings(max_examples=300, deadline=None)
+    @given(routed_paths())
+    # a level of ids only
+    @example([("GET", ["api", str(i), "x"]) for i in (1, 2, 33, 1)])
+    # one token, two spellings: itemz joins items
+    @example([("GET", ["items"])] * 10 + [("GET", ["itemz"])])
+    # a level past MAX_CHILDREN, its last two tokens cut to the wildcard
+    @example([("GET", ["api", t, "x"]) for t in TestGrouping.COLLAPSE_TOKENS])
+    # non-ASCII digits are ids by isdigit, as by is_variable_segment
+    @example([("GET", ["api", "٣"]), ("GET", ["api", "²"]), ("GET", ["api", "٣"])])
+    # ids with one word at one level
+    @example([("GET", ["api", "7", "x"]), ("GET", ["api", "123", "x"]),
+              ("GET", ["api", "users", "x"])])
+    def test_mine_equals_the_copying_router(self, paths):
+        requests = requests_of(paths)
+        got = [(g.template.method, g.template.render(), g.member_ids) for g in mine(requests)]
+        assert got == copying_mine(requests)
 
 
 class TestCountResolution:
