@@ -209,13 +209,16 @@ def cmd_discover(args) -> int:
     return 0
 
 
+# the noise kind each --kind value names
+_NOISE_KINDS = {"lexify": LEXIFY, "interfere": INTERFERE}
+
+
 def cmd_noise(args) -> int:
     if not 0.0 <= args.ratio <= 1.0:
         raise IngestError(f"noise --ratio must lie in [0, 1], got {args.ratio!r}")
     _check_seed("noise --seed", args.seed)
     dataset = _read_dataset(args.input, args.format)
-    kind = {"lexify": LEXIFY, "interfere": INTERFERE}[args.kind]
-    noisy = inject(dataset, kind, args.ratio, args.seed if args.seed is not None else 0)
+    noisy = inject(dataset, _NOISE_KINDS[args.kind], args.ratio, args.seed or 0)
     _write_text(args.out, write_dataset(noisy))
     return 0
 
@@ -282,9 +285,7 @@ def cmd_bench(args) -> int:
         raise IngestError(
             f"bench --endpoints {args.endpoints} --requests {args.requests}: {exc}"
         ) from exc
-    kinds = [LEXIFY, INTERFERE] if args.kind == "both" else [
-        {"lexify": LEXIFY, "interfere": INTERFERE}[args.kind]
-    ]
+    kinds = _NOISE_KINDS.values() if args.kind == "both" else [_NOISE_KINDS[args.kind]]
     tau, refiner_config = _pipeline_settings(args)
     rows = []
     for kind in sorted(kinds):
@@ -354,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("noise", help="produce a noisy variant of a dataset")
     _add_io_flags(p)
-    p.add_argument("--kind", choices=("lexify", "interfere"), required=True)
+    p.add_argument("--kind", choices=tuple(_NOISE_KINDS), required=True)
     p.add_argument("--ratio", type=float, required=True)
     p.add_argument("--seed", type=int, default=None)
 
@@ -369,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-")
     p.add_argument("--endpoints", type=int, default=20)
     p.add_argument("--requests", type=int, default=50)
-    p.add_argument("--kind", choices=("lexify", "interfere", "both"), default="both")
+    p.add_argument("--kind", choices=(*_NOISE_KINDS, "both"), default="both")
     p.add_argument("--ratios", default="0.05,0.25,0.5,0.75,0.95")
     p.add_argument("--seeds", default="1")
     p.add_argument("--seed", type=int, default=None, help="seeds the synthetic corpus")

@@ -33,20 +33,10 @@ class EvalReport:
     config_echo: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        payload = {
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-            "pga": round(self.pga, 4),
-            "rga": round(self.rga, 4),
-            "fga": round(self.fga, 4),
-            "purity": round(self.purity, 6),
-            "pga_defined": self.pga_defined,
-            "rga_defined": self.rga_defined,
-            "fga_defined": self.fga_defined,
-            "per_cluster": self.per_cluster,
-            "config_echo": self.config_echo,
-        }
+        # the fields in their order, the four ratios rounded
+        payload = dict(vars(self))
+        for name, digits in (("pga", 4), ("rga", 4), ("fga", 4), ("purity", 6)):
+            payload[name] = round(payload[name], digits)
         return json.dumps(payload, indent=2)
 
     def to_csv_row(self, dataset: str = "", noise_type: str = "", noise_ratio: float = 0.0,

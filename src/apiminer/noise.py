@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 from urllib.parse import urlsplit, uses_netloc
@@ -268,6 +267,7 @@ _LEXIFY: dict[str, _Rule] = {
         _edit_value(lambda v: "".join(f"%{b:02x}" for b in v.encode())),
     ),
 }
+LEXIFY_RULES = tuple(_LEXIFY)
 
 
 def _rule_bits(on: str):
@@ -321,46 +321,6 @@ def _apply(rule: _Rule, url: SplitUrl, draws: _Draws) -> str:
     return mutate(url, targets, draws)
 
 
-LEXIFY_RULES = tuple(_LEXIFY)
-
-INTERFERE_CATEGORIES = (
-    "Static Asset Request",
-    "Image Resource Request",
-    "Font and Media Request",
-    "Health Check Endpoint",
-    "Metrics Endpoint",
-    "Framework Handshake Request",
-    "Hot Reload / Dev Channel",
-    "Third-party Analytics Call",
-    "CDN / Proxy Trace",
-)
-
-# segment-mutating rules that path normalization cannot absorb
-TOKEN_MUTATION_RULES = frozenset(
-    {"Underscore Injection", "Hyphen Duplication", "Dot Injection"}
-)
-
-
-@dataclass(frozen=True)
-class NoiseRule:
-    name: str
-    kind: str
-
-    def __post_init__(self):
-        if self.kind == LEXIFY and self.name not in LEXIFY_RULES:
-            raise ValueError(f"unknown Lexify rule {self.name!r}")
-        if self.kind == INTERFERE and self.name not in INTERFERE_CATEGORIES:
-            raise ValueError(f"unknown Interfere category {self.name!r}")
-        if self.kind not in (LEXIFY, INTERFERE):
-            raise ValueError(f"unknown noise kind {self.kind!r}")
-
-
-RULE_REGISTRY = tuple(
-    [NoiseRule(name, LEXIFY) for name in LEXIFY_RULES]
-    + [NoiseRule(name, INTERFERE) for name in INTERFERE_CATEGORIES]
-)
-
-
 def _record(record: HttpRecord, rid: int, url: str) -> HttpRecord:
     """``record`` with the given id and URL, every other field shared.
 
@@ -373,19 +333,19 @@ def _record(record: HttpRecord, rid: int, url: str) -> HttpRecord:
     )
 
 
-def lexify(record: HttpRecord, rule: NoiseRule, rng: np.random.Generator) -> tuple[HttpRecord, bool]:
-    """Apply one Lexify rule; returns (record, applied).
+def lexify(record: HttpRecord, name: str, rng: np.random.Generator) -> tuple[HttpRecord, bool]:
+    """Apply the Lexify rule ``name``; returns (record, applied).
 
     Inapplicable rules return the record unchanged with applied=False.  The
     ground-truth label is always preserved.
     """
-    if rule.kind != LEXIFY:
-        raise ValueError("lexify requires a Lexify rule")
+    if name not in LEXIFY_RULES:
+        raise ValueError(f"unknown Lexify rule {name!r}")
     url = _split(record)
-    if rule.name not in applicable_rules(url):
+    if name not in applicable_rules(url):
         return record, False
     draws = _Draws(rng)
-    new_url = _apply(_LEXIFY[rule.name], url, draws)
+    new_url = _apply(_LEXIFY[name], url, draws)
     draws.sync()
     return _record(record, record.id, new_url), True
 
@@ -414,6 +374,9 @@ _INTERFERE_FAMILIES: dict[str, list[tuple[str, str, str | None]]] = {
     "CDN / Proxy Trace": [("GET", "/cdn-cgi/trace", None), ("GET", "/proxy/ping", None)],
 }
 
+# ``inject`` draws a category by its index in this order
+INTERFERE_CATEGORIES = tuple(_INTERFERE_FAMILIES)
+
 
 def _draw_interference(category: str, draws: _Draws) -> tuple[str, str, str | None]:
     """(method, url, content type) of one request drawn from a category family."""
@@ -440,14 +403,15 @@ def _interference_record(record_id: int, method: str, url: str, content_type: st
     ))
 
 
-def interfere_sample(category: NoiseRule, rng: np.random.Generator, record_id: int = 0) -> HttpRecord:
-    """Draw one fresh, unlabeled interference record from a category family."""
-    if category.kind != INTERFERE:
-        raise ValueError("interfere_sample requires an Interfere category")
+def interfere_sample(name: str, rng: np.random.Generator, record_id: int = 0) -> HttpRecord:
+    """Draw one fresh, unlabeled interference record from the family of
+    category ``name``, built by ``HttpRecord``'s checked constructor."""
+    if name not in INTERFERE_CATEGORIES:
+        raise ValueError(f"unknown Interfere category {name!r}")
     draws = _Draws(rng)
-    drawn = _draw_interference(category.name, draws)
+    method, url, content_type = _draw_interference(name, draws)
     draws.sync()
-    return _interference_record(record_id, *drawn)
+    return HttpRecord(record_id, method, url, _FAMILY_HEADERS[content_type], content_type)
 
 
 def _renumber(records: list[HttpRecord]) -> list[HttpRecord]:

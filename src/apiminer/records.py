@@ -204,7 +204,12 @@ class Dataset:
 
     def __post_init__(self):
         if len({r.id for r in self.records}) != len(self.records):
-            raise IngestError("duplicate record ids in dataset")
+            # only a failed check looks for the first repeated id
+            seen: set[int] = set()
+            for r in self.records:
+                if r.id in seen:
+                    raise IngestError(f"duplicate record id {r.id} in dataset")
+                seen.add(r.id)
 
     @property
     def ground_truth(self) -> dict[int, str]:

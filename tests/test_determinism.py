@@ -15,7 +15,7 @@ import numpy as np
 
 import apiminer
 from apiminer.corpus import CorpusSpec, synth_corpus
-from apiminer.noise import INTERFERE, LEXIFY, NoiseRule, inject, lexify
+from apiminer.noise import INTERFERE, LEXIFY, inject, lexify
 from apiminer.normalize import normalize
 from apiminer.records import Dataset, HttpRecord, write_dataset
 from apiminer.refine import RefinerConfig, discover, prepare_traffic
@@ -103,7 +103,7 @@ URLS = st.builds(
 def rewritten(dataset: Dataset, name: str, seed: int) -> Dataset:
     """The dataset with rule ``name`` applied alone to every record it applies to."""
     rng = np.random.default_rng(seed)
-    return Dataset([lexify(record, NoiseRule(name, LEXIFY), rng)[0] for record in dataset.records])
+    return Dataset([lexify(record, name, rng)[0] for record in dataset.records])
 
 
 @settings(max_examples=300, deadline=None)

@@ -17,9 +17,6 @@ from apiminer.noise import (
     INTERFERE_CATEGORIES,
     LEXIFY,
     LEXIFY_RULES,
-    RULE_REGISTRY,
-    TOKEN_MUTATION_RULES,
-    NoiseRule,
     SplitUrl,
     _apply,
     _Draws,
@@ -41,7 +38,7 @@ def rec(rid=0, url="/api/v1/items?page=1", method="GET", label="EP_00"):
 
 
 def rule(name):
-    return NoiseRule(name, LEXIFY)
+    return name
 
 
 def rng(seed=0):
@@ -52,17 +49,17 @@ class TestRegistry:
     def test_exact_rule_names(self):
         assert len(LEXIFY_RULES) == 14
         assert len(INTERFERE_CATEGORIES) == 9
-        assert len(RULE_REGISTRY) == 23
-        assert len({r.name for r in RULE_REGISTRY}) == 23
-        assert TOKEN_MUTATION_RULES <= set(LEXIFY_RULES)
+        assert len(set(LEXIFY_RULES) | set(INTERFERE_CATEGORIES)) == 23
 
-    def test_unknown_names_rejected(self):
-        with pytest.raises(ValueError):
-            NoiseRule("Tilde Injection", LEXIFY)
-        with pytest.raises(ValueError):
-            NoiseRule("Health Check Endpoint", LEXIFY)
-        with pytest.raises(ValueError):
-            NoiseRule("Static Asset Request", "Other")
+    @pytest.mark.parametrize("name", ["Tilde Injection", "Health Check Endpoint", ""])
+    def test_lexify_refuses_names_not_in_its_table(self, name):
+        with pytest.raises(ValueError, match=re.escape(f"unknown Lexify rule {name!r}")):
+            lexify(rec(), name, rng())
+
+    @pytest.mark.parametrize("name", ["Tilde Request", "Query Order Shuffle", ""])
+    def test_interfere_sample_refuses_names_not_in_its_table(self, name):
+        with pytest.raises(ValueError, match=re.escape(f"unknown Interfere category {name!r}")):
+            interfere_sample(name, rng())
 
 
 class TestLexifyRules:
@@ -176,8 +173,7 @@ class TestLexifyRules:
 class TestInterfereSample:
     def test_every_category_unlabeled_and_in_family(self):
         for name in INTERFERE_CATEGORIES:
-            cat = NoiseRule(name, INTERFERE)
-            sample = interfere_sample(cat, rng(5), record_id=9)
+            sample = interfere_sample(name, rng(5), record_id=9)
             assert sample.label is None
             assert sample.id == 9
             family = _INTERFERE_FAMILIES[name]
@@ -192,13 +188,11 @@ class TestInterfereSample:
             )
 
     def test_asset_families_carry_real_media_types(self):
-        cat = NoiseRule("Image Resource Request", INTERFERE)
-        sample = interfere_sample(cat, rng(1))
+        sample = interfere_sample("Image Resource Request", rng(1))
         assert sample.content_type.startswith("image/")
 
     def test_background_families_have_no_content_type(self):
-        cat = NoiseRule("Health Check Endpoint", INTERFERE)
-        assert interfere_sample(cat, rng(1)).content_type is None
+        assert interfere_sample("Health Check Endpoint", rng(1)).content_type is None
 
 
 # a draw below a bound, or ("order", n) for a permutation of n; bounds past
@@ -417,46 +411,82 @@ class TestMalformedUrls:
 
 
 # sha256 of write_dataset(inject(synth_corpus(CorpusSpec(endpoints, requests,
-# seed=42)), ...)) by (endpoints, requests, kind, ratio, seed): any change to
-# the corpus's or noise lab's draws, mutations or JSONL form moves these.  The
-# 20 x 50 cells are the sweep benchmark workload's 30 captures, the 20 x 300
-# cells the deep workload's, and the 180 x 30 cells the wide workload's.
+# seed=corpus_seed)), ...)) by (corpus_seed, endpoints, requests, kind, ratio,
+# seed): any change to the corpus's or noise lab's draws, mutations or JSONL
+# form moves these.  The 20 x 50 cells are the sweep benchmark workload's 30
+# captures, the 20 x 300 cells the deep workload's, and the 180 x 30 cells the
+# wide workload's, each at the benchmark's corpus seeds 42 and 7.
 PINNED_CAPTURES = {
-    (20, 50, LEXIFY, 0.05, 1): "b6671ce37192cc656a00a1ef7352c2958659c265429496cc6e6fb4afc138af71",
-    (20, 50, LEXIFY, 0.05, 2): "c12fd79f5c0700a74ef4acd71ccb7adce43659ff432d36df1d97dec411a688b2",
-    (20, 50, LEXIFY, 0.05, 3): "302866a3294261ff3673232c19229b48d98cd0c967f3a19cb88a9ac87fe8eb8d",
-    (20, 50, LEXIFY, 0.25, 1): "c4db879854d664b67b07d15d304d54ca688ff4369448ea74949b32bb098afff7",
-    (20, 50, LEXIFY, 0.25, 2): "43bbbe24da4fc71926b5d7c0cbde694e3f7a49c3aecc5f791a6dabbe4cc3fbdc",
-    (20, 50, LEXIFY, 0.25, 3): "3409d89d2a2eecbf3e398237a7ec7c05f359743729a2fe5a986699adaa80ed19",
-    (20, 50, LEXIFY, 0.5, 1): "ed06a37cb9a77aeeb51fdf737e6c7d4edeb69049e4f70ba12cc645ea2d1876b2",
-    (20, 50, LEXIFY, 0.5, 2): "3d554a6e1e9deb661c7a392e39a379b44b54dca1cd01e9668146c04da002b9b6",
-    (20, 50, LEXIFY, 0.5, 3): "faf3beeaa2f9c347978afb078ba54ab89bdb6d1ba293690294359df381c688b5",
-    (20, 50, LEXIFY, 0.75, 1): "6c53c326d31fbdef42b1c6764f82a026dd73fd97a166f31e6fa87c2af75e5fb3",
-    (20, 50, LEXIFY, 0.75, 2): "1ec2d345388f5e1bc6c55ac57120eddc87c265e7ac369f687857961a63cfd6b7",
-    (20, 50, LEXIFY, 0.75, 3): "6af22e33b3eab78a6e171ca85590fe3847f1896a18f83700d5439412ed49fabb",
-    (20, 50, LEXIFY, 0.95, 1): "df46f02b8851ace5a7b2c37c37c31eb98565aea19aa20798bfaf771e13bbffd8",
-    (20, 50, LEXIFY, 0.95, 2): "ec7901218a9959a868b8b231146d4c1a1cf11aa635532f50912cc9d2526baaa2",
-    (20, 50, LEXIFY, 0.95, 3): "123bf39daddcb092c3372157c0e27c02209133a32e472b49b44810d6077d613e",
-    (20, 50, INTERFERE, 0.05, 1): "5f49f35dc0d716263fae1a64a14d039b4630c1ff0c69536f67d6417090c3181f",
-    (20, 50, INTERFERE, 0.05, 2): "ebd2953d763d765ac518ce8d385f76b65920d0af226cc5378218b2351830ab52",
-    (20, 50, INTERFERE, 0.05, 3): "e4e511cb2680dfe718ecaba980fbf7ec5169fab9482c1f917a17a57153f4cd72",
-    (20, 50, INTERFERE, 0.25, 1): "1a937316aeb329693dbbaf4ec94943b0b7d8468eca51bb53323ee10f7d70c684",
-    (20, 50, INTERFERE, 0.25, 2): "b25703cecf3ee256969a3ee4d1b84fed5dffb6c94f3720b561d40aa2c8bf38fe",
-    (20, 50, INTERFERE, 0.25, 3): "0e28b4540cc639e287dfae6de1172fb4f1c5ecdebef5294d80774f3267162d05",
-    (20, 50, INTERFERE, 0.5, 1): "f0eb825f83604dcc8e14b6ef5f06e72b71e7db674ac1bef32977ad172362a157",
-    (20, 50, INTERFERE, 0.5, 2): "6b349fa8fdd901ae39254a7a4aa7927f3930eb64201032b46314c881a6b7548b",
-    (20, 50, INTERFERE, 0.5, 3): "608772437bb30d3b9dabef73bbc40dca7d2e30b0abfde68b9817c2ad5e437d1a",
-    (20, 50, INTERFERE, 0.75, 1): "28fc1ecd698f28a4a0df98768852520fe99eb315996f63648ec3db714ff8c6e6",
-    (20, 50, INTERFERE, 0.75, 2): "cbf98d83d539050de1e862049e082dd136ac5b65cea32d721197bc58742238ab",
-    (20, 50, INTERFERE, 0.75, 3): "9f97c431b10ab6abb3218728418c4bdf3b5d75fa6f33b98c957c70d5e28993ae",
-    (20, 50, INTERFERE, 0.95, 1): "0e3d1ad7fb888a2ee37ac0128bdac42fcd062f18a5ea82275cd9c50c21fa3928",
-    (20, 50, INTERFERE, 0.95, 2): "cce0b0a65ab050a7602b3f766b675debef3764e35ba15ef625abe1af865bc0ac",
-    (20, 50, INTERFERE, 0.95, 3): "538f5195c11bcb349476107811fad70f250ab87bbea67a3cbee6ec11ef887ef2",
-    (20, 300, LEXIFY, 0.5, 1): "960294f0868889ef44ee21acf843f9c7e4c5e77511d2f159f82b444864d00745",
-    (20, 300, LEXIFY, 0.5, 2): "d91282b7a3a89ba4e43f44f81959d9c5a6c2bbedcf3a204f9977927a5c9ab197",
-    (180, 30, INTERFERE, 0.95, 1): "c678829c6302021b439253adb7e47dbfc34009aef8119800017ad1a00b03d4bc",
-    (180, 30, INTERFERE, 0.95, 2): "f8b1ecc9837ac4b6b26740a1d6156d180cbc951e5c215a27c3bcc2020b024af2",
-    (180, 30, INTERFERE, 0.95, 3): "0d84f1781ef13a5576987f08b2e269251fa29482271fea2b1c15e598b8c84dc3",
+    (42, 20, 50, LEXIFY, 0.05, 1): "b6671ce37192cc656a00a1ef7352c2958659c265429496cc6e6fb4afc138af71",
+    (42, 20, 50, LEXIFY, 0.05, 2): "c12fd79f5c0700a74ef4acd71ccb7adce43659ff432d36df1d97dec411a688b2",
+    (42, 20, 50, LEXIFY, 0.05, 3): "302866a3294261ff3673232c19229b48d98cd0c967f3a19cb88a9ac87fe8eb8d",
+    (42, 20, 50, LEXIFY, 0.25, 1): "c4db879854d664b67b07d15d304d54ca688ff4369448ea74949b32bb098afff7",
+    (42, 20, 50, LEXIFY, 0.25, 2): "43bbbe24da4fc71926b5d7c0cbde694e3f7a49c3aecc5f791a6dabbe4cc3fbdc",
+    (42, 20, 50, LEXIFY, 0.25, 3): "3409d89d2a2eecbf3e398237a7ec7c05f359743729a2fe5a986699adaa80ed19",
+    (42, 20, 50, LEXIFY, 0.5, 1): "ed06a37cb9a77aeeb51fdf737e6c7d4edeb69049e4f70ba12cc645ea2d1876b2",
+    (42, 20, 50, LEXIFY, 0.5, 2): "3d554a6e1e9deb661c7a392e39a379b44b54dca1cd01e9668146c04da002b9b6",
+    (42, 20, 50, LEXIFY, 0.5, 3): "faf3beeaa2f9c347978afb078ba54ab89bdb6d1ba293690294359df381c688b5",
+    (42, 20, 50, LEXIFY, 0.75, 1): "6c53c326d31fbdef42b1c6764f82a026dd73fd97a166f31e6fa87c2af75e5fb3",
+    (42, 20, 50, LEXIFY, 0.75, 2): "1ec2d345388f5e1bc6c55ac57120eddc87c265e7ac369f687857961a63cfd6b7",
+    (42, 20, 50, LEXIFY, 0.75, 3): "6af22e33b3eab78a6e171ca85590fe3847f1896a18f83700d5439412ed49fabb",
+    (42, 20, 50, LEXIFY, 0.95, 1): "df46f02b8851ace5a7b2c37c37c31eb98565aea19aa20798bfaf771e13bbffd8",
+    (42, 20, 50, LEXIFY, 0.95, 2): "ec7901218a9959a868b8b231146d4c1a1cf11aa635532f50912cc9d2526baaa2",
+    (42, 20, 50, LEXIFY, 0.95, 3): "123bf39daddcb092c3372157c0e27c02209133a32e472b49b44810d6077d613e",
+    (42, 20, 50, INTERFERE, 0.05, 1): "5f49f35dc0d716263fae1a64a14d039b4630c1ff0c69536f67d6417090c3181f",
+    (42, 20, 50, INTERFERE, 0.05, 2): "ebd2953d763d765ac518ce8d385f76b65920d0af226cc5378218b2351830ab52",
+    (42, 20, 50, INTERFERE, 0.05, 3): "e4e511cb2680dfe718ecaba980fbf7ec5169fab9482c1f917a17a57153f4cd72",
+    (42, 20, 50, INTERFERE, 0.25, 1): "1a937316aeb329693dbbaf4ec94943b0b7d8468eca51bb53323ee10f7d70c684",
+    (42, 20, 50, INTERFERE, 0.25, 2): "b25703cecf3ee256969a3ee4d1b84fed5dffb6c94f3720b561d40aa2c8bf38fe",
+    (42, 20, 50, INTERFERE, 0.25, 3): "0e28b4540cc639e287dfae6de1172fb4f1c5ecdebef5294d80774f3267162d05",
+    (42, 20, 50, INTERFERE, 0.5, 1): "f0eb825f83604dcc8e14b6ef5f06e72b71e7db674ac1bef32977ad172362a157",
+    (42, 20, 50, INTERFERE, 0.5, 2): "6b349fa8fdd901ae39254a7a4aa7927f3930eb64201032b46314c881a6b7548b",
+    (42, 20, 50, INTERFERE, 0.5, 3): "608772437bb30d3b9dabef73bbc40dca7d2e30b0abfde68b9817c2ad5e437d1a",
+    (42, 20, 50, INTERFERE, 0.75, 1): "28fc1ecd698f28a4a0df98768852520fe99eb315996f63648ec3db714ff8c6e6",
+    (42, 20, 50, INTERFERE, 0.75, 2): "cbf98d83d539050de1e862049e082dd136ac5b65cea32d721197bc58742238ab",
+    (42, 20, 50, INTERFERE, 0.75, 3): "9f97c431b10ab6abb3218728418c4bdf3b5d75fa6f33b98c957c70d5e28993ae",
+    (42, 20, 50, INTERFERE, 0.95, 1): "0e3d1ad7fb888a2ee37ac0128bdac42fcd062f18a5ea82275cd9c50c21fa3928",
+    (42, 20, 50, INTERFERE, 0.95, 2): "cce0b0a65ab050a7602b3f766b675debef3764e35ba15ef625abe1af865bc0ac",
+    (42, 20, 50, INTERFERE, 0.95, 3): "538f5195c11bcb349476107811fad70f250ab87bbea67a3cbee6ec11ef887ef2",
+    (42, 20, 300, LEXIFY, 0.5, 1): "960294f0868889ef44ee21acf843f9c7e4c5e77511d2f159f82b444864d00745",
+    (42, 20, 300, LEXIFY, 0.5, 2): "d91282b7a3a89ba4e43f44f81959d9c5a6c2bbedcf3a204f9977927a5c9ab197",
+    (42, 180, 30, INTERFERE, 0.95, 1): "c678829c6302021b439253adb7e47dbfc34009aef8119800017ad1a00b03d4bc",
+    (42, 180, 30, INTERFERE, 0.95, 2): "f8b1ecc9837ac4b6b26740a1d6156d180cbc951e5c215a27c3bcc2020b024af2",
+    (42, 180, 30, INTERFERE, 0.95, 3): "0d84f1781ef13a5576987f08b2e269251fa29482271fea2b1c15e598b8c84dc3",
+    (7, 20, 50, LEXIFY, 0.05, 1): "9aae3038540368968afc7cd190f69a8e8d125218ec94cb4fa02aa9f78e036844",
+    (7, 20, 50, LEXIFY, 0.05, 2): "6a312b8a57751fdf67801b996bd07923638e12e655c1dd37a42ec9cd217ff2cc",
+    (7, 20, 50, LEXIFY, 0.05, 3): "e349c4e87ecdd4cab626303cf1edb9e3a748d02d1b5c8b3c9bedf9380e045236",
+    (7, 20, 50, LEXIFY, 0.25, 1): "dd00efceb55bcbb4e4d6b70da0502d5a84bb3d8230d3ad6d55cb878096a67e59",
+    (7, 20, 50, LEXIFY, 0.25, 2): "4855c6bf42512215404843ce66bf033d3d5fa119ae2f08fea7fb9f07a67daa03",
+    (7, 20, 50, LEXIFY, 0.25, 3): "43e46b5c73d05bde78da0c10d0d4b205effdf70b07217782a39076be615b50fe",
+    (7, 20, 50, LEXIFY, 0.5, 1): "0704e25f5a398fa1515f45e2be042ec4b406380911aaefa3d9fa2b423aadf44b",
+    (7, 20, 50, LEXIFY, 0.5, 2): "6a1b1cf5f2311bc5f81c747dedbbc99d69319f1d77fe25b473b21dbd69293596",
+    (7, 20, 50, LEXIFY, 0.5, 3): "eabf10dd9cfc0ef2fb7b914c0e47ca44a9d43c7d4584600e72215cdd3d8f8aa4",
+    (7, 20, 50, LEXIFY, 0.75, 1): "c78ada76ca0d332836688fa74560bec197a8626416f0d529d332f7906253e3ea",
+    (7, 20, 50, LEXIFY, 0.75, 2): "60abe241f742c4879be826311908b82b6ebd820d66081b5508a751ec1a896031",
+    (7, 20, 50, LEXIFY, 0.75, 3): "b1022e75dba1098997e2e4511ea7bbc9a5a27f81bde43107e7248423dbd0f2ab",
+    (7, 20, 50, LEXIFY, 0.95, 1): "c7b4a6307425a11bb209b5bb2b72aa837d64d28757f1e68c60ad96f5eac009cd",
+    (7, 20, 50, LEXIFY, 0.95, 2): "e7422eed695b1a147d05be385ce5259cd03857b0437e9a958abf93e2624776bf",
+    (7, 20, 50, LEXIFY, 0.95, 3): "cb9f4bf21ebe5cb05940191882b409559fd151701c9c1bf4c117507591065828",
+    (7, 20, 50, INTERFERE, 0.05, 1): "cf2635d246bc005841f9cb2842580a061d2531975e00f010557d03ba9f1717bb",
+    (7, 20, 50, INTERFERE, 0.05, 2): "32174781c5687e7a5b019e6fdc1166b12ef65dfca4466e589a95b711fddb7cae",
+    (7, 20, 50, INTERFERE, 0.05, 3): "1bf8890be5a09d8cd6e6e2b2f11998bac614426a1dca6e4a2efc04f335801d2c",
+    (7, 20, 50, INTERFERE, 0.25, 1): "7775a4ed935177901fb098ceb3e3b778f3487e2d9a1a5ae7914553bc4812a189",
+    (7, 20, 50, INTERFERE, 0.25, 2): "8ad532d6b217bf10867e98044466505d59b527075112167fd62c2bf48c19d566",
+    (7, 20, 50, INTERFERE, 0.25, 3): "556edacbfc71d7c5377aa35924972ce09bdca2ce4a307802b7931ff58a3b0a7e",
+    (7, 20, 50, INTERFERE, 0.5, 1): "676522e006af84e7615d0cb7cee80d2804cf8ae337958656b2a4ec628ff6c1de",
+    (7, 20, 50, INTERFERE, 0.5, 2): "335f4dbc0ad6d083a8a6428fdb3ddc9335a80722d21988c1e0d892727d32b143",
+    (7, 20, 50, INTERFERE, 0.5, 3): "fc7b5679f8d7fdf23c1c4ad63b152e6619c110aecefbdc0a2953bb958354e0ef",
+    (7, 20, 50, INTERFERE, 0.75, 1): "7f1e6492719b692e227fecd7f44898928f98dffc84f29240d28c28592e41313e",
+    (7, 20, 50, INTERFERE, 0.75, 2): "6914065b6c4fabcbb65cd7a0c1e9c98a9a4a5ec07d9857adabaf00aa89896bb3",
+    (7, 20, 50, INTERFERE, 0.75, 3): "a1193b46567669c77861b2b315a11ea7ddcccaa20c3330d19d0d75669052d286",
+    (7, 20, 50, INTERFERE, 0.95, 1): "ab411e23996e21a55c173b9da24c7f9268617ad1defc6c3250b3708a66eddaef",
+    (7, 20, 50, INTERFERE, 0.95, 2): "2a76618f7991283cc605c2675cd8b3963e1ae32428c2bfb083291fae384c5bc4",
+    (7, 20, 50, INTERFERE, 0.95, 3): "17bcd2b9d8c9133bc41293ea4fbe8eb75e167668d606fc3dec8fa916efece073",
+    (7, 20, 300, LEXIFY, 0.5, 1): "79e27ac217877fcb158c97efda8e3cc95b92b8206183ef1c40f6c792af41b37f",
+    (7, 20, 300, LEXIFY, 0.5, 2): "1fd3e880f2cd565f92abcb79b1766b8b033fc0179cf6623a3a01f2c06ade8c46",
+    (7, 180, 30, INTERFERE, 0.95, 1): "ed3b16ea4e8bf3be527c3ab07231209935b64407bd65f7e911d203d50cd3e1c0",
+    (7, 180, 30, INTERFERE, 0.95, 2): "228a0cea9a394db4c80628d9aa10e9d528f73138ee5777f01487f4ab111f0cf6",
+    (7, 180, 30, INTERFERE, 0.95, 3): "baecb1bb3b5a473c4111ff208445b32391c4ffcb83bae0342ad54fb4f18d416c",
 }
 
 
@@ -536,8 +566,9 @@ LEXIFY_URLS = st.builds(
 class TestInject:
     @pytest.mark.parametrize("cell", sorted(PINNED_CAPTURES))
     def test_generated_captures_are_pinned(self, cell):
-        endpoints, requests, kind, ratio, seed = cell
-        noisy = inject(synth_corpus(CorpusSpec(endpoints, requests, seed=42)), kind, ratio, seed)
+        corpus_seed, endpoints, requests, kind, ratio, seed = cell
+        corpus = synth_corpus(CorpusSpec(endpoints, requests, seed=corpus_seed))
+        noisy = inject(corpus, kind, ratio, seed)
         digest = hashlib.sha256(write_dataset(noisy).encode()).hexdigest()
         assert digest == PINNED_CAPTURES[cell]
 
@@ -688,4 +719,10 @@ class TestNoiseRecords:
     @pytest.mark.parametrize("name", INTERFERE_CATEGORIES)
     def test_interference_samples_are_checked(self, name):
         for seed in range(4):
-            assert_checked(interfere_sample(NoiseRule(name, INTERFERE), rng(seed), record_id=seed))
+            assert_checked(interfere_sample(name, rng(seed), record_id=seed))
+
+    @pytest.mark.parametrize("record_id", ["x", True])
+    def test_interference_sample_ids_are_checked(self, record_id):
+        message = f"record {record_id}: id must be an integer, got {record_id!r}"
+        with pytest.raises(IngestError, match=re.escape(message) + "$"):
+            interfere_sample("Health Check Endpoint", rng(), record_id=record_id)

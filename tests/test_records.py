@@ -326,8 +326,12 @@ class TestRecordInvariants:
 
     def test_duplicate_ids_rejected(self):
         r = HttpRecord(id=0, method="GET", url="/x")
-        with pytest.raises(IngestError, match="duplicate"):
+        with pytest.raises(IngestError, match="^duplicate record id 0 in dataset$"):
             Dataset(records=[r, HttpRecord(id=0, method="GET", url="/y")])
+        # the first record whose id an earlier one holds
+        records = [HttpRecord(id=i, method="GET", url="/x") for i in (4, 9, 2, 9, 4)]
+        with pytest.raises(IngestError, match="^duplicate record id 9 in dataset$"):
+            Dataset(records=records)
 
     @pytest.mark.parametrize("field", ["body_size", "body_field_count", "body_nesting_depth"])
     def test_counts_fit_64_bits(self, field):

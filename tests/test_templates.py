@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from apiminer import templates
 from apiminer.corpus import CorpusSpec, synth_corpus
-from apiminer.noise import INTERFERE, LEXIFY, LEXIFY_RULES, NoiseRule, inject, lexify
+from apiminer.noise import INTERFERE, LEXIFY, LEXIFY_RULES, inject, lexify
 from apiminer.normalize import NormalizedRequest, normalize
 from apiminer.records import Dataset, HttpRecord
 from apiminer.refine import prepare_traffic
@@ -414,8 +414,8 @@ def noisy_captures(draw):
             segments = (str(rng.integers(1, 10**6)) if t == "{id}" else t for t in path)
             record = HttpRecord(id=0, method="GET", url="/" + "/".join(segments))
             if rng.random() < 0.3:
-                rule = NoiseRule(LEXIFY_RULES[int(rng.integers(len(LEXIFY_RULES)))], LEXIFY)
-                record, _ = lexify(record, rule, rng)
+                name = LEXIFY_RULES[int(rng.integers(len(LEXIFY_RULES)))]
+                record, _ = lexify(record, name, rng)
             urls.append(record.url)
     return urls
 
