@@ -9,7 +9,7 @@ from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _string
 from pathlib import Path
 
-from .records import Dataset, IngestError, parse_har, parse_jsonl, read_labels, write_dataset
+from .records import Dataset, IngestError, decode_utf8, parse_har, parse_jsonl, read_labels, write_dataset
 from .normalize import canonical_path
 from .denoise import DEFAULT_TAU
 from .refine import PASSTHROUGH, EndpointCluster, RefinerConfig, discover, prepare_traffic
@@ -20,10 +20,7 @@ from .templates import PathTemplate
 
 
 def _read_json(path: str):
-    try:
-        text = Path(path).read_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise IngestError(f"{path} is not valid UTF-8 at byte {exc.start}") from exc
+    text = decode_utf8(Path(path).read_bytes(), path)
     try:
         return json.loads(text)
     except ValueError as exc:
@@ -229,6 +226,7 @@ def cmd_evaluate(args) -> int:
         raise IngestError(
             f"evaluate reads labels from a JSONL capture; --format {args.format} carries none"
         )
+    _check_seed("evaluate --seed", args.seed)
     # the capture is checked line by line, but no record is built
     with open(args.input, "rb") as capture:
         ground_truth, requests = read_labels(capture)

@@ -46,15 +46,15 @@ class SplitUrl:
 
     def rebuild(self, path: str | None = None, query: str | None = None) -> str:
         """The URL with ``path`` and ``query`` in place of its own, joined as
-        ``urlunsplit`` joins it on CPython 3.10 and 3.11.
-
-        Later versions put '//' before a path that starts with '//' when
-        there is no netloc, which would turn slash noise into an authority.
+        ``urlunsplit`` joins it on CPython 3.10 and 3.11, but with '//' and
+        the netloc whenever the netloc is non-empty or the scheme is in
+        ``uses_netloc``, as on 3.12+: 'http:///a' keeps its empty authority
+        when its path comes to start with '//', which would read as a host.
         """
         scheme, netloc, old_path, old_query, fragment = self.parts
         url = old_path if path is None else path
         query = old_query if query is None else query
-        if netloc or (scheme and scheme in uses_netloc and url[:2] != "//"):
+        if netloc or (scheme and scheme in uses_netloc):
             if url and url[:1] != "/":
                 url = "/" + url
             url = "//" + netloc + url

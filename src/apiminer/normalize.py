@@ -56,22 +56,6 @@ def _query_keys(query: str, share) -> tuple[str, ...]:
 _PLAIN_ORIGIN = re.compile(r"https?://[^/?#\[\]\x80-\U0010ffff]*(?![^/?#])")
 
 
-def _plain_path_start(url: str) -> int | None:
-    """Where the path begins in a URL that ``urlsplit`` would only cut at its
-    first '#' and '?', else None.
-
-    Those are a relative path ('/', not '//') and an ``_PLAIN_ORIGIN`` URL,
-    both without the tab, CR and LF that ``urlsplit`` deletes: it strips,
-    removes and checks nothing else in them.
-    """
-    if "\t" in url or "\r" in url or "\n" in url:
-        return None
-    if url[:1] == "/" and url[1:2] != "/":
-        return 0
-    origin = _PLAIN_ORIGIN.match(url)
-    return origin.end() if origin else None
-
-
 # a '://' before the query and the fragment
 _AUTHORITY = re.compile(r"[^?#]*://")
 
@@ -80,15 +64,21 @@ def path_start(url: str) -> int | None:
     """Where the path begins in a URL that ``split_url`` cuts by hand at its
     first '#' and '?', else None.
 
-    Those are the URLs ``_plain_path_start`` accepts, and a schemeless '//…'
-    URL with no '://' before its first '?' or '#', whose leading slashes are
-    slash noise on a relative path rather than a network-path reference with
-    an authority component.
+    Those are a schemeless '//…' URL with no '://' before its first '?' or
+    '#', whose leading slashes are slash noise on a relative path rather
+    than a network-path reference with an authority component, and, without
+    the tab, CR and LF that ``urlsplit`` deletes, a relative path and an
+    ``_PLAIN_ORIGIN`` URL: ``urlsplit`` strips, removes and checks nothing
+    else in them.
     """
-    start = _plain_path_start(url)
-    if start is None and url.startswith("//") and not _AUTHORITY.match(url):
+    if url[:2] == "//":
+        return None if _AUTHORITY.match(url) else 0
+    if "\t" in url or "\r" in url or "\n" in url:
+        return None
+    if url[:1] == "/":
         return 0
-    return start
+    origin = _PLAIN_ORIGIN.match(url)
+    return origin.end() if origin else None
 
 
 def malformed_url(record: HttpRecord, exc: ValueError) -> IngestError:

@@ -247,6 +247,16 @@ def _json_structure(text: str) -> tuple[int, int]:
         return 0, 0
 
 
+def decode_utf8(data: bytes, name: str, offset: int = 0) -> str:
+    """``data`` decoded as UTF-8.  A byte that is not UTF-8 raises
+    ``IngestError`` naming ``name`` and the byte's offset, counted from
+    ``offset``: where ``data`` starts in its file."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"{name} is not valid UTF-8 at byte {offset + exc.start}") from exc
+
+
 def _har_error(index: int, name: str, expected: str, value) -> IngestError:
     return IngestError(
         f"malformed HAR entry at index {index}: {name} must be {expected}, got {value!r}"
@@ -262,10 +272,9 @@ def parse_har(data: bytes) -> Dataset:
     request URL is missing, null or empty is skipped and counted in
     ``Dataset.skipped``; any other URL that is not a string is an error.
     """
+    text = decode_utf8(data, "HAR")
     try:
-        doc = json.loads(data.decode("utf-8"))
-    except UnicodeDecodeError as exc:
-        raise IngestError(f"HAR is not valid UTF-8 at byte {exc.start}") from exc
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise IngestError(f"malformed HAR document at byte offset {exc.pos}") from exc
     except ValueError as exc:
@@ -273,6 +282,7 @@ def parse_har(data: bytes) -> Dataset:
         raise IngestError(f"malformed HAR document: {exc}") from exc
     except RecursionError:
         raise IngestError("malformed HAR document: nested too deeply") from None
+    del text
     if not isinstance(doc, dict) or "log" not in doc:
         raise IngestError("malformed HAR document: missing top-level 'log'")
     if not isinstance(doc["log"], dict):
@@ -409,6 +419,7 @@ def _text_blocks(capture: str | BinaryIO):
         yield capture
         return
     read = capture.read
+    name = getattr(capture, "name", "capture")
     # the bytes read since the last cut, which start at ``offset``
     carried: list[bytes | memoryview] = []
     offset = 0
@@ -423,40 +434,22 @@ def _text_blocks(capture: str | BinaryIO):
         block = b"".join(carried)
         carried = [data[cut:]]
         del data
-        text = _decoded(block, offset, capture)
+        text = decode_utf8(block, name, offset)
         offset += len(block)
         del block
         yield text
     last = b"".join(carried)
     if last:
-        yield _decoded(last, offset, capture)
-
-
-def _decoded(block: bytes, offset: int, capture: BinaryIO) -> str:
-    """The text of a block of a capture file read from ``offset``."""
-    try:
-        return block.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        name = getattr(capture, "name", "capture")
-        raise IngestError(f"{name} is not valid UTF-8 at byte {offset + exc.start}") from exc
+        yield decode_utf8(last, name, offset)
 
 
 def _jsonl_requests(capture: str | BinaryIO, shared: dict):
-    """Each request line of a JSONL capture, its text or a binary file, as
-    ``_block_requests`` yields them, block by block of ``_text_blocks``,
-    with lines counted across blocks."""
-    lineno = 0
-    for text in _text_blocks(capture):
-        lineno = yield from _block_requests(text, shared, lineno)
-
-
-def _block_requests(text: str, shared: dict, lineno: int):
-    """Each request line of a block of JSONL capture text, which holds whole
-    lines, the first of them line ``lineno + 1``: the ``_CANONICAL_LINE``
-    match of a line as ``write_dataset`` writes it, which passes every
-    check, or else the line's fields as ``_held_fields`` checks and holds
-    them, after the id.  A line of nothing but spaces and tabs yields
-    nothing.  Returns the number of the block's last line.
+    """Each request line of a JSONL capture, its text or a binary file, read
+    block by block of ``_text_blocks`` with lines counted across blocks: the
+    ``_CANONICAL_LINE`` match of a line as ``write_dataset`` writes it, which
+    passes every check, or else the line's fields as ``_held_fields`` checks
+    and holds them, after the id.  A line of nothing but spaces and tabs
+    yields nothing.
 
     A line that is not a request object, or a field that breaks the record
     contract, raises ``IngestError`` naming the line and the field.  The
@@ -465,85 +458,86 @@ def _block_requests(text: str, shared: dict, lineno: int):
 
     Lines end where JSON Lines ends them, at '\n', '\r\n' or '\r' (not at
     every break ``str.splitlines`` knows, some of which a JSON string may
-    hold unescaped).  The pattern is matched at each line's offset in the
-    text, so a matched line makes no string of its own; the end of any other
-    line is found with ``str.find``, each '\n' and '\r' once.
+    hold unescaped).  The pattern is matched at each line's offset in its
+    block, so a matched line makes no string of its own; the end of any
+    other line is found with ``str.find``, each '\n' and '\r' once.
     """
     share = shared.setdefault
     canonical = _CANONICAL_AT.match
-    find = text.find
-    size = len(text)
-    pos = 0
-    # the first '\n' and the first '\r' at or past some earlier line start,
-    # or ``size`` if there is none; each is looked for again once passed
-    newline = carriage = -1
-    while pos < size:
-        lineno += 1
-        match = canonical(text, pos)
-        if match is not None:
-            pos = match.end()
-            yield match
-            continue
-        if newline < pos:
-            newline = find("\n", pos)
-            if newline < 0:
-                newline = size
-        if carriage < pos:
-            carriage = find("\r", pos)
-            if carriage < 0:
-                carriage = size
-        if carriage < newline:
-            line = text[pos:carriage]
-            pos = carriage + 2 if newline == carriage + 1 else carriage + 1
-        else:
-            line = text[pos:newline]
-            pos = newline + 1
-        # json.loads strips no other white space from a line
-        if not line.strip(" \t"):
-            continue
-        try:
-            obj = _loads(line)
-        except json.JSONDecodeError as exc:
-            raise IngestError(f"malformed JSONL object at line {lineno}: {exc.msg}") from exc
-        except ValueError as exc:
-            # an integer literal past CPython's digit limit
-            raise IngestError(f"malformed JSONL object at line {lineno}: {exc}") from exc
-        except RecursionError:
-            raise IngestError(f"malformed JSONL object at line {lineno}: nested too deeply") from None
-        if type(obj) is not dict:
-            raise IngestError(f"malformed JSONL object at line {lineno}: not an object")
-        if "method" not in obj or "url" not in obj:
-            raise IngestError(f"malformed JSONL object at line {lineno}: missing method/url")
-        get = obj.get
-        # a count is a JSON integer, or null, which leaves it out
-        body_size = get("body_size")
-        try:
-            fields = _held_fields(
-                0, obj["method"], obj["url"], get("headers", []), get("content_type"),
-                0 if body_size is None else body_size, get("body_field_count"),
-                get("body_nesting_depth"), get("label"),
-                # a string holds a character past ASCII, as itself or as an
-                # escape, only if the line does
-                not line.isascii() or "\\u" in line,
+    lineno = 0
+    for text in _text_blocks(capture):
+        find = text.find
+        size = len(text)
+        pos = 0
+        # the first '\n' and the first '\r' at or past some earlier line start,
+        # or ``size`` if there is none; each is looked for again once passed
+        newline = carriage = -1
+        while pos < size:
+            lineno += 1
+            match = canonical(text, pos)
+            if match is not None:
+                pos = match.end()
+                yield match
+                continue
+            if newline < pos:
+                newline = find("\n", pos)
+                if newline < 0:
+                    newline = size
+            if carriage < pos:
+                carriage = find("\r", pos)
+                if carriage < 0:
+                    carriage = size
+            if carriage < newline:
+                line = text[pos:carriage]
+                pos = carriage + 2 if newline == carriage + 1 else carriage + 1
+            else:
+                line = text[pos:newline]
+                pos = newline + 1
+            # json.loads strips no other white space from a line
+            if not line.strip(" \t"):
+                continue
+            try:
+                obj = _loads(line)
+            except json.JSONDecodeError as exc:
+                raise IngestError(f"malformed JSONL object at line {lineno}: {exc.msg}") from exc
+            except ValueError as exc:
+                # an integer literal past CPython's digit limit
+                raise IngestError(f"malformed JSONL object at line {lineno}: {exc}") from exc
+            except RecursionError:
+                raise IngestError(f"malformed JSONL object at line {lineno}: nested too deeply") from None
+            if type(obj) is not dict:
+                raise IngestError(f"malformed JSONL object at line {lineno}: not an object")
+            if "method" not in obj or "url" not in obj:
+                raise IngestError(f"malformed JSONL object at line {lineno}: missing method/url")
+            get = obj.get
+            # a count is a JSON integer, or null, which leaves it out
+            body_size = get("body_size")
+            try:
+                fields = _held_fields(
+                    0, obj["method"], obj["url"], get("headers", []), get("content_type"),
+                    0 if body_size is None else body_size, get("body_field_count"),
+                    get("body_nesting_depth"), get("label"),
+                    # a string holds a character past ASCII, as itself or as an
+                    # escape, only if the line does
+                    not line.isascii() or "\\u" in line,
+                )
+            except _Fault as fault:
+                raise IngestError(f"malformed JSONL object at line {lineno}: {fault}") from None
+            _, method, url, headers, content_type, body_size, field_count, nesting, label = fields
+            pairs = shared.get(headers)
+            if pairs is None:
+                pairs = tuple([share(pair, pair) for pair in headers])
+                shared[pairs] = pairs
+            yield (
+                share(method, method),
+                url,
+                pairs,
+                share(content_type, content_type),
+                body_size,
+                field_count,
+                nesting,
+                share(label, label),
             )
-        except _Fault as fault:
-            raise IngestError(f"malformed JSONL object at line {lineno}: {fault}") from None
-        _, method, url, headers, content_type, body_size, field_count, nesting, label = fields
-        pairs = shared.get(headers)
-        if pairs is None:
-            pairs = tuple([share(pair, pair) for pair in headers])
-            shared[pairs] = pairs
-        yield (
-            share(method, method),
-            url,
-            pairs,
-            share(content_type, content_type),
-            body_size,
-            field_count,
-            nesting,
-            share(label, label),
-        )
-    return lineno
 
 
 def parse_jsonl(capture: str | BinaryIO) -> Dataset:

@@ -518,6 +518,22 @@ class TestMalformedInput:
         }[surface], encoding="utf-8")
         self.assert_rejected(argv, message + "Exceeds the limit (4300 digits)", capsys)
 
+    @pytest.mark.parametrize("surface", ["jsonl", "har", "config", "clusters"])
+    def test_a_byte_past_utf8_is_named(self, tmp_path, corpus_file, capsys, surface):
+        doc = tmp_path / "doc"
+        argv, name, text = {
+            "jsonl": (["discover", "--in", str(doc)], doc, '{"method": "GET", "url": "/'),
+            "har": (["ingest", "--format", "har", "--in", str(doc)], "HAR",
+                    '{"log": {"entries": [{"request": {"url": "/'),
+            "config": (["--config", str(doc), "discover", "--in", str(corpus_file)], doc,
+                       '{"seed": "'),
+            "clusters": (["evaluate", "--in", str(corpus_file), "--clusters", str(doc)], doc,
+                         '[{"template": "/'),
+        }[surface]
+        doc.write_bytes(text.encode() + b'\xff"}]}}]}\n')
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {name} is not valid UTF-8 at byte {len(text)}\n"
+
     @pytest.mark.parametrize("dump", ["--dump-normalized", "--dump-templates"])
     def test_lone_surrogate_in_capture(self, tmp_path, corpus_file, capsys, dump):
         # a kept request whose path no UTF-8 dump can write
@@ -552,15 +568,20 @@ class TestMalformedInput:
     def test_bench_flags(self, capsys, flags, message):
         self.assert_rejected(["bench", *flags], message, capsys)
 
+    # each command's flags after --in: noise's, and evaluate's --seed, which
+    # is checked before the cluster document is read
     @pytest.mark.parametrize("flags, message", [
-        (["--ratio", "1.5"], "noise --ratio must lie in [0, 1], got 1.5"),
-        (["--ratio", "-0.1"], "noise --ratio must lie in [0, 1], got -0.1"),
-        (["--ratio", "nan"], "noise --ratio must lie in [0, 1], got nan"),
-        (["--ratio", "0.5", "--seed", "-1"], "noise --seed must be a non-negative integer, got -1"),
+        (["noise", "--kind", "lexify", "--ratio", "1.5"], "noise --ratio must lie in [0, 1], got 1.5"),
+        (["noise", "--kind", "lexify", "--ratio", "-0.1"], "noise --ratio must lie in [0, 1], got -0.1"),
+        (["noise", "--kind", "lexify", "--ratio", "nan"], "noise --ratio must lie in [0, 1], got nan"),
+        (["noise", "--kind", "lexify", "--ratio", "0.5", "--seed", "-1"],
+         "noise --seed must be a non-negative integer, got -1"),
+        (["evaluate", "--clusters", "cl.json", "--csv", "e.csv", "--seed", "-5"],
+         "evaluate --seed must be a non-negative integer, got -5"),
     ])
     def test_noise_flags(self, corpus_file, capsys, flags, message):
-        argv = ["noise", "--in", str(corpus_file), "--kind", "lexify", *flags]
-        self.assert_rejected(argv, message, capsys)
+        command, *rest = flags
+        self.assert_rejected([command, "--in", str(corpus_file), *rest], message, capsys)
 
     def test_discover_takes_no_seed(self, corpus_file, capsys):
         with pytest.raises(SystemExit) as exit_info:

@@ -2,7 +2,7 @@
 
 import hashlib
 import re
-from urllib.parse import SplitResult, unquote, urlsplit, urlunsplit
+from urllib.parse import SplitResult, unquote, urlsplit, urlunsplit, uses_netloc
 
 import numpy as np
 import pytest
@@ -307,10 +307,20 @@ def expected_split(url: str) -> SplitResult:
     return urlsplit(url)
 
 
+def expected_join(parts: SplitResult) -> str:
+    """urlunsplit's URL of ``parts`` on CPython 3.10 and 3.11, but for a
+    ``uses_netloc`` scheme, an empty netloc and a path that starts with '//':
+    there rebuild keeps the empty authority, as 3.12+ does, where 3.11 drops
+    it and the path's first segment would read as the host."""
+    if parts.scheme and parts.scheme in uses_netloc and not parts.netloc and parts.path[:2] == "//":
+        return parts.scheme + "://" + urlunsplit(parts._replace(scheme=""))
+    return urlunsplit(parts)
+
+
 def assert_split_is_urllibs(url: str, path: str | None, query: str | None):
     """SplitUrl cuts ``url`` as ``expected_split`` does (or raises as urlsplit
     does), and rebuild joins the parts with ``path`` and ``query`` as
-    urlunsplit does on CPython 3.10 and 3.11."""
+    ``expected_join`` does."""
     try:
         parts = expected_split(url)
     except ValueError:
@@ -319,11 +329,11 @@ def assert_split_is_urllibs(url: str, path: str | None, query: str | None):
         return
     split = SplitUrl(url)
     assert split.parts == tuple(parts)
-    assert split.rebuild() == urlunsplit(parts)
+    assert split.rebuild() == expected_join(parts)
     new = parts._replace(
         path=parts.path if path is None else path, query=parts.query if query is None else query
     )
-    assert split.rebuild(path=path, query=query) == urlunsplit(new)
+    assert split.rebuild(path=path, query=query) == expected_join(new)
 
 
 class TestSplitUrl:
@@ -366,6 +376,26 @@ class TestSchemelessUrls:
             if applied:
                 moved = [i for i, (a, b) in enumerate(zip(segments, normalize(noisy).segments)) if a != b]
                 assert len(moved) == 1 and moved[0] in targets
+
+
+# http(s) URLs with an empty authority, whose path starts with one slash or two
+EMPTY_AUTHORITY_URLS = (
+    "http:///api/v1/orders/12", "http:///Api/v1/user-items/?id=1&q=a b#top",
+    "https:////api/v1/x", "https:////api//V1/x-y/?id=1&role=admin",
+)
+# the Lexify rules that rewrite a segment's characters
+SEGMENT_EDITS = ("Underscore Injection", "Hyphen Duplication", "Dot Injection")
+
+
+class TestEmptyAuthority:
+    @pytest.mark.parametrize("url", EMPTY_AUTHORITY_URLS)
+    @pytest.mark.parametrize("name", [n for n in LEXIFY_RULES if n not in SEGMENT_EDITS])
+    def test_rules_that_leave_segments_alone_keep_discovers_segments(self, url, name):
+        # rebuild keeps the empty authority, so that no segment moves into the host
+        segments = normalize(rec(url=url)).segments
+        for seed in range(8):
+            noisy, _ = lexify(rec(url=url), rule(name), rng(seed))
+            assert normalize(noisy).segments == segments, noisy.url
 
 
 def split_url_error(record: HttpRecord) -> str:

@@ -6,7 +6,7 @@ from urllib.parse import urlsplit
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from apiminer.normalize import _decode_unreserved, canonical_path, normalize, split_url
+from apiminer.normalize import _decode_unreserved, canonical_path, normalize, path_start, split_url
 from apiminer.records import HttpRecord, IngestError
 
 
@@ -74,6 +74,30 @@ URL_PIECES = [
 ]
 
 
+# what decides where path_start puts the path: slashes, '://', the query and
+# fragment marks, what urlsplit deletes, the schemes, what no plain host holds
+PATH_START_PIECES = [
+    "/", "//", "://", "?", "#", "\t", "\r", "\n", "http", "https", "HTTP", "[", "]", "é",
+    "@", "%20", "h", ":", "a",
+]
+
+
+def two_step_path_start(url):
+    """The path start of the rule as first written, in two steps: a plain
+    relative or http(s) URL, then the '//…' URL with no '://' before its
+    query and fragment."""
+    if "\t" in url or "\r" in url or "\n" in url:
+        start = None
+    elif url[:1] == "/" and url[1:2] != "/":
+        start = 0
+    else:
+        origin = re.match(r"https?://[^/?#\[\]\x80-\U0010ffff]*(?![^/?#])", url)
+        start = origin.end() if origin else None
+    if start is None and url.startswith("//") and not re.match(r"[^?#]*://", url):
+        return 0
+    return start
+
+
 class TestSplitUrl:
     def test_path_and_query(self):
         assert split_url(rec("https://h:1/api/x?a=1&b=2#frag")) == ("/api/x", "a=1&b=2")
@@ -112,6 +136,11 @@ class TestSplitUrl:
                 split_url(rec(url))
             return
         assert split_url(rec(url)) == (parts.path, parts.query)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.lists(st.sampled_from(PATH_START_PIECES), max_size=10).map("".join))
+    def test_path_start_is_the_two_step_rule(self, url):
+        assert path_start(url) == two_step_path_start(url)
 
     @pytest.mark.parametrize("path, decoded", [
         ("/%41%7e%2D", "/A~-"),
