@@ -13,7 +13,6 @@ from .records import Dataset, IngestError, decode_utf8, parse_har, parse_jsonl, 
 from .normalize import canonical_path
 from .denoise import DEFAULT_TAU
 from .refine import PASSTHROUGH, EndpointCluster, RefinerConfig, discover, prepare_traffic
-from .corpus import CorpusSpec, synth_corpus
 from .noise import INTERFERE, LEXIFY, inject
 from .metrics import CSV_HEADER, NoLabeledDataError, report
 from .templates import PathTemplate
@@ -265,6 +264,9 @@ def _check_seed(flag: str, seed: int | None) -> None:
 
 
 def cmd_bench(args) -> int:
+    # the only command that synthesizes a corpus; the others do not load it
+    from .corpus import CorpusSpec, synth_corpus
+
     ratios = _parse_list("--ratios", args.ratios, float)
     if not all(0.0 <= r <= 1.0 for r in ratios):
         raise IngestError(f"bench --ratios must lie in [0, 1], got {args.ratios!r}")

@@ -113,4 +113,6 @@ def connected_components(rows: np.ndarray, theta: float) -> np.ndarray:
                 first[left[joined]] = start
                 frontier = np.concatenate((frontier, unit[joined]))
                 unit, left = unit[~joined], left[~joined]
-    return np.unique(first, return_inverse=True)[1]
+    # a component's first row is its smallest, so numbering the rows that
+    # start one in order numbers the components in order of their first row
+    return np.searchsorted(np.flatnonzero(first == np.arange(len(rows))), first)

@@ -8,7 +8,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .refine import EndpointCluster
+from .templates import EndpointCluster
 
 CSV_HEADER = "dataset,noise_type,noise_ratio,seed,tp,fp,fn,pga,rga,fga,purity"
 

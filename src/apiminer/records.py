@@ -370,14 +370,14 @@ _HEADER = rf'\["{_TEXT}","{_TEXT}"\]'
 # An integer of at most 18 digits, which fits 64 bits ([0-9], not \d: \d
 # matches every Unicode digit, which JSON does not read).
 _COUNT = r"-?(?:0|[1-9][0-9]{0,17})"
-# One line as ``write_dataset`` writes it, keys in its order, with one group
-# per field of ``HttpRecord`` after its id, in the same order: the text inside
-# the quotes of a string, the header list's JSON text, a count's digits.  A
-# line that matches decodes to an object whose fields pass ``_held_fields``.
-# The label is taken only when it has no escape, so that the text is its
-# value.  An optional part is written (?:part|), which the regex engine runs
-# faster than (?:part)?.
-_CANONICAL_LINE = re.compile(
+# The pattern of one line as ``write_dataset`` writes it, keys in its order,
+# with one group per field of ``HttpRecord`` after its id, in the same order:
+# the text inside the quotes of a string, the header list's JSON text, a
+# count's digits.  A line that matches decodes to an object whose fields pass
+# ``_held_fields``.  The label is taken only when it has no escape, so that
+# the text is its value.  An optional part is written (?:part|), which the
+# regex engine runs faster than (?:part)?.
+_CANONICAL_LINE = (
     rf'\{{"id":{_COUNT},"method":"(?P<method>{_TEXT})","url":"(?P<url>{_TEXT})"'
     rf',"headers":(?P<headers>\[(?:{_HEADER}(?:,{_HEADER})*|)\])'
     rf'(?:,"content_type":"(?P<content_type>{_TEXT})"|)'
@@ -389,8 +389,9 @@ _CANONICAL_LINE = re.compile(
 # ``_CANONICAL_LINE`` at a line's start in the text, through the line's end
 # where JSON Lines ends a line: '\r\n', '\r', '\n' or the end of the text.
 # No part of the line's pattern matches '\r' or '\n', so this matches where
-# ``_CANONICAL_LINE`` matches the whole line.
-_CANONICAL_AT = re.compile(_CANONICAL_LINE.pattern + r"(?:\r\n|\r|\n|\Z)")
+# ``_CANONICAL_LINE`` matches the whole line.  The line's pattern is kept as
+# text and compiled only here.
+_CANONICAL_AT = re.compile(_CANONICAL_LINE + r"(?:\r\n|\r|\n|\Z)")
 
 
 def _unescape(text: str) -> str:

@@ -26,14 +26,14 @@ before any feature row is made.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .records import Dataset
 from .normalize import NormalizedRequest, QueryKeyCensus, canonical_path, normalize, split_url
 from .denoise import DEFAULT_TAU, filter_traffic
-from .templates import PathTemplate, TemplateGroup, mine
+from .templates import PASSTHROUGH, EndpointCluster, PathTemplate, TemplateGroup, mine
 from .features import (
     connected_components,
     extract_features,
@@ -41,7 +41,6 @@ from .features import (
     scale_features,
 )
 
-PASSTHROUGH = "Passthrough"
 GRAPH_REFINED = "GraphRefined"
 # marks clusters made under force_kmeans; the string is kept for clusters.json
 KMEANS_ABLATION = "KMeansFallback"
@@ -62,14 +61,6 @@ class RefinerConfig:
     theta: float = 0.85
     # k-means on the scaled features in place of the graph (ablation)
     force_kmeans: bool = False
-
-
-@dataclass
-class EndpointCluster:
-    template: PathTemplate
-    member_ids: list[int] = field(default_factory=list)
-    representative_paths: list[str] = field(default_factory=list)
-    provenance: str = PASSTHROUGH
 
 
 def farthest_point_seeds(rows: np.ndarray, k: int) -> np.ndarray:
@@ -188,7 +179,7 @@ def refine_group(group: TemplateGroup, config: RefinerConfig | None = None) -> l
 
     clusters = [
         _cluster(group, [members[i] for i in np.nonzero(labels == c)[0]], provenance)
-        for c in np.unique(labels)
+        for c in np.flatnonzero(np.bincount(labels))
     ]
     clusters.sort(key=lambda cl: min(cl.member_ids))
     return clusters

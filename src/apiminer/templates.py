@@ -126,6 +126,18 @@ class TemplateGroup:
         return [nr.record.id for nr in self.members]
 
 
+# the provenance of a cluster that is its template group, unrefined
+PASSTHROUGH = "Passthrough"
+
+
+@dataclass
+class EndpointCluster:
+    template: PathTemplate
+    member_ids: list[int] = field(default_factory=list)
+    representative_paths: list[str] = field(default_factory=list)
+    provenance: str = PASSTHROUGH
+
+
 def _match_ratio(pattern: list, segments: list[str]) -> float:
     if not pattern:
         return 1.0

@@ -3,6 +3,7 @@
 import argparse
 import io
 import json
+import re
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -19,6 +20,9 @@ from apiminer.records import (
     write_dataset,
 )
 from test_records import LINE_RECORDS, jsonl_lines, read_outcome
+
+# the readers compile the line's pattern only as part of a longer one
+CANONICAL_LINE = re.compile(_CANONICAL_LINE)
 
 
 @pytest.fixture
@@ -854,11 +858,11 @@ class TestInputFuzz:
         # matches holds in its groups each field of the request that the
         # checked path reads from the line re-spaced, which it never matches
         for line in jsonl_lines(text):
-            match = _CANONICAL_LINE.fullmatch(line)
+            match = CANONICAL_LINE.fullmatch(line)
             if match is None:
                 continue
             spaced = respaced(line)
-            assert _CANONICAL_LINE.fullmatch(spaced) is None
+            assert CANONICAL_LINE.fullmatch(spaced) is None
             (checked,) = parse_jsonl(spaced).records
 
             def string(name):
@@ -890,7 +894,7 @@ class TestInputFuzz:
         # the text twice over, so that each value repeats
         text = f"{text}\n{text}"
         spaced = respaced(text)
-        assert not any(_CANONICAL_LINE.fullmatch(line) for line in jsonl_lines(spaced))
+        assert not any(CANONICAL_LINE.fullmatch(line) for line in jsonl_lines(spaced))
         try:
             dataset = parse_jsonl(text)
         except IngestError as exc:
@@ -918,7 +922,7 @@ class TestInputFuzz:
         strings = [record.method, record.url, *(t for h in record.headers for t in h),
                    record.content_type, record.label]
         astral = any(ord(ch) > 0xFFFF for text in strings if text is not None for ch in text)
-        assert (_CANONICAL_LINE.fullmatch(line) is None) == (escaped or long_count or astral)
+        assert (CANONICAL_LINE.fullmatch(line) is None) == (escaped or long_count or astral)
 
     def test_written_captures_match_the_pattern(self):
         # a typo in the pattern would send every line to the checked path
@@ -926,7 +930,7 @@ class TestInputFuzz:
         dataset = synth_corpus(CorpusSpec(endpoint_count=8, requests_per_endpoint=10))
         for capture in (dataset, inject(dataset, LEXIFY, 0.95, 1), inject(dataset, INTERFERE, 0.95, 1)):
             lines = write_dataset(capture).splitlines()
-            assert lines and all(_CANONICAL_LINE.fullmatch(line) for line in lines)
+            assert lines and all(CANONICAL_LINE.fullmatch(line) for line in lines)
 
     @FUZZ
     @given(doc=RAW_DOCS | JSON_VALUES | st.lists(CLUSTER_ENTRIES | JSON_VALUES, max_size=3))

@@ -186,6 +186,48 @@ def test_components_are_those_of_the_dense_graph(rows, theta, small_blocks):
     assert labels.tolist() == bfs_components(reference_graph(rows, theta))
 
 
+def unique_numbered_components(rows, theta):
+    """Independent oracle: each row named by the smallest row it reaches in
+    the dense graph (from the transitive closure of its adjacency), the names
+    numbered by ``np.unique(..., return_inverse=True)``."""
+    n = len(rows)
+    reach = reference_graph(rows, theta) | np.eye(n, dtype=bool)
+    while True:
+        wider = (reach.astype(int) @ reach.astype(int)) > 0
+        if np.array_equal(wider, reach):
+            break
+        reach = wider
+    first = reach.argmax(axis=1) if n else np.arange(0)
+    return np.unique(first, return_inverse=True)[1]
+
+
+@st.composite
+def rows_with_ties(draw):
+    """0-40 rows in [0, 1], repeated from a small pool that holds the zero row."""
+    width = draw(st.integers(1, 4))
+    value = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0, 1)
+    pool = draw(st.lists(st.lists(value, min_size=width, max_size=width), min_size=1, max_size=6))
+    pool.append([0.0] * width)
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=40))
+    return np.array([pool[i] for i in picks], dtype=float).reshape(len(picks), width)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=rows_with_ties(),
+    # near 1 only so far that the rounding of a unit row's product with
+    # itself cannot decide an edge
+    theta=st.floats(0, 0.01, exclude_min=True) | st.floats(0.99, 1 - 1e-9) | st.floats(0.01, 0.99),
+    small_blocks=st.booleans(),
+)
+def test_components_are_unique_numbers_of_first_rows(rows, theta, small_blocks):
+    with mock.patch.multiple(features, BLOCK_ROWS=2, BLOCK_CELLS=3) if small_blocks else nullcontext():
+        labels = connected_components(rows, theta)
+    expected = unique_numbered_components(rows, theta)
+    assert labels.dtype == expected.dtype
+    assert labels.tolist() == expected.tolist()
+
+
 class TestComponents:
     def test_against_bfs_oracle(self):
         # both number components in order of their first row
